@@ -54,14 +54,19 @@ def load_system(path):
     if kind not in ("lts", "lie"):
         fail(f'"kind" must be "lts" or "lie", got {kind!r}')
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         fail(f'"dim" must be a positive integer, got {dim!r}')
     basis = doc.get("basis")
     if not isinstance(basis, list) or len(basis) != dim:
         fail(f'"basis" must list exactly {dim} labels')
     arity = 3 if kind == "lts" else 2
+    raw_entries = doc.get("entries", [])
+    if not isinstance(raw_entries, list):
+        fail('"entries" must be a list')
     entries = []
-    for pos, entry in enumerate(doc.get("entries", [])):
+    for pos, entry in enumerate(raw_entries):
+        if not isinstance(entry, dict):
+            fail(f"entry {pos}: must be an object")
         args = entry.get("args")
         if (not isinstance(args, list) or len(args) != arity
                 or not all(isinstance(a, int) for a in args)):

@@ -77,8 +77,9 @@ class EnvelopingAlgebra:
 
         # elimination order: higher degree first; within a degree the
         # representative monomials come last so pivots avoid them
+        degree = self.table.degree
         order = sorted(self.table.trees,
-                       key=lambda t: (-tree_degree(t), t in rep_set, tree_key(t)))
+                       key=lambda t: (-degree(t), t in rep_set, tree_key(t)))
         self._elim_of_tree = {t: i for i, t in enumerate(order)}
         self._tree_of_elim = order
 
@@ -129,27 +130,30 @@ class EnvelopingAlgebra:
             rels.append({t: c for t, c in r.items() if c})
         return rels
 
+    def _insert_relation(self, coeffs, work):
+        """Insert a relation; queue a new row with its top degree."""
+        row = self._ech.insert(self._to_elim(coeffs))
+        if row is not None:
+            # the pivot is the row's lowest elimination column, and the
+            # elimination order puts higher degrees first
+            top = self.table.degree(self._tree_of_elim[min(row)])
+            work.append((top, self._from_elim(row)))
+
     def _build_relation_span(self):
         N = self.cap
         work = []
         for rel in self._relators():
-            row = self._ech.insert(self._to_elim(rel))
-            if row is not None:
-                work.append(self._from_elim(row))
+            self._insert_relation(rel, work)
         # two-sided ideal closure: multiply by every monomial on both
         # sides within the degree budget, lowest degrees first
         while work:
-            work.sort(key=lambda r: max(tree_degree(t) for t in r))
+            work.sort(key=lambda item: item[0])
             new = []
-            for row in work:
-                top = max(tree_degree(t) for t in row)
+            for top, row in work:
                 for n in range(1, N - top + 1):
                     for m in self.table.degree_slice(n):
-                        for prod in (self._mul_row(row, m, left=False),
-                                     self._mul_row(row, m, left=True)):
-                            added = self._ech.insert(self._to_elim(prod))
-                            if added is not None:
-                                new.append(self._from_elim(added))
+                        self._insert_relation(self._mul_row(row, m, left=False), new)
+                        self._insert_relation(self._mul_row(row, m, left=True), new)
             work = new
 
     @staticmethod
@@ -173,7 +177,7 @@ class EnvelopingAlgebra:
                 t = self._tree_of_elim[p]
                 raise PBWCertificateFailure(
                     f"pivot fell on normal-form representative {t!r}")
-            pivot_degree[p] = tree_degree(self._tree_of_elim[p])
+            pivot_degree[p] = self.table.degree(self._tree_of_elim[p])
         counts = [0] * (N + 1)
         for p, deg in pivot_degree.items():
             counts[deg] += 1
@@ -211,7 +215,8 @@ class EnvelopingAlgebra:
         """Normal form of a single monomial tree, cached."""
         cached = self._reduce_cache.get(t)
         if cached is None:
-            if tree_degree(t) > self.cap:
+            # the table holds every monomial within the cap
+            if t not in self._elim_of_tree and tree_degree(t) > self.cap:
                 raise DegreeBudgetExceeded(
                     f"monomial degree {tree_degree(t)} exceeds cap {self.cap}")
             residue = self._ech.reduce({self._elim_of_tree[t]: ONE})
@@ -279,27 +284,17 @@ class EnvelopingAlgebra:
         if x.degree() + y.degree() > self.cap:
             raise DegreeBudgetExceeded(
                 f"product degree {x.degree()}+{y.degree()} exceeds cap {self.cap}")
-        out = Element(self, {})
+        out = {}
         for vx, a in x.coeffs.items():
             tx = self.rep_tree[vx]
             for vy, b in y.coeffs.items():
-                out = out + (a * b) * self.reduce_tree(graft(tx, self.rep_tree[vy]))
-        return out
+                ab = a * b
+                for v, c in self.reduce_tree(graft(tx, self.rep_tree[vy])).coeffs.items():
+                    out[v] = out.get(v, ZERO) + ab * c
+        return Element(self, out)
 
     def associator(self, x, y, z):
         return (x * y) * z - x * (y * z)
-
-    def left_mult_operator(self, x, domain_degree=None):
-        """Columns of y -> x*y over normal-form monomials of bounded degree.
-
-        Returns a dict mapping each domain exponent vector to an Element.
-        """
-        if domain_degree is None:
-            domain_degree = self.cap - x.degree()
-        if x.degree() + domain_degree > self.cap:
-            raise DegreeBudgetExceeded("left multiplication domain exceeds cap")
-        return {v: x * self.monomial(v)
-                for v in self.exponents if sum(v) <= domain_degree}
 
     def d_operator(self, a, b):
         """D_{a,b} = [L_a, L_b] acting on elements: z -> a(bz) - b(az)."""

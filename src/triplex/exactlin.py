@@ -1,17 +1,24 @@
 """Exact rational scalars and deterministic sparse linear algebra.
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator, no rounding ever).  Vectors are sparse maps from column
-index to scalar.  Subspaces are kept in reduced row-echelon form with
-the lowest-index elimination convention, so every subspace has one
-canonical representation and all downstream normal forms are
-bit-reproducible.
+denominator, no rounding ever) at every API boundary.  Vectors are
+sparse maps from column index to scalar.  Subspaces are kept in reduced
+row-echelon form with the lowest-index elimination convention, so every
+subspace has one canonical representation and all downstream normal
+forms are bit-reproducible.
+
+The incremental ``Echelon`` behind ``echelonize``, ``kernel`` and the
+enveloping-algebra builds eliminates fraction-free: its rows are
+primitive integer vectors, each input is scaled once to integers over a
+common denominator, and ``Fraction``s are formed only for the values it
+returns.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = Fraction
 
@@ -21,10 +28,6 @@ ONE = Fraction(1)
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def _clean(coords):
-    return {c: a for c, a in coords.items() if a}
 
 
 class SparseVector:
@@ -61,9 +64,6 @@ class SparseVector:
 
     def is_zero(self):
         return not self.coords
-
-    def support(self):
-        return sorted(self.coords)
 
     def to_dense(self):
         out = [ZERO] * self.dimension
@@ -121,16 +121,70 @@ class Echelon:
 
     Columns are integers; elimination always happens on the lowest
     nonzero column, so callers that want a custom elimination priority
-    remap their columns before inserting.  Rows are forward-reduced
-    only; call ``rref_rows`` for the fully reduced canonical basis.
+    remap their columns before inserting.  Rows are stored as primitive
+    integer vectors (coprime entries, positive pivot entry) and
+    elimination is fraction-free, on Python ints.  ``Fraction``s appear
+    only at the boundary: callers pass rational dicts, and ``reduce``,
+    ``insert`` and ``rref_rows`` return rational dicts.  Rows are
+    forward-reduced only; call ``rref_rows`` for the fully reduced
+    canonical basis.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> {column: Fraction}, pivot entry == 1
+        # pivot column -> (pivot entry > 0, [(column, entry), ...] after it);
+        # the entries of each row are coprime integers
+        self._rows = {}
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def _eliminate(self, vec):
+        """Fraction-free residue of ``vec`` modulo the current span.
+
+        Returns ``(finals, scale)``: each final ``(column, w, s)`` is a
+        residue entry equal to ``w / s``, and ``scale / s`` is an integer.
+        """
+        vec = {c: a for c, a in vec.items() if a}
+        # pairwise lcm/gcd and list rows (not star-args or tuple rows):
+        # freed tuples of every length stay in CPython's tuple free lists
+        # and raised peak memory by about 1 MiB on the ideal closures
+        scale = 1
+        for a in vec.values():
+            scale = lcm(scale, a.denominator)
+        work = {c: a.numerator * (scale // a.denominator) for c, a in vec.items()}
+        heap = list(work)
+        heapq.heapify(heap)
+        rows = self._rows
+        finals = []
+        while heap:
+            c = heapq.heappop(heap)
+            a = work.pop(c, 0)
+            if not a:
+                continue
+            row = rows.get(c)
+            if row is None:
+                # every later row only touches columns above c
+                finals.append((c, a, scale))
+                continue
+            pv, tail = row
+            if pv != 1:
+                g = gcd(a, pv)
+                m, a = pv // g, a // g
+                if m != 1:
+                    for c2 in work:
+                        work[c2] *= m
+                    scale *= m
+            for c2, b in tail:
+                w = work.get(c2)
+                if w is None:
+                    work[c2] = -a * b
+                    heapq.heappush(heap, c2)
+                elif w := w - a * b:
+                    work[c2] = w
+                else:
+                    del work[c2]
+        return finals, scale
 
     def reduce(self, vec):
         """Unique residue of ``vec`` (a dict) modulo the current span.
@@ -138,70 +192,47 @@ class Echelon:
         The residue is supported on non-pivot columns only and does not
         depend on the insertion history, only on the span.
         """
-        work = {c: a for c, a in vec.items() if a}
-        heap = list(work)
-        heapq.heapify(heap)
-        seen = set()
-        out = {}
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
-            a = work.pop(c, ZERO)
-            if not a:
-                continue
-            row = self.rows.get(c)
-            if row is None:
-                out[c] = a
-                continue
-            for c2, b in row.items():
-                if c2 == c:
-                    continue
-                nb = work.get(c2, ZERO) - a * b
-                if nb:
-                    work[c2] = nb
-                    if c2 not in seen:
-                        heapq.heappush(heap, c2)
-                else:
-                    work.pop(c2, None)
-        return out
+        return {c: Fraction(w, s) for c, w, s in self._eliminate(vec)[0]}
 
     def insert(self, vec):
-        """Add ``vec`` to the span; returns the normalized new row or None."""
-        r = self.reduce(vec)
-        if not r:
+        """Add ``vec`` to the span; returns the pivot-1 new row or None."""
+        finals, scale = self._eliminate(vec)
+        if not finals:
             return None
-        p = min(r)
-        inv = ONE / r[p]
-        row = {c: a * inv for c, a in r.items()}
-        self.rows[p] = row
+        ints = [(c, w * (scale // s)) for c, w, s in finals]
+        p, pv = ints[0]
+        g = 0
+        for _, w in ints:
+            g = gcd(g, w)
+        if pv < 0:
+            g = -g
+        pv //= g
+        tail = [(c, w // g) for c, w in ints[1:]]
+        self._rows[p] = (pv, tail)
+        row = {p: ONE}
+        for c, w in tail:
+            row[c] = Fraction(w, pv)
         return row
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        return not self._eliminate(vec)[0]
 
     def pivots(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     def rref_rows(self):
-        """Fully back-substituted rows, sorted by pivot (canonical)."""
-        rows = {p: dict(r) for p, r in self.rows.items()}
-        for p in sorted(rows, reverse=True):
-            prow = rows[p]
-            for q, row in rows.items():
-                if q >= p or p not in row:
-                    continue
-                a = row.pop(p)
-                for c, b in prow.items():
-                    if c == p:
-                        continue
-                    nb = row.get(c, ZERO) - a * b
-                    if nb:
-                        row[c] = nb
-                    else:
-                        row.pop(c, None)
-        return [rows[p] for p in sorted(rows)]
+        """Fully back-substituted rows, sorted by pivot (canonical).
+
+        The row with pivot p is the unit vector at p minus its residue: it
+        lies in the span, has entry 1 at p and 0 at every other pivot.
+        """
+        out = []
+        for p in sorted(self._rows):
+            row = {p: ONE}
+            for c, w, s in self._eliminate({p: 1})[0]:
+                row[c] = Fraction(-w, s)
+            out.append(row)
+        return out
 
 
 class Subspace:
@@ -326,17 +357,8 @@ def mat_identity(n):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(s, a):
-    s = Fraction(s)
-    return tuple(tuple(s * x for x in r) for r in a)
 
 
 def mat_mul(a, b):

@@ -117,7 +117,12 @@ class MonomialTable:
             trees.extend(stratum)
         self.trees = trees
         self.index = {t: i for i, t in enumerate(trees)}
+        self.degrees = [tree_degree(t) for t in trees]  # index -> degree
         self.size = len(trees)
+
+    def degree(self, t):
+        """Stored degree of a tree in the table (KeyError for any other)."""
+        return self.degrees[self.index[t]]
 
     def degree_count(self, n):
         if n < 0:

@@ -69,6 +69,23 @@ def test_load_errors(tmp_path):
                         {"args": [0, 1, 0], "value": {"0": "2"}}]}))
 
 
+@pytest.mark.parametrize("entries", [[1], {"args": [0, 0, 0]}, "none"])
+def test_malformed_entries_exit_2(tmp_path, capsys, entries):
+    path = write(tmp_path, {"kind": "lts", "dim": 2, "basis": ["a", "b"],
+                            "entries": entries})
+    with pytest.raises(LoadError):
+        load_system(path)
+    assert cli.main(["check", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_boolean_dim_exit_2(tmp_path, capsys):
+    path = write(tmp_path, {"kind": "lts", "dim": True, "basis": ["a"]})
+    with pytest.raises(LoadError, match='"dim" must be a positive integer'):
+        load_system(path)
+    assert cli.main(["check", path]) == 2
+
+
 def test_check_pass(capsys):
     assert cli.main(["check", data_path("s2.json")]) == 0
     out = capsys.readouterr().out

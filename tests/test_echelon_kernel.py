@@ -1,0 +1,139 @@
+"""Differential test: the integer ``Echelon`` against a ``Fraction`` reference.
+
+``FractionEchelon`` is the accumulator ``exactlin.Echelon`` used to be,
+with ``Fraction`` rows normalized to pivot 1.  Both must agree on every
+value they return, after every step.
+"""
+
+import heapq
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from triplex.exactlin import Echelon
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class FractionEchelon:
+    """Reference row-echelon accumulator on ``Fraction`` rows (pivot entry 1)."""
+
+    def __init__(self):
+        self.rows = {}
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        work = {c: a for c, a in vec.items() if a}
+        heap = list(work)
+        heapq.heapify(heap)
+        seen = set()
+        out = {}
+        while heap:
+            c = heapq.heappop(heap)
+            if c in seen:
+                continue
+            seen.add(c)
+            a = work.pop(c, ZERO)
+            if not a:
+                continue
+            row = self.rows.get(c)
+            if row is None:
+                out[c] = a
+                continue
+            for c2, b in row.items():
+                if c2 == c:
+                    continue
+                nb = work.get(c2, ZERO) - a * b
+                if nb:
+                    work[c2] = nb
+                    if c2 not in seen:
+                        heapq.heappush(heap, c2)
+                else:
+                    work.pop(c2, None)
+        return out
+
+    def insert(self, vec):
+        r = self.reduce(vec)
+        if not r:
+            return None
+        p = min(r)
+        inv = ONE / r[p]
+        row = {c: a * inv for c, a in r.items()}
+        self.rows[p] = row
+        return row
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def rref_rows(self):
+        rows = {p: dict(r) for p, r in self.rows.items()}
+        for p in sorted(rows, reverse=True):
+            prow = rows[p]
+            for q, row in rows.items():
+                if q >= p or p not in row:
+                    continue
+                a = row.pop(p)
+                for c, b in prow.items():
+                    if c == p:
+                        continue
+                    nb = row.get(c, ZERO) - a * b
+                    if nb:
+                        row[c] = nb
+                    else:
+                        row.pop(c, None)
+        return [rows[p] for p in sorted(rows)]
+
+
+COLUMNS = 12
+scalars = st.builds(Fraction, st.integers(-30, 30),
+                    st.sampled_from([1, 1, 2, 3, 4, 6, 7, 35]))
+sparse_vectors = st.dictionaries(st.integers(0, COLUMNS - 1), scalars, max_size=6)
+
+
+@st.composite
+def steps(draw):
+    """Vectors to insert: fresh, repeated, or combinations of earlier ones."""
+    out = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "combo"]))
+        if kind == "fresh" or not out:
+            out.append(draw(sparse_vectors))
+        elif kind == "repeat":
+            out.append(dict(draw(st.sampled_from(out))))
+        else:
+            combo = {}
+            for v in draw(st.lists(st.sampled_from(out), min_size=1, max_size=3)):
+                a = draw(scalars)
+                for c, b in v.items():
+                    combo[c] = combo.get(c, ZERO) + a * b
+            out.append(combo)
+    return out
+
+
+@given(steps(), st.lists(sparse_vectors, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_integer_echelon_matches_fraction_reference(vectors, probes):
+    fast, ref = Echelon(), FractionEchelon()
+    for v in vectors:
+        assert fast.insert(v) == ref.insert(v)
+        assert fast.pivots() == ref.pivots()
+        assert fast.dim == ref.dim
+        assert fast.rref_rows() == ref.rref_rows()
+        assert fast.reduce(v) == ref.reduce(v) == {}
+        for probe in probes:
+            assert fast.reduce(probe) == ref.reduce(probe)
+
+
+def test_returned_values_are_fractions():
+    ech = Echelon()
+    row = ech.insert({0: Fraction(2, 3), 2: Fraction(-4, 5), 5: 6})
+    assert row == {0: ONE, 2: Fraction(-6, 5), 5: Fraction(9)}
+    assert all(type(a) is Fraction for a in row.values())
+    residue = ech.reduce({2: ONE, 0: Fraction(1, 7)})
+    assert residue == {2: Fraction(41, 35), 5: Fraction(-9, 7)}
+    assert all(type(a) is Fraction for a in residue.values())
+    assert all(type(a) is Fraction for r in ech.rref_rows() for a in r.values())

@@ -46,6 +46,9 @@ def test_monomial_table_index_refines_degree():
     degrees = [tree_degree(tr) for tr in t.trees]
     assert degrees == sorted(degrees)
     assert all(t.index[tr] == i for i, tr in enumerate(t.trees))
+    assert [t.degree(tr) for tr in t.trees] == degrees
+    with pytest.raises(KeyError):
+        t.degree(power_tree(0, 5))
 
 
 def test_graft_unit_laws():
