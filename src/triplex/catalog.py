@@ -101,9 +101,9 @@ def direct_sum(t1, t2):
     d1, d2 = t1.dim, t2.dim
     constants = {}
     for (i, j, k), v in t1.constants.items():
-        constants[(i, j, k)] = tuple(v) + (ZERO,) * d2
+        constants[(i, j, k)] = dict(v)
     for (i, j, k), v in t2.constants.items():
-        constants[(d1 + i, d1 + j, d1 + k)] = (ZERO,) * d1 + tuple(v)
+        constants[(d1 + i, d1 + j, d1 + k)] = {d1 + l: a for l, a in v.items()}
     names = tuple(f"{n}1" for n in t1.basis_names) + tuple(f"{n}2" for n in t2.basis_names)
     return TripleSystem(d1 + d2, names, constants)
 

@@ -59,6 +59,10 @@ def load_system(path):
     basis = doc.get("basis")
     if not isinstance(basis, list) or len(basis) != dim:
         fail(f'"basis" must list exactly {dim} labels')
+    if not all(isinstance(b, str) for b in basis):
+        fail('"basis" labels must be strings')
+    if len(set(basis)) != dim:
+        fail('"basis" labels must be distinct')
     arity = 3 if kind == "lts" else 2
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
@@ -69,7 +73,8 @@ def load_system(path):
             fail(f"entry {pos}: must be an object")
         args = entry.get("args")
         if (not isinstance(args, list) or len(args) != arity
-                or not all(isinstance(a, int) for a in args)):
+                or not all(isinstance(a, int) and not isinstance(a, bool)
+                           for a in args)):
             fail(f"entry {pos}: \"args\" must be {arity} integer indices")
         for a in args:
             if not 0 <= a < dim:

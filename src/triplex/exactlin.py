@@ -220,6 +220,11 @@ class Echelon:
     def pivots(self):
         return sorted(self._rows)
 
+    def subspace(self, ambient):
+        """The span as a canonical ``Subspace`` of Q^ambient."""
+        rows = [SparseVector(r, ambient) for r in self.rref_rows()]
+        return Subspace(rows, self.pivots(), ambient)
+
     def rref_rows(self):
         """Fully back-substituted rows, sorted by pivot (canonical).
 
@@ -308,12 +313,7 @@ def echelonize(vectors, ambient=None):
             raise DimensionMismatch(
                 f"vector dimension {v.dimension} != ambient {ambient}")
         ech.insert(v.coords)
-    rows = [SparseVector(r, ambient) for r in ech.rref_rows()]
-    return Subspace(rows, ech.pivots(), ambient)
-
-
-def member(v, s):
-    return s.member(v)
+    return ech.subspace(ambient)
 
 
 def kernel(images, domain_dim, ambient):

@@ -4,7 +4,9 @@ A triple system is given by structure constants for the trilinear
 product on a chosen basis; everything else (inner derivations, the
 standard embedding Lie algebra, the Killing form, Lie/associative
 closures of the right-slot operators) is derived by exact linear
-algebra.
+algebra.  Structure constants are stored sparsely, as the nonzero
+coordinates of each nonzero basis product, and every check below
+visits only those.
 """
 
 from __future__ import annotations
@@ -22,27 +24,36 @@ class InvalidStructure(ValueError):
     """Structure constants fail a claimed algebraic property."""
 
 
-def _vec(d, coords=None):
-    out = [ZERO] * d
-    for i, a in (coords or {}).items():
-        out[i] = a
+def _sparse(dim, v):
+    """Nonzero coordinates of ``v`` (a dict or a length-``dim`` sequence)."""
+    if not isinstance(v, dict):
+        if len(v) != dim:
+            raise InvalidStructure(f"coordinate vector of length {len(v)} for dim {dim}")
+        v = dict(enumerate(v))
+    out = {}
+    for l, a in v.items():
+        if not 0 <= l < dim:
+            raise InvalidStructure(f"coordinate index {l} out of range for dim {dim}")
+        if a:
+            out[l] = Fraction(a)
+    return out
+
+
+def _dense(dim, coords):
+    out = [ZERO] * dim
+    for l, a in coords.items():
+        out[l] = a
     return tuple(out)
+
+
+def _accumulate(out, coords, c):
+    """out += c * coords, on sparse dicts (zero sums are kept)."""
+    for l, a in coords.items():
+        out[l] = out.get(l, ZERO) + c * a
 
 
 def unit_vector(d, i):
     return tuple(ONE if j == i else ZERO for j in range(d))
-
-
-def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _scale(s, x):
-    return tuple(s * a for a in x)
-
-
-def _is_zero(x):
-    return all(not a for a in x)
 
 
 @dataclass(frozen=True)
@@ -63,14 +74,15 @@ class TripleSystem:
         self.basis_names = tuple(basis_names)
         if len(self.basis_names) != dim:
             raise InvalidStructure("one basis name per dimension required")
-        self.constants = {}  # (i,j,k) -> tuple of length dim
+        # (i,j,k) -> {l: a}: the nonzero coordinates of each nonzero [b_i,b_j,b_k]
+        self.constants = {}
         for (i, j, k), v in constants.items():
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise InvalidStructure(f"index {idx} out of range for dim {dim}")
-            vec = _vec(dim, v) if isinstance(v, dict) else tuple(v)
-            if not _is_zero(vec):
-                self.constants[(i, j, k)] = vec
+            coords = _sparse(dim, v)
+            if coords:
+                self.constants[(i, j, k)] = coords
 
     @classmethod
     def from_entries(cls, dim, basis_names, entries):
@@ -87,20 +99,29 @@ class TripleSystem:
         return cls(dim, basis_names, constants)
 
     def basis_product(self, i, j, k):
-        return self.constants.get((i, j, k), _vec(self.dim))
+        """[b_i, b_j, b_k] as a dense coordinate tuple."""
+        return _dense(self.dim, self.constants.get((i, j, k), {}))
 
     def triple_product(self, x, y, z):
         """Trilinear extension of the structure constants."""
         d = self.dim
         if len(x) != d or len(y) != d or len(z) != d:
             raise InvalidStructure("coordinate length mismatch")
+        consts = self.constants
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        zs = [(k, c) for k, c in enumerate(z) if c]
         out = [ZERO] * d
-        for (i, j, k), vec in self.constants.items():
-            c = x[i] * y[j] * z[k]
-            if c:
-                for l, a in enumerate(vec):
-                    if a:
-                        out[l] += c * a
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, b in ys:
+                ab = a * b
+                for k, c in zs:
+                    coords = consts.get((i, j, k))
+                    if coords:
+                        abc = ab * c
+                        for l, w in coords.items():
+                            out[l] += abc * w
         return tuple(out)
 
     def r_op(self, a, b):
@@ -135,44 +156,86 @@ class AxiomReport:
         return self.alternating.ok and self.cyclic.ok and self.derivation.ok
 
 
+def _first_nonzero_sum(consts, orbit):
+    """Lexicographically first basis triple t with sum of C[s], s in orbit(t), != 0.
+
+    ``orbit(i, j, k)`` lists triples (repeats count) and must be closed
+    under the symmetry it describes, so only the orbits of stored keys
+    can have a nonzero sum.
+    """
+    for t in sorted({s for key in consts for s in orbit(*key)}):
+        total = {}
+        for s in orbit(*t):
+            _accumulate(total, consts.get(s, {}), ONE)
+        if any(total.values()):
+            return t
+    return None
+
+
+def _derivation_failure(consts, op):
+    """First basis triple (x,y,z), lexicographically, where ``op`` is no derivation.
+
+    ``op`` maps a basis index x to the nonzero coordinates of op(b_x).
+    The identity checked is
+    op[x,y,z] = [op x,y,z] + [x,op y,z] + [x,y,op z];
+    returns None if it holds on every basis triple.
+    """
+    op_t = {}  # the transpose: p -> {x: coefficient of b_p in op(b_x)}
+    for x, col in op.items():
+        for p, a in col.items():
+            op_t.setdefault(p, {})[x] = a
+    residue = {}
+    for (p, q, r), coords in consts.items():
+        lhs = residue.setdefault((p, q, r), {})
+        for l, a in coords.items():
+            if l in op:
+                _accumulate(lhs, op[l], a)
+        for x, c in op_t.get(p, {}).items():
+            _accumulate(residue.setdefault((x, q, r), {}), coords, -c)
+        for y, c in op_t.get(q, {}).items():
+            _accumulate(residue.setdefault((p, y, r), {}), coords, -c)
+        for z, c in op_t.get(r, {}).items():
+            _accumulate(residue.setdefault((p, q, z), {}), coords, -c)
+    for t in sorted(residue):
+        if any(residue[t].values()):
+            return t
+    return None
+
+
 def check_axioms(t):
-    """Verify the three defining identities on all basis combinations."""
-    d = t.dim
-    e = lambda i: unit_vector(d, i)
+    """Verify the three defining identities on all basis combinations.
+
+    Each verdict's counterexample is the first failing basis combination
+    in lexicographic order.
+    """
+    consts = t.constants
 
     alt = AxiomVerdict(True)
-    for i, j in iproduct(range(d), repeat=2):
-        if not _is_zero(t.triple_product(e(i), e(i), e(j))):
-            alt = AxiomVerdict(False, ("[x,x,y] != 0", i, i, j))
-            break
-    if alt.ok:
+    squares = [(i, k) for i, j, k in consts if i == j]
+    if squares:
+        i, k = min(squares)
+        alt = AxiomVerdict(False, ("[x,x,y] != 0", i, i, k))
+    else:
         # linearization: [x,y,z] + [y,x,z] = 0 on all basis triples
-        for i, j, k in iproduct(range(d), repeat=3):
-            v = _add(t.basis_product(i, j, k), t.basis_product(j, i, k))
-            if not _is_zero(v):
-                alt = AxiomVerdict(False, ("[x,y,z]+[y,x,z] != 0", i, j, k))
-                break
+        bad = _first_nonzero_sum(consts, lambda i, j, k: ((i, j, k), (j, i, k)))
+        if bad:
+            alt = AxiomVerdict(False, ("[x,y,z]+[y,x,z] != 0",) + bad)
 
     cyc = AxiomVerdict(True)
-    for i, j, k in iproduct(range(d), repeat=3):
-        v = _add(_add(t.basis_product(i, j, k), t.basis_product(j, k, i)),
-                 t.basis_product(k, i, j))
-        if not _is_zero(v):
-            cyc = AxiomVerdict(False, ("cyclic sum != 0", i, j, k))
-            break
+    bad = _first_nonzero_sum(consts,
+                             lambda i, j, k: ((i, j, k), (j, k, i), (k, i, j)))
+    if bad:
+        cyc = AxiomVerdict(False, ("cyclic sum != 0",) + bad)
 
+    # D_{a,b} b_x = [a,b,x]; D_{a,b} = 0 is trivially a derivation
+    ops = {}
+    for (a, b, x), coords in consts.items():
+        ops.setdefault((a, b), {})[x] = coords
     der = AxiomVerdict(True)
-    for a, b in iproduct(range(d), repeat=2):
-        D = t.d_op(e(a), e(b))
-        for x, y, z in iproduct(range(d), repeat=3):
-            lhs = D(t.basis_product(x, y, z))
-            rhs = _add(_add(t.triple_product(D(e(x)), e(y), e(z)),
-                            t.triple_product(e(x), D(e(y)), e(z))),
-                       t.triple_product(e(x), e(y), D(e(z))))
-            if lhs != rhs:
-                der = AxiomVerdict(False, ("derivation identity fails", a, b, x, y, z))
-                break
-        if not der.ok:
+    for a, b in sorted(ops):
+        bad = _derivation_failure(consts, ops[(a, b)])
+        if bad:
+            der = AxiomVerdict(False, ("derivation identity fails", a, b) + bad)
             break
 
     return AxiomReport(alt, cyc, der)
@@ -186,14 +249,15 @@ class LieAlgebra:
         self.basis_names = tuple(basis_names)
         if len(self.basis_names) != dim:
             raise InvalidStructure("one basis name per dimension required")
-        self.brackets = {}  # (i,j) -> tuple
+        # (i,j) -> {l: a}: the nonzero coordinates of each nonzero [b_i,b_j]
+        self.brackets = {}
         for (i, j), v in brackets.items():
             for idx in (i, j):
                 if not 0 <= idx < dim:
                     raise InvalidStructure(f"index {idx} out of range for dim {dim}")
-            vec = _vec(dim, v) if isinstance(v, dict) else tuple(v)
-            if not _is_zero(vec):
-                self.brackets[(i, j)] = vec
+            coords = _sparse(dim, v)
+            if coords:
+                self.brackets[(i, j)] = coords
 
     @classmethod
     def from_entries(cls, dim, basis_names, entries):
@@ -205,58 +269,70 @@ class LieAlgebra:
         return cls(dim, basis_names, brackets)
 
     def basis_bracket(self, i, j):
-        return self.brackets.get((i, j), _vec(self.dim))
+        """[b_i, b_j] as a dense coordinate tuple."""
+        return _dense(self.dim, self.brackets.get((i, j), {}))
 
     def bracket(self, x, y):
-        d = self.dim
-        out = [ZERO] * d
-        for (i, j), vec in self.brackets.items():
-            c = x[i] * y[j]
-            if c:
-                for l, a in enumerate(vec):
-                    if a:
-                        out[l] += c * a
+        brackets = self.brackets
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        out = [ZERO] * self.dim
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, b in ys:
+                coords = brackets.get((i, j))
+                if coords:
+                    ab = a * b
+                    for l, w in coords.items():
+                        out[l] += ab * w
         return tuple(out)
+
+    def _bracket_with_basis(self, i, coords):
+        """[b_i, v] for v given by its sparse coordinates."""
+        out = {}
+        for l, a in coords.items():
+            _accumulate(out, self.brackets.get((i, l), {}), a)
+        return out
 
     def validate(self):
         """Raise InvalidStructure unless antisymmetry and Jacobi hold."""
         d = self.dim
+        brackets = self.brackets
         for i in range(d):
-            if not _is_zero(self.basis_bracket(i, i)):
+            if (i, i) in brackets:
                 raise InvalidStructure(f"[b{i},b{i}] != 0")
             for j in range(d):
-                if not _is_zero(_add(self.basis_bracket(i, j), self.basis_bracket(j, i))):
+                total = dict(brackets.get((i, j), {}))
+                _accumulate(total, brackets.get((j, i), {}), ONE)
+                if any(total.values()):
                     raise InvalidStructure(f"[b{i},b{j}] + [b{j},b{i}] != 0")
-        e = lambda i: unit_vector(d, i)
         for i, j, k in iproduct(range(d), repeat=3):
-            s = _add(_add(self.bracket(e(i), self.basis_bracket(j, k)),
-                          self.bracket(e(j), self.basis_bracket(k, i))),
-                     self.bracket(e(k), self.basis_bracket(i, j)))
-            if not _is_zero(s):
+            s = self._bracket_with_basis(i, brackets.get((j, k), {}))
+            _accumulate(s, self._bracket_with_basis(j, brackets.get((k, i), {})), ONE)
+            _accumulate(s, self._bracket_with_basis(k, brackets.get((i, j), {})), ONE)
+            if any(s.values()):
                 raise InvalidStructure(f"Jacobi fails on basis triple ({i},{j},{k})")
 
-    def ad(self, i):
-        d = self.dim
-        cols = [self.basis_bracket(i, j) for j in range(d)]
-        return tuple(tuple(cols[j][k] for j in range(d)) for k in range(d))
-
     def killing(self):
+        """K(b_i, b_j) = tr(ad b_i ad b_j) = sum over k of [b_i, [b_j, b_k]]_k."""
         d = self.dim
-        ads = [self.ad(i) for i in range(d)]
-        return tuple(tuple(mat_trace(mat_mul(ads[i], ads[j])) for j in range(d))
-                     for i in range(d))
+        return tuple(
+            tuple(sum((self._bracket_with_basis(i, self.brackets.get((j, k), {}))
+                       .get(k, ZERO) for k in range(d)), ZERO)
+                  for j in range(d))
+            for i in range(d))
 
 
 def lts_from_lie(l):
     """The triple system [x,y,z] = [[x,y],z] of a Lie algebra."""
     l.validate()
     d = l.dim
-    e = lambda i: unit_vector(d, i)
     constants = {}
     for i, j, k in iproduct(range(d), repeat=3):
-        v = l.bracket(l.basis_bracket(i, j), e(k))
-        if not _is_zero(v):
-            constants[(i, j, k)] = v
+        v = {}
+        for m, a in l.brackets.get((i, j), {}).items():
+            _accumulate(v, l.brackets.get((m, k), {}), a)
+        constants[(i, j, k)] = v
     return TripleSystem(d, l.basis_names, constants)
 
 
@@ -286,11 +362,20 @@ def lts_from_involution(l, s):
         coords = span.coordinates(SparseVector.from_dense(v))
         if coords is None:
             raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
-        vec = tuple(coords)
-        if not _is_zero(vec):
-            constants[(i, j, kk)] = vec
+        constants[(i, j, kk)] = coords
     names = tuple(f"t{i}" for i in range(k))
     return TripleSystem(k, names, constants)
+
+
+def _columns(matrix):
+    """Sparse columns of a square matrix: x -> nonzero coordinates of M b_x."""
+    n = len(matrix)
+    cols = {}
+    for x in range(n):
+        col = {k: matrix[k][x] for k in range(n) if matrix[k][x]}
+        if col:
+            cols[x] = col
+    return cols
 
 
 def inner_derivations(t):
@@ -308,13 +393,8 @@ def inner_derivations(t):
             if not space.member(mat_flatten(mat_bracket(a, b))):
                 raise InvalidStructure("inner derivations are not bracket-closed")
     for D in basis:
-        for x, y, z in iproduct(range(d), repeat=3):
-            lhs = mat_vec(D, t.basis_product(x, y, z))
-            rhs = _add(_add(t.triple_product(mat_vec(D, e(x)), e(y), e(z)),
-                            t.triple_product(e(x), mat_vec(D, e(y)), e(z))),
-                       t.triple_product(e(x), e(y), mat_vec(D, e(z))))
-            if lhs != rhs:
-                raise InvalidStructure("an inner derivation fails the derivation identity")
+        if _derivation_failure(t.constants, _columns(D)) is not None:
+            raise InvalidStructure("an inner derivation fails the derivation identity")
     return space, basis
 
 
@@ -346,27 +426,19 @@ def standard_embedding(t):
         coords = inn_space.coordinates(mat_flatten(matrix))
         if coords is None:
             raise InvalidStructure("bracket leaves the inner derivation span")
-        return coords
+        return dict(enumerate(coords))
 
     brackets = {}
-
-    def put(i, j, vec):
-        if not _is_zero(vec):
-            brackets[(i, j)] = vec
-
     for p in range(m):
         for q in range(m):
-            c = inn_coords(mat_bracket(inn_basis[p], inn_basis[q]))
-            put(p, q, tuple(c) + _vec(d))
+            brackets[(p, q)] = inn_coords(mat_bracket(inn_basis[p], inn_basis[q]))
     for p in range(m):
-        for i in range(d):
-            v = mat_vec(inn_basis[p], e(i))
-            put(p, m + i, _vec(m) + v)
-            put(m + i, p, _vec(m) + _scale(-ONE, v))
+        for i, col in sorted(_columns(inn_basis[p]).items()):
+            brackets[(p, m + i)] = {m + k: a for k, a in col.items()}
+            brackets[(m + i, p)] = {m + k: -a for k, a in col.items()}
     for i in range(d):
         for j in range(d):
-            c = inn_coords(t.d_op(e(i), e(j)).matrix)
-            put(m + i, m + j, tuple(c) + _vec(d))
+            brackets[(m + i, m + j)] = inn_coords(t.d_op(e(i), e(j)).matrix)
 
     names = tuple(f"D{p}" for p in range(m)) + t.basis_names
     lie = LieAlgebra(n, names, brackets)
@@ -418,41 +490,54 @@ def trace_identity_check(t, emb=None):
     return TraceIdentityReport(not failures, failures)
 
 
+def _span_closure(gens, product):
+    """Smallest subspace of n x n matrices containing ``gens`` and closed
+    under ``product``.
+
+    Returns (canonical RREF Subspace over flattened matrices, list of its
+    basis matrices).  Every ordered pair of basis elements is multiplied
+    once, in order of discovery, and the search stops as soon as the span
+    is all of the n*n matrices: the closure is then known, and its
+    canonical basis with it.
+    """
+    if not gens:
+        raise InvalidStructure("a span closure needs at least one generator")
+    n = len(gens[0])
+    for g in gens:
+        if len(g) != n or len(g[0]) != n:
+            raise InvalidStructure("a span closure needs equal-size square matrices")
+    full = n * n
+    ech = Echelon()
+    basis = []
+
+    def candidates():
+        yield from gens
+        i = 0
+        while i < len(basis):
+            a = basis[i]
+            for j in range(i + 1):
+                yield product(a, basis[j])
+                if j != i:
+                    yield product(basis[j], a)
+            i += 1
+
+    for c in candidates():
+        row = ech.insert(mat_flatten(c).coords)
+        if row is not None:
+            basis.append(mat_unflatten(SparseVector(row, full), n))
+            if ech.dim == full:
+                break
+    space = ech.subspace(full)
+    return space, [mat_unflatten(r, n) for r in space.rows]
+
+
 def lie_closure(gens):
     """Smallest bracket-closed subspace of matrices containing ``gens``.
 
     Returns (Subspace over flattened matrices, list of echelon basis
-    matrices).  Deterministic fixpoint: bracket every basis pair, insert,
-    repeat until the dimension stabilizes.
+    matrices).  Stops early once the span is all of End(T).
     """
-    if not gens:
-        raise InvalidStructure("lie_closure needs at least one generator")
-    n = len(gens[0])
-    for g in gens:
-        if len(g) != n or len(g[0]) != n:
-            raise InvalidStructure("lie_closure needs equal-size square matrices")
-    ech = Echelon()
-    basis = []
-    work = []
-    for g in gens:
-        row = ech.insert(mat_flatten(g).coords)
-        if row is not None:
-            mrow = mat_unflatten(SparseVector(row, n * n), n)
-            basis.append(mrow)
-            work.append(mrow)
-    while work:
-        new = []
-        for a in work:
-            for b in basis:
-                for c in (mat_bracket(a, b), mat_bracket(b, a)):
-                    row = ech.insert(mat_flatten(c).coords)
-                    if row is not None:
-                        mrow = mat_unflatten(SparseVector(row, n * n), n)
-                        basis.append(mrow)
-                        new.append(mrow)
-        work = new
-    space = echelonize([mat_flatten(b) for b in basis], n * n)
-    return space, [mat_unflatten(r, n) for r in space.rows]
+    return _span_closure(gens, mat_bracket)
 
 
 def r_generators(t):
@@ -471,30 +556,11 @@ def endo_theorem_check(t):
 
 
 def associative_envelope(gens):
-    """Span-closure of ``gens`` under the matrix product (no unit adjoined)."""
-    n = len(gens[0])
-    ech = Echelon()
-    basis = []
-    work = []
-    for g in gens:
-        row = ech.insert(mat_flatten(g).coords)
-        if row is not None:
-            mrow = mat_unflatten(SparseVector(row, n * n), n)
-            basis.append(mrow)
-            work.append(mrow)
-    while work:
-        new = []
-        for a in work:
-            for b in basis:
-                for c in (mat_mul(a, b), mat_mul(b, a)):
-                    row = ech.insert(mat_flatten(c).coords)
-                    if row is not None:
-                        mrow = mat_unflatten(SparseVector(row, n * n), n)
-                        basis.append(mrow)
-                        new.append(mrow)
-        work = new
-    space = echelonize([mat_flatten(b) for b in basis], n * n)
-    return space, [mat_unflatten(r, n) for r in space.rows]
+    """Span-closure of ``gens`` under the matrix product (no unit adjoined).
+
+    Stops early once the span is all of End(T).
+    """
+    return _span_closure(gens, mat_mul)
 
 
 @dataclass
@@ -515,7 +581,7 @@ def simplicity_certificate(t):
     """
     d = t.dim
     gens = r_generators(t)
-    triple_nonzero = any(not _is_zero(v) for v in t.constants.values())
+    triple_nonzero = bool(t.constants)
     if not triple_nonzero:
         return SimplicityReport("not_simple", 0, False,
                                 witness=echelonize([SparseVector.unit(0, d)], d)
@@ -538,9 +604,8 @@ def simplicity_certificate(t):
                         new.append(w)
             work = new
         if 0 < ech.dim < d:
-            witness = echelonize(
-                [SparseVector(r, d) for r in ech.rref_rows()], d)
-            return SimplicityReport("not_simple", env_space.dim, True, witness)
+            return SimplicityReport("not_simple", env_space.dim, True,
+                                    ech.subspace(d))
     return SimplicityReport("inconclusive", env_space.dim, True)
 
 

@@ -69,11 +69,25 @@ def test_load_errors(tmp_path):
                         {"args": [0, 1, 0], "value": {"0": "2"}}]}))
 
 
-@pytest.mark.parametrize("entries", [[1], {"args": [0, 0, 0]}, "none"])
+@pytest.mark.parametrize("entries", [
+    [1], {"args": [0, 0, 0]}, "none",
+    [{"args": [0, True, 0], "value": {"0": "1"}}],
+], ids=["entries0", "entries1", "none", "boolean_arg"])
 def test_malformed_entries_exit_2(tmp_path, capsys, entries):
     path = write(tmp_path, {"kind": "lts", "dim": 2, "basis": ["a", "b"],
                             "entries": entries})
     with pytest.raises(LoadError):
+        load_system(path)
+    assert cli.main(["check", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", [["a", "a"], [1, None]],
+                         ids=["duplicate", "non_string"])
+def test_bad_basis_labels_exit_2(tmp_path, capsys, basis):
+    path = write(tmp_path, {"kind": "lts", "dim": 2, "basis": basis,
+                            "entries": []})
+    with pytest.raises(LoadError, match='"basis" labels must be'):
         load_system(path)
     assert cli.main(["check", path]) == 2
     assert "error:" in capsys.readouterr().err
