@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exactlin import ZERO, mat, mat_trace
+from .exactlin import ZERO, mat_trace
 from .lts import LieAlgebra, Operator, TripleSystem, lts_from_involution, lts_from_lie
 
 TWO = Fraction(2)

@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from .exactlin import ONE, ZERO, Echelon, SparseVector, Subspace, echelonize
+from .exactlin import (ONE, ZERO, Combination, Echelon, SparseVector, Subspace,
+                       accumulate, echelonize)
 from .freealg import (UNIT, DegreeBudgetExceeded, FreeElement, MonomialTable,
-                      fmul, graft, power_tree, tree_degree, tree_key)
+                      _trees, graft, power_tree, tree_degree, tree_key)
 from .lts import check_axioms, unit_vector
 
 
@@ -51,6 +52,47 @@ def representative_tree(exps):
         if exps[g]:
             t = graft(power_tree(g, exps[g]), t)
     return t
+
+
+def relators(system, cap):
+    """The defining relators of U(T) whose monomials have degree <= ``cap``.
+
+    Returns sparse dicts tree -> coefficient, family by family: the
+    commutators ab - ba of generators (cap >= 2); the generalized left
+    alternative nucleus (a,m1,m2) + (m1,a,m2) for a generator a and
+    monomials m1, m2 with |m1| + |m2| < cap; the triple coherence
+    a(bc) - b(ac) - [a,b,c] (cap >= 3).  With cap 3 these are the
+    generator-level families.
+    """
+    d = system.dim
+    # a list, not a generator: building the relators between the build's
+    # insertions raised its peak memory (s2 at N=6: about 0.25 MiB)
+    rels = []
+
+    def add(*terms):
+        out = {}
+        for c, t in terms:
+            accumulate(out, {t: c})
+        rels.append(out)
+
+    if cap >= 2:
+        for i in range(d):
+            for j in range(i + 1, d):
+                add((ONE, (i, j)), (-ONE, (j, i)))
+    # (a,m1,m2) + (m1,a,m2) = (a m1)m2 - a(m1 m2) + (m1 a)m2 - m1(a m2)
+    for a in range(d):
+        for n1 in range(1, cap - 1):
+            for n2 in range(1, cap - n1):
+                for m1 in _trees(d, n1):
+                    for m2 in _trees(d, n2):
+                        add((ONE, ((a, m1), m2)), (-ONE, (a, (m1, m2))),
+                            (ONE, ((m1, a), m2)), (-ONE, (m1, (a, m2))))
+    if cap >= 3:
+        for i, j, k in iproduct(range(d), repeat=3):
+            bracket = system.constants.get((i, j, k), {})
+            add((ONE, (i, (j, k))), (-ONE, (j, (i, k))),
+                *((-c, l) for l, c in bracket.items()))
+    return rels
 
 
 class EnvelopingAlgebra:
@@ -97,39 +139,6 @@ class EnvelopingAlgebra:
     def _from_elim(self, row):
         return {self._tree_of_elim[c]: a for c, a in row.items()}
 
-    def _relators(self):
-        d, N = self.d, self.cap
-        sys = self.system
-        rels = []
-        # commuting generator images
-        for i in range(d):
-            for j in range(i + 1, d):
-                rels.append({(i, j): ONE, (j, i): -ONE})
-        # generalized left alternative nucleus on monomial arguments:
-        # (a,m1,m2) + (m1,a,m2) = (a m1)m2 - a(m1 m2) + (m1 a)m2 - m1(a m2)
-        for a in range(d):
-            for n1 in range(1, N - 1):
-                for n2 in range(1, N - n1):
-                    for m1 in self.table.degree_slice(n1):
-                        for m2 in self.table.degree_slice(n2):
-                            r = {}
-                            for t, c in ((graft(graft(a, m1), m2), ONE),
-                                         (graft(a, graft(m1, m2)), -ONE),
-                                         (graft(graft(m1, a), m2), ONE),
-                                         (graft(m1, graft(a, m2)), -ONE)):
-                                r[t] = r.get(t, ZERO) + c
-                            rels.append({t: c for t, c in r.items() if c})
-        # triple coherence: a(bc) - b(ac) = [a,b,c] in the quotient
-        for i, j, k in iproduct(range(d), repeat=3):
-            r = {}
-            for t, c in ((graft(i, graft(j, k)), ONE), (graft(j, graft(i, k)), -ONE)):
-                r[t] = r.get(t, ZERO) + c
-            for l, c in enumerate(sys.basis_product(i, j, k)):
-                if c:
-                    r[l] = r.get(l, ZERO) - c
-            rels.append({t: c for t, c in r.items() if c})
-        return rels
-
     def _insert_relation(self, coeffs, work):
         """Insert a relation; queue a new row with its top degree."""
         row = self._ech.insert(self._to_elim(coeffs))
@@ -142,7 +151,7 @@ class EnvelopingAlgebra:
     def _build_relation_span(self):
         N = self.cap
         work = []
-        for rel in self._relators():
+        for rel in relators(self.system, N):
             self._insert_relation(rel, work)
         # two-sided ideal closure: multiply by every monomial on both
         # sides within the degree budget, lowest degrees first
@@ -158,15 +167,10 @@ class EnvelopingAlgebra:
 
     @staticmethod
     def _mul_row(row, m, left):
-        out = {}
-        for t, a in row.items():
-            p = graft(m, t) if left else graft(t, m)
-            s = out.get(p, ZERO) + a
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        return out
+        # grafting a fixed monomial m on either side is injective
+        if left:
+            return {graft(m, t): a for t, a in row.items()}
+        return {graft(t, m): a for t, a in row.items()}
 
     def _certify(self):
         N, d = self.cap, self.d
@@ -199,7 +203,6 @@ class EnvelopingAlgebra:
         self.relspan_dim = self._ech.dim
 
     def _verify_power_bracketings(self):
-        from .freealg import _trees
         for g in range(self.d):
             for n in range(2, min(4, self.cap) + 1):
                 target = self.reduce_tree(power_tree(g, n))
@@ -227,10 +230,10 @@ class EnvelopingAlgebra:
 
     def reduce(self, x):
         """Linear extension of tree reduction to a FreeElement."""
-        out = Element(self, {})
+        out = {}
         for t, a in x.coeffs.items():
-            out = out + a * self.reduce_tree(t)
-        return out
+            accumulate(out, self.reduce_tree(t).coeffs, a)
+        return Element(self, out)
 
     def zero(self):
         return Element(self, {})
@@ -288,9 +291,8 @@ class EnvelopingAlgebra:
         for vx, a in x.coeffs.items():
             tx = self.rep_tree[vx]
             for vy, b in y.coeffs.items():
-                ab = a * b
-                for v, c in self.reduce_tree(graft(tx, self.rep_tree[vy])).coeffs.items():
-                    out[v] = out.get(v, ZERO) + ab * c
+                accumulate(out, self.reduce_tree(graft(tx, self.rep_tree[vy])).coeffs,
+                           a * b)
         return Element(self, out)
 
     def associator(self, x, y, z):
@@ -487,24 +489,24 @@ class IdealClosure:
     safe_window: int
 
 
-class Element:
+class Element(Combination):
     """An element of a truncated enveloping algebra in normal-form coordinates.
 
     Keys are exponent vectors (k_1, ..., k_d) for the representative
     monomial b1^k1 (b2^k2 (...)).
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, coeffs):
+        super().__init__(coeffs)
         self.algebra = algebra
-        self.coeffs = {v: Fraction(a) for v, a in coeffs.items() if a}
+
+    def _like(self, coeffs):
+        return Element(self.algebra, coeffs)
 
     def degree(self):
         return max((sum(v) for v in self.coeffs), default=0)
-
-    def is_zero(self):
-        return not self.coeffs
 
     def counit(self):
         return self.coeffs.get((0,) * self.algebra.d, ZERO)
@@ -516,40 +518,10 @@ class Element:
     def terms(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for v, a in other.coeffs.items():
-            s = out.get(v, ZERO) + a
-            if s:
-                out[v] = s
-            else:
-                out.pop(v, None)
-        return Element(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, a):
-        a = Fraction(a)
-        if not a:
-            return Element(self.algebra, {})
-        return Element(self.algebra, {v: a * c for v, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.algebra.mul(self, other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def format(self):
         names = self.algebra.system.basis_names

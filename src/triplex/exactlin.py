@@ -2,10 +2,12 @@
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
-sparse maps from column index to scalar.  Subspaces are kept in reduced
-row-echelon form with the lowest-index elimination convention, so every
-subspace has one canonical representation and all downstream normal
-forms are bit-reproducible.
+sparse maps from column index to scalar.  ``accumulate`` and the
+``Combination`` base class are the one sparse-dict arithmetic behind
+free-algebra elements, normal forms and tensors.  Subspaces are kept in
+reduced row-echelon form with the lowest-index elimination convention,
+so every subspace has one canonical representation and all downstream
+normal forms are bit-reproducible.
 
 The incremental ``Echelon`` behind ``echelonize``, ``kernel`` and the
 enveloping-algebra builds eliminates fraction-free: its rows are
@@ -30,10 +32,79 @@ class DimensionMismatch(ValueError):
     pass
 
 
+def accumulate(out, coeffs, a=None):
+    """``out += a * coeffs`` (``out += coeffs`` if ``a`` is None), in place.
+
+    Both are sparse dicts; keys whose sum is zero are removed from ``out``,
+    and ``a == 0`` leaves it unchanged.  Returns ``out``.
+    """
+    if a is None:
+        for k, c in coeffs.items():
+            s = out.get(k, ZERO) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    elif a:
+        for k, c in coeffs.items():
+            s = out.get(k, ZERO) + a * c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+class Combination:
+    """Sparse rational linear combination: ``coeffs`` maps keys to nonzero
+    ``Fraction``s.
+
+    The arithmetic is shared by the free-algebra elements, the normal forms
+    and the tensors; a subclass that lives in some ambient algebra keeps it
+    in an ``algebra`` attribute, carries it through ``_like`` and is equal
+    only to combinations of the same algebra object.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {k: a if type(a) is Fraction else Fraction(a)
+                       for k, a in (coeffs or {}).items() if a}
+
+    def _like(self, coeffs):
+        """A combination of the same kind as ``self`` with ``coeffs``."""
+        return type(self)(coeffs)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        return self._like(accumulate(dict(self.coeffs), other.coeffs))
+
+    def __sub__(self, other):
+        return self._like(accumulate(dict(self.coeffs), other.coeffs, -ONE))
+
+    def __neg__(self):
+        return self._like({k: -a for k, a in self.coeffs.items()})
+
+    def __rmul__(self, a):
+        a = a if type(a) is Fraction else Fraction(a)
+        return self._like({k: a * c for k, c in self.coeffs.items()} if a else {})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (getattr(self, "algebra", None) is getattr(other, "algebra", None)
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+
 class SparseVector:
     """Immutable sparse vector over Q."""
 
-    __slots__ = ("coords", "dimension", "_hash")
+    __slots__ = ("coords", "dimension")
 
     def __init__(self, coords, dimension):
         coords = {c: Fraction(a) for c, a in coords.items() if a}
@@ -42,15 +113,10 @@ class SparseVector:
                 raise DimensionMismatch(f"index {c} out of range for dimension {dimension}")
         self.coords = coords
         self.dimension = dimension
-        self._hash = None
 
     @classmethod
     def unit(cls, index, dimension):
         return cls({index: ONE}, dimension)
-
-    @classmethod
-    def zero(cls, dimension):
-        return cls({}, dimension)
 
     @classmethod
     def from_dense(cls, values):
@@ -58,9 +124,6 @@ class SparseVector:
 
     def get(self, c):
         return self.coords.get(c, ZERO)
-
-    def items(self):
-        return sorted(self.coords.items())
 
     def is_zero(self):
         return not self.coords
@@ -71,46 +134,10 @@ class SparseVector:
             out[c] = a
         return out
 
-    def _check(self, other):
-        if self.dimension != other.dimension:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coords)
-        for c, a in other.coords.items():
-            s = out.get(c, ZERO) + a
-            if s:
-                out[c] = s
-            else:
-                out.pop(c, None)
-        return SparseVector(out, self.dimension)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SparseVector({c: -a for c, a in self.coords.items()}, self.dimension)
-
-    def scale(self, a):
-        a = Fraction(a)
-        if not a:
-            return SparseVector({}, self.dimension)
-        return SparseVector({c: a * v for c, v in self.coords.items()}, self.dimension)
-
-    def __rmul__(self, a):
-        return self.scale(a)
-
     def __eq__(self, other):
         if not isinstance(other, SparseVector):
             return NotImplemented
         return self.dimension == other.dimension and self.coords == other.coords
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dimension, tuple(sorted(self.coords.items()))))
-        return self._hash
 
     def __repr__(self):
         return f"SparseVector({dict(sorted(self.coords.items()))}, dim={self.dimension})"
@@ -262,14 +289,8 @@ class Subspace:
         work = dict(v.coords)
         for p, row in zip(self.pivots, self.rows):
             a = work.get(p)
-            if not a:
-                continue
-            for c, b in row.coords.items():
-                nb = work.get(c, ZERO) - a * b
-                if nb:
-                    work[c] = nb
-                else:
-                    work.pop(c, None)
+            if a:
+                accumulate(work, row.coords, -a)
         return SparseVector(work, self.ambient)
 
     def member(self, v):
@@ -346,11 +367,6 @@ def kernel(images, domain_dim, ambient):
 
 def mat(rows):
     return tuple(tuple(Fraction(a) for a in r) for r in rows)
-
-
-def mat_zero(n, m=None):
-    m = n if m is None else m
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
 
 
 def mat_identity(n):

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import ONE, ZERO
+from .exactlin import ONE, Combination, accumulate
 
 UNIT = ()
 
@@ -140,13 +140,10 @@ class MonomialTable:
         return self.trees[lo:lo + self.degree_count(n)]
 
 
-class FreeElement:
+class FreeElement(Combination):
     """Sparse rational linear combination of tree monomials."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {t: Fraction(a) for t, a in (coeffs or {}).items() if a}
+    __slots__ = ()
 
     @classmethod
     def unit(cls):
@@ -160,44 +157,11 @@ class FreeElement:
     def monomial(cls, t, a=ONE):
         return cls({t: a})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def max_degree(self):
         return max((tree_degree(t) for t in self.coeffs), default=0)
 
     def terms(self):
         return sorted(self.coeffs.items(), key=lambda kv: (tree_degree(kv[0]), tree_key(kv[0])))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for t, a in other.coeffs.items():
-            s = out.get(t, ZERO) + a
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return FreeElement(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, a):
-        a = Fraction(a)
-        if not a:
-            return FreeElement()
-        return FreeElement({t: a * v for t, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items(), key=lambda kv: tree_key(kv[0]))))
 
     def __repr__(self):
         return f"FreeElement({self.coeffs})"
@@ -207,16 +171,14 @@ def fmul(x, y, cap=None):
     """Free (bilinear) product of two elements; grafts trees pairwise."""
     out = {}
     for t1, a in x.coeffs.items():
-        for t2, b in y.coeffs.items():
-            t = graft(t1, t2)
-            if cap is not None and tree_degree(t) > cap:
-                raise DegreeBudgetExceeded(
-                    f"product monomial of degree {tree_degree(t)} exceeds cap {cap}")
-            s = out.get(t, ZERO) + a * b
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
+        # grafting onto a fixed left factor is injective
+        row = {graft(t1, t2): b for t2, b in y.coeffs.items()}
+        if cap is not None:
+            for t in row:
+                if tree_degree(t) > cap:
+                    raise DegreeBudgetExceeded(
+                        f"product monomial of degree {tree_degree(t)} exceeds cap {cap}")
+        accumulate(out, row, a)
     return FreeElement(out)
 
 

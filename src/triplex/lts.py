@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exactlin import (ONE, ZERO, Echelon, SparseVector, Subspace, echelonize,
-                       mat_bracket, mat_flatten, mat_identity, mat_mul,
-                       mat_trace, mat_unflatten, mat_vec, mat_zero)
+from .exactlin import (ONE, ZERO, Echelon, SparseVector, Subspace, accumulate,
+                       echelonize, mat_bracket, mat_flatten, mat_identity,
+                       mat_mul, mat_trace, mat_unflatten, mat_vec)
 
 
 class InvalidStructure(ValueError):
@@ -44,12 +44,6 @@ def _dense(dim, coords):
     for l, a in coords.items():
         out[l] = a
     return tuple(out)
-
-
-def _accumulate(out, coords, c):
-    """out += c * coords, on sparse dicts (zero sums are kept)."""
-    for l, a in coords.items():
-        out[l] = out.get(l, ZERO) + c * a
 
 
 def unit_vector(d, i):
@@ -166,8 +160,8 @@ def _first_nonzero_sum(consts, orbit):
     for t in sorted({s for key in consts for s in orbit(*key)}):
         total = {}
         for s in orbit(*t):
-            _accumulate(total, consts.get(s, {}), ONE)
-        if any(total.values()):
+            accumulate(total, consts.get(s, {}))
+        if total:
             return t
     return None
 
@@ -189,15 +183,15 @@ def _derivation_failure(consts, op):
         lhs = residue.setdefault((p, q, r), {})
         for l, a in coords.items():
             if l in op:
-                _accumulate(lhs, op[l], a)
+                accumulate(lhs, op[l], a)
         for x, c in op_t.get(p, {}).items():
-            _accumulate(residue.setdefault((x, q, r), {}), coords, -c)
+            accumulate(residue.setdefault((x, q, r), {}), coords, -c)
         for y, c in op_t.get(q, {}).items():
-            _accumulate(residue.setdefault((p, y, r), {}), coords, -c)
+            accumulate(residue.setdefault((p, y, r), {}), coords, -c)
         for z, c in op_t.get(r, {}).items():
-            _accumulate(residue.setdefault((p, q, z), {}), coords, -c)
+            accumulate(residue.setdefault((p, q, z), {}), coords, -c)
     for t in sorted(residue):
-        if any(residue[t].values()):
+        if residue[t]:
             return t
     return None
 
@@ -291,7 +285,7 @@ class LieAlgebra:
         """[b_i, v] for v given by its sparse coordinates."""
         out = {}
         for l, a in coords.items():
-            _accumulate(out, self.brackets.get((i, l), {}), a)
+            accumulate(out, self.brackets.get((i, l), {}), a)
         return out
 
     def validate(self):
@@ -302,15 +296,15 @@ class LieAlgebra:
             if (i, i) in brackets:
                 raise InvalidStructure(f"[b{i},b{i}] != 0")
             for j in range(d):
-                total = dict(brackets.get((i, j), {}))
-                _accumulate(total, brackets.get((j, i), {}), ONE)
-                if any(total.values()):
+                total = accumulate(dict(brackets.get((i, j), {})),
+                                   brackets.get((j, i), {}))
+                if total:
                     raise InvalidStructure(f"[b{i},b{j}] + [b{j},b{i}] != 0")
         for i, j, k in iproduct(range(d), repeat=3):
             s = self._bracket_with_basis(i, brackets.get((j, k), {}))
-            _accumulate(s, self._bracket_with_basis(j, brackets.get((k, i), {})), ONE)
-            _accumulate(s, self._bracket_with_basis(k, brackets.get((i, j), {})), ONE)
-            if any(s.values()):
+            accumulate(s, self._bracket_with_basis(j, brackets.get((k, i), {})))
+            accumulate(s, self._bracket_with_basis(k, brackets.get((i, j), {})))
+            if s:
                 raise InvalidStructure(f"Jacobi fails on basis triple ({i},{j},{k})")
 
     def killing(self):
@@ -331,7 +325,7 @@ def lts_from_lie(l):
     for i, j, k in iproduct(range(d), repeat=3):
         v = {}
         for m, a in l.brackets.get((i, j), {}).items():
-            _accumulate(v, l.brackets.get((m, k), {}), a)
+            accumulate(v, l.brackets.get((m, k), {}), a)
         constants[(i, j, k)] = v
     return TripleSystem(d, l.basis_names, constants)
 
@@ -548,10 +542,7 @@ def r_generators(t):
 
 def endo_theorem_check(t):
     """True iff the Lie closure of all R_{b_i,b_j} is the full End(T)."""
-    gens = r_generators(t)
-    if all(g == mat_zero(t.dim) for g in gens):
-        return False
-    space, _ = lie_closure(gens)
+    space, _ = lie_closure(r_generators(t))
     return space.dim == t.dim * t.dim
 
 

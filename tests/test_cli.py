@@ -145,6 +145,17 @@ def test_pbw(capsys):
     assert "certificate: pass" in out
 
 
+@pytest.mark.parametrize("cap, dims", [(1, [1, 3]), (2, [1, 3, 6])])
+def test_pbw_small_caps(capsys, cap, dims):
+    # relator families whose monomials exceed the cap are left out
+    assert cli.main(["pbw", data_path("s2.json"), "-N", str(cap)]) == 0
+    out = capsys.readouterr().out
+    for n, dim in enumerate(dims):
+        assert f"filtration level {n}: dim {dim}" in out
+    assert f"filtration level {cap + 1}:" not in out
+    assert "certificate: pass" in out
+
+
 def test_pbw_size_guard_exit_3():
     assert cli.main(["--max-monomials", "10", "pbw", data_path("s2.json"),
                      "-N", "6"]) == 3

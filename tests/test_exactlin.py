@@ -3,8 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplex.exactlin import (DimensionMismatch, SparseVector, echelonize,
-                              kernel, mat, mat_bracket, parse_rational)
+from triplex import catalog
+from triplex.envelope import Element, EnvelopingAlgebra
+from triplex.exactlin import (Combination, DimensionMismatch, SparseVector,
+                              accumulate, echelonize, kernel, mat, mat_bracket,
+                              parse_rational)
+from triplex.freealg import FreeElement
+from triplex.hopf import TensorElement
 
 F = Fraction
 
@@ -144,3 +149,92 @@ def test_parse_rational():
         parse_rational("1/-2")
     with pytest.raises(ValueError):
         parse_rational("x")
+
+
+# -- the shared sparse-combination core --------------------------------------
+
+_S2_N3 = EnvelopingAlgebra(catalog.s2(), 3)
+_S2_N2 = EnvelopingAlgebra(catalog.s2(), 2)
+
+mixed = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+sparse_dicts = st.dictionaries(st.integers(0, 5), mixed, max_size=6)
+
+
+def naive_sum(x, y, a=1):
+    keys = set(x) | set(y)
+    out = {k: x.get(k, 0) + a * y.get(k, 0) for k in keys}
+    return {k: v for k, v in out.items() if v}
+
+
+@given(sparse_dicts, sparse_dicts, mixed)
+def test_accumulate_matches_naive_sum(x, y, a):
+    out = {k: v for k, v in x.items() if v}
+    assert accumulate(out, y, a) is out
+    assert out == naive_sum(x, y, a)
+    assert all(out.values())
+
+
+@given(sparse_dicts, sparse_dicts)
+def test_accumulate_without_scalar_adds(x, y):
+    out = {k: v for k, v in x.items() if v}
+    accumulate(out, y)
+    assert out == naive_sum(x, y)
+    assert all(out.values())
+
+
+@given(sparse_dicts, sparse_dicts)
+def test_accumulate_zero_scalar_is_a_no_op(x, y):
+    out = dict(x)
+    accumulate(out, y, 0)
+    assert out == x
+
+
+_TENSOR_KEYS = [(v, w) for v in _S2_N3.exponents for w in _S2_N3.exponents]
+
+# one strategy of random combinations per class; keys come from each space
+kinds = st.sampled_from([
+    (lambda c: FreeElement(c), st.sampled_from([(), 0, 1, (0, 1), ((1, 0), 0)])),
+    (lambda c: Element(_S2_N3, c), st.sampled_from(_S2_N3.exponents)),
+    (lambda c: TensorElement(_S2_N3, c), st.sampled_from(_TENSOR_KEYS)),
+])
+
+
+@st.composite
+def combination_triples(draw):
+    make, keys = draw(kinds)
+    coeffs = st.dictionaries(keys, st.one_of(mixed, st.integers(-3, 3)), max_size=6)
+    return make(draw(coeffs)), make(draw(coeffs)), draw(mixed)
+
+
+def assert_clean(x):
+    assert all(type(v) is Fraction and v for v in x.coeffs.values())
+
+
+@given(combination_triples())
+def test_combination_arithmetic(triple):
+    x, y, a = triple
+    for z in (x, y, x + y, x - y, -x, a * x, 3 * x):
+        assert isinstance(z, Combination) and type(z) is type(x)
+        assert_clean(z)
+    assert x + y - y == x
+    assert ((-x) + x).is_zero()
+    assert (x - x).is_zero()
+    assert a * (x + y) == a * x + a * y
+    assert (0 * x).is_zero()
+    assert getattr(x + y, "algebra", None) is getattr(x, "algebra", None)
+
+
+def test_constructor_drops_zeros_and_wraps_values():
+    x = FreeElement({0: 2, 1: 0, (0, 1): F(1, 3)})
+    assert x.coeffs == {0: F(2), (0, 1): F(1, 3)}
+    assert_clean(x)
+
+
+def test_elements_of_different_algebras_differ():
+    v = (1, 0)
+    x, y = Element(_S2_N3, {v: 1}), Element(_S2_N2, {v: 1})
+    assert x.coeffs == y.coeffs
+    assert x != y
+    assert TensorElement(_S2_N3, {(v, v): 1}) != TensorElement(_S2_N2, {(v, v): 1})
+    assert x == Element(_S2_N3, {v: F(1)})
+    assert x != FreeElement({v: 1})
