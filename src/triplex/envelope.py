@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iproduct
-from math import comb
+from math import comb, lcm
 
 from .exactlin import (ONE, ZERO, Combination, Echelon, SparseVector, Subspace,
                        accumulate, echelonize)
@@ -130,23 +131,24 @@ class EnvelopingAlgebra:
         self._certify()
         self._reduce_cache = {}
         self._verify_power_bracketings()
+        # right ideal closures eliminate with higher degrees first, so rows
+        # with pivot degree <= k span the intersection with filtration(k)
+        self._closure_order = sorted(self.exponents, key=lambda v: (-sum(v), v))
+        self._closure_col = {v: c for c, v in enumerate(self._closure_order)}
+        # filled on first use: the basis products, the closures' operators
+        self._products = {}
+        self._right_ops = {}
 
     # -- construction -------------------------------------------------------
 
-    def _to_elim(self, coeffs):
-        return {self._elim_of_tree[t]: a for t, a in coeffs.items()}
-
-    def _from_elim(self, row):
-        return {self._tree_of_elim[c]: a for c, a in row.items()}
-
     def _insert_relation(self, coeffs, work):
         """Insert a relation; queue a new row with its top degree."""
-        row = self._ech.insert(self._to_elim(coeffs))
+        row = self._ech.insert({self._elim_of_tree[t]: a for t, a in coeffs.items()})
         if row is not None:
             # the pivot is the row's lowest elimination column, and the
             # elimination order puts higher degrees first
             top = self.table.degree(self._tree_of_elim[min(row)])
-            work.append((top, self._from_elim(row)))
+            work.append((top, {self._tree_of_elim[c]: a for c, a in row.items()}))
 
     def _build_relation_span(self):
         N = self.cap
@@ -271,17 +273,31 @@ class EnvelopingAlgebra:
     def from_nf_vector(self, v):
         return Element(self, {self.exponents[c]: a for c, a in v.coords.items()})
 
+    def monomials_upto(self, k):
+        """Exponent vectors of total degree <= k, in basis order."""
+        # exponent vectors are enumerated in degree order, so these are
+        # the first comb(d + k, k) of them
+        return self.exponents[:comb(self.d + k, k)] if k >= 0 else []
+
     def filtration(self, k):
         """Span of normal-form monomials of total degree <= k."""
-        if k < 0:
-            return echelonize([], self.nf_size)
-        # exponent vectors are enumerated in degree order, so the first
-        # ``count`` indices are exactly the degree <= k monomials
-        count = sum(1 for v in self.exponents if sum(v) <= k)
-        return echelonize([SparseVector.unit(i, self.nf_size) for i in range(count)],
+        return echelonize([SparseVector.unit(i, self.nf_size)
+                           for i in range(len(self.monomials_upto(k)))],
                           self.nf_size)
 
     # -- products and operators --------------------------------------------
+
+    def basis_product(self, vx, vy):
+        """Normal-form coefficients of the product of two basis monomials,
+        from a table filled on first use (shared dicts: do not mutate)."""
+        coeffs = self._products.get((vx, vy))
+        if coeffs is None:
+            if sum(vx) + sum(vy) > self.cap:
+                raise DegreeBudgetExceeded(
+                    f"product degree {sum(vx)}+{sum(vy)} exceeds cap {self.cap}")
+            coeffs = self.reduce_tree(graft(self.rep_tree[vx], self.rep_tree[vy])).coeffs
+            self._products[vx, vy] = coeffs
+        return coeffs
 
     def mul(self, x, y):
         if x.degree() + y.degree() > self.cap:
@@ -289,10 +305,8 @@ class EnvelopingAlgebra:
                 f"product degree {x.degree()}+{y.degree()} exceeds cap {self.cap}")
         out = {}
         for vx, a in x.coeffs.items():
-            tx = self.rep_tree[vx]
             for vy, b in y.coeffs.items():
-                accumulate(out, self.reduce_tree(graft(tx, self.rep_tree[vy])).coeffs,
-                           a * b)
+                accumulate(out, self.basis_product(vx, vy), a * b)
         return Element(self, out)
 
     def associator(self, x, y, z):
@@ -312,9 +326,7 @@ class EnvelopingAlgebra:
         if k < 0:
             raise DegreeBudgetExceeded("no domain left for the operator identity")
         lhs_mult = a * x + x * a
-        for v in self.exponents:
-            if sum(v) > k:
-                continue
+        for v in self.monomials_upto(k):
             y = self.monomial(v)
             if lhs_mult * y != a * (x * y) + x * (a * y):
                 return False
@@ -398,9 +410,7 @@ class EnvelopingAlgebra:
         ea, eb = self.generator(a), self.generator(b)
         for k in range(self.cap - 1):
             filt = self.filtration(k)
-            for v in self.exponents:
-                if sum(v) > k:
-                    continue
+            for v in self.monomials_upto(k):
                 img = Fraction(-2) * self.associator(self.monomial(v), ea, eb)
                 if not filt.member(self.nf_vector(img)):
                     return False
@@ -410,66 +420,89 @@ class EnvelopingAlgebra:
 
     def augmentation_ideal(self):
         """Span of all normal-form monomials of degree >= 1 (= ker of counit)."""
-        rows = [SparseVector.unit(i, self.nf_size)
-                for i, v in enumerate(self.exponents) if sum(v) >= 1]
-        return echelonize(rows, self.nf_size)
+        return echelonize([SparseVector.unit(i, self.nf_size)
+                           for i in range(1, self.nf_size)], self.nf_size)
 
     def right_ideal_closure(self, gens):
-        """Fixpoint of span(gens) under right multiplication by monomials."""
+        """Closure of span(gens) under right multiplication by monomials.
+
+        A row of top degree t is multiplied by every monomial m with
+        1 <= |m| <= cap - t.  The counit is multiplicative, so the
+        augmentation ideal is a two-sided ideal: when every generator has
+        counit 0 the closure lies in it, and the loop stops once the span
+        has its dimension (otherwise once the span is everything).
+        """
         if not gens:
             raise ValueError("right_ideal_closure needs at least one generator")
         N = self.cap
-        # elimination order with higher degrees first, so rows with pivot
-        # degree <= k span exactly the intersection with filtration(k)
-        order = sorted(range(self.nf_size),
-                       key=lambda i: (-sum(self.exponents[i]), self.exponents[i]))
-        elim_of_nf = {nf: e for e, nf in enumerate(order)}
+        order, col = self._closure_order, self._closure_col
+        ceiling = self.nf_size - all(not g.counit() for g in gens)
         ech = Echelon()
-        work = []
-        for g in gens:
-            row = ech.insert({elim_of_nf[self.exp_index[v]]: a
-                              for v, a in g.coeffs.items()})
-            if row is not None:
-                work.append(Element(self, {self.exponents[order[c]]: a
-                                           for c, a in row.items()}))
-        while work:
-            new = []
-            for v in work:
-                top = v.degree()
-                for n in range(1, N - top + 1):
-                    for exps in self.exponents:
-                        if sum(exps) != n:
-                            continue
-                        prod = v * self.monomial(exps)
-                        row = ech.insert({elim_of_nf[self.exp_index[w]]: a
-                                          for w, a in prod.coeffs.items()})
-                        if row is not None:
-                            new.append(Element(self, {self.exponents[order[c]]: a
-                                                      for c, a in row.items()}))
-            work = new
-
-        subspace = echelonize(
-            [SparseVector({order[c]: a for c, a in row.items()}, self.nf_size)
-             for row in ech.rref_rows()], self.nf_size)
-        per_degree = []
-        for k in range(N + 1):
-            per_degree.append(sum(1 for p in ech.pivots()
-                                  if sum(self.exponents[order[p]]) <= k))
-        contains_one = subspace.member(
-            SparseVector.unit(self.exp_index[(0,) * self.d], self.nf_size))
-        t_rows = [SparseVector.unit(self.exp_index[v], self.nf_size)
-                  for v in self.exponents if sum(v) == 1]
-        t_span = echelonize(t_rows, self.nf_size)
-        meets_t = subspace.intersection_dim(t_span)
-        safe = N - max(g.degree() for g in gens)
-        stabilization = None
-        for n0 in range(safe + 1):
-            if all(subspace.member(SparseVector.unit(self.exp_index[v], self.nf_size))
-                   for v in self.exponents if n0 <= sum(v) <= safe):
-                stabilization = n0
+        queue = []
+        for vec in chain(({col[v]: a for v, a in g.coeffs.items()} for g in gens),
+                         self._right_products(queue)):
+            if ech.dim == ceiling:
                 break
+            row = ech.insert(vec)
+            if row is not None:
+                queue.append(row)
+
+        n = self.nf_size
+        if ech.dim < ceiling:
+            subspace = echelonize(
+                [SparseVector({self.exp_index[order[c]]: a for c, a in row.items()}, n)
+                 for row in ech.rref_rows()], n)
+        else:
+            subspace = self.augmentation_ideal() if ceiling < n else self.filtration(N)
+        pivot_degrees = [sum(order[p]) for p in ech.pivots()]
+        per_degree = [sum(1 for g in pivot_degrees if g <= k) for k in range(N + 1)]
+        # basis vector 0 is the unit, and 1..d are the degree-1 monomials
+        contains_one = subspace.member(SparseVector.unit(0, n))
+        meets_t = subspace.intersection_dim(
+            echelonize([SparseVector.unit(i, n) for i in range(1, self.d + 1)], n))
+        safe = N - max(g.degree() for g in gens)
+        # the first stratum n0 such that every monomial of degree n0..safe is inside
+        stabilization = next((n0 for n0 in range(safe + 1) if all(
+            subspace.member(SparseVector.unit(i, n)) for i in
+            range(len(self.monomials_upto(n0 - 1)), len(self.monomials_upto(safe))))), None)
         return IdealClosure(subspace, per_degree, contains_one, meets_t,
                             stabilization, safe)
+
+    def _right_products(self, queue):
+        """Yield r * m for each row r of ``queue`` (rows appended while this
+        runs included) and each monomial m within the budget of r's top
+        degree, as an integer vector in closure coordinates: a positive
+        multiple of r * m, so it spans the same line."""
+        order, col, ops = self._closure_order, self._closure_col, self._right_ops
+        for row in queue:
+            ints = _integral(row)[1].items()
+            # the pivot is the row's lowest column, and so its top degree
+            for m in self.monomials_upto(self.cap - sum(order[min(row)]))[1:]:
+                prod, den = {}, 1
+                for c, a in ints:
+                    op = ops.get((c, m))
+                    if op is None:
+                        d, w = _integral(self.basis_product(order[c], m))
+                        op = ops[c, m] = (d, {col[v]: b for v, b in w.items()})
+                    d, w = op
+                    if d != den:
+                        new_den = lcm(den, d)
+                        if new_den != den:
+                            for k in prod:
+                                prod[k] *= new_den // den
+                            den = new_den
+                        a *= den // d
+                    for k, b in w.items():
+                        prod[k] = prod.get(k, 0) + a * b
+                yield prod
+
+
+def _integral(coeffs):
+    """(d, w) with integer values in w and coeffs == w / d."""
+    d = 1
+    for a in coeffs.values():
+        d = lcm(d, a.denominator)
+    return d, {k: a.numerator * (d // a.denominator) for k, a in coeffs.items()}
 
 
 def _relabel(shape, g):

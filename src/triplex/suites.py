@@ -13,10 +13,13 @@ from itertools import product as iproduct
 from . import hopf
 from .envelope import EnvelopingAlgebra
 from .exactlin import SparseVector, echelonize, mat_transpose, mat_mul
+from .freealg import DegreeBudgetExceeded
 from .lts import (InvalidStructure, check_axioms, lambda_map, lie_closure,
                   r_generators, simplicity_certificate, standard_embedding,
                   tau_commutator_check, tau_map, trace_identity_check,
                   unit_vector)
+
+MAINTHM_MIN_CAP = 4
 
 SUITE_NAMES = ("axioms", "embedding", "endo", "simple", "pbw", "jordan",
                "lemma", "expansion", "s2", "hopf", "mainthm", "all")
@@ -167,9 +170,7 @@ def suite_jordan(system, alg_cache, N, seed):
     count = 0
     for a in range(d):
         ga = alg.generator(a)
-        for v in alg.exponents:
-            if sum(v) > N - 2:
-                continue
+        for v in alg.monomials_upto(N - 2):
             count += 1
             if not alg.check_jordan(ga, alg.monomial(v)):
                 ok = False
@@ -241,10 +242,10 @@ def suite_hopf(system, alg_cache, N, seed):
     rep.add("s_map_automorphism", {"seed": seed}, s_ok)
     div_ok = True
     div_count = 0
-    for vx in alg.exponents:
-        for vy in alg.exponents:
-            if 2 * sum(vx) + sum(vy) > N:
-                continue
+    upto = alg.monomials_upto
+    # each loop walks exactly the cases within the cap, in basis order
+    for vx in upto(N // 2):
+        for vy in upto(N - 2 * sum(vx)):
             div_count += 1
             res = hopf.check_divisions(alg, alg.monomial(vx), alg.monomial(vy))
             if not res.ok:
@@ -254,11 +255,9 @@ def suite_hopf(system, alg_cache, N, seed):
     rep.add("division_exhaustive", {"cases": div_count}, div_ok)
     weak_ok = True
     weak_count = 0
-    for vx in alg.exponents:
-        for vy in alg.exponents:
-            for vz in alg.exponents:
-                if sum(vx) + sum(vy) + sum(vz) > N:
-                    continue
+    for vx in upto(N):
+        for vy in upto(N - sum(vx)):
+            for vz in upto(N - sum(vx) - sum(vy)):
                 weak_count += 1
                 if not hopf.check_weak_assoc(alg, alg.monomial(vx),
                                              alg.monomial(vy), alg.monomial(vz)):
@@ -332,6 +331,12 @@ def run_suite(name, system, N=None, seed=0, max_monomials=200_000):
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     N = N if N is not None else default_cap(system)
+    if name in ("mainthm", "all") and N < MAINTHM_MIN_CAP:
+        # mainthm's seeded samples have degree 2: below this cap their safe
+        # window leaves the closures no room to reach T or 1 (checked before
+        # any suite runs)
+        raise DegreeBudgetExceeded(
+            f"the mainthm suite needs cap >= {MAINTHM_MIN_CAP}, got {N}")
     cache = {}
 
     def alg_cache(cap):

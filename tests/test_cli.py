@@ -156,6 +156,33 @@ def test_pbw_small_caps(capsys, cap, dims):
     assert "certificate: pass" in out
 
 
+@pytest.mark.parametrize("suite", ["all", "mainthm"])
+@pytest.mark.parametrize("system", ["s2.json", "sl2_lts.json"])
+def test_mainthm_below_its_minimum_cap_exit_3(capsys, system, suite):
+    # a correct algebra must not be reported as failing: the seeded
+    # samples leave no safe window at -N 3, so the run aborts on the budget
+    assert cli.main(["verify", data_path(system), "--suite", suite, "-N", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "budget error: the mainthm suite needs cap >= 4, got 3" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_at_the_minimum_cap_passes(capsys):
+    argv = ["verify", data_path("sl2_lts.json"), "--suite", "mainthm", "-N", "4"]
+    assert cli.main(argv) == 0
+    assert "suite mainthm: pass" in capsys.readouterr().out
+
+
+def test_coideal_failure_exit_1(capsys, monkeypatch):
+    from triplex import hopf
+    # a lone generator leaf is not a coideal element: Delta(e) = e(x)1 + 1(x)e
+    monkeypatch.setattr(hopf, "relators", lambda system, cap: [{0: 1}])
+    assert cli.main(["verify", data_path("s2.json"), "--suite", "hopf", "-N", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "certificate failure: a defining relator is not a coideal element" in err
+    assert "Traceback" not in err
+
+
 def test_pbw_size_guard_exit_3():
     assert cli.main(["--max-monomials", "10", "pbw", data_path("s2.json"),
                      "-N", "6"]) == 3

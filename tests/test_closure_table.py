@@ -1,0 +1,225 @@
+"""Differential tests of the basis-product table and the right ideal closure
+against the slow paths they replace.
+
+The references are kept here as they were before the table: a product
+that grafts the representative trees of every pair of terms and reduces
+the graft, and a right ideal closure that runs to its full fixpoint
+through that product, with no early exit.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from importlib import resources
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from triplex import cli, envelope
+from triplex.envelope import Element, EnvelopingAlgebra, IdealClosure
+from triplex.exactlin import Echelon, SparseVector, accumulate, echelonize
+from triplex.freealg import DegreeBudgetExceeded, graft
+from triplex.hopf import TensorElement
+
+SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
+CASES = [(name, cap) for name in SYSTEMS for cap in (2, 3, 4)] + [("s2", 6)]
+CASE_IDS = [f"{name}-N{cap}" for name, cap in CASES]
+
+
+@lru_cache(maxsize=None)
+def algebra(name, cap):
+    path = resources.files("triplex") / "data" / f"{name}.json"
+    return EnvelopingAlgebra(cli._as_lts(cli.load_system(str(path))), cap)
+
+
+# -- references ----------------------------------------------------------------
+
+def reference_mul(alg, x, y):
+    """The product through a graft and a tree reduction per pair of terms."""
+    if x.degree() + y.degree() > alg.cap:
+        raise DegreeBudgetExceeded("product exceeds the cap")
+    out = {}
+    for vx, a in x.coeffs.items():
+        tx = alg.rep_tree[vx]
+        for vy, b in y.coeffs.items():
+            accumulate(out, alg.reduce_tree(graft(tx, alg.rep_tree[vy])).coeffs, a * b)
+    return Element(alg, out)
+
+
+def reference_closure(alg, gens):
+    """The full right-multiplication fixpoint, with no early exit."""
+    N = alg.cap
+    order = sorted(range(alg.nf_size),
+                   key=lambda i: (-sum(alg.exponents[i]), alg.exponents[i]))
+    elim_of_nf = {nf: e for e, nf in enumerate(order)}
+    ech = Echelon()
+
+    def insert(x, out):
+        row = ech.insert({elim_of_nf[alg.exp_index[v]]: a for v, a in x.coeffs.items()})
+        if row is not None:
+            out.append(Element(alg, {alg.exponents[order[c]]: a for c, a in row.items()}))
+
+    work = []
+    for g in gens:
+        insert(g, work)
+    while work:
+        new = []
+        for v in work:
+            for n in range(1, N - v.degree() + 1):
+                for exps in alg.exponents:
+                    if sum(exps) == n:
+                        insert(reference_mul(alg, v, alg.monomial(exps)), new)
+        work = new
+    subspace = echelonize(
+        [SparseVector({order[c]: a for c, a in row.items()}, alg.nf_size)
+         for row in ech.rref_rows()], alg.nf_size)
+    per_degree = [sum(1 for p in ech.pivots() if sum(alg.exponents[order[p]]) <= k)
+                  for k in range(N + 1)]
+    contains_one = subspace.member(
+        SparseVector.unit(alg.exp_index[(0,) * alg.d], alg.nf_size))
+    t_span = echelonize([SparseVector.unit(alg.exp_index[v], alg.nf_size)
+                         for v in alg.exponents if sum(v) == 1], alg.nf_size)
+    safe = N - max(g.degree() for g in gens)
+    stabilization = None
+    for n0 in range(safe + 1):
+        if all(subspace.member(SparseVector.unit(alg.exp_index[v], alg.nf_size))
+               for v in alg.exponents if n0 <= sum(v) <= safe):
+            stabilization = n0
+            break
+    return IdealClosure(subspace, per_degree, contains_one,
+                        subspace.intersection_dim(t_span), stabilization, safe)
+
+
+def assert_same_closure(alg, gens):
+    fast, slow = alg.right_ideal_closure(gens), reference_closure(alg, gens)
+    assert fast.subspace == slow.subspace
+    assert fast.per_degree_dims == slow.per_degree_dims
+    assert fast.contains_one == slow.contains_one
+    assert fast.meets_t_dim == slow.meets_t_dim
+    assert fast.stabilization_degree == slow.stabilization_degree
+    assert fast.safe_window == slow.safe_window
+
+
+# -- random elements -------------------------------------------------------------
+
+scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def elements(draw, alg, counit, max_degree=2):
+    """A nonzero element of degree <= max_degree (and < the cap); ``counit``
+    is True for a nonzero constant term, False for none, None for either."""
+    support = alg.monomials_upto(min(max_degree, alg.cap - 1))[1:]
+    coeffs = draw(st.dictionaries(st.sampled_from(support), scalars,
+                                  min_size=0 if counit else 1, max_size=4))
+    if counit or (counit is None and draw(st.booleans())):
+        coeffs[(0,) * alg.d] = draw(scalars)
+    return Element(alg, coeffs)
+
+
+@st.composite
+def generator_sets(draw, alg, kind):
+    if kind == "mixed":
+        gens = [draw(elements(alg, False)), draw(elements(alg, True))]
+        gens += draw(st.lists(elements(alg, None), max_size=1))
+        return draw(st.permutations(gens))
+    return draw(st.lists(elements(alg, kind == "counit_nonzero"), min_size=1, max_size=3))
+
+
+closure_settings = settings(max_examples=4, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- the product table -------------------------------------------------------------
+
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+def test_basis_products_match_grafted_reductions(name, cap):
+    alg = algebra(name, cap)
+    for vx in alg.exponents:
+        for vy in alg.monomials_upto(cap - sum(vx)):
+            expected = alg.reduce_tree(graft(alg.rep_tree[vx], alg.rep_tree[vy]))
+            assert alg.basis_product(vx, vy) == expected.coeffs
+    top = alg.exponents[-1]
+    with pytest.raises(DegreeBudgetExceeded, match="exceeds cap"):
+        alg.basis_product(top, alg.exponents[1])
+    assert (top, alg.exponents[1]) not in alg._products
+
+
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mul_and_tensor_products_match_reference(name, cap, data):
+    alg = algebra(name, cap)
+    x = data.draw(elements(alg, None, max_degree=cap // 2))
+    y = data.draw(elements(alg, None, max_degree=cap // 2))
+    assert x * y == reference_mul(alg, x, y)
+    # tensor products read the table legwise
+    keys = alg.monomials_upto(cap // 2)
+    pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
+    s, t = (TensorElement(alg, data.draw(st.dictionaries(pairs, scalars, max_size=3)))
+            for _ in range(2))
+    expected = {}
+    for (l1, r1), a in s.coeffs.items():
+        for (l2, r2), b in t.coeffs.items():
+            left = reference_mul(alg, alg.monomial(l1), alg.monomial(l2))
+            right = reference_mul(alg, alg.monomial(r1), alg.monomial(r2))
+            accumulate(expected, {(vl, vr): p * q for vl, p in left.coeffs.items()
+                                  for vr, q in right.coeffs.items()}, a * b)
+    assert (s * t).coeffs == expected
+
+
+def test_products_over_the_cap_still_raise():
+    alg = algebra("s2", 3)
+    x = alg.power(0, 2)
+    with pytest.raises(DegreeBudgetExceeded, match="product degree 2\\+2 exceeds cap 3"):
+        x * x
+    tx = TensorElement(alg, {((2, 0), (0, 0)): 1})
+    with pytest.raises(DegreeBudgetExceeded, match="product degree 2\\+2 exceeds cap 3"):
+        tx * tx
+
+
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_counit_is_multiplicative(name, cap, data):
+    # the closure's early exit rests on this
+    alg = algebra(name, cap)
+    x = data.draw(elements(alg, None, max_degree=cap // 2))
+    y = data.draw(elements(alg, None, max_degree=cap - x.degree()))
+    assert (x * y).counit() == x.counit() * y.counit()
+
+
+# -- the right ideal closure ---------------------------------------------------------
+
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+def test_closure_of_generators_and_monomials_matches_reference(name, cap):
+    alg = algebra(name, cap)
+    for g in range(alg.d):
+        assert_same_closure(alg, [alg.generator(g)])
+    assert_same_closure(alg, [alg.monomial(v) for v in alg.exponents[1:]])
+
+
+@pytest.mark.parametrize("kind", ["augmentation", "counit_nonzero", "mixed"])
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+@closure_settings
+@given(data=st.data())
+def test_closure_of_random_sets_matches_reference(name, cap, kind, data):
+    alg = algebra(name, cap)
+    assert_same_closure(alg, data.draw(generator_sets(alg, kind)))
+
+
+def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
+    alg = algebra("s2_plus_s2", 4)
+    inserts = []
+
+    class Counting(Echelon):
+        def insert(self, vec):
+            inserts.append(vec)
+            return super().insert(vec)
+
+    monkeypatch.setattr(envelope, "Echelon", Counting)
+    ic = alg.right_ideal_closure([alg.monomial(v) for v in alg.exponents[1:]])
+    # every monomial of positive degree is accepted, and then the span is
+    # the augmentation ideal: no product is formed
+    assert len(inserts) == alg.nf_size - 1
+    assert ic.subspace == alg.augmentation_ideal()
