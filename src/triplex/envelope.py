@@ -16,10 +16,9 @@ from itertools import chain
 from itertools import product as iproduct
 from math import comb, lcm
 
-from .exactlin import (ONE, ZERO, Combination, Echelon, SparseVector, Subspace,
-                       accumulate, echelonize)
-from .freealg import (UNIT, DegreeBudgetExceeded, FreeElement, MonomialTable,
-                      _trees, graft, power_tree, tree_degree, tree_key)
+from .exactlin import ONE, ZERO, Combination, Echelon, Subspace, accumulate
+from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
+                      power_tree, tree_degree, tree_key)
 from .lts import check_axioms, unit_vector
 
 
@@ -265,14 +264,6 @@ class EnvelopingAlgebra:
             raise DegreeBudgetExceeded(f"monomial degree {sum(exps)} exceeds cap")
         return Element(self, {tuple(exps): ONE})
 
-    def nf_vector(self, x):
-        """Element coordinates as a SparseVector over the normal-form basis."""
-        return SparseVector({self.exp_index[v]: a for v, a in x.coeffs.items()},
-                            self.nf_size)
-
-    def from_nf_vector(self, v):
-        return Element(self, {self.exponents[c]: a for c, a in v.coords.items()})
-
     def monomials_upto(self, k):
         """Exponent vectors of total degree <= k, in basis order."""
         # exponent vectors are enumerated in degree order, so these are
@@ -281,9 +272,7 @@ class EnvelopingAlgebra:
 
     def filtration(self, k):
         """Span of normal-form monomials of total degree <= k."""
-        return echelonize([SparseVector.unit(i, self.nf_size)
-                           for i in range(len(self.monomials_upto(k)))],
-                          self.nf_size)
+        return Echelon(range(len(self.monomials_upto(k)))).subspace(self.nf_size)
 
     # -- products and operators --------------------------------------------
 
@@ -358,7 +347,8 @@ class EnvelopingAlgebra:
         else:
             residue = lhs - Fraction(n) * (self.power(c, n - 1)
                                            * self.associator(cc, ca, cb))
-        return self.filtration(n - 2).member(self.nf_vector(residue))
+        # filtration(n - 2) is the span of the monomials of degree <= n - 2
+        return residue.is_zero() or residue.degree() <= n - 2
 
     def check_assoc_expansion(self, c, a, b, n):
         """Full associator expansion:
@@ -379,49 +369,11 @@ class EnvelopingAlgebra:
             rhs = rhs - Fraction(1, 2) * self.associator(self.power(c, i), mid, eb)
         return lhs == rhs
 
-    def s2_identity_suite(self, n_max):
-        """The closed-form S2 identities, exactly, for n <= n_max.
-
-        Requires the base system to be S2 in the (e, f) basis with
-        [e,f,e] = 2e and [e,f,f] = -2f.
-        """
-        if self.d != 2:
-            raise ValueError("this suite needs the two-dimensional system S2")
-        if (self.system.basis_product(0, 1, 0) != (Fraction(2), ZERO)
-                or self.system.basis_product(0, 1, 1) != (ZERO, Fraction(-2))):
-            raise ValueError("base system is not S2 in the expected basis")
-        if n_max + 3 > self.cap:
-            raise DegreeBudgetExceeded("S2 suite exceeds the degree budget")
-        e, f = self.generator(0), self.generator(1)
-        results = []
-        for n in range(n_max + 1):
-            en = self.power(0, n)
-            prop_lhs = self.associator(en, f, f) * e
-            prop_rhs = Fraction(n) * (en * f)
-            if n >= 1:
-                prop_rhs = prop_rhs - Fraction(n * (n - 1)) * self.power(0, n - 1)
-            eigen_lhs = Fraction(-2) * self.associator(en, f, e)
-            eigen_rhs = Fraction(2 * n) * en
-            results.append((n, prop_lhs == prop_rhs, eigen_lhs == eigen_rhs))
-        return results
-
-    def filtration_preservation_check(self, a, b):
-        """x -> -2(x,a,b) maps every filtration level into itself."""
-        ea, eb = self.generator(a), self.generator(b)
-        for k in range(self.cap - 1):
-            filt = self.filtration(k)
-            for v in self.monomials_upto(k):
-                img = Fraction(-2) * self.associator(self.monomial(v), ea, eb)
-                if not filt.member(self.nf_vector(img)):
-                    return False
-        return True
-
     # -- ideals --------------------------------------------------------------
 
     def augmentation_ideal(self):
         """Span of all normal-form monomials of degree >= 1 (= ker of counit)."""
-        return echelonize([SparseVector.unit(i, self.nf_size)
-                           for i in range(1, self.nf_size)], self.nf_size)
+        return Echelon(range(1, self.nf_size)).subspace(self.nf_size)
 
     def right_ideal_closure(self, gens):
         """Closure of span(gens) under right multiplication by monomials.
@@ -449,22 +401,29 @@ class EnvelopingAlgebra:
 
         n = self.nf_size
         if ech.dim < ceiling:
-            subspace = echelonize(
-                [SparseVector({self.exp_index[order[c]]: a for c, a in row.items()}, n)
-                 for row in ech.rref_rows()], n)
+            nf_ech = Echelon()
+            for row in queue:
+                nf_ech.insert({self.exp_index[order[c]]: a for c, a in row.items()})
+            subspace = nf_ech.subspace(n)
         else:
             subspace = self.augmentation_ideal() if ceiling < n else self.filtration(N)
-        pivot_degrees = [sum(order[p]) for p in ech.pivots()]
-        per_degree = [sum(1 for g in pivot_degrees if g <= k) for k in range(N + 1)]
-        # basis vector 0 is the unit, and 1..d are the degree-1 monomials
-        contains_one = subspace.member(SparseVector.unit(0, n))
-        meets_t = subspace.intersection_dim(
-            echelonize([SparseVector.unit(i, n) for i in range(1, self.d + 1)], n))
+        # the closure order puts the unit last, with the degree-1 columns
+        # just before it; the rows with pivot degree <= k span the closure's
+        # intersection with filtration(k)
+        pivots = ech.pivots()
+        per_degree = [sum(1 for p in pivots if sum(order[p]) <= k) for k in range(N + 1)]
+        unit = n - 1
+        contains_one = unit in pivots
+        # the intersection with filtration(1) lies in T unless one of its
+        # rows (the queue holds them all) has a unit term
+        meets_t = per_degree[1] - any(unit in row for row in queue
+                                      if min(row) >= unit - self.d)
         safe = N - max(g.degree() for g in gens)
-        # the first stratum n0 such that every monomial of degree n0..safe is inside
-        stabilization = next((n0 for n0 in range(safe + 1) if all(
-            subspace.member(SparseVector.unit(i, n)) for i in
-            range(len(self.monomials_upto(n0 - 1)), len(self.monomials_upto(safe))))), None)
+        # the first stratum n0 such that every monomial of degree n0..safe is
+        # inside: one above the top degree of a monomial outside
+        top = next((sum(v) for v in reversed(self.monomials_upto(safe))
+                    if not ech.contains({col[v]: ONE})), -1)
+        stabilization = top + 1 if top < safe else None
         return IdealClosure(subspace, per_degree, contains_one, meets_t,
                             stabilization, safe)
 
@@ -543,10 +502,6 @@ class Element(Combination):
 
     def counit(self):
         return self.coeffs.get((0,) * self.algebra.d, ZERO)
-
-    def lift(self):
-        """Representative in the free algebra (sum of representative trees)."""
-        return FreeElement({self.algebra.rep_tree[v]: a for v, a in self.coeffs.items()})
 
     def terms(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))

@@ -4,16 +4,18 @@ Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
 sparse maps from column index to scalar.  ``accumulate`` and the
 ``Combination`` base class are the one sparse-dict arithmetic behind
-free-algebra elements, normal forms and tensors.  Subspaces are kept in
-reduced row-echelon form with the lowest-index elimination convention,
-so every subspace has one canonical representation and all downstream
-normal forms are bit-reproducible.
+free-algebra elements, normal forms and tensors.
 
-The incremental ``Echelon`` behind ``echelonize``, ``kernel`` and the
-enveloping-algebra builds eliminates fraction-free: its rows are
-primitive integer vectors, each input is scaled once to integers over a
-common denominator, and ``Fraction``s are formed only for the values it
-returns.
+There is one elimination kernel, the incremental ``Echelon``: its rows
+are primitive integer vectors, each input is scaled once to integers
+over a common denominator, and ``Fraction``s are formed only for the
+values it returns.  A ``Subspace`` is the span of an ``Echelon`` with
+its canonical reduced row-echelon basis (lowest-index elimination), so
+every subspace has one representation and all downstream normal forms
+are bit-reproducible; ``echelonize``, ``kernel``, the enveloping-algebra
+builds and the ideal closures all eliminate through it.  Coordinate
+subspaces (spans of unit vectors) start an ``Echelon`` from their unit
+rows directly, without elimination.
 """
 
 from __future__ import annotations
@@ -157,10 +159,12 @@ class Echelon:
     canonical basis.
     """
 
-    def __init__(self):
+    def __init__(self, units=()):
+        """Start from the span of the unit vectors at the columns ``units``
+        (a coordinate subspace: each is already a reduced row)."""
         # pivot column -> (pivot entry > 0, [(column, entry), ...] after it);
         # the entries of each row are coprime integers
-        self._rows = {}
+        self._rows = {c: (1, []) for c in units}
 
     @property
     def dim(self):
@@ -248,9 +252,9 @@ class Echelon:
         return sorted(self._rows)
 
     def subspace(self, ambient):
-        """The span as a canonical ``Subspace`` of Q^ambient."""
-        rows = [SparseVector(r, ambient) for r in self.rref_rows()]
-        return Subspace(rows, self.pivots(), ambient)
+        """The span as a canonical ``Subspace`` of Q^ambient (which keeps
+        this echelon: insert nothing into it afterwards)."""
+        return Subspace(self, ambient)
 
     def rref_rows(self):
         """Fully back-substituted rows, sorted by pivot (canonical).
@@ -268,13 +272,16 @@ class Echelon:
 
 
 class Subspace:
-    """A subspace of Q^n held as a canonical reduced row-echelon basis."""
+    """A subspace of Q^n: the span of an ``Echelon``, with its canonical
+    reduced row-echelon basis."""
 
-    __slots__ = ("rows", "pivots", "ambient")
+    __slots__ = ("_ech", "rows", "pivots", "ambient")
 
-    def __init__(self, rows, pivots, ambient):
-        self.rows = rows          # list of SparseVector, RREF, pivot entries 1
-        self.pivots = pivots      # strictly increasing column indices
+    def __init__(self, ech, ambient):
+        self._ech = ech
+        # RREF rows with pivot entries 1, at strictly increasing pivots
+        self.rows = [SparseVector(r, ambient) for r in ech.rref_rows()]
+        self.pivots = ech.pivots()
         self.ambient = ambient
 
     @property
@@ -286,12 +293,7 @@ class Subspace:
         if v.dimension != self.ambient:
             raise DimensionMismatch(
                 f"vector dimension {v.dimension} != ambient {self.ambient}")
-        work = dict(v.coords)
-        for p, row in zip(self.pivots, self.rows):
-            a = work.get(p)
-            if a:
-                accumulate(work, row.coords, -a)
-        return SparseVector(work, self.ambient)
+        return SparseVector(self._ech.reduce(v.coords), self.ambient)
 
     def member(self, v):
         return self.reduce(v).is_zero()
@@ -302,14 +304,6 @@ class Subspace:
         if not self.reduce(v).is_zero():
             return None
         return coeffs
-
-    def sum(self, other):
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("ambient mismatch in subspace sum")
-        return echelonize(self.rows + other.rows, self.ambient)
-
-    def intersection_dim(self, other):
-        return self.dim + other.dim - self.sum(other).dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

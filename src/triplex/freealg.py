@@ -157,9 +157,6 @@ class FreeElement(Combination):
     def monomial(cls, t, a=ONE):
         return cls({t: a})
 
-    def max_degree(self):
-        return max((tree_degree(t) for t in self.coeffs), default=0)
-
     def terms(self):
         return sorted(self.coeffs.items(), key=lambda kv: (tree_degree(kv[0]), tree_key(kv[0])))
 

@@ -349,11 +349,10 @@ def lts_from_involution(l, s):
     ker = kernel(images, d, d)
     basis = [tuple(r.to_dense()) for r in ker.rows]
     k = len(basis)
-    span = echelonize(ker.rows, d)
     constants = {}
     for i, j, kk in iproduct(range(k), repeat=3):
         v = l.bracket(l.bracket(basis[i], basis[j]), basis[kk])
-        coords = span.coordinates(SparseVector.from_dense(v))
+        coords = ker.coordinates(SparseVector.from_dense(v))
         if coords is None:
             raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
         constants[(i, j, kk)] = coords
@@ -575,8 +574,7 @@ def simplicity_certificate(t):
     triple_nonzero = bool(t.constants)
     if not triple_nonzero:
         return SimplicityReport("not_simple", 0, False,
-                                witness=echelonize([SparseVector.unit(0, d)], d)
-                                if d else None)
+                                witness=Echelon([0]).subspace(d) if d else None)
     env_space, env_basis = associative_envelope(gens)
     if env_space.dim == d * d:
         return SimplicityReport("simple", env_space.dim, True)

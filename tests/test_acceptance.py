@@ -173,7 +173,7 @@ def test_criterion_08_associator_expansion(report, s2_n5):
 
 def test_criterion_09_closed_form_power_identities(report, s2_n6):
     done = timed(120.0)
-    results = s2_n6.s2_identity_suite(3)
+    results = suites.s2_identity_suite(s2_n6, 3)
     ok = len(results) == 4 and all(p and e for _, p, e in results)
     done()
     report("criterion 9: closed-form power identities of the "

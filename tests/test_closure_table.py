@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triplex import cli, envelope
+from triplex import cli, envelope, suites
 from triplex.envelope import Element, EnvelopingAlgebra, IdealClosure
 from triplex.exactlin import Echelon, SparseVector, accumulate, echelonize
 from triplex.freealg import DegreeBudgetExceeded, graft
@@ -86,8 +86,8 @@ def reference_closure(alg, gens):
                for v in alg.exponents if n0 <= sum(v) <= safe):
             stabilization = n0
             break
-    return IdealClosure(subspace, per_degree, contains_one,
-                        subspace.intersection_dim(t_span), stabilization, safe)
+    meets_t = subspace.dim + t_span.dim - echelonize(subspace.rows + t_span.rows).dim
+    return IdealClosure(subspace, per_degree, contains_one, meets_t, stabilization, safe)
 
 
 def assert_same_closure(alg, gens):
@@ -206,6 +206,35 @@ def test_closure_of_generators_and_monomials_matches_reference(name, cap):
 def test_closure_of_random_sets_matches_reference(name, cap, kind, data):
     alg = algebra(name, cap)
     assert_same_closure(alg, data.draw(generator_sets(alg, kind)))
+
+
+@pytest.mark.parametrize("cap", (2, 3, 4))
+def test_closure_meeting_filtration_one_outside_t_without_one(cap):
+    # the envelope of an abelian system is the polynomial ring, where 1 + e
+    # has no inverse below the cap: the closure meets filtration(1) in the
+    # line of 1 + e (and of f when f is a generator) but does not contain 1
+    alg = algebra("abelian3", cap)
+    e, f = alg.generator(0), alg.generator(1)
+    for gens, per_degree_1, meets_t in (([alg.one() + e], 1, 0),
+                                        ([alg.one() + e, f], 2, 1)):
+        ic = alg.right_ideal_closure(gens)
+        assert (ic.contains_one, ic.per_degree_dims[1], ic.meets_t_dim) == (
+            False, per_degree_1, meets_t)
+        assert_same_closure(alg, gens)
+
+
+def test_mainthm_fails_a_closure_outside_the_augmentation_ideal(monkeypatch):
+    # a closure spanned by 1 + e and f contains no 1 and meets T: only the
+    # containment in the augmentation ideal rejects it
+    alg = algebra("s2", 4)
+    e, f = alg.generator(0), alg.generator(1)
+    span = echelonize([SparseVector({alg.exp_index[v]: a for v, a in x.coeffs.items()},
+                                    alg.nf_size) for x in (alg.one() + e, f)])
+    fake = IdealClosure(span, [0, 2, 2, 2, 2], False, 1, None, 3)
+    monkeypatch.setattr(alg, "right_ideal_closure", lambda gens: fake)
+    rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)
+    verdicts = [r["verdict"] for r in rep.records if r["id"] == "closure_of_generator"]
+    assert verdicts == ["fail", "fail"]
 
 
 def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
