@@ -183,8 +183,8 @@ def cmd_pbw(args):
 def cmd_mul(args):
     t = _as_lts(load_system(args.file))
     alg = _build(args, t)
-    x = alg.reduce(freealg.parse(args.exprs[0], t.basis_names))
-    y = alg.reduce(freealg.parse(args.exprs[1], t.basis_names))
+    x, y = (alg.reduce(freealg.parse(text, t.basis_names, alg.cap))
+            for text in args.exprs)
     print((x * y).format())
     return EXIT_PASS
 
@@ -192,7 +192,8 @@ def cmd_mul(args):
 def cmd_ideal(args):
     t = _as_lts(load_system(args.file))
     alg = _build(args, t)
-    gens = [alg.reduce(freealg.parse(text, t.basis_names)) for text in args.right]
+    gens = [alg.reduce(freealg.parse(text, t.basis_names, alg.cap))
+            for text in args.right]
     if not gens or all(g.is_zero() for g in gens):
         print("error: need at least one nonzero generator", file=sys.stderr)
         return EXIT_USAGE

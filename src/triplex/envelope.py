@@ -1,8 +1,11 @@
 """Degree-truncated universal enveloping algebra of a Lie triple system.
 
 Built as a quotient of the free unital nonassociative algebra by the
-span of the defining relators, closed into a two-sided ideal within the
-degree budget.  The quotient is certified a posteriori: the dimension at
+span of the defining relators (the list ``relators`` returns), closed into
+a two-sided ideal within the degree budget.  The closure is scheduled by
+degree: vectors enter the echelon in order of their top degree, so every
+lower-degree pivot is in place when a row is reduced and the stored rows
+stay short.  The quotient is certified a posteriori: the dimension at
 every filtration level must match the symmetric-algebra count, and the
 normal-form representatives (exponent-vector monomials) must survive as
 non-pivot columns; otherwise the build aborts.
@@ -140,31 +143,48 @@ class EnvelopingAlgebra:
 
     # -- construction -------------------------------------------------------
 
-    def _insert_relation(self, coeffs, work):
-        """Insert a relation; queue a new row with its top degree."""
-        row = self._ech.insert({self._elim_of_tree[t]: a for t, a in coeffs.items()})
-        if row is not None:
-            # the pivot is the row's lowest elimination column, and the
-            # elimination order puts higher degrees first
-            top = self.table.degree(self._tree_of_elim[min(row)])
-            work.append((top, {self._tree_of_elim[c]: a for c, a in row.items()}))
-
     def _build_relation_span(self):
-        N = self.cap
-        work = []
+        """Close the relators into a two-sided ideal within the budget.
+
+        Vectors are inserted in order of top degree (the normal selection
+        strategy of Buchberger's algorithm, degree by degree as in F4), so
+        the lower-degree pivots exist before a row is reduced and forward
+        rows stay short.  ``pending[t]`` holds sources of vectors of top
+        degree t: a relator, or ``(row, n)`` for the row times every
+        monomial of degree n on both sides, expanded when reached.  The
+        closure is fixed by its span, whatever the insertion order.
+        """
+        N, degree = self.cap, self.table.degree
+        elim, tree_of = self._elim_of_tree, self._tree_of_elim
+        pending = [[] for _ in range(N + 1)]
         for rel in relators(self.system, N):
-            self._insert_relation(rel, work)
-        # two-sided ideal closure: multiply by every monomial on both
-        # sides within the degree budget, lowest degrees first
-        while work:
-            work.sort(key=lambda item: item[0])
-            new = []
-            for top, row in work:
-                for n in range(1, N - top + 1):
-                    for m in self.table.degree_slice(n):
-                        self._insert_relation(self._mul_row(row, m, left=False), new)
-                        self._insert_relation(self._mul_row(row, m, left=True), new)
-            work = new
+            if rel:
+                pending[max(map(degree, rel))].append(rel)
+        t = 0
+        while t <= N:
+            if not pending[t]:
+                t += 1
+                continue
+            # newest first: first-in first-out left longer rows (s2 at N=7:
+            # longest row tail 71 against 7)
+            source = pending[t].pop()
+            if isinstance(source, dict):
+                vecs = (source,)
+            else:
+                vecs = (self._mul_row(source[0], m, left)
+                        for m in self.table.degree_slice(source[1])
+                        for left in (False, True))
+            for vec in vecs:
+                new = self._ech.insert({elim[x]: a for x, a in vec.items()})
+                if new is not None:
+                    # the pivot is the row's lowest elimination column, and
+                    # the elimination order puts higher degrees first
+                    s = degree(tree_of[min(new)])
+                    row = {tree_of[c]: a for c, a in new.items()}
+                    for n in range(1, N - s + 1):
+                        pending[s + n].append((row, n))
+                    # a row whose degree fell has products below bucket t
+                    t = min(t, s + 1)
 
     @staticmethod
     def _mul_row(row, m, left):

@@ -189,7 +189,10 @@ def fmul(x, y, cap=None):
 #   rational := integer ["/" positive-integer]
 #
 # Unparenthesized products of three or more factors are rejected:
-# "a*b*c" has no meaning in a nonassociative algebra.
+# "a*b*c" has no meaning in a nonassociative algebra.  Parentheses nest
+# at most MAX_NESTING deep, so parsing never exhausts the call stack.
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -215,11 +218,13 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, basis_names):
+    def __init__(self, text, basis_names, cap):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.gen_index = {name: k for k, name in enumerate(basis_names)}
+        self.cap = cap
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -302,7 +307,7 @@ class _Parser:
         if kind == "op" and val == "*":
             self.next()
             y = self.primary()
-            x = fmul(x, y)
+            x = fmul(x, y, self.cap)
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 raise ExprSyntaxError(
@@ -322,11 +327,20 @@ class _Parser:
                 kind3, val3, pos3 = self.next()
                 if kind3 != "int":
                     raise ExprSyntaxError("expected exponent", pos3)
-                return FreeElement.monomial(power_tree(g, int(val3)))
+                n = int(val3)
+                if self.cap is not None and n > self.cap:
+                    raise DegreeBudgetExceeded(
+                        f"power {n} exceeds cap {self.cap}")
+                return FreeElement.monomial(power_tree(g, n))
             return FreeElement.generator(g)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             x = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             kind2, val2, pos2 = self.peek()
             if kind2 == "op" and val2 == "^":
                 raise ExprSyntaxError("power of a non-generator", pos2)
@@ -336,9 +350,13 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def parse(text, basis_names):
-    """Parse an expression into a FreeElement over the given generators."""
-    return _Parser(text, basis_names).parse()
+def parse(text, basis_names, cap=None):
+    """Parse an expression into a FreeElement over the given generators.
+
+    With a ``cap``, a power or product of degree above it raises
+    ``DegreeBudgetExceeded`` before its monomials are built.
+    """
+    return _Parser(text, basis_names, cap).parse()
 
 
 def format_tree(t, basis_names):

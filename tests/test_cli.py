@@ -2,8 +2,10 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from triplex import cli
+from triplex import cli, freealg
 from triplex.cli import LoadError, load_system
 from triplex.lts import LieAlgebra, TripleSystem
 
@@ -254,3 +256,55 @@ def test_verify_json_deterministic(capsys):
 def test_lie_input_converted(capsys):
     assert cli.main(["endo", data_path("sl2.json")]) == 0
     assert "dim 9, expected 9" in capsys.readouterr().out
+
+
+SQUARED_SUMS = "(e+f)"
+for _ in range(6):
+    SQUARED_SUMS = f"({SQUARED_SUMS}*{SQUARED_SUMS})"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["mul", "-N", "3", "e^3000", "e"], 3),
+    (["mul", "-N", "3", "e^200000", "e"], 3),
+    (["mul", "-N", "3", "(" * 3000 + "e" + ")" * 3000, "e"], 2),
+    (["ideal", "-N", "3", "--right", "e^5000"], 3),
+    # each squaring doubles the degree and squares the number of terms
+    (["mul", "-N", "3", SQUARED_SUMS, "e"], 3),
+], ids=["power", "huge_power", "deep_nesting", "ideal_power", "squared_sums"])
+def test_oversized_expression_exits_without_traceback(capsys, argv, code):
+    command, *rest = argv
+    assert cli.main([command, data_path("s2.json"), *rest]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:" if code == 3 else "error:")
+    assert "Traceback" not in err
+
+
+def test_nesting_bound_admits_what_the_cap_needs(capsys):
+    deep = "(" * freealg.MAX_NESTING + "e" + ")" * freealg.MAX_NESTING
+    assert cli.main(["mul", data_path("s2.json"), "-N", "3", deep, "f"]) == 0
+    assert capsys.readouterr().out.strip() == "e*f"
+    with pytest.raises(freealg.ExprSyntaxError, match="nested deeper than"):
+        freealg.parse("(" + deep + ")", ("e", "f"))
+
+
+_EXPR_ATOMS = st.sampled_from(["e", "f", "1", "0", "2/3", "e^2", "f^0", "e^99999"])
+_EXPRS = st.one_of(
+    st.text(alphabet="ef0123^*+-/() x#é\t", max_size=30),
+    st.integers(0, 10 ** 6).map(lambda n: f"e^{n}"),
+    st.integers(0, 400).map(lambda k: "(" * k + "f" + ")" * k),
+    st.recursive(_EXPR_ATOMS, lambda inner: st.tuples(
+        inner, st.sampled_from("*+-"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        max_leaves=12),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=_EXPRS, y=_EXPRS)
+def test_mul_fuzz_keeps_the_exit_code_contract(capsys, x, y):
+    try:
+        code = cli.main(["mul", data_path("s2.json"), "-N", "3", "--", x, y])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
