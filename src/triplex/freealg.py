@@ -328,7 +328,7 @@ class _Parser:
                 if kind3 != "int":
                     raise ExprSyntaxError("expected exponent", pos3)
                 n = int(val3)
-                if self.cap is not None and n > self.cap:
+                if n > self.cap:
                     raise DegreeBudgetExceeded(
                         f"power {n} exceeds cap {self.cap}")
                 return FreeElement.monomial(power_tree(g, n))
@@ -350,10 +350,10 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def parse(text, basis_names, cap=None):
+def parse(text, basis_names, cap):
     """Parse an expression into a FreeElement over the given generators.
 
-    With a ``cap``, a power or product of degree above it raises
+    A power or product of degree above ``cap`` raises
     ``DegreeBudgetExceeded`` before its monomials are built.
     """
     return _Parser(text, basis_names, cap).parse()
@@ -368,7 +368,7 @@ def format_tree(t, basis_names):
 
 
 def format_element(x, basis_names):
-    """Canonical text form; ``parse(format_element(x)) == x``."""
+    """Canonical text form; ``parse(format_element(x), names, cap) == x``."""
     if x.is_zero():
         return "0"
     parts = []

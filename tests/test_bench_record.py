@@ -20,7 +20,9 @@ STDOUT = ("pbw-s2 seed 3: 5 full + 0 set-up-only passes in 20.1 s\n"
 
 
 @pytest.fixture
-def fake_run(monkeypatch):
+def fake_run(monkeypatch, tmp_path):
+    """Replace the benchmark run; files are written to ``tmp_path``."""
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     calls = []
 
     def install(returncode=0, stdout=STDOUT):
@@ -32,14 +34,16 @@ def fake_run(monkeypatch):
     return install
 
 
-def test_writes_the_last_json_line(tmp_path, fake_run, capsys):
+def test_writes_the_last_json_line(tmp_path, fake_run, capsys, monkeypatch):
     calls = fake_run()
-    argv = ["demo-1", "--checkout", "/some/checkout", "--out", str(tmp_path),
-            "--", "--workload", "pbw-s2", "--seed", "3"]
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    monkeypatch.chdir(checkout)
+    argv = ["demo-1", "--", "--workload", "pbw-s2", "--seed", "3"]
     assert bench_record.main(argv) == 0
     (cmd, cwd), = calls
     assert cmd[1:] == ["perfbench/run.py", "--workload", "pbw-s2", "--seed", "3"]
-    assert cwd == Path("/some/checkout")
+    assert cwd == checkout
     doc = json.loads((tmp_path / "BENCH_demo-1.json").read_text())
     assert doc == {"label": "demo-1",
                    "run_args": ["--workload", "pbw-s2", "--seed", "3"],
@@ -51,7 +55,7 @@ def test_writes_the_last_json_line(tmp_path, fake_run, capsys):
                          ids=["run_failed", "no_output"])
 def test_failed_run_writes_nothing(tmp_path, fake_run, returncode, stdout):
     fake_run(returncode, stdout)
-    code = bench_record.main(["x", "--out", str(tmp_path), "--", "--seed", "3"])
+    code = bench_record.main(["x", "--", "--seed", "3"])
     assert code == (returncode or 1)
     assert not list(tmp_path.iterdir())
 
@@ -60,7 +64,6 @@ def test_failed_run_writes_nothing(tmp_path, fake_run, returncode, stdout):
                          ids=["path_in_label", "no_separator"])
 def test_usage_errors(tmp_path, fake_run, argv):
     calls = fake_run()
-    with pytest.raises(SystemExit) as exc:
-        bench_record.main(argv)
-    assert exc.value.code == 2
+    assert bench_record.main(argv) == 2
     assert not calls
+    assert not list(tmp_path.iterdir())

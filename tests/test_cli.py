@@ -284,7 +284,7 @@ def test_nesting_bound_admits_what_the_cap_needs(capsys):
     assert cli.main(["mul", data_path("s2.json"), "-N", "3", deep, "f"]) == 0
     assert capsys.readouterr().out.strip() == "e*f"
     with pytest.raises(freealg.ExprSyntaxError, match="nested deeper than"):
-        freealg.parse("(" + deep + ")", ("e", "f"))
+        freealg.parse("(" + deep + ")", ("e", "f"), 3)
 
 
 _EXPR_ATOMS = st.sampled_from(["e", "f", "1", "0", "2/3", "e^2", "f^0", "e^99999"])

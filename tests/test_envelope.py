@@ -165,11 +165,11 @@ def test_filtration_preservation(s2_n5):
 
 
 def test_reduce_parse_examples(s2_n6, s2):
-    names = s2.basis_names
-    x = s2_n6.reduce(parse("e*(f*e) - (e*f)*e", names))
+    def read(text):
+        return s2_n6.reduce(parse(text, s2.basis_names, s2_n6.cap))
     # a(bc) - (ab)c = -(a,b,c) = 1/2 iota([a,b,c]); [e,f,e] = 2e
-    assert x == s2_n6.generator(0)
-    assert s2_n6.reduce(parse("f*e", names)) == s2_n6.reduce(parse("e*f", names))
+    assert read("e*(f*e) - (e*f)*e") == s2_n6.generator(0)
+    assert read("f*e") == read("e*f")
 
 
 def test_mul_degree_budget(s2_n6):

@@ -10,6 +10,7 @@ from triplex.freealg import (UNIT, DegreeBudgetExceeded, ExprSyntaxError,
                              parse, power_tree, tree_degree, tree_key)
 
 F = Fraction
+CAP = 6  # above every degree parsed here
 
 
 def max_degree(x):
@@ -103,34 +104,34 @@ def test_fmul_degree_budget():
 
 def test_parse_basic():
     names = ("e", "f")
-    assert parse("e", names) == FreeElement.generator(0)
-    assert parse("e*f", names) == FreeElement.monomial((0, 1))
-    assert parse("e^3", names) == FreeElement.monomial(((0, 0), 0))
-    assert parse("1", names) == FreeElement.unit()
-    assert parse("2*e - f", names) == (2 * FreeElement.generator(0)
-                                       - FreeElement.generator(1))
-    assert parse("1/2*e", names) == F(1, 2) * FreeElement.generator(0)
-    assert parse("(e*f)*e", names) == FreeElement.monomial(((0, 1), 0))
-    assert parse("e*(f*e)", names) == FreeElement.monomial((0, (1, 0)))
-    assert parse("-e + 3", names) == (3 * FreeElement.unit()
-                                      - FreeElement.generator(0))
+    assert parse("e", names, CAP) == FreeElement.generator(0)
+    assert parse("e*f", names, CAP) == FreeElement.monomial((0, 1))
+    assert parse("e^3", names, CAP) == FreeElement.monomial(((0, 0), 0))
+    assert parse("1", names, CAP) == FreeElement.unit()
+    assert parse("2*e - f", names, CAP) == (2 * FreeElement.generator(0)
+                                            - FreeElement.generator(1))
+    assert parse("1/2*e", names, CAP) == F(1, 2) * FreeElement.generator(0)
+    assert parse("(e*f)*e", names, CAP) == FreeElement.monomial(((0, 1), 0))
+    assert parse("e*(f*e)", names, CAP) == FreeElement.monomial((0, (1, 0)))
+    assert parse("-e + 3", names, CAP) == (3 * FreeElement.unit()
+                                           - FreeElement.generator(0))
 
 
 def test_parse_nonassociative_guard():
     with pytest.raises(ExprSyntaxError):
-        parse("e*f*e", ("e", "f"))
+        parse("e*f*e", ("e", "f"), CAP)
 
 
 def test_parse_power_of_non_generator():
     with pytest.raises(ExprSyntaxError):
-        parse("(e*f)^2", ("e", "f"))
+        parse("(e*f)^2", ("e", "f"), CAP)
 
 
 def test_parse_errors():
     names = ("e", "f")
     for bad in ("g", "e +", "e)", "(e", "1/0*e", "e^", "e @ f", ""):
         with pytest.raises(ExprSyntaxError):
-            parse(bad, names)
+            parse(bad, names, CAP)
 
 
 def test_format_tree():
@@ -151,9 +152,9 @@ def test_parse_format_roundtrip_seeded_corpus():
             if c:
                 coeffs[t] = coeffs.get(t, F(0)) + c
         x = FreeElement(coeffs)
-        assert parse(format_element(x, names), names) == x
+        assert parse(format_element(x, names), names, CAP) == x
 
 
 def test_format_zero():
     assert format_element(FreeElement(), ("e",)) == "0"
-    assert parse("e - e", ("e",)) == FreeElement()
+    assert parse("e - e", ("e",), CAP) == FreeElement()

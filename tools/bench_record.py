@@ -4,17 +4,19 @@ Run from the root of a checkout:
 
     python3 tools/bench_record.py LABEL -- --workload pbw-s2 --seed 0 --seconds 40 --trace 0
 
-This runs ``perfbench/run.py`` with the arguments after ``--``, passes its
-output through, and writes its last line (one JSON object) to
-``BENCH_<label>.json`` at the repository root, with the label and the
-arguments.  ``--checkout DIR`` runs the benchmark of another checkout (a
-copy of an earlier commit, say) and still writes here; ``--out DIR`` writes
-elsewhere.  A failed run writes nothing and exits with the run's code.
+This runs ``perfbench/run.py`` of the current directory with the arguments
+after ``--``, passes its output through, and writes its last line (one JSON
+object) to ``BENCH_<label>.json`` at the root of the repository that holds
+this script, with the label and the arguments.  To record an earlier
+commit's run beside this one, run this script from a copy of that commit:
+
+    cd <copy> && python3 <this repository>/tools/bench_record.py LABEL -- ...
+
+A failed run writes nothing and exits with the run's code.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import subprocess
@@ -22,38 +24,35 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+USAGE = "usage: bench_record.py LABEL -- RUN_ARGS..."
 
 
-def record(label, run_args, checkout=ROOT, out=ROOT):
-    """Run the benchmark of ``checkout``; return (exit code, path written or None)."""
+def record(label, run_args):
+    """Run the benchmark; return (exit code, path written or None)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", *run_args],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=Path.cwd(), capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return proc.returncode or 1, None
     doc = {"label": label, "run_args": list(run_args), "result": json.loads(lines[-1])}
-    path = Path(out) / f"BENCH_{label}.json"
+    path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0, path
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-        usage="%(prog)s LABEL [--checkout DIR] [--out DIR] -- RUN_ARGS...")
-    parser.add_argument("label", help="names the file: letters, digits, '.', '_', '-'")
-    parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--out", type=Path, default=ROOT)
-    if "--" not in argv:
-        parser.error("give the arguments for perfbench/run.py after '--'")
-    cut = argv.index("--")
-    args = parser.parse_args(argv[:cut])
-    if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
-        parser.error(f"bad label {args.label!r}")
-    code, path = record(args.label, argv[cut + 1:], args.checkout, args.out)
+    if len(argv) < 2 or argv[1] != "--":
+        print(USAGE, file=sys.stderr)
+        return 2
+    label = argv[0]
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
+        print(f"{USAGE}\nbad label {label!r}: letters, digits, '.', '_', '-'",
+              file=sys.stderr)
+        return 2
+    code, path = record(label, argv[2:])
     if path is not None:
         print(f"wrote {path}", file=sys.stderr)
     return code
