@@ -2,7 +2,7 @@
 nonassociative enveloping algebras with certified normal forms."""
 
 from .envelope import Element, EnvelopingAlgebra, PBWCertificateFailure, build
-from .exactlin import Scalar, SparseVector, Subspace, echelonize
+from .exactlin import Scalar, Subspace, echelonize
 from .freealg import DegreeBudgetExceeded, FreeElement, MonomialTable, SizeGuardExceeded
 from .lts import LieAlgebra, Operator, TripleSystem, check_axioms, standard_embedding
 

@@ -91,8 +91,7 @@ def sl3_transpose_lts():
     for b in basis:
         minus_t = tuple(tuple(-b[q][p] for q in range(3)) for p in range(3))
         cols.append(_sl3_coords(minus_t))
-    sigma = Operator(tuple(tuple(cols[j][i] for j in range(8)) for i in range(8)),
-                     kind="sigma")
+    sigma = Operator(tuple(tuple(cols[j][i] for j in range(8)) for i in range(8)))
     return lts_from_involution(lie, sigma)
 
 

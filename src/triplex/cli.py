@@ -13,7 +13,7 @@ import sys
 
 from . import freealg, suites
 from .envelope import EnvelopingAlgebra, PBWCertificateFailure
-from .exactlin import parse_rational
+from .exactlin import echelonize, parse_rational
 from .freealg import DegreeBudgetExceeded, ExprSyntaxError, SizeGuardExceeded
 from .lts import (InvalidStructure, LieAlgebra, TripleSystem, check_axioms,
                   lts_from_lie, standard_embedding, simplicity_certificate,
@@ -44,6 +44,8 @@ def load_system(path):
         raise LoadError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise LoadError(f"{path}: JSON nested too deeply")
 
     def fail(msg):
         raise LoadError(f"{path}: {msg}")
@@ -137,9 +139,7 @@ def cmd_embed(args):
         return EXIT_FAIL
     print(f"standard embedding: dim {emb.dim} = {emb.inn_dim} (inner derivations) "
           f"+ {emb.t_dim} (T)")
-    from .exactlin import SparseVector, echelonize
-    rank = echelonize([SparseVector.from_dense(r) for r in emb.killing],
-                      emb.dim).dim
+    rank = echelonize([dict(enumerate(r)) for r in emb.killing], emb.dim).dim
     print(f"killing form rank: {rank} / {emb.dim}"
           + (" (nondegenerate)" if rank == emb.dim else " (degenerate)"))
     return EXIT_PASS

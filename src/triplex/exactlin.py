@@ -2,9 +2,9 @@
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
-sparse maps from column index to scalar.  ``accumulate`` and the
-``Combination`` base class are the one sparse-dict arithmetic behind
-free-algebra elements, normal forms and tensors.
+plain ``{column: Fraction}`` dicts over integer columns.  ``accumulate``
+and the ``Combination`` base class are the one sparse-dict arithmetic
+behind free-algebra elements, normal forms and tensors.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each input is scaled once to integers
@@ -101,48 +101,6 @@ class Combination:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-
-class SparseVector:
-    """Immutable sparse vector over Q."""
-
-    __slots__ = ("coords", "dimension")
-
-    def __init__(self, coords, dimension):
-        coords = {c: Fraction(a) for c, a in coords.items() if a}
-        for c in coords:
-            if not 0 <= c < dimension:
-                raise DimensionMismatch(f"index {c} out of range for dimension {dimension}")
-        self.coords = coords
-        self.dimension = dimension
-
-    @classmethod
-    def unit(cls, index, dimension):
-        return cls({index: ONE}, dimension)
-
-    @classmethod
-    def from_dense(cls, values):
-        return cls({i: a for i, a in enumerate(values) if a}, len(values))
-
-    def get(self, c):
-        return self.coords.get(c, ZERO)
-
-    def is_zero(self):
-        return not self.coords
-
-    def to_dense(self):
-        out = [ZERO] * self.dimension
-        for c, a in self.coords.items():
-            out[c] = a
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return self.dimension == other.dimension and self.coords == other.coords
-
-    def __repr__(self):
-        return f"SparseVector({dict(sorted(self.coords.items()))}, dim={self.dimension})"
 
 
 class Echelon:
@@ -280,7 +238,7 @@ class Subspace:
     def __init__(self, ech, ambient):
         self._ech = ech
         # RREF rows with pivot entries 1, at strictly increasing pivots
-        self.rows = [SparseVector(r, ambient) for r in ech.rref_rows()]
+        self.rows = ech.rref_rows()
         self.pivots = ech.pivots()
         self.ambient = ambient
 
@@ -289,21 +247,17 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, v):
-        """Residue of v modulo the subspace (zero iff v is a member)."""
-        if v.dimension != self.ambient:
-            raise DimensionMismatch(
-                f"vector dimension {v.dimension} != ambient {self.ambient}")
-        return SparseVector(self._ech.reduce(v.coords), self.ambient)
+        """Residue of v modulo the subspace (empty iff v is a member)."""
+        return self._ech.reduce(_check_columns(v, self.ambient))
 
     def member(self, v):
-        return self.reduce(v).is_zero()
+        return not self.reduce(v)
 
     def coordinates(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        coeffs = [v.get(p) for p in self.pivots]
-        if not self.reduce(v).is_zero():
+        if self.reduce(v):
             return None
-        return coeffs
+        return [Fraction(v.get(p, 0)) for p in self.pivots]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -315,27 +269,28 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def echelonize(vectors, ambient=None):
-    """Canonical reduced row-echelon basis of the span of ``vectors``."""
-    vectors = list(vectors)
-    if ambient is None:
-        if not vectors:
-            raise DimensionMismatch("empty input needs an explicit ambient dimension")
-        ambient = vectors[0].dimension
+def _check_columns(v, ambient):
+    """``v`` itself, once every column of it is known to lie in Q^ambient."""
+    for c in v:
+        if not 0 <= c < ambient:
+            raise DimensionMismatch(f"column {c} out of range for ambient {ambient}")
+    return v
+
+
+def echelonize(vectors, ambient):
+    """Canonical reduced row-echelon basis of the span of ``vectors``
+    (dicts over the columns of Q^ambient)."""
     ech = Echelon()
     for v in vectors:
-        if v.dimension != ambient:
-            raise DimensionMismatch(
-                f"vector dimension {v.dimension} != ambient {ambient}")
-        ech.insert(v.coords)
+        ech.insert(_check_columns(v, ambient))
     return ech.subspace(ambient)
 
 
 def kernel(images, domain_dim, ambient):
     """Kernel of the linear map sending unit i to ``images[i]``.
 
-    ``images`` is a list of SparseVector in Q^ambient of length
-    ``domain_dim``.  Returns a Subspace of Q^domain_dim.
+    ``images`` is a list of ``domain_dim`` dicts over the columns of
+    Q^ambient.  Returns a Subspace of Q^domain_dim.
     """
     if len(images) != domain_dim:
         raise DimensionMismatch("one image per domain basis vector required")
@@ -343,16 +298,11 @@ def kernel(images, domain_dim, ambient):
     # image columns first so rows supported purely on the tail block
     # span exactly the relations among the images
     for i, v in enumerate(images):
-        if v.dimension != ambient:
-            raise DimensionMismatch("image dimension mismatch")
-        row = {c: a for c, a in v.coords.items()}
+        row = dict(_check_columns(v, ambient))
         row[ambient + i] = ONE
         ech.insert(row)
-    combos = []
-    for row in ech.rref_rows():
-        if all(c >= ambient for c in row):
-            combos.append(SparseVector({c - ambient: a for c, a in row.items()},
-                                       domain_dim))
+    combos = [{c - ambient: a for c, a in row.items()}
+              for row in ech.rref_rows() if all(c >= ambient for c in row)]
     return echelonize(combos, domain_dim)
 
 
@@ -400,20 +350,15 @@ def mat_vec(a, v):
 
 
 def mat_flatten(a):
-    """Row-major flattening into a SparseVector of length n*m."""
-    n, m = len(a), len(a[0])
-    coords = {}
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                coords[i * m + j] = x
-    return SparseVector(coords, n * m)
+    """Row-major flattening into a dict over the n*m columns."""
+    m = len(a[0])
+    return {i * m + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x}
 
 
 def mat_unflatten(v, n, m=None):
     m = n if m is None else m
     out = [[ZERO] * m for _ in range(n)]
-    for c, a in v.coords.items():
+    for c, a in v.items():
         out[c // m][c % m] = a
     return tuple(tuple(r) for r in out)
 

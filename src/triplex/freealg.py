@@ -31,10 +31,6 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-def leaf(i):
-    return i
-
-
 def is_leaf(t):
     return isinstance(t, int)
 
@@ -164,17 +160,19 @@ class FreeElement(Combination):
         return f"FreeElement({self.coeffs})"
 
 
-def fmul(x, y, cap=None):
-    """Free (bilinear) product of two elements; grafts trees pairwise."""
+def fmul(x, y, cap):
+    """Free (bilinear) product of two elements; grafts trees pairwise.
+
+    A product monomial of degree above ``cap`` raises DegreeBudgetExceeded.
+    """
     out = {}
     for t1, a in x.coeffs.items():
         # grafting onto a fixed left factor is injective
         row = {graft(t1, t2): b for t2, b in y.coeffs.items()}
-        if cap is not None:
-            for t in row:
-                if tree_degree(t) > cap:
-                    raise DegreeBudgetExceeded(
-                        f"product monomial of degree {tree_degree(t)} exceeds cap {cap}")
+        for t in row:
+            if tree_degree(t) > cap:
+                raise DegreeBudgetExceeded(
+                    f"product monomial of degree {tree_degree(t)} exceeds cap {cap}")
         accumulate(out, row, a)
     return FreeElement(out)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import ONE, Combination, SparseVector, accumulate, echelonize, kernel
+from .exactlin import ONE, Combination, accumulate, echelonize, kernel
 from .envelope import Element, PBWCertificateFailure, relators
 from .freealg import UNIT, graft, is_leaf, tree_key
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
@@ -71,43 +71,35 @@ def counit(x):
     return x.counit()
 
 
-def _split_tree(t, legs):
-    """Expansion of a tree under the ``legs``-fold free comultiplication.
+def _split_tree(t):
+    """Expansion of a tree under the free comultiplication.
 
-    Returns a dict mapping leg-tuples of trees to integer multiplicities;
-    a leaf goes to the sum over positions, the unit to all-unit legs, and
-    a pair multiplies (grafts) the expansions legwise.
+    Returns a dict mapping (left, right) pairs of trees to integer
+    multiplicities; a leaf a goes to a(x)1 + 1(x)a, the unit to 1(x)1,
+    and a pair multiplies (grafts) the expansions legwise.
     """
     if t == UNIT:
-        return {(UNIT,) * legs: 1}
+        return {(UNIT, UNIT): 1}
     if is_leaf(t):
-        out = {}
-        for pos in range(legs):
-            key = tuple(t if i == pos else UNIT for i in range(legs))
-            out[key] = out.get(key, 0) + 1
-        return out
-    left = _split_tree(t[0], legs)
-    right = _split_tree(t[1], legs)
+        return {(t, UNIT): 1, (UNIT, t): 1}
+    left, right = _split_tree(t[0]), _split_tree(t[1])
     out = {}
-    for k1, m1 in left.items():
-        for k2, m2 in right.items():
-            key = tuple(graft(a, b) for a, b in zip(k1, k2))
+    for (l1, r1), m1 in left.items():
+        for (l2, r2), m2 in right.items():
+            key = (graft(l1, l2), graft(r1, r2))
             out[key] = out.get(key, 0) + m1 * m2
     return out
 
 
-def _split_monomial(alg, exps, legs):
-    """Reduced legs of the iterated comultiplication of a basis monomial."""
-    cache = alg.__dict__.setdefault(f"_hopf_splits_{legs}", {})
+def _split_monomial(alg, exps):
+    """Reduced legs of the comultiplication of a basis monomial."""
+    cache = alg.__dict__.setdefault("_hopf_splits", {})
     hit = cache.get(exps)
     if hit is None:
-        tree = alg.rep_tree[exps]
-        terms = []
-        splits = _split_tree(tree, legs)
-        for key in sorted(splits, key=lambda legs_: tuple(tree_key(t) for t in legs_)):
-            terms.append((tuple(alg.reduce_tree(t) for t in key),
-                          Fraction(splits[key])))
-        cache[exps] = hit = terms
+        splits = _split_tree(alg.rep_tree[exps])
+        order = sorted(splits, key=lambda k: (tree_key(k[0]), tree_key(k[1])))
+        cache[exps] = hit = [((alg.reduce_tree(lt), alg.reduce_tree(rt)),
+                              Fraction(splits[lt, rt])) for lt, rt in order]
     return hit
 
 
@@ -117,22 +109,19 @@ def comult(x):
     check_coideal(alg)
     out = {}
     for exps, a in x.coeffs.items():
-        for (lred, rred), mult in _split_monomial(alg, exps, 2):
+        for (lred, rred), mult in _split_monomial(alg, exps):
             _outer(out, lred.coeffs, rred.coeffs, a * mult)
     return TensorElement(alg, out)
 
 
 def comult3(x):
-    """Left-nested iterated comultiplication (Delta (x) Id) Delta."""
+    """Left-nested iterated comultiplication (Delta (x) Id) Delta, as a
+    dict from monomial triples to coefficients."""
     alg = x.algebra
-    check_coideal(alg)
     out = {}
-    for exps, a in x.coeffs.items():
-        for (t1, t2, t3), mult in _split_monomial(alg, exps, 3):
-            accumulate(out, {(v1, v2, v3): a1 * a2 * a3
-                             for v1, a1 in t1.coeffs.items()
-                             for v2, a2 in t2.coeffs.items()
-                             for v3, a3 in t3.coeffs.items()}, a * mult)
+    for (l, r), a in comult(x).coeffs.items():
+        accumulate(out, {(l1, l2, r): b for (l1, l2), b
+                         in comult(alg.monomial(l)).coeffs.items()}, a)
     return out
 
 
@@ -166,7 +155,7 @@ def check_coideal(alg):
     for rel in relators(alg.system, min(alg.cap, 3)):
         acc = {}
         for t, c in rel.items():
-            for (lt, rt), mult in _split_tree(t, 2).items():
+            for (lt, rt), mult in _split_tree(t).items():
                 _outer(acc, alg.reduce_tree(lt).coeffs, alg.reduce_tree(rt).coeffs,
                        c * mult)
         if acc:
@@ -274,10 +263,6 @@ def primitives(alg, degree):
                   - TensorElement(alg, {(unit, v): ONE}))
         images.append(flat(defect.coeffs))
     ambient = max(len(pair_index), 1)
-    vecs = [SparseVector(c, ambient) for c in images]
-    ker = kernel(vecs, len(monomials), ambient)
-    rows = []
-    for r in ker.rows:
-        coords = {alg.exp_index[monomials[c]]: a for c, a in r.coords.items()}
-        rows.append(SparseVector(coords, alg.nf_size))
-    return echelonize(rows, alg.nf_size)
+    ker = kernel(images, len(monomials), ambient)
+    return echelonize([{alg.exp_index[monomials[c]]: a for c, a in r.items()}
+                       for r in ker.rows], alg.nf_size)

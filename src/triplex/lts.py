@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exactlin import (ONE, ZERO, Echelon, SparseVector, Subspace, accumulate,
-                       echelonize, mat_bracket, mat_flatten, mat_identity,
-                       mat_mul, mat_trace, mat_unflatten, mat_vec)
+from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, echelonize,
+                       kernel, mat_bracket, mat_flatten, mat_identity, mat_mul,
+                       mat_trace, mat_unflatten, mat_vec)
 
 
 class InvalidStructure(ValueError):
@@ -54,7 +54,6 @@ def unit_vector(d, i):
 class Operator:
     """A linear operator on T-coordinates."""
     matrix: tuple
-    kind: str = "generic"
 
     def __call__(self, x):
         return mat_vec(self.matrix, x)
@@ -122,15 +121,13 @@ class TripleSystem:
         """Matrix of x -> [x, a, b]."""
         d = self.dim
         cols = [self.triple_product(unit_vector(d, i), a, b) for i in range(d)]
-        return Operator(tuple(tuple(cols[i][k] for i in range(d)) for k in range(d)),
-                        kind="R")
+        return Operator(tuple(tuple(cols[i][k] for i in range(d)) for k in range(d)))
 
     def d_op(self, a, b):
         """Matrix of x -> [a, b, x]."""
         d = self.dim
         cols = [self.triple_product(a, b, unit_vector(d, i)) for i in range(d)]
-        return Operator(tuple(tuple(cols[i][k] for i in range(d)) for k in range(d)),
-                        kind="D")
+        return Operator(tuple(tuple(cols[i][k] for i in range(d)) for k in range(d)))
 
 
 @dataclass
@@ -342,17 +339,15 @@ def lts_from_involution(l, s):
         if mat_vec(m, l.basis_bracket(i, j)) != l.bracket(mat_vec(m, e(i)), mat_vec(m, e(j))):
             raise InvalidStructure("map is not a Lie algebra automorphism")
     # -1 eigenspace = kernel of (s + Id)
-    from .exactlin import kernel
     splus = tuple(tuple(m[a][b] + (ONE if a == b else ZERO) for b in range(d))
                   for a in range(d))
-    images = [SparseVector.from_dense(mat_vec(splus, e(i))) for i in range(d)]
-    ker = kernel(images, d, d)
-    basis = [tuple(r.to_dense()) for r in ker.rows]
+    ker = kernel([_sparse(d, mat_vec(splus, e(i))) for i in range(d)], d, d)
+    basis = [_dense(d, r) for r in ker.rows]
     k = len(basis)
     constants = {}
     for i, j, kk in iproduct(range(k), repeat=3):
         v = l.bracket(l.bracket(basis[i], basis[j]), basis[kk])
-        coords = ker.coordinates(SparseVector.from_dense(v))
+        coords = ker.coordinates(_sparse(d, v))
         if coords is None:
             raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
         constants[(i, j, kk)] = coords
@@ -442,7 +437,7 @@ def standard_embedding(t):
 
     sigma_m = tuple(tuple((ONE if i < m else -ONE) if i == j else ZERO
                           for j in range(n)) for i in range(n))
-    sigma = Operator(sigma_m, kind="sigma")
+    sigma = Operator(sigma_m)
     killing = lie.killing()
 
     # sigma is an involutive automorphism preserving K; InnDer and T are
@@ -515,9 +510,9 @@ def _span_closure(gens, product):
             i += 1
 
     for c in candidates():
-        row = ech.insert(mat_flatten(c).coords)
+        row = ech.insert(mat_flatten(c))
         if row is not None:
-            basis.append(mat_unflatten(SparseVector(row, full), n))
+            basis.append(mat_unflatten(row, n))
             if ech.dim == full:
                 break
     space = ech.subspace(full)
@@ -580,16 +575,14 @@ def simplicity_certificate(t):
         return SimplicityReport("simple", env_space.dim, True)
     # witness search: R-stable subspace generated by a single basis vector
     for i in range(d):
-        ech = Echelon()
-        vecs = [unit_vector(d, i)]
-        ech.insert(SparseVector.from_dense(vecs[0]).coords)
-        work = list(vecs)
+        ech = Echelon([i])
+        work = [unit_vector(d, i)]
         while work:
             new = []
             for v in work:
                 for g in gens:
                     w = mat_vec(g, v)
-                    if ech.insert(SparseVector.from_dense(w).coords) is not None:
+                    if ech.insert(dict(enumerate(w))) is not None:
                         new.append(w)
             work = new
         if 0 < ech.dim < d:
@@ -602,14 +595,13 @@ def tau_map(emb, x, y):
     """The rank <= 1 operator z -> K(y,z) x on T."""
     d = emb.t_dim
     ky = mat_vec(emb.killing_t, y)
-    return Operator(tuple(tuple(x[i] * ky[j] for j in range(d)) for i in range(d)),
-                    kind="tau")
+    return Operator(tuple(tuple(x[i] * ky[j] for j in range(d)) for i in range(d)))
 
 
 def lambda_map(emb, x, y):
     a, b = tau_map(emb, x, y).matrix, tau_map(emb, y, x).matrix
     return Operator(tuple(tuple(p - q for p, q in zip(ra, rb))
-                          for ra, rb in zip(a, b)), kind="lambda")
+                          for ra, rb in zip(a, b)))
 
 
 def is_k_skew(emb, m):

@@ -1,3 +1,4 @@
+import copy
 import json
 from importlib import resources
 
@@ -307,4 +308,79 @@ def test_mul_fuzz_keeps_the_exit_code_contract(capsys, x, y):
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+# -- loader fuzz: any document keeps the exit-code contract --------------------
+
+_BASE_DOCS = [json.loads((resources.files("triplex") / "data" / name).read_text())
+              for name in ("s2.json", "sl2.json", "abelian3.json", "s2_plus_s2.json")]
+# wrong types, booleans and out-of-range numbers for any field
+_WRONG = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(),
+                   st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=4),
+                   st.dictionaries(st.sampled_from(["0", "1", "x"]), st.integers(0, 2),
+                                   max_size=2))
+_RATIONAL_TEXTS = st.sampled_from(["1", "-2", "1/2", "-3/4", "0", "1/0", "1/-2", "x",
+                                   "", " 5 ", "1/2/3", "1e3", "0x10", "9" * 5000])
+_KEYS = st.one_of(st.sampled_from(["0", "1", "2", "-1", "7", "x", "1.5", " 0"]),
+                  st.text(max_size=3))
+
+
+@st.composite
+def _documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_BASE_DOCS)))
+    for _ in range(draw(st.integers(1, 2))):
+        part = draw(st.sampled_from(["field", "label", "entry", "args", "args",
+                                     "value", "value", "value"]))
+        basis, entries = doc.get("basis"), doc.get("entries")
+        if part == "field":
+            doc[draw(st.sampled_from(["kind", "dim", "basis", "entries"]))] = draw(_WRONG)
+        elif part == "label":
+            if isinstance(basis, list) and basis:
+                # a wrong value, or a duplicate of an existing label
+                basis[draw(st.integers(0, len(basis) - 1))] = draw(
+                    st.one_of(_WRONG, st.sampled_from(basis)))
+        elif isinstance(entries, list) and entries:
+            i = draw(st.integers(0, len(entries) - 1))
+            entry = entries[i]
+            if part == "entry":
+                entries[i] = draw(st.one_of(_WRONG, st.just(copy.deepcopy(entries[0]))))
+            elif not isinstance(entry, dict):
+                pass
+            elif part == "args" and isinstance(entry.get("args"), list) and entry["args"]:
+                entry["args"][draw(st.integers(0, len(entry["args"]) - 1))] = draw(_WRONG)
+            elif part == "value" and isinstance(entry.get("value"), dict) and entry["value"]:
+                value = entry["value"]
+                key = draw(st.sampled_from(sorted(value)))
+                text = value.pop(key)
+                value[draw(st.one_of(st.just(key), _KEYS))] = draw(
+                    st.one_of(st.just(text), _RATIONAL_TEXTS, _WRONG))
+            else:
+                entry[draw(st.sampled_from(["args", "value"]))] = draw(_WRONG)
+    return json.dumps(doc)
+
+
+# nesting deeper than the JSON decoder recurses, written as raw text
+_DEEP = st.builds(lambda head, k: head + "[" * k + "]" * k + ("}" if head else ""),
+                  st.sampled_from(["", '{"kind": "lts", "dim": 1, "basis": ["a"], '
+                                       '"entries": ']),
+                  st.sampled_from([10, 990, 5_000, 100_000]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_documents(), _DEEP), command=st.sampled_from(["check", "simple"]))
+def test_load_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, text, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err

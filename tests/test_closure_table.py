@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from triplex import cli, envelope, suites
 from triplex.envelope import Element, EnvelopingAlgebra, IdealClosure
-from triplex.exactlin import Echelon, SparseVector, accumulate, echelonize
+from triplex.exactlin import ONE, Echelon, accumulate, echelonize
 from triplex.freealg import DegreeBudgetExceeded, graft
 from triplex.hopf import TensorElement
 
@@ -70,23 +70,22 @@ def reference_closure(alg, gens):
                     if sum(exps) == n:
                         insert(reference_mul(alg, v, alg.monomial(exps)), new)
         work = new
-    subspace = echelonize(
-        [SparseVector({order[c]: a for c, a in row.items()}, alg.nf_size)
-         for row in ech.rref_rows()], alg.nf_size)
+    subspace = echelonize([{order[c]: a for c, a in row.items()}
+                           for row in ech.rref_rows()], alg.nf_size)
     per_degree = [sum(1 for p in ech.pivots() if sum(alg.exponents[order[p]]) <= k)
                   for k in range(N + 1)]
-    contains_one = subspace.member(
-        SparseVector.unit(alg.exp_index[(0,) * alg.d], alg.nf_size))
-    t_span = echelonize([SparseVector.unit(alg.exp_index[v], alg.nf_size)
+    contains_one = subspace.member({alg.exp_index[(0,) * alg.d]: ONE})
+    t_span = echelonize([{alg.exp_index[v]: ONE}
                          for v in alg.exponents if sum(v) == 1], alg.nf_size)
     safe = N - max(g.degree() for g in gens)
     stabilization = None
     for n0 in range(safe + 1):
-        if all(subspace.member(SparseVector.unit(alg.exp_index[v], alg.nf_size))
+        if all(subspace.member({alg.exp_index[v]: ONE})
                for v in alg.exponents if n0 <= sum(v) <= safe):
             stabilization = n0
             break
-    meets_t = subspace.dim + t_span.dim - echelonize(subspace.rows + t_span.rows).dim
+    meets_t = (subspace.dim + t_span.dim
+               - echelonize(subspace.rows + t_span.rows, alg.nf_size).dim)
     return IdealClosure(subspace, per_degree, contains_one, meets_t, stabilization, safe)
 
 
@@ -228,8 +227,8 @@ def test_mainthm_fails_a_closure_outside_the_augmentation_ideal(monkeypatch):
     # containment in the augmentation ideal rejects it
     alg = algebra("s2", 4)
     e, f = alg.generator(0), alg.generator(1)
-    span = echelonize([SparseVector({alg.exp_index[v]: a for v, a in x.coeffs.items()},
-                                    alg.nf_size) for x in (alg.one() + e, f)])
+    span = echelonize([{alg.exp_index[v]: a for v, a in x.coeffs.items()}
+                       for x in (alg.one() + e, f)], alg.nf_size)
     fake = IdealClosure(span, [0, 2, 2, 2, 2], False, 1, None, 3)
     monkeypatch.setattr(alg, "right_ideal_closure", lambda gens: fake)
     rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)

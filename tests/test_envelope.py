@@ -5,7 +5,6 @@ import pytest
 from triplex import catalog
 from triplex.envelope import (Element, EnvelopingAlgebra, PBWCertificateFailure,
                               exponent_vectors, representative_tree)
-from triplex.exactlin import SparseVector
 from triplex.freealg import (DegreeBudgetExceeded, FreeElement, parse,
                              power_tree)
 from triplex.lts import TripleSystem
@@ -17,12 +16,12 @@ F = Fraction
 # -- oracles: coordinates, lifts and the filtration, from their definitions ----
 
 def nf_vector(alg, x):
-    """Element coordinates as a SparseVector over the normal-form basis."""
-    return SparseVector({alg.exp_index[v]: a for v, a in x.coeffs.items()}, alg.nf_size)
+    """Element coordinates as a dict over the normal-form basis."""
+    return {alg.exp_index[v]: a for v, a in x.coeffs.items()}
 
 
 def from_nf_vector(alg, v):
-    return Element(alg, {alg.exponents[c]: a for c, a in v.coords.items()})
+    return Element(alg, {alg.exponents[c]: a for c, a in v.items()})
 
 
 def lift(x):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from triplex import catalog
 from triplex.envelope import Element, EnvelopingAlgebra
-from triplex.exactlin import (Combination, DimensionMismatch, SparseVector,
-                              accumulate, echelonize, kernel, mat, mat_bracket,
-                              parse_rational)
+from triplex.exactlin import (Combination, DimensionMismatch, accumulate,
+                              echelonize, kernel, mat, mat_bracket, mat_flatten,
+                              mat_unflatten, parse_rational)
 from triplex.freealg import FreeElement
 from triplex.hopf import TensorElement
 
@@ -15,11 +15,11 @@ F = Fraction
 
 
 def sv(values):
-    return SparseVector.from_dense([F(v) for v in values])
+    return {i: F(v) for i, v in enumerate(values) if v}
 
 
 def test_echelonize_full_plane():
-    s = echelonize([sv([1, 0]), sv([0, 1]), sv([1, 1])])
+    s = echelonize([sv([1, 0]), sv([0, 1]), sv([1, 1])], 2)
     assert s.dim == 2
     assert s.pivots == [0, 1]
 
@@ -30,31 +30,54 @@ def test_echelonize_empty():
 
 
 def test_echelonize_scaling_normalization():
-    s = echelonize([sv([2, 4])])
+    s = echelonize([sv([2, 4])], 2)
     assert s.rows == [sv([1, 2])]
 
 
 def test_echelonize_order_independent():
     vecs = [sv([1, 2, 3]), sv([0, 1, 1]), sv([1, 3, 4])]
-    a = echelonize(vecs)
-    b = echelonize(list(reversed(vecs)))
+    a = echelonize(vecs, 3)
+    b = echelonize(list(reversed(vecs)), 3)
     assert a == b
 
 
 def test_echelonize_idempotent():
-    s = echelonize([sv([1, 2, 0]), sv([0, 0, 3]), sv([2, 4, 3])])
-    assert echelonize(s.rows) == s
+    s = echelonize([sv([1, 2, 0]), sv([0, 0, 3]), sv([2, 4, 3])], 3)
+    assert echelonize(s.rows, 3) == s
 
 
 def test_member_examples():
-    assert echelonize([sv([1, 2])]).member(sv([1, 2]))
-    assert not echelonize([sv([0, 1])]).member(sv([1, 0]))
-    assert echelonize([sv([1, 2])]).member(sv([3, 6]))
+    assert echelonize([sv([1, 2])], 2).member(sv([1, 2]))
+    assert not echelonize([sv([0, 1])], 2).member(sv([1, 0]))
+    assert echelonize([sv([1, 2])], 2).member(sv([3, 6]))
 
 
 def test_member_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        echelonize([sv([1, 2])]).member(sv([1, 2, 3]))
+        echelonize([sv([1, 2])], 2).member(sv([1, 2, 3]))
+
+
+def test_columns_outside_the_ambient_are_rejected():
+    with pytest.raises(DimensionMismatch):
+        echelonize([sv([1, 2, 3])], 2)
+    with pytest.raises(DimensionMismatch):
+        echelonize([{-1: F(1)}], 2)
+    with pytest.raises(DimensionMismatch):
+        kernel([sv([1]), sv([0, 1])], 2, 1)
+    with pytest.raises(DimensionMismatch):
+        kernel([sv([1])], 2, 1)
+
+
+def test_coordinates_in_the_rref_basis():
+    s = echelonize([sv([1, 2, 0]), sv([0, 0, 1])], 3)
+    assert s.coordinates(sv([2, 4, -3])) == [F(2), F(-3)]
+    assert s.coordinates(sv([0, 1, 0])) is None
+
+
+def test_mat_flatten_roundtrip():
+    a = mat([[1, 0, F(1, 2)], [0, -3, 0]])
+    assert mat_flatten(a) == {0: F(1), 2: F(1, 2), 4: F(-3)}
+    assert mat_unflatten(mat_flatten(a), 2, 3) == a
 
 
 def test_mat_bracket_examples():
@@ -82,10 +105,10 @@ def test_kernel_simple():
     imgs = [sv([1]), sv([0]), sv([1])]
     k = kernel(imgs, 3, 1)
     assert k.dim == 2
-    assert all(r.get(0) * F(1) + r.get(2) * F(1) == r.get(0) + r.get(2)
+    assert all(r.get(0, 0) * F(1) + r.get(2, 0) * F(1) == r.get(0, 0) + r.get(2, 0)
                for r in k.rows)
     for r in k.rows:
-        assert r.get(0) + r.get(2) == 0 or r.get(0) == 0
+        assert r.get(0, 0) + r.get(2, 0) == 0 or r.get(0, 0) == 0
 
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -138,8 +161,8 @@ def dense_solvable(rows, target):
 def test_member_matches_dense_solver(data):
     rows, target = data
     dim = len(target)
-    space = echelonize([SparseVector.from_dense(r) for r in rows], dim)
-    assert space.member(SparseVector.from_dense(target)) == dense_solvable(rows, target)
+    space = echelonize([dict(enumerate(r)) for r in rows], dim)
+    assert space.member(dict(enumerate(target))) == dense_solvable(rows, target)
 
 
 def test_parse_rational():

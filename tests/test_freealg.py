@@ -80,18 +80,18 @@ def test_tree_key_total_order():
 def test_fmul_unit_and_degree():
     x = FreeElement({(0, 1): F(2), 0: F(1)})
     one = FreeElement.unit()
-    assert fmul(one, x) == x
-    assert fmul(x, one) == x
+    assert fmul(one, x, CAP) == x
+    assert fmul(x, one, CAP) == x
     y = FreeElement.generator(1)
-    z = fmul(x, y)
+    z = fmul(x, y, CAP)
     assert max_degree(z) == max_degree(x) + 1
 
 
 def test_fmul_bilinear():
     a = FreeElement.generator(0)
     b = FreeElement.generator(1)
-    lhs = fmul(a + b, a)
-    rhs = fmul(a, a) + fmul(b, a)
+    lhs = fmul(a + b, a, CAP)
+    rhs = fmul(a, a, CAP) + fmul(b, a, CAP)
     assert lhs == rhs
 
 

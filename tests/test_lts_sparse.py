@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplex import catalog
-from triplex.exactlin import (ONE, ZERO, Echelon, SparseVector, echelonize,
-                              mat_bracket, mat_flatten, mat_mul, mat_trace,
-                              mat_unflatten, mat_vec)
+from triplex.exactlin import (ONE, ZERO, Echelon, echelonize, mat_bracket,
+                              mat_flatten, mat_mul, mat_trace, mat_unflatten,
+                              mat_vec)
 from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure,
                          TripleSystem, _span_closure, associative_envelope,
                          check_axioms, inner_derivations, lie_closure,
@@ -117,9 +117,9 @@ def _closure_loop(gens, product):
     basis = []
     work = []
     for g in gens:
-        row = ech.insert(mat_flatten(g).coords)
+        row = ech.insert(mat_flatten(g))
         if row is not None:
-            mrow = mat_unflatten(SparseVector(row, n * n), n)
+            mrow = mat_unflatten(row, n)
             basis.append(mrow)
             work.append(mrow)
     while work:
@@ -127,9 +127,9 @@ def _closure_loop(gens, product):
         for a in work:
             for b in basis:
                 for c in (product(a, b), product(b, a)):
-                    row = ech.insert(mat_flatten(c).coords)
+                    row = ech.insert(mat_flatten(c))
                     if row is not None:
-                        mrow = mat_unflatten(SparseVector(row, n * n), n)
+                        mrow = mat_unflatten(row, n)
                         basis.append(mrow)
                         new.append(mrow)
         work = new
