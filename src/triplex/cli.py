@@ -38,10 +38,12 @@ def load_system(path):
     explicitly (skew-symmetry is checked, never assumed).
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except RecursionError:

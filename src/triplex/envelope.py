@@ -31,21 +31,10 @@ class PBWCertificateFailure(RuntimeError):
 
 def exponent_vectors(d, cap):
     """All exponent vectors with |k| <= cap, sorted by (degree, lex)."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    by_degree = []
-    rec([], cap)
-    for n in range(cap + 1):
-        stratum = sorted(v for v in out if sum(v) == n)
-        by_degree.extend(stratum)
-    return by_degree
+    out = [()]
+    for _ in range(d):
+        out = [v + (k,) for v in out for k in range(cap - sum(v) + 1)]
+    return sorted(out, key=lambda v: (sum(v), v))
 
 
 def representative_tree(exps):

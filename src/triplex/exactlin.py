@@ -286,14 +286,12 @@ def echelonize(vectors, ambient):
     return ech.subspace(ambient)
 
 
-def kernel(images, domain_dim, ambient):
+def kernel(images, ambient):
     """Kernel of the linear map sending unit i to ``images[i]``.
 
-    ``images`` is a list of ``domain_dim`` dicts over the columns of
-    Q^ambient.  Returns a Subspace of Q^domain_dim.
+    ``images`` is a list of dicts over the columns of Q^ambient.  Returns
+    a Subspace of Q^len(images).
     """
-    if len(images) != domain_dim:
-        raise DimensionMismatch("one image per domain basis vector required")
     ech = Echelon()
     # image columns first so rows supported purely on the tail block
     # span exactly the relations among the images
@@ -303,7 +301,7 @@ def kernel(images, domain_dim, ambient):
         ech.insert(row)
     combos = [{c - ambient: a for c, a in row.items()}
               for row in ech.rref_rows() if all(c >= ambient for c in row)]
-    return echelonize(combos, domain_dim)
+    return echelonize(combos, len(images))
 
 
 # ---------------------------------------------------------------------------

@@ -278,25 +278,13 @@ class _Parser:
 
     def term(self):
         kind, val, _ = self.peek()
-        if kind == "int" and val != "1":
+        if kind == "int":
             coeff = self.rational()
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "*":
                 self.next()
                 return coeff * self.factor()
             return coeff * FreeElement.unit()
-        if kind == "int":  # "1": unit unless it is a coefficient "1*..." or "1/2..."
-            save = self.i
-            coeff = self.rational()
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "*":
-                self.next()
-                return coeff * self.factor()
-            if coeff != 1:
-                return coeff * FreeElement.unit()
-            self.i = save
-            self.next()
-            return FreeElement.unit()
         return self.factor()
 
     def factor(self):

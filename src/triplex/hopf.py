@@ -1,21 +1,21 @@
 """H-bialgebra structure on the truncated enveloping algebra.
 
-Comultiplication is computed by lifting to the free algebra, where it
-is the multiplicative extension of a -> a(x)1 + 1(x)a on trees, and
-reducing both legs.  That is only sound because the defining relators
-are coideal elements; ``check_coideal`` certifies this for the
-generator-level relator families and is run once per algebra before the
-first comultiplication.
+The comultiplication is the algebra morphism with Delta(a) = a(x)1 + 1(x)a
+on generators.  It is evaluated on a free tree by multiplying the images
+of its two halves legwise in U(x)U, through the algebra's basis-product
+table, and cached per basis monomial.  That is only sound because Delta
+descends to the quotient: ``check_coideal`` certifies that the
+generator-level relator families are coideal elements, once per algebra
+before the first comultiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactlin import ONE, Combination, accumulate, echelonize, kernel
 from .envelope import Element, PBWCertificateFailure, relators
-from .freealg import UNIT, graft, is_leaf, tree_key
+from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
 
 
@@ -71,46 +71,29 @@ def counit(x):
     return x.counit()
 
 
-def _split_tree(t):
-    """Expansion of a tree under the free comultiplication.
-
-    Returns a dict mapping (left, right) pairs of trees to integer
-    multiplicities; a leaf a goes to a(x)1 + 1(x)a, the unit to 1(x)1,
-    and a pair multiplies (grafts) the expansions legwise.
-    """
+def _comult_tree(alg, t):
+    """Delta of a free tree as a TensorElement: 1(x)1 for the unit,
+    g(x)1 + 1(x)g for a generator g, and the legwise product for a pair."""
+    unit = (0,) * alg.d
     if t == UNIT:
-        return {(UNIT, UNIT): 1}
+        return TensorElement(alg, {(unit, unit): ONE})
     if is_leaf(t):
-        return {(t, UNIT): 1, (UNIT, t): 1}
-    left, right = _split_tree(t[0]), _split_tree(t[1])
-    out = {}
-    for (l1, r1), m1 in left.items():
-        for (l2, r2), m2 in right.items():
-            key = (graft(l1, l2), graft(r1, r2))
-            out[key] = out.get(key, 0) + m1 * m2
-    return out
-
-
-def _split_monomial(alg, exps):
-    """Reduced legs of the comultiplication of a basis monomial."""
-    cache = alg.__dict__.setdefault("_hopf_splits", {})
-    hit = cache.get(exps)
-    if hit is None:
-        splits = _split_tree(alg.rep_tree[exps])
-        order = sorted(splits, key=lambda k: (tree_key(k[0]), tree_key(k[1])))
-        cache[exps] = hit = [((alg.reduce_tree(lt), alg.reduce_tree(rt)),
-                              Fraction(splits[lt, rt])) for lt, rt in order]
-    return hit
+        g = tuple(int(i == t) for i in range(alg.d))
+        return TensorElement(alg, {(g, unit): ONE, (unit, g): ONE})
+    return _comult_tree(alg, t[0]) * _comult_tree(alg, t[1])
 
 
 def comult(x):
     """Algebra morphism with Delta(a) = a(x)1 + 1(x)a on generators."""
     alg = x.algebra
     check_coideal(alg)
+    cache = alg._hopf_comult
     out = {}
     for exps, a in x.coeffs.items():
-        for (lred, rred), mult in _split_monomial(alg, exps):
-            _outer(out, lred.coeffs, rred.coeffs, a * mult)
+        hit = cache.get(exps)
+        if hit is None:
+            cache[exps] = hit = _comult_tree(alg, alg.rep_tree[exps]).coeffs
+        accumulate(out, hit, a)
     return TensorElement(alg, out)
 
 
@@ -148,19 +131,17 @@ def right_div(y, x):
 
 def check_coideal(alg):
     """Certify Delta descends to the quotient: the generator-level relator
-    families (``relators`` up to degree 3) reduce to zero legwise after
-    free comultiplication."""
-    if getattr(alg, "_hopf_coideal_ok", False):
+    families (``relators`` up to degree 3) have zero comultiplication in
+    U(x)U.  Passing creates the per-algebra cache ``comult`` reads."""
+    if getattr(alg, "_hopf_comult", None) is not None:
         return
     for rel in relators(alg.system, min(alg.cap, 3)):
         acc = {}
         for t, c in rel.items():
-            for (lt, rt), mult in _split_tree(t).items():
-                _outer(acc, alg.reduce_tree(lt).coeffs, alg.reduce_tree(rt).coeffs,
-                       c * mult)
+            accumulate(acc, _comult_tree(alg, t).coeffs, c)
         if acc:
             raise PBWCertificateFailure("a defining relator is not a coideal element")
-    alg._hopf_coideal_ok = True
+    alg._hopf_comult = {}
 
 
 @dataclass
@@ -263,6 +244,6 @@ def primitives(alg, degree):
                   - TensorElement(alg, {(unit, v): ONE}))
         images.append(flat(defect.coeffs))
     ambient = max(len(pair_index), 1)
-    ker = kernel(images, len(monomials), ambient)
+    ker = kernel(images, ambient)
     return echelonize([{alg.exp_index[monomials[c]]: a for c, a in r.items()}
                        for r in ker.rows], alg.nf_size)

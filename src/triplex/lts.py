@@ -341,7 +341,7 @@ def lts_from_involution(l, s):
     # -1 eigenspace = kernel of (s + Id)
     splus = tuple(tuple(m[a][b] + (ONE if a == b else ZERO) for b in range(d))
                   for a in range(d))
-    ker = kernel([_sparse(d, mat_vec(splus, e(i))) for i in range(d)], d, d)
+    ker = kernel([_sparse(d, mat_vec(splus, e(i))) for i in range(d)], d)
     basis = [_dense(d, r) for r in ker.rows]
     k = len(basis)
     constants = {}

@@ -199,6 +199,11 @@ def test_mul(capsys):
     assert capsys.readouterr().out.strip() == "e"
 
 
+def test_mul_coefficient_one_over_one(capsys):
+    assert cli.main(["mul", data_path("s2.json"), "-N", "3", "--", "1/1", "e"]) == 0
+    assert capsys.readouterr().out.strip() == "e"
+
+
 def test_mul_budget_exit_3():
     assert cli.main(["mul", data_path("s2.json"), "-N", "3", "e^2", "f^2"]) == 3
 
@@ -318,6 +323,15 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
+
+
+def test_invalid_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "lts\xff"}')
+    with pytest.raises(LoadError, match="invalid UTF-8"):
+        load_system(str(path))
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid UTF-8")
 
 
 # -- loader fuzz: any document keeps the exit-code contract --------------------

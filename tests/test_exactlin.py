@@ -63,9 +63,7 @@ def test_columns_outside_the_ambient_are_rejected():
     with pytest.raises(DimensionMismatch):
         echelonize([{-1: F(1)}], 2)
     with pytest.raises(DimensionMismatch):
-        kernel([sv([1]), sv([0, 1])], 2, 1)
-    with pytest.raises(DimensionMismatch):
-        kernel([sv([1])], 2, 1)
+        kernel([sv([1]), sv([0, 1])], 1)
 
 
 def test_coordinates_in_the_rref_basis():
@@ -103,7 +101,7 @@ def test_mat_bracket_size_mismatch():
 
 def test_kernel_simple():
     imgs = [sv([1]), sv([0]), sv([1])]
-    k = kernel(imgs, 3, 1)
+    k = kernel(imgs, 1)
     assert k.dim == 2
     assert all(r.get(0, 0) * F(1) + r.get(2, 0) * F(1) == r.get(0, 0) + r.get(2, 0)
                for r in k.rows)

@@ -117,6 +117,14 @@ def test_parse_basic():
                                            - FreeElement.generator(0))
 
 
+def test_parse_coefficient_one_over_one():
+    names = ("e", "f")
+    for text in ("1/1", "2/2", "1/0001"):
+        assert parse(text, names, CAP) == FreeElement.unit()
+    assert parse("1/1*e", names, CAP) == FreeElement.generator(0)
+    assert parse("1/1 - e", names, CAP) == FreeElement.unit() - FreeElement.generator(0)
+
+
 def test_parse_nonassociative_guard():
     with pytest.raises(ExprSyntaxError):
         parse("e*f*e", ("e", "f"), CAP)

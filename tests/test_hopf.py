@@ -1,7 +1,14 @@
 from fractions import Fraction
+from functools import cache
+from importlib import resources
 
-from triplex import hopf
-from triplex.exactlin import ONE, echelonize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triplex import cli, hopf
+from triplex.envelope import EnvelopingAlgebra, relators
+from triplex.exactlin import ONE, accumulate, echelonize
+from triplex.freealg import UNIT, graft, is_leaf
 from triplex.hopf import (TensorElement, check_coalgebra, check_divisions,
                           check_weak_assoc, comult, comult3, counit, left_div,
                           primitives, right_div, s_map)
@@ -125,3 +132,93 @@ def test_tensor_arithmetic(s2_n5):
     z = a - a
     assert z.is_zero()
     assert (2 * a).coeffs == {k: 2 * v for k, v in a.coeffs.items()}
+
+
+# -- differential test: Delta through basis products against free splitting --
+
+_SYSTEMS = ("s2.json", "sl2.json", "sl2_lts.json", "sl3_sym.json",
+            "abelian3.json", "s2_plus_s2.json")
+_ALGEBRAS = [(name, cap) for name in _SYSTEMS for cap in range(1, 5)] + [("s2.json", 6)]
+
+
+@cache
+def _algebra(name, cap):
+    path = str(resources.files("triplex") / "data" / name)
+    return EnvelopingAlgebra(cli._as_lts(cli.load_system(path)), cap)
+
+
+def _split_tree(t):
+    """Reference: the free comultiplication of a tree as (left, right) tree
+    pairs with integer multiplicities; a leaf a goes to a(x)1 + 1(x)a and a
+    pair grafts the expansions of its halves legwise."""
+    if t == UNIT:
+        return {(UNIT, UNIT): 1}
+    if is_leaf(t):
+        return {(t, UNIT): 1, (UNIT, t): 1}
+    out = {}
+    for (l1, r1), m1 in _split_tree(t[0]).items():
+        for (l2, r2), m2 in _split_tree(t[1]).items():
+            key = (graft(l1, l2), graft(r1, r2))
+            out[key] = out.get(key, 0) + m1 * m2
+    return out
+
+
+def _reference_comult(alg, x):
+    """Delta of a free combination {tree: coefficient}: split in the free
+    algebra, then reduce both legs to normal form."""
+    out = {}
+    for t, c in x.items():
+        for (lt, rt), m in _split_tree(t).items():
+            l, r = alg.reduce_tree(lt).coeffs, alg.reduce_tree(rt).coeffs
+            accumulate(out, {(vl, vr): a * b for vl, a in l.items()
+                             for vr, b in r.items()}, c * m)
+    return out
+
+
+def _comult_free(alg, x):
+    out = {}
+    for t, c in x.items():
+        accumulate(out, hopf._comult_tree(alg, t).coeffs, c)
+    return out
+
+
+def test_comult_matches_free_splitting_on_every_basis_monomial():
+    for name, cap in _ALGEBRAS:
+        alg = _algebra(name, cap)
+        for v in alg.exponents:
+            assert comult(alg.monomial(v)).coeffs == \
+                _reference_comult(alg, {alg.rep_tree[v]: ONE}), (name, cap, v)
+
+
+def test_comult_tree_matches_free_splitting_on_relators_and_generators():
+    for name, cap in _ALGEBRAS:
+        alg = _algebra(name, cap)
+        # the relators check_coideal certifies
+        for rel in relators(alg.system, min(cap, 3)):
+            assert _comult_free(alg, rel) == _reference_comult(alg, rel), (name, cap)
+        # a lone generator is not a coideal element: its Delta is not zero
+        for g in range(alg.d):
+            dx = _comult_free(alg, {g: ONE})
+            assert dx and dx == _reference_comult(alg, {g: ONE}), (name, cap, g)
+
+
+def _tree(draw, d, n):
+    if n == 0:
+        return UNIT
+    if n == 1:
+        return draw(st.integers(0, d - 1))
+    k = draw(st.integers(1, n - 1))
+    return (_tree(draw, d, k), _tree(draw, d, n - k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_comult_tree_matches_free_splitting_on_free_elements(data):
+    name, cap = data.draw(st.sampled_from(_ALGEBRAS))
+    alg = _algebra(name, cap)
+    x = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        t = _tree(data.draw, alg.d, data.draw(st.integers(0, cap)))
+        x[t] = Fraction(data.draw(st.integers(-3, 3).filter(bool)),
+                        data.draw(st.integers(1, 3)))
+    assert _comult_free(alg, x) == _reference_comult(alg, x)
