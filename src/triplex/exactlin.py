@@ -4,7 +4,8 @@ Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
 plain ``{column: Fraction}`` dicts over integer columns.  ``accumulate``
 and the ``Combination`` base class are the one sparse-dict arithmetic
-behind free-algebra elements, normal forms and tensors.
+behind free-algebra elements and normal forms; tensors are plain dicts
+that ``accumulate`` adds.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each input is scaled once to integers
@@ -61,8 +62,8 @@ class Combination:
     """Sparse rational linear combination: ``coeffs`` maps keys to nonzero
     ``Fraction``s.
 
-    The arithmetic is shared by the free-algebra elements, the normal forms
-    and the tensors; a subclass that lives in some ambient algebra keeps it
+    The arithmetic is shared by the free-algebra elements and the normal
+    forms; a subclass that lives in some ambient algebra keeps it
     in an ``algebra`` attribute, carries it through ``_like`` and is equal
     only to combinations of the same algebra object.
     """

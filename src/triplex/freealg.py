@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .exactlin import ONE, Combination, accumulate
 
@@ -105,12 +106,13 @@ class MonomialTable:
         self.degree_start = []  # degree -> first index of that degree
         for n in range(cap + 1):
             self.degree_start.append(len(trees))
-            stratum = _trees(d, n)
-            if len(trees) + len(stratum) > max_monomials:
+            # Catalan(n-1) * d^n trees, counted before any is built
+            stratum = comb(2 * n - 2, n - 1) // n * d ** n if n else 1
+            if len(trees) + stratum > max_monomials:
                 raise SizeGuardExceeded(
                     f"free monomial table for d={d}, N={cap} exceeds the "
                     f"guard of {max_monomials} monomials")
-            trees.extend(stratum)
+            trees.extend(_trees(d, n))
         self.trees = trees
         self.index = {t: i for i, t in enumerate(trees)}
         self.degrees = [tree_degree(t) for t in trees]  # index -> degree

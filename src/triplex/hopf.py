@@ -1,9 +1,12 @@
 """H-bialgebra structure on the truncated enveloping algebra.
 
-The comultiplication is the algebra morphism with Delta(a) = a(x)1 + 1(x)a
-on generators.  It is evaluated on a free tree by multiplying the images
-of its two halves legwise in U(x)U, through the algebra's basis-product
-table, and cached per basis monomial.  That is only sound because Delta
+Tensors in U(x)U are plain dicts ``{(left, right): Fraction}`` over pairs
+of normal-form exponent vectors (``comult3`` adds a third leg), and
+``tensor_mul`` multiplies two of them legwise through the algebra's
+basis-product table.  The comultiplication is the algebra morphism with
+Delta(a) = a(x)1 + 1(x)a on generators.  It is evaluated on a free tree
+as the ``tensor_mul`` of the images of its two halves, once per distinct
+subtree, and cached per basis monomial.  That is only sound because Delta
 descends to the quotient: ``check_coideal`` certifies that the
 generator-level relator families are coideal elements, once per algebra
 before the first comultiplication.
@@ -13,74 +16,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import ONE, Combination, accumulate, echelonize, kernel
+from .exactlin import ONE, accumulate, echelonize, kernel
 from .envelope import Element, PBWCertificateFailure, relators
 from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
 
 
-class TensorElement(Combination):
-    """Sparse two-leg tensor with normal-form monomial coordinates."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra, coeffs):
-        super().__init__(coeffs)
-        self.algebra = algebra
-
-    def _like(self, coeffs):
-        return TensorElement(self.algebra, coeffs)
-
-    def __mul__(self, other):
-        """Componentwise (legwise) product of tensors."""
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        product = self.algebra.basis_product
-        out = {}
-        for (l1, r1), a in self.coeffs.items():
-            for (l2, r2), b in other.coeffs.items():
-                _outer(out, product(l1, l2), product(r1, r2), a * b)
-        return TensorElement(self.algebra, out)
-
-    def swap(self):
-        return TensorElement(self.algebra,
-                             {(r, l): a for (l, r), a in self.coeffs.items()})
-
-    def apply_counit_left(self):
-        """(eps (x) Id) of the tensor, as an Element."""
-        unit = (0,) * self.algebra.d
-        return Element(self.algebra,
-                       {r: a for (l, r), a in self.coeffs.items() if l == unit})
-
-    def apply_counit_right(self):
-        unit = (0,) * self.algebra.d
-        return Element(self.algebra,
-                       {l: a for (l, r), a in self.coeffs.items() if r == unit})
-
-    def __repr__(self):
-        return f"TensorElement({len(self.coeffs)} terms)"
+def tensor_mul(alg, s, t):
+    """Legwise product of two tensors {(left, right): coefficient}."""
+    product = alg.basis_product
+    out = {}
+    for (l1, r1), a in s.items():
+        for (l2, r2), b in t.items():
+            left, right = product(l1, l2), product(r1, r2)
+            accumulate(out, {(vl, vr): p * q for vl, p in left.items()
+                             for vr, q in right.items()}, a * b)
+    return out
 
 
-def _outer(out, x, y, c):
-    """out += c * (x (x) y), on tensor coordinates; x, y are coefficient dicts."""
-    accumulate(out, {(vl, vr): a * b for vl, a in x.items() for vr, b in y.items()}, c)
-
-
-def counit(x):
-    """Coefficient of the empty monomial; a multiplicative morphism."""
-    return x.counit()
-
-
-def _comult_tree(alg, t):
-    """Delta of a free tree as a TensorElement: 1(x)1 for the unit,
-    g(x)1 + 1(x)g for a generator g, and the legwise product for a pair."""
-    unit = (0,) * alg.d
-    if t == UNIT:
-        return TensorElement(alg, {(unit, unit): ONE})
-    if is_leaf(t):
-        g = tuple(int(i == t) for i in range(alg.d))
-        return TensorElement(alg, {(g, unit): ONE, (unit, g): ONE})
-    return _comult_tree(alg, t[0]) * _comult_tree(alg, t[1])
+def _comult_tree(alg, t, memo):
+    """Delta of a free tree: 1(x)1 for the unit, g(x)1 + 1(x)g for a
+    generator g, and the legwise product of its halves' images for a pair.
+    ``memo`` maps the subtrees seen so far to their (shared) images."""
+    dt = memo.get(t)
+    if dt is None:
+        unit = (0,) * alg.d
+        if t == UNIT:
+            dt = {(unit, unit): ONE}
+        elif is_leaf(t):
+            g = tuple(int(i == t) for i in range(alg.d))
+            dt = {(g, unit): ONE, (unit, g): ONE}
+        else:
+            dt = tensor_mul(alg, _comult_tree(alg, t[0], memo),
+                            _comult_tree(alg, t[1], memo))
+        memo[t] = dt
+    return dt
 
 
 def comult(x):
@@ -92,9 +62,9 @@ def comult(x):
     for exps, a in x.coeffs.items():
         hit = cache.get(exps)
         if hit is None:
-            cache[exps] = hit = _comult_tree(alg, alg.rep_tree[exps]).coeffs
+            cache[exps] = hit = _comult_tree(alg, alg.rep_tree[exps], {})
         accumulate(out, hit, a)
-    return TensorElement(alg, out)
+    return out
 
 
 def comult3(x):
@@ -102,9 +72,9 @@ def comult3(x):
     dict from monomial triples to coefficients."""
     alg = x.algebra
     out = {}
-    for (l, r), a in comult(x).coeffs.items():
+    for (l, r), a in comult(x).items():
         accumulate(out, {(l1, l2, r): b for (l1, l2), b
-                         in comult(alg.monomial(l)).coeffs.items()}, a)
+                         in comult(alg.monomial(l)).items()}, a)
     return out
 
 
@@ -135,17 +105,18 @@ def check_coideal(alg):
     U(x)U.  Passing creates the per-algebra cache ``comult`` reads."""
     if getattr(alg, "_hopf_comult", None) is not None:
         return
+    memo = {}
     for rel in relators(alg.system, min(alg.cap, 3)):
         acc = {}
         for t, c in rel.items():
-            accumulate(acc, _comult_tree(alg, t).coeffs, c)
+            accumulate(acc, _comult_tree(alg, t, memo), c)
         if acc:
             raise PBWCertificateFailure("a defining relator is not a coideal element")
     alg._hopf_comult = {}
 
 
 @dataclass
-class CoalgebraReport:
+class CheckReport:
     ok: bool
     failures: list = field(default_factory=list)
 
@@ -153,44 +124,39 @@ class CoalgebraReport:
 def check_coalgebra(alg, degree):
     """Coassociativity, cocommutativity, counit laws and multiplicativity."""
     failures = []
+    unit = (0,) * alg.d
     monomials = alg.monomials_upto(degree)
     for v in monomials:
         x = alg.monomial(v)
         dx = comult(x)
         # coassociativity: (Delta (x) Id) Delta == (Id (x) Delta) Delta
-        lhs = comult3(x)
         rhs = {}
-        for (l, r), a in dx.coeffs.items():
+        for (l, r), a in dx.items():
             accumulate(rhs, {(l, rl, rr): b for (rl, rr), b
-                             in comult(alg.monomial(r)).coeffs.items()}, a)
-        if lhs != rhs:
+                             in comult(alg.monomial(r)).items()}, a)
+        if comult3(x) != rhs:
             failures.append(("coassociativity", v))
-        if dx.swap() != dx:
+        if {(r, l): a for (l, r), a in dx.items()} != dx:
             failures.append(("cocommutativity", v))
-        if dx.apply_counit_left() != x or dx.apply_counit_right() != x:
+        if ({r: a for (l, r), a in dx.items() if l == unit} != x.coeffs
+                or {l: a for (l, r), a in dx.items() if r == unit} != x.coeffs):
             failures.append(("counit law", v))
     for v in monomials:
         for w in alg.monomials_upto(min(degree, alg.cap - sum(v))):
             x, y = alg.monomial(v), alg.monomial(w)
-            if comult(x * y) != comult(x) * comult(y):
+            if comult(x * y) != tensor_mul(alg, comult(x), comult(y)):
                 failures.append(("multiplicativity", v, w))
-    return CoalgebraReport(not failures, failures)
-
-
-@dataclass
-class DivisionReport:
-    ok: bool
-    failures: list = field(default_factory=list)
+    return CheckReport(not failures, failures)
 
 
 def check_divisions(alg, x, y):
     """The four left/right division identities, exactly."""
-    target = counit(x) * y
+    target = x.counit() * y
     failures = []
     dx = comult(x)
     lhs1 = alg.zero()
     lhs2 = alg.zero()
-    for (v1, v2), a in dx.coeffs.items():
+    for (v1, v2), a in dx.items():
         x1, x2 = alg.monomial(v1), alg.monomial(v2)
         lhs1 = lhs1 + a * left_div(x1, x2 * y)
         lhs2 = lhs2 + a * (x1 * left_div(x2, y))
@@ -200,7 +166,7 @@ def check_divisions(alg, x, y):
         failures.append("sum x1 (x2 \\ y) != eps(x) y")
     lhs3 = alg.zero()
     lhs4 = alg.zero()
-    for (v1, v2), a in dx.coeffs.items():
+    for (v1, v2), a in dx.items():
         x1, x2 = alg.monomial(v1), alg.monomial(v2)
         lhs3 = lhs3 + a * right_div(y * x1, x2)
         lhs4 = lhs4 + a * (right_div(y, x1) * x2)
@@ -208,14 +174,14 @@ def check_divisions(alg, x, y):
         failures.append("sum (y x1) / x2 != eps(x) y")
     if lhs4 != target:
         failures.append("sum (y / x1) x2 != eps(x) y")
-    return DivisionReport(not failures, failures)
+    return CheckReport(not failures, failures)
 
 
 def check_weak_assoc(alg, x, y, z):
     """sum x1 (y (x2 z)) == sum (x1 (y x2)) z."""
     lhs = alg.zero()
     rhs = alg.zero()
-    for (v1, v2), a in comult(x).coeffs.items():
+    for (v1, v2), a in comult(x).items():
         x1, x2 = alg.monomial(v1), alg.monomial(v2)
         lhs = lhs + a * (x1 * (y * (x2 * z)))
         rhs = rhs + a * ((x1 * (y * x2)) * z)
@@ -227,22 +193,14 @@ def primitives(alg, degree):
     check_coideal(alg)
     unit = (0,) * alg.d
     monomials = alg.monomials_upto(degree)
-    pair_index = {}
-
-    def flat(pairs):
-        coords = {}
-        for (l, r), a in pairs.items():
-            key = pair_index.setdefault((l, r), len(pair_index))
-            coords[key] = a
-        return coords
-
+    pair_index = {}  # tensor coordinates, numbered as they appear
     images = []
     for v in monomials:
-        x = alg.monomial(v)
-        dx = comult(x)
-        defect = (dx - TensorElement(alg, {(v, unit): ONE})
-                  - TensorElement(alg, {(unit, v): ONE}))
-        images.append(flat(defect.coeffs))
+        defect = comult(alg.monomial(v))
+        accumulate(defect, {(v, unit): ONE}, -ONE)
+        accumulate(defect, {(unit, v): ONE}, -ONE)
+        images.append({pair_index.setdefault(k, len(pair_index)): a
+                       for k, a in defect.items()})
     ambient = max(len(pair_index), 1)
     ker = kernel(images, ambient)
     return echelonize([{alg.exp_index[monomials[c]]: a for c, a in r.items()}

@@ -191,6 +191,15 @@ def test_pbw_size_guard_exit_3():
                      "-N", "6"]) == 3
 
 
+def test_pbw_on_a_wide_system_exits_3(tmp_path, capsys):
+    # 200 generators: the guard rejects the degree-3 stratum (16 million
+    # trees) from its size alone
+    doc = {"kind": "lts", "dim": 200, "basis": [f"a{i}" for i in range(200)],
+           "entries": []}
+    assert cli.main(["pbw", write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith("budget error: free monomial table")
+
+
 def test_mul(capsys):
     assert cli.main(["mul", data_path("s2.json"), "-N", "3", "e", "f"]) == 0
     assert capsys.readouterr().out.strip() == "e*f"

@@ -9,7 +9,6 @@ from triplex.exactlin import (Combination, DimensionMismatch, accumulate,
                               echelonize, kernel, mat, mat_bracket, mat_flatten,
                               mat_unflatten, parse_rational)
 from triplex.freealg import FreeElement
-from triplex.hopf import TensorElement
 
 F = Fraction
 
@@ -210,13 +209,10 @@ def test_accumulate_zero_scalar_is_a_no_op(x, y):
     assert out == x
 
 
-_TENSOR_KEYS = [(v, w) for v in _S2_N3.exponents for w in _S2_N3.exponents]
-
 # one strategy of random combinations per class; keys come from each space
 kinds = st.sampled_from([
     (lambda c: FreeElement(c), st.sampled_from([(), 0, 1, (0, 1), ((1, 0), 0)])),
     (lambda c: Element(_S2_N3, c), st.sampled_from(_S2_N3.exponents)),
-    (lambda c: TensorElement(_S2_N3, c), st.sampled_from(_TENSOR_KEYS)),
 ])
 
 
@@ -256,6 +252,5 @@ def test_elements_of_different_algebras_differ():
     x, y = Element(_S2_N3, {v: 1}), Element(_S2_N2, {v: 1})
     assert x.coeffs == y.coeffs
     assert x != y
-    assert TensorElement(_S2_N3, {(v, v): 1}) != TensorElement(_S2_N2, {(v, v): 1})
     assert x == Element(_S2_N3, {v: F(1)})
     assert x != FreeElement({v: 1})

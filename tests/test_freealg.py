@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from triplex import freealg
 from triplex.freealg import (UNIT, DegreeBudgetExceeded, ExprSyntaxError,
                              FreeElement, MonomialTable, SizeGuardExceeded,
                              _trees, fmul, format_element, format_tree, graft,
@@ -45,6 +46,24 @@ def test_monomial_table_sizes():
 def test_monomial_table_guard():
     with pytest.raises(SizeGuardExceeded):
         MonomialTable(2, 6, max_monomials=100)
+    # the guard is exact: a table of exactly max_monomials builds
+    assert MonomialTable(2, 6, max_monomials=3239).size == 3239
+    with pytest.raises(SizeGuardExceeded):
+        MonomialTable(2, 6, max_monomials=3238)
+
+
+def test_monomial_table_guard_counts_before_building(monkeypatch):
+    # a stratum over the guard is rejected from its size, never built
+    guard = 1000
+    build = freealg._trees
+
+    def trees(d, n):
+        assert n == 0 or catalan(n - 1) * d ** n <= guard, (d, n)
+        return build(d, n)
+
+    monkeypatch.setattr(freealg, "_trees", trees)
+    with pytest.raises(SizeGuardExceeded, match="d=30, N=4"):
+        MonomialTable(30, 4, max_monomials=guard)
 
 
 def test_monomial_table_index_refines_degree():

@@ -2,16 +2,17 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplex import cli, hopf
-from triplex.envelope import EnvelopingAlgebra, relators
+from triplex.envelope import Element, EnvelopingAlgebra, relators
 from triplex.exactlin import ONE, accumulate, echelonize
 from triplex.freealg import UNIT, graft, is_leaf
-from triplex.hopf import (TensorElement, check_coalgebra, check_divisions,
-                          check_weak_assoc, comult, comult3, counit, left_div,
-                          primitives, right_div, s_map)
+from triplex.hopf import (check_coalgebra, check_divisions, check_weak_assoc,
+                          comult, comult3, left_div, primitives, right_div,
+                          s_map, tensor_mul)
 
 F = Fraction
 
@@ -19,47 +20,48 @@ F = Fraction
 def test_comult_generator(s2_n5):
     e = s2_n5.generator(0)
     dx = comult(e)
-    assert dx.coeffs == {((1, 0), (0, 0)): F(1), ((0, 0), (1, 0)): F(1)}
+    assert dx == {((1, 0), (0, 0)): F(1), ((0, 0), (1, 0)): F(1)}
 
 
 def test_comult_unit(s2_n5):
     one = s2_n5.one()
-    assert comult(one).coeffs == {((0, 0), (0, 0)): F(1)}
+    assert comult(one) == {((0, 0), (0, 0)): F(1)}
 
 
 def test_comult_square_binomial(s2_n5):
     e2 = s2_n5.power(0, 2)
     dx = comult(e2)
-    assert dx.coeffs == {((2, 0), (0, 0)): F(1),
-                         ((1, 0), (1, 0)): F(2),
-                         ((0, 0), (2, 0)): F(1)}
+    assert dx == {((2, 0), (0, 0)): F(1),
+                  ((1, 0), (1, 0)): F(2),
+                  ((0, 0), (2, 0)): F(1)}
 
 
 def test_comult_multiplicative(s2_n5):
     e, f = s2_n5.generator(0), s2_n5.generator(1)
-    assert comult(e * f) == comult(e) * comult(f)
+    assert comult(e * f) == tensor_mul(s2_n5, comult(e), comult(f))
 
 
 def test_counit_morphism(s2_n5):
     x = s2_n5.one() + 2 * s2_n5.generator(0)
     y = 3 * s2_n5.one() - s2_n5.generator(1)
-    assert counit(x * y) == counit(x) * counit(y) == 3
+    assert (x * y).counit() == x.counit() * y.counit() == 3
 
 
 def test_tensor_swap_and_counit_legs(s2_n5):
     e = s2_n5.generator(0)
     dx = comult(e)
-    assert dx.swap() == dx
-    assert dx.apply_counit_left() == e
-    assert dx.apply_counit_right() == e
+    unit = (0, 0)
+    assert {(r, l): a for (l, r), a in dx.items()} == dx
+    assert {r: a for (l, r), a in dx.items() if l == unit} == e.coeffs
+    assert {l: a for (l, r), a in dx.items() if r == unit} == e.coeffs
 
 
 def test_comult3_coassociative(s2_n5):
     x = s2_n5.power(0, 2) * s2_n5.generator(1)
     lhs = comult3(x)
     rhs = {}
-    for (l, r), a in comult(x).coeffs.items():
-        for (rl, rr), b in comult(s2_n5.monomial(r)).coeffs.items():
+    for (l, r), a in comult(x).items():
+        for (rl, rr), b in comult(s2_n5.monomial(r)).items():
             key = (l, rl, rr)
             s = rhs.get(key, F(0)) + a * b
             if s:
@@ -126,14 +128,6 @@ def test_primitives_polynomial_ring():
     assert prim.dim == 1
 
 
-def test_tensor_arithmetic(s2_n5):
-    e = s2_n5.generator(0)
-    a = comult(e)
-    z = a - a
-    assert z.is_zero()
-    assert (2 * a).coeffs == {k: 2 * v for k, v in a.coeffs.items()}
-
-
 # -- differential test: Delta through basis products against free splitting --
 
 _SYSTEMS = ("s2.json", "sl2.json", "sl2_lts.json", "sl3_sym.json",
@@ -176,9 +170,9 @@ def _reference_comult(alg, x):
 
 
 def _comult_free(alg, x):
-    out = {}
+    out, memo = {}, {}
     for t, c in x.items():
-        accumulate(out, hopf._comult_tree(alg, t).coeffs, c)
+        accumulate(out, hopf._comult_tree(alg, t, memo), c)
     return out
 
 
@@ -186,7 +180,7 @@ def test_comult_matches_free_splitting_on_every_basis_monomial():
     for name, cap in _ALGEBRAS:
         alg = _algebra(name, cap)
         for v in alg.exponents:
-            assert comult(alg.monomial(v)).coeffs == \
+            assert comult(alg.monomial(v)) == \
                 _reference_comult(alg, {alg.rep_tree[v]: ONE}), (name, cap, v)
 
 
@@ -222,3 +216,63 @@ def test_comult_tree_matches_free_splitting_on_free_elements(data):
         x[t] = Fraction(data.draw(st.integers(-3, 3).filter(bool)),
                         data.draw(st.integers(1, 3)))
     assert _comult_free(alg, x) == _reference_comult(alg, x)
+
+
+def test_check_coideal_multiplies_once_per_distinct_subtree(monkeypatch):
+    alg = _algebra("sl3_sym.json", 4)
+    calls = []
+    mul = hopf.tensor_mul
+    monkeypatch.setattr(hopf, "tensor_mul", lambda *args: calls.append(1) or mul(*args))
+    monkeypatch.setattr(alg, "_hopf_comult", None, raising=False)
+    hopf.check_coideal(alg)
+    subtrees = set()
+
+    def walk(t):
+        if t != UNIT and not is_leaf(t):
+            subtrees.add(t)
+            walk(t[0])
+            walk(t[1])
+
+    for rel in relators(alg.system, 3):
+        for t in rel:
+            walk(t)
+    assert len(calls) == len(subtrees) == 275
+
+
+# -- property tests: the division identities and weak associativity on random
+# non-monomial elements with a nonzero counit (the suite checks monomials) --
+
+_PROPERTY_ALGEBRAS = [("s2.json", 5), ("sl2_lts.json", 4), ("s2_plus_s2.json", 4)]
+_scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _elements(draw, alg, max_degree):
+    """Unit term plus 1-3 terms of degree 1..max_degree (none if it is 0)."""
+    support = alg.monomials_upto(max_degree)[1:]
+    coeffs = draw(st.dictionaries(st.sampled_from(support), _scalars,
+                                  min_size=1, max_size=3)) if support else {}
+    coeffs[(0,) * alg.d] = draw(_scalars)
+    return Element(alg, coeffs)
+
+
+@pytest.mark.parametrize("name, cap", _PROPERTY_ALGEBRAS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_division_identities_on_random_elements(name, cap, data):
+    alg = _algebra(name, cap)
+    x = data.draw(_elements(alg, cap // 2))
+    y = data.draw(_elements(alg, cap - 2 * x.degree()))
+    rep = check_divisions(alg, x, y)
+    assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("name, cap", _PROPERTY_ALGEBRAS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_weak_associativity_on_random_elements(name, cap, data):
+    alg = _algebra(name, cap)
+    x = data.draw(_elements(alg, cap - 2))
+    y = data.draw(_elements(alg, cap - x.degree() - 1))
+    z = data.draw(_elements(alg, cap - x.degree() - y.degree()))
+    assert check_weak_assoc(alg, x, y, z)
