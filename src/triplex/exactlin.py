@@ -5,7 +5,9 @@ denominator, no rounding ever) at every API boundary.  Vectors are
 plain ``{column: Fraction}`` dicts over integer columns.  ``accumulate``
 and the ``Combination`` base class are the one sparse-dict arithmetic
 behind free-algebra elements and normal forms; tensors are plain dicts
-that ``accumulate`` adds.
+that ``accumulate`` adds.  Hot sums run on integer rows ``(den, {k: int})``
+instead (``integer_row``, ``sum_integer_rows``, ``rational_row``), with
+one ``Fraction`` formed per entry of the result.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each input is scaled once to integers
@@ -56,6 +58,40 @@ def accumulate(out, coeffs, a=None):
             else:
                 out.pop(k, None)
     return out
+
+
+def integer_row(coeffs):
+    """``(den, w)`` with integer values in ``w`` and ``coeffs == w / den``."""
+    den = 1
+    for a in coeffs.values():
+        den = lcm(den, a.denominator)
+    return den, {k: a.numerator * (den // a.denominator) for k, a in coeffs.items()}
+
+
+def sum_integer_rows(terms):
+    """``(den, w)`` with ``w / den`` the sum of ``c * row / d`` over the terms
+    ``(c, (d, row))``, for integers ``c`` and integer rows: one common
+    denominator, rescaled only when a row brings a new factor.  Zero
+    entries may remain in ``w``."""
+    out, den = {}, 1
+    for c, (d, row) in terms:
+        if d != den:
+            new = lcm(den, d)
+            if new != den:
+                for k in out:
+                    out[k] *= new // den
+                den = new
+            c *= den // d
+        for k, b in row.items():
+            out[k] = out.get(k, 0) + c * b
+    return den, out
+
+
+def rational_row(den, w):
+    """The ``{key: Fraction}`` dict ``w / den``, without its zero entries."""
+    if den == 1:
+        return {k: Fraction(b) for k, b in w.items() if b}
+    return {k: Fraction(b, den) for k, b in w.items() if b}
 
 
 class Combination:

@@ -3,20 +3,30 @@
 Tensors in U(x)U are plain dicts ``{(left, right): Fraction}`` over pairs
 of normal-form exponent vectors (``comult3`` adds a third leg), and
 ``tensor_mul`` multiplies two of them legwise through the algebra's
-basis-product table.  The comultiplication is the algebra morphism with
-Delta(a) = a(x)1 + 1(x)a on generators.  It is evaluated on a free tree
-as the ``tensor_mul`` of the images of its two halves, once per distinct
+integer basis-product table, summing in integers over one denominator.
+The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
+1(x)a on generators.  It is evaluated on a free tree as the
+``tensor_mul`` of the images of its two halves, once per distinct
 subtree, and cached per basis monomial.  That is only sound because Delta
 descends to the quotient: ``check_coideal`` certifies that the
 generator-level relator families are coideal elements, once per algebra
 before the first comultiplication.
+
+The division and weak-associativity checks sum integer rows
+(``EnvelopingAlgebra.mul_rows``) and compare them exactly at the end.
+Each takes its inner loop variable as a list and forms what does not
+depend on it once: ``check_divisions`` splits x, and the legs of its
+split, once for all its ys; ``check_weak_assoc`` forms Delta x and
+w = sum x1 (y x2) once per (x, y), and y (x2 z) once per (x2, z) for its
+one y, shared by the xs whose splits contain x2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import ONE, accumulate, echelonize, kernel
+from .exactlin import (ONE, accumulate, echelonize, integer_row, kernel,
+                       rational_row, sum_integer_rows)
 from .envelope import Element, PBWCertificateFailure, relators
 from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
@@ -24,14 +34,20 @@ from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degre
 
 def tensor_mul(alg, s, t):
     """Legwise product of two tensors {(left, right): coefficient}."""
-    product = alg.basis_product
-    out = {}
-    for (l1, r1), a in s.items():
-        for (l2, r2), b in t.items():
-            left, right = product(l1, l2), product(r1, r2)
-            accumulate(out, {(vl, vr): p * q for vl, p in left.items()
-                             for vr, q in right.items()}, a * b)
-    return out
+    product, index, exps = alg.basis_product, alg.exp_index, alg.exponents
+    (ds, s), (dt, t) = integer_row(s), integer_row(t)
+
+    def terms():
+        for (l1, r1), a in s.items():
+            for (l2, r2), b in t.items():
+                d1, left = product(index[l1], index[l2])
+                d2, right = product(index[r1], index[r2])
+                yield a * b, (d1 * d2, {(exps[kl], exps[kr]): p * q
+                                        for kl, p in left.items()
+                                        for kr, q in right.items()})
+
+    den, out = sum_integer_rows(terms())
+    return rational_row(den * ds * dt, out)
 
 
 def _comult_tree(alg, t, memo):
@@ -57,14 +73,18 @@ def comult(x):
     """Algebra morphism with Delta(a) = a(x)1 + 1(x)a on generators."""
     alg = x.algebra
     check_coideal(alg)
-    cache = alg._hopf_comult
-    out = {}
-    for exps, a in x.coeffs.items():
-        hit = cache.get(exps)
-        if hit is None:
-            cache[exps] = hit = _comult_tree(alg, alg.rep_tree[exps], {})
-        accumulate(out, hit, a)
-    return out
+    cache = alg._hopf_comult  # integer rows, by basis monomial
+    dx, xs = integer_row(x.coeffs)
+
+    def images():
+        for exps, a in xs.items():
+            hit = cache.get(exps)
+            if hit is None:
+                cache[exps] = hit = integer_row(_comult_tree(alg, alg.rep_tree[exps], {}))
+            yield a, hit
+
+    den, out = sum_integer_rows(images())
+    return rational_row(den * dx, out)
 
 
 def comult3(x):
@@ -92,11 +112,34 @@ def left_div(x, y):
 def right_div(y, x):
     """y / x = sum S(x_(3)) ((x_(1) y) S(x_(2)))."""
     alg = y.algebra
-    out = alg.zero()
-    for (v1, v2, v3), a in comult3(x).items():
-        x1, x2, x3 = alg.monomial(v1), alg.monomial(v2), alg.monomial(v3)
-        out = out + a * (s_map(x3) * ((x1 * y) * s_map(x2)))
-    return out
+    return alg.element(_right_div(alg, alg.row(y), integer_row(comult3(x))))
+
+
+def _basis(alg, v):
+    """The basis monomial v as an integer row."""
+    return 1, {alg.exp_index[v]: 1}
+
+
+def _sign(v):
+    """S on the basis monomial v: (-1)^degree."""
+    return -1 if sum(v) % 2 else 1
+
+
+def _right_div(alg, y, split3):
+    """y / x on integer rows: ``y`` and ``split3``, the ``comult3`` of x."""
+    mul = alg.mul_rows
+    d, triples = split3
+    den, out = sum_integer_rows(
+        (a * _sign(v2) * _sign(v3),
+         mul(_basis(alg, v3), mul(mul(_basis(alg, v1), y), _basis(alg, v2))))
+        for (v1, v2, v3), a in triples.items())
+    return den * d, out
+
+
+def _same(r, s):
+    """Whether two integer rows are the same rational vector."""
+    (dr, wr), (ds, ws) = r, s
+    return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())
 
 
 def check_coideal(alg):
@@ -126,14 +169,13 @@ def check_coalgebra(alg, degree):
     failures = []
     unit = (0,) * alg.d
     monomials = alg.monomials_upto(degree)
+    delta = {v: comult(alg.monomial(v)) for v in monomials}
     for v in monomials:
-        x = alg.monomial(v)
-        dx = comult(x)
+        x, dx = alg.monomial(v), delta[v]
         # coassociativity: (Delta (x) Id) Delta == (Id (x) Delta) Delta
         rhs = {}
         for (l, r), a in dx.items():
-            accumulate(rhs, {(l, rl, rr): b for (rl, rr), b
-                             in comult(alg.monomial(r)).items()}, a)
+            accumulate(rhs, {(l, rl, rr): b for (rl, rr), b in delta[r].items()}, a)
         if comult3(x) != rhs:
             failures.append(("coassociativity", v))
         if {(r, l): a for (l, r), a in dx.items()} != dx:
@@ -143,49 +185,86 @@ def check_coalgebra(alg, degree):
             failures.append(("counit law", v))
     for v in monomials:
         for w in alg.monomials_upto(min(degree, alg.cap - sum(v))):
-            x, y = alg.monomial(v), alg.monomial(w)
-            if comult(x * y) != tensor_mul(alg, comult(x), comult(y)):
+            if (comult(alg.monomial(v) * alg.monomial(w))
+                    != tensor_mul(alg, delta[v], delta[w])):
                 failures.append(("multiplicativity", v, w))
     return CheckReport(not failures, failures)
 
 
-def check_divisions(alg, x, y):
-    """The four left/right division identities, exactly."""
-    target = x.counit() * y
-    failures = []
-    dx = comult(x)
-    lhs1 = alg.zero()
-    lhs2 = alg.zero()
-    for (v1, v2), a in dx.items():
-        x1, x2 = alg.monomial(v1), alg.monomial(v2)
-        lhs1 = lhs1 + a * left_div(x1, x2 * y)
-        lhs2 = lhs2 + a * (x1 * left_div(x2, y))
-    if lhs1 != target:
-        failures.append("sum x1 \\ (x2 y) != eps(x) y")
-    if lhs2 != target:
-        failures.append("sum x1 (x2 \\ y) != eps(x) y")
-    lhs3 = alg.zero()
-    lhs4 = alg.zero()
-    for (v1, v2), a in dx.items():
-        x1, x2 = alg.monomial(v1), alg.monomial(v2)
-        lhs3 = lhs3 + a * right_div(y * x1, x2)
-        lhs4 = lhs4 + a * (right_div(y, x1) * x2)
-    if lhs3 != target:
-        failures.append("sum (y x1) / x2 != eps(x) y")
-    if lhs4 != target:
-        failures.append("sum (y / x1) x2 != eps(x) y")
-    return CheckReport(not failures, failures)
+_DIVISION_IDENTITIES = ("sum x1 \\ (x2 y) != eps(x) y", "sum x1 (x2 \\ y) != eps(x) y",
+                        "sum (y x1) / x2 != eps(x) y", "sum (y / x1) x2 != eps(x) y")
 
 
-def check_weak_assoc(alg, x, y, z):
-    """sum x1 (y (x2 z)) == sum (x1 (y x2)) z."""
-    lhs = alg.zero()
-    rhs = alg.zero()
-    for (v1, v2), a in comult(x).items():
-        x1, x2 = alg.monomial(v1), alg.monomial(v2)
-        lhs = lhs + a * (x1 * (y * (x2 * z)))
-        rhs = rhs + a * ((x1 * (y * x2)) * z)
-    return lhs == rhs
+def check_divisions(alg, x, ys):
+    """The four left/right division identities, exactly, for one x against
+    every y of ``ys``: sum x1 \\ (x2 y), sum x1 (x2 \\ y), sum (y x1) / x2
+    and sum (y / x1) x2 all equal eps(x) y.  Returns one list per y, of
+    the identities that fail."""
+    mul = alg.mul_rows
+    ddx, dx = integer_row(comult(x))
+    split3 = {v: integer_row(comult3(alg.monomial(v)))
+              for v in {v for pair in dx for v in pair}}
+    out = []
+    for y in ys:
+        yr = alg.row(y)
+        x2y, yx1, ydiv = {}, {}, {}  # keyed by the leg they multiply
+        terms = ([], [], [], [])
+        for (v1, v2), a in dx.items():
+            if v2 not in x2y:
+                x2y[v2] = mul(_basis(alg, v2), yr)
+            if v1 not in yx1:
+                yx1[v1] = mul(yr, _basis(alg, v1))
+                ydiv[v1] = _right_div(alg, yr, split3[v1])
+            # S is (-1)^degree on monomials: x1 \ (x2 y) and x1 (x2 \ y)
+            # are x1 (x2 y) up to sign
+            p = mul(_basis(alg, v1), x2y[v2])
+            terms[0].append((a * _sign(v1), p))
+            terms[1].append((a * _sign(v2), p))
+            terms[2].append((a, _right_div(alg, yx1[v1], split3[v2])))
+            terms[3].append((a, mul(ydiv[v1], _basis(alg, v2))))
+        target = alg.row(x.counit() * y)
+        lhs = (sum_integer_rows(t) for t in terms)
+        out.append([name for name, (den, w) in zip(_DIVISION_IDENTITIES, lhs)
+                    if not _same((den * ddx, w), target)])
+    return out
+
+
+def check_weak_assoc(alg, y, xs, zs):
+    """sum x1 (y (x2 z)) == (sum x1 (y x2)) z, exactly, for one y against
+    every x of ``xs`` and z of ``zs`` whose degrees sum to at most the cap.
+    Returns ``(cases, failures)``: the number of (x, z) pairs compared and
+    the index pairs (i, j) into ``xs`` and ``zs`` of those that fail."""
+    mul = alg.mul_rows
+    budget = alg.cap - y.degree()
+    yr = alg.row(y)
+    zrows = [alg.row(z) for z in zs]
+    z_degrees = [z.degree() for z in zs]
+    # y x2 by x2, and y (x2 z) by (x2, index of z): for this y only
+    yx2, yx2z = {}, {}
+    cases, failures = 0, []
+    for i, x in enumerate(xs):
+        room = budget - x.degree()
+        if room < 0:
+            continue
+        ddx, dx = integer_row(comult(x))
+        for v1, v2 in dx:
+            if v2 not in yx2:
+                yx2[v2] = mul(yr, _basis(alg, v2))
+        den, w = sum_integer_rows((a, mul(_basis(alg, v1), yx2[v2]))
+                                  for (v1, v2), a in dx.items())
+        w = (den * ddx, w)
+        for j, z in enumerate(zrows):
+            if z_degrees[j] > room:
+                continue
+            cases += 1
+            for v1, v2 in dx:
+                if (v2, j) not in yx2z:
+                    yx2z[v2, j] = mul(yr, mul(_basis(alg, v2), z))
+            den, lhs = sum_integer_rows((a, mul(_basis(alg, v1), yx2z[v2, j]))
+                                        for (v1, v2), a in dx.items())
+            if not _same((den * ddx, lhs), mul(w, z)):
+                failures.append((i, j))
+    return cases, failures
 
 
 def primitives(alg, degree):

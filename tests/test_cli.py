@@ -170,6 +170,25 @@ def test_mainthm_below_its_minimum_cap_exit_3(capsys, system, suite):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite, cap, records", [
+    ("jordan", 2, [("jordan_exhaustive", {"cases": 2})]),
+    ("lemma", 2, [("lemma_exhaustive", {"n_max": 0, "triples": 8})]),
+    ("expansion", 2, [("expansion_exhaustive", {"n_max": 0, "triples": 8})]),
+    ("s2", 3, [("s2_eigenvalue", {"n": 0}), ("s2_proposition", {"n": 0})]),
+])
+def test_suites_below_their_minimum_cap_exit_3(capsys, suite, cap, records):
+    # one cap lower the suite would check no case and still report a pass
+    argv = ["verify", data_path("s2.json"), "--suite", suite, "--json", "-N"]
+    assert cli.main(argv + [str(cap - 1)]) == 3
+    captured = capsys.readouterr()
+    assert (f"budget error: the {suite} suite needs cap >= {cap}, got {cap - 1}"
+            in captured.err)
+    assert captured.out == ""
+    assert cli.main(argv + [str(cap)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [(r["id"], r["params"]) for r in rep["records"]] == records
+
+
 def test_verify_at_the_minimum_cap_passes(capsys):
     argv = ["verify", data_path("sl2_lts.json"), "--suite", "mainthm", "-N", "4"]
     assert cli.main(argv) == 0

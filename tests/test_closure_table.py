@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from triplex import cli, envelope, hopf, suites
 from triplex.envelope import Element, EnvelopingAlgebra, IdealClosure
-from triplex.exactlin import ONE, Echelon, accumulate, echelonize
+from triplex.exactlin import ONE, Echelon, accumulate, echelonize, integer_row
 from triplex.freealg import DegreeBudgetExceeded, graft
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
@@ -133,14 +133,17 @@ closure_settings = settings(max_examples=4, deadline=None,
 @pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
 def test_basis_products_match_grafted_reductions(name, cap):
     alg = algebra(name, cap)
-    for vx in alg.exponents:
-        for vy in alg.monomials_upto(cap - sum(vx)):
+    for i, vx in enumerate(alg.exponents):
+        for j, vy in enumerate(alg.monomials_upto(cap - sum(vx))):
             expected = alg.reduce_tree(graft(alg.rep_tree[vx], alg.rep_tree[vy]))
-            assert alg.basis_product(vx, vy) == expected.coeffs
-    top = alg.exponents[-1]
+            den, row = alg.basis_product(i, j)
+            assert {alg.exponents[k]: Fraction(b, den)
+                    for k, b in row.items()} == expected.coeffs
+            assert den == integer_row(expected.coeffs)[0]
+    top = alg.nf_size - 1
     with pytest.raises(DegreeBudgetExceeded, match="exceeds cap"):
-        alg.basis_product(top, alg.exponents[1])
-    assert (top, alg.exponents[1]) not in alg._products
+        alg.basis_product(top, 1)
+    assert (top, 1) not in alg._products
 
 
 @pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)

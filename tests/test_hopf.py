@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplex import cli, hopf
+from triplex import cli, hopf, suites
 from triplex.envelope import Element, EnvelopingAlgebra, relators
 from triplex.exactlin import ONE, accumulate, echelonize
 from triplex.freealg import UNIT, graft, is_leaf
@@ -95,16 +95,18 @@ def test_division_examples(s2_n5):
 
 def test_division_identities(s2_n5):
     e, f = s2_n5.generator(0), s2_n5.generator(1)
+    ys = [f, e * e, s2_n5.one()]
     for x in (e, s2_n5.power(0, 2), e * f, s2_n5.one() + e):
-        for y in (f, e * e, s2_n5.one()):
-            assert check_divisions(s2_n5, x, y).ok
+        assert check_divisions(s2_n5, x, ys) == [[], [], []]
 
 
 def test_weak_associativity(s2_n5):
     e, f = s2_n5.generator(0), s2_n5.generator(1)
-    assert check_weak_assoc(s2_n5, e, f, e)
-    assert check_weak_assoc(s2_n5, e * f, e, f)
-    assert check_weak_assoc(s2_n5, s2_n5.power(0, 2), f, f)
+    assert check_weak_assoc(s2_n5, f, [e], [e]) == (1, [])
+    assert check_weak_assoc(s2_n5, e, [e * f], [f]) == (1, [])
+    assert check_weak_assoc(s2_n5, f, [s2_n5.power(0, 2)], [f]) == (1, [])
+    # pairs over the cap are skipped: 1 + 2 + 3 > 5
+    assert check_weak_assoc(s2_n5, f, [e, e * f], [f, e * e * f]) == (3, [])
 
 
 def test_coalgebra_laws(s2_n5):
@@ -263,8 +265,7 @@ def test_division_identities_on_random_elements(name, cap, data):
     alg = _algebra(name, cap)
     x = data.draw(_elements(alg, cap // 2))
     y = data.draw(_elements(alg, cap - 2 * x.degree()))
-    rep = check_divisions(alg, x, y)
-    assert rep.ok, rep.failures
+    assert check_divisions(alg, x, [y]) == [[]]
 
 
 @pytest.mark.parametrize("name, cap", _PROPERTY_ALGEBRAS)
@@ -275,4 +276,101 @@ def test_weak_associativity_on_random_elements(name, cap, data):
     x = data.draw(_elements(alg, cap - 2))
     y = data.draw(_elements(alg, cap - x.degree() - 1))
     z = data.draw(_elements(alg, cap - x.degree() - y.degree()))
-    assert check_weak_assoc(alg, x, y, z)
+    assert check_weak_assoc(alg, y, [x], [z]) == (1, [])
+
+
+# -- differential and mutation tests: the hoisted checks against the per-case
+# loops they replaced, kept here as the reference --
+
+def reference_divisions(alg, x, y):
+    """The division identities of one (x, y), each term recomputed."""
+    target = x.counit() * y
+    dx = comult(x)
+    lhs = [alg.zero()] * 4
+    for (v1, v2), a in dx.items():
+        x1, x2 = alg.monomial(v1), alg.monomial(v2)
+        lhs[0] = lhs[0] + a * left_div(x1, x2 * y)
+        lhs[1] = lhs[1] + a * (x1 * left_div(x2, y))
+        lhs[2] = lhs[2] + a * right_div(y * x1, x2)
+        lhs[3] = lhs[3] + a * (right_div(y, x1) * x2)
+    return [name for name, got in zip(hopf._DIVISION_IDENTITIES, lhs) if got != target]
+
+
+def reference_weak_assoc(alg, x, y, z):
+    """sum x1 (y (x2 z)) == sum (x1 (y x2)) z for one (x, y, z)."""
+    lhs = rhs = alg.zero()
+    for (v1, v2), a in comult(x).items():
+        x1, x2 = alg.monomial(v1), alg.monomial(v2)
+        lhs = lhs + a * (x1 * (y * (x2 * z)))
+        rhs = rhs + a * ((x1 * (y * x2)) * z)
+    return lhs == rhs
+
+
+def hoisted_cases(alg):
+    """The hopf suite's division and weak-associativity cases through the
+    hoisted checks: ({(vx, vy): failures}, {(vx, vy, vz): ok})."""
+    N, upto, m = alg.cap, alg.monomials_upto, alg.monomial
+    divisions, weak = {}, {}
+    for vx in upto(N // 2):
+        vys = upto(N - 2 * sum(vx))
+        for vy, failures in zip(vys, check_divisions(alg, m(vx), [m(v) for v in vys])):
+            divisions[vx, vy] = failures
+    for vy in upto(N):
+        rest = upto(N - sum(vy))
+        cases, failures = check_weak_assoc(alg, m(vy), [m(v) for v in rest],
+                                           [m(v) for v in rest])
+        failed = {(rest[i], rest[j]) for i, j in failures}
+        pairs = [(vx, vz) for vx in rest for vz in upto(N - sum(vy) - sum(vx))]
+        assert cases == len(pairs)
+        for vx, vz in pairs:
+            weak[vx, vy, vz] = (vx, vz) not in failed
+    return divisions, weak
+
+
+def reference_cases(alg):
+    N, upto, m = alg.cap, alg.monomials_upto, alg.monomial
+    divisions = {(vx, vy): reference_divisions(alg, m(vx), m(vy))
+                 for vx in upto(N // 2) for vy in upto(N - 2 * sum(vx))}
+    weak = {(vx, vy, vz): reference_weak_assoc(alg, m(vx), m(vy), m(vz))
+            for vx in upto(N) for vy in upto(N - sum(vx))
+            for vz in upto(N - sum(vx) - sum(vy))}
+    return divisions, weak
+
+
+_CASE_COUNTS = {("sl3_sym.json", 4): (246, 3876), ("s2_plus_s2.json", 4): (140, 1820)}
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@pytest.mark.parametrize("cap", (3, 4))
+def test_hoisted_checks_match_the_per_case_reference(name, cap):
+    alg = _algebra(name, cap)
+    divisions, weak = hoisted_cases(alg)
+    assert (divisions, weak) == reference_cases(alg)
+    assert not any(divisions.values()) and all(weak.values())
+    if (name, cap) in _CASE_COUNTS:
+        assert (len(divisions), len(weak)) == _CASE_COUNTS[name, cap]
+
+
+@pytest.mark.parametrize("name", ["sl3_sym.json", "s2_plus_s2.json"])
+def test_hopf_suite_case_counts(name):
+    alg = _algebra(name, 4)
+    rep = suites.suite_hopf(alg.system, lambda cap: alg, 4, 0).to_dict(machine=True)
+    counts = {r["id"]: r["params"]["cases"] for r in rep["records"]
+              if r["id"].endswith("_exhaustive")}
+    div, weak = _CASE_COUNTS[name, 4]
+    assert counts == {"division_exhaustive": div, "weak_associativity_exhaustive": weak}
+    assert rep["status"] == "pass"
+
+
+def test_a_corrupted_product_fails_both_hoisted_checks():
+    # a fresh algebra, so that the corrupted entry reaches no other test;
+    # Delta is cached before the corruption, so the coideal check passes
+    alg = EnvelopingAlgebra(_algebra("s2.json", 4).system, 4)
+    for v in alg.exponents:
+        comult(alg.monomial(v))
+    e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
+    den, row = alg.basis_product(e, f)
+    alg._products[e, f] = (den, {k: 2 * b for k, b in row.items()})
+    divisions, weak = hoisted_cases(alg)
+    assert any(divisions.values()) and not all(weak.values())
+    assert (divisions, weak) == reference_cases(alg)
