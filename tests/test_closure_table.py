@@ -168,6 +168,47 @@ def test_mul_and_tensor_products_match_reference(name, cap, data):
     assert hopf.tensor_mul(alg, s, t) == expected
 
 
+@lru_cache(maxsize=None)
+def fractional_pairs(name, cap):
+    """The pairs of basis monomials whose table row has a denominator other
+    than 1: their products sum over an lcm larger than 1."""
+    alg = algebra(name, cap)
+    return [(vx, vy) for i, vx in enumerate(alg.exponents)
+            for j, vy in enumerate(alg.monomials_upto(cap - sum(vx)))
+            if alg.basis_product(i, j)[0] != 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integer_products_match_reference_on_fractional_rows(data):
+    alg = algebra("sl3_sym", 4)
+    pairs = fractional_pairs("sl3_sym", 4)
+    assert len(pairs) == 130
+    vx, vy = data.draw(st.sampled_from(pairs))
+    # non-monomial factors with fractional coefficients, one term on each
+    # side forming a fractional row
+    x = data.draw(elements(alg, None, max_degree=sum(vx)))
+    y = data.draw(elements(alg, None, max_degree=sum(vy)))
+    x = Element(alg, {**x.coeffs, vx: data.draw(scalars)})
+    y = Element(alg, {**y.coeffs, vy: data.draw(scalars)})
+    assert x * y == reference_mul(alg, x, y)
+    # tensors whose left legs multiply to vx vy, and right legs to vy vx
+    legs = lambda a, b: st.tuples(st.sampled_from(alg.monomials_upto(sum(a))),
+                                  st.sampled_from(alg.monomials_upto(sum(b))))
+    s = {**data.draw(st.dictionaries(legs(vx, vy), scalars, max_size=2)),
+         (vx, vy): data.draw(scalars)}
+    t = {**data.draw(st.dictionaries(legs(vy, vx), scalars, max_size=2)),
+         (vy, vx): data.draw(scalars)}
+    expected = {}
+    for (l1, r1), a in s.items():
+        for (l2, r2), b in t.items():
+            left = reference_mul(alg, alg.monomial(l1), alg.monomial(l2))
+            right = reference_mul(alg, alg.monomial(r1), alg.monomial(r2))
+            accumulate(expected, {(vl, vr): p * q for vl, p in left.coeffs.items()
+                                  for vr, q in right.coeffs.items()}, a * b)
+    assert hopf.tensor_mul(alg, s, t) == expected
+
+
 def test_products_over_the_cap_still_raise():
     alg = algebra("s2", 3)
     x = alg.power(0, 2)
