@@ -299,8 +299,10 @@ class EnvelopingAlgebra:
             if sum(vx) + sum(vy) > self.cap:
                 raise DegreeBudgetExceeded(
                     f"product degree {sum(vx)}+{sum(vy)} exceeds cap {self.cap}")
-            nf = self.reduce_tree(graft(self.rep_tree[vx], self.rep_tree[vy]))
-            row = self.row(nf)
+            t = graft(self.rep_tree[vx], self.rep_tree[vy])
+            row = self.row(self.reduce_tree(t))
+            # the table keeps the one copy of this product
+            del self._reduce_cache[t]
             self._products[i, j] = row
         return row
 
@@ -317,13 +319,10 @@ class EnvelopingAlgebra:
         return Element(self, {exps[k]: a for k, a in rational_row(*row).items()})
 
     def mul(self, x, y):
-        try:
-            row = self.mul_rows(self.row(x), self.row(y))
-        except DegreeBudgetExceeded:
-            # the product is over the cap exactly when some pair of terms is
+        if x.degree() + y.degree() > self.cap:
             raise DegreeBudgetExceeded(
-                f"product degree {x.degree()}+{y.degree()} exceeds cap {self.cap}") from None
-        return self.element(row)
+                f"product degree {x.degree()}+{y.degree()} exceeds cap {self.cap}")
+        return self.element(self.mul_rows(self.row(x), self.row(y)))
 
     def mul_rows(self, x, y):
         """The product of two integer rows over normal-form indices, as one

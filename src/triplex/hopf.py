@@ -17,8 +17,8 @@ The division and weak-associativity checks sum integer rows
 Each takes its inner loop variable as a list and forms what does not
 depend on it once: ``check_divisions`` splits x, and the legs of its
 split, once for all its ys; ``check_weak_assoc`` forms Delta x and
-w = sum x1 (y x2) once per (x, y), and y (x2 z) once per (x2, z) for its
-one y, shared by the xs whose splits contain x2.
+w = sum x1 (y x2) once per (x, y) for its one y, and y (x2 z) once per
+(x2, z), shared by the xs whose splits contain x2 and dropped after z.
 """
 
 from __future__ import annotations
@@ -237,11 +237,9 @@ def check_weak_assoc(alg, y, xs, zs):
     mul = alg.mul_rows
     budget = alg.cap - y.degree()
     yr = alg.row(y)
-    zrows = [alg.row(z) for z in zs]
-    z_degrees = [z.degree() for z in zs]
-    # y x2 by x2, and y (x2 z) by (x2, index of z): for this y only
-    yx2, yx2z = {}, {}
-    cases, failures = 0, []
+    # for each x within the budget: the room left for z, Delta x and
+    # w = sum x1 (y x2), formed once; y x2 by x2
+    splits, yx2 = [], {}
     for i, x in enumerate(xs):
         room = budget - x.degree()
         if room < 0:
@@ -252,17 +250,21 @@ def check_weak_assoc(alg, y, xs, zs):
                 yx2[v2] = mul(yr, _basis(alg, v2))
         den, w = sum_integer_rows((a, mul(_basis(alg, v1), yx2[v2]))
                                   for (v1, v2), a in dx.items())
-        w = (den * ddx, w)
-        for j, z in enumerate(zrows):
-            if z_degrees[j] > room:
+        splits.append((i, room, ddx, dx, (den * ddx, w)))
+    cases, failures = 0, []
+    for j, z in enumerate(zs):
+        zr, degree = alg.row(z), z.degree()
+        yx2z = {}  # y (x2 z) by x2, for this z only
+        for i, room, ddx, dx, w in splits:
+            if degree > room:
                 continue
             cases += 1
             for v1, v2 in dx:
-                if (v2, j) not in yx2z:
-                    yx2z[v2, j] = mul(yr, mul(_basis(alg, v2), z))
-            den, lhs = sum_integer_rows((a, mul(_basis(alg, v1), yx2z[v2, j]))
+                if v2 not in yx2z:
+                    yx2z[v2] = mul(yr, mul(_basis(alg, v2), zr))
+            den, lhs = sum_integer_rows((a, mul(_basis(alg, v1), yx2z[v2]))
                                         for (v1, v2), a in dx.items())
-            if not _same((den * ddx, lhs), mul(w, z)):
+            if not _same((den * ddx, lhs), mul(w, zr)):
                 failures.append((i, j))
     return cases, failures
 
