@@ -185,8 +185,7 @@ def cmd_pbw(args):
 def cmd_mul(args):
     t = _as_lts(load_system(args.file))
     alg = _build(args, t)
-    x, y = (alg.reduce(freealg.parse(text, t.basis_names, alg.cap))
-            for text in args.exprs)
+    x, y = (freealg.parse(text, alg) for text in args.exprs)
     print((x * y).format())
     return EXIT_PASS
 
@@ -194,8 +193,7 @@ def cmd_mul(args):
 def cmd_ideal(args):
     t = _as_lts(load_system(args.file))
     alg = _build(args, t)
-    gens = [alg.reduce(freealg.parse(text, t.basis_names, alg.cap))
-            for text in args.right]
+    gens = [freealg.parse(text, alg) for text in args.right]
     if not gens or all(g.is_zero() for g in gens):
         print("error: need at least one nonzero generator", file=sys.stderr)
         return EXIT_USAGE

@@ -19,8 +19,8 @@ from itertools import chain
 from itertools import product as iproduct
 from math import comb, lcm
 
-from .exactlin import (ONE, ZERO, Combination, Echelon, Subspace, accumulate,
-                       integer_row, rational_row)
+from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, integer_row,
+                       rational_row)
 from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
                       power_tree, tree_degree, tree_key)
 from .lts import check_axioms, unit_vector
@@ -242,13 +242,6 @@ class EnvelopingAlgebra:
             self._reduce_cache[t] = cached
         return cached
 
-    def reduce(self, x):
-        """Linear extension of tree reduction to a FreeElement."""
-        out = {}
-        for t, a in x.coeffs.items():
-            accumulate(out, self.reduce_tree(t).coeffs, a)
-        return Element(self, out)
-
     def zero(self):
         return Element(self, {})
 
@@ -274,7 +267,8 @@ class EnvelopingAlgebra:
 
     def monomial(self, exps):
         if sum(exps) > self.cap:
-            raise DegreeBudgetExceeded(f"monomial degree {sum(exps)} exceeds cap")
+            raise DegreeBudgetExceeded(
+                f"monomial degree {sum(exps)} exceeds cap {self.cap}")
         return Element(self, {tuple(exps): ONE})
 
     def monomials_upto(self, k):
@@ -524,21 +518,45 @@ class IdealClosure:
     safe_window: int
 
 
-class Element(Combination):
-    """An element of a truncated enveloping algebra in normal-form coordinates.
+class Element:
+    """An element of a truncated enveloping algebra in normal-form coordinates:
+    ``coeffs`` maps exponent vectors (k_1, ..., k_d), for the representative
+    monomial b1^k1 (b2^k2 (...)), to nonzero ``Fraction``s.
 
-    Keys are exponent vectors (k_1, ..., k_d) for the representative
-    monomial b1^k1 (b2^k2 (...)).
+    Elements are equal only when they belong to the same algebra object.
     """
 
-    __slots__ = ("algebra",)
+    __slots__ = ("coeffs", "algebra")
 
     def __init__(self, algebra, coeffs):
-        super().__init__(coeffs)
+        self.coeffs = {k: a if type(a) is Fraction else Fraction(a)
+                       for k, a in coeffs.items() if a}
         self.algebra = algebra
 
-    def _like(self, coeffs):
-        return Element(self.algebra, coeffs)
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        return Element(self.algebra, accumulate(dict(self.coeffs), other.coeffs))
+
+    def __sub__(self, other):
+        return Element(self.algebra, accumulate(dict(self.coeffs), other.coeffs, -ONE))
+
+    def __neg__(self):
+        return Element(self.algebra, {k: -a for k, a in self.coeffs.items()})
+
+    def __rmul__(self, a):
+        a = a if type(a) is Fraction else Fraction(a)
+        return Element(self.algebra,
+                       {k: a * c for k, c in self.coeffs.items()} if a else {})
+
+    def __eq__(self, other):
+        if type(other) is not Element:
+            return NotImplemented
+        return self.algebra is other.algebra and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
 
     def degree(self):
         return max((sum(v) for v in self.coeffs), default=0)

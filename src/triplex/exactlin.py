@@ -3,11 +3,11 @@
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
 plain ``{column: Fraction}`` dicts over integer columns.  ``accumulate``
-and the ``Combination`` base class are the one sparse-dict arithmetic
-behind free-algebra elements and normal forms; tensors are plain dicts
-that ``accumulate`` adds.  Hot sums run on integer rows ``(den, {k: int})``
-instead (``integer_row``, ``sum_integer_rows``, ``rational_row``), with
-one ``Fraction`` formed per entry of the result.
+is the one sparse-dict arithmetic: it adds relators, tensors and the
+coefficient dicts of enveloping-algebra elements.  Hot sums run on
+integer rows ``(den, {k: int})`` instead (``integer_row``,
+``sum_integer_rows``, ``rational_row``), with one ``Fraction`` formed per
+entry of the result.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each input is scaled once to integers
@@ -92,52 +92,6 @@ def rational_row(den, w):
     if den == 1:
         return {k: Fraction(b) for k, b in w.items() if b}
     return {k: Fraction(b, den) for k, b in w.items() if b}
-
-
-class Combination:
-    """Sparse rational linear combination: ``coeffs`` maps keys to nonzero
-    ``Fraction``s.
-
-    The arithmetic is shared by the free-algebra elements and the normal
-    forms; a subclass that lives in some ambient algebra keeps it
-    in an ``algebra`` attribute, carries it through ``_like`` and is equal
-    only to combinations of the same algebra object.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: a if type(a) is Fraction else Fraction(a)
-                       for k, a in (coeffs or {}).items() if a}
-
-    def _like(self, coeffs):
-        """A combination of the same kind as ``self`` with ``coeffs``."""
-        return type(self)(coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        return self._like(accumulate(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other):
-        return self._like(accumulate(dict(self.coeffs), other.coeffs, -ONE))
-
-    def __neg__(self):
-        return self._like({k: -a for k, a in self.coeffs.items()})
-
-    def __rmul__(self, a):
-        a = a if type(a) is Fraction else Fraction(a)
-        return self._like({k: a * c for k, c in self.coeffs.items()} if a else {})
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (getattr(self, "algebra", None) is getattr(other, "algebra", None)
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
 
 class Echelon:

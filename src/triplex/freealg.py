@@ -1,9 +1,13 @@
-"""Free unital nonassociative algebra on d generators, truncated by degree.
+"""Free unital nonassociative algebra on d generators, truncated by degree,
+and the expression parser.
 
 Monomials are binary trees: a leaf is a generator index, an internal
 node is an ordered pair of subtrees, and the empty product 1 is the
 empty tuple.  Structural equality of trees is the monomial identity;
-there are Catalan(n-1) * d^n monomials of degree n.
+there are Catalan(n-1) * d^n monomials of degree n.  Free-algebra
+elements are plain ``{tree: Fraction}`` dicts.  The parser reads text
+straight into an enveloping algebra: the quotient map is an algebra
+morphism within the cap, so no free element is built on the way.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactlin import ONE, Combination, accumulate
+from .exactlin import ONE
 
 UNIT = ()
 
@@ -88,6 +92,21 @@ def _trees(d, n):
     return tuple(out)
 
 
+def check_table_size(d, cap, max_monomials):
+    """Raise SizeGuardExceeded unless the free monomial table for ``d``
+    generators and degree cap ``cap`` has at most ``max_monomials`` trees.
+
+    Each stratum is counted, Catalan(n-1) * d^n trees, and none is built.
+    """
+    total = 0
+    for n in range(cap + 1):
+        total += comb(2 * n - 2, n - 1) // n * d ** n if n else 1
+        if total > max_monomials:
+            raise SizeGuardExceeded(
+                f"free monomial table for d={d}, N={cap} exceeds the "
+                f"guard of {max_monomials} monomials")
+
+
 class MonomialTable:
     """Degree-stratified bijection between trees of degree <= N and indices.
 
@@ -100,18 +119,13 @@ class MonomialTable:
             raise ValueError("need at least one generator")
         if cap < 0:
             raise ValueError("cap must be >= 0")
+        check_table_size(d, cap, max_monomials)
         self.d = d
         self.cap = cap
         trees = []
         self.degree_start = []  # degree -> first index of that degree
         for n in range(cap + 1):
             self.degree_start.append(len(trees))
-            # Catalan(n-1) * d^n trees, counted before any is built
-            stratum = comb(2 * n - 2, n - 1) // n * d ** n if n else 1
-            if len(trees) + stratum > max_monomials:
-                raise SizeGuardExceeded(
-                    f"free monomial table for d={d}, N={cap} exceeds the "
-                    f"guard of {max_monomials} monomials")
             trees.extend(_trees(d, n))
         self.trees = trees
         self.index = {t: i for i, t in enumerate(trees)}
@@ -136,47 +150,6 @@ class MonomialTable:
     def degree_slice(self, n):
         lo = self.degree_start[n]
         return self.trees[lo:lo + self.degree_count(n)]
-
-
-class FreeElement(Combination):
-    """Sparse rational linear combination of tree monomials."""
-
-    __slots__ = ()
-
-    @classmethod
-    def unit(cls):
-        return cls({UNIT: ONE})
-
-    @classmethod
-    def generator(cls, i):
-        return cls({i: ONE})
-
-    @classmethod
-    def monomial(cls, t, a=ONE):
-        return cls({t: a})
-
-    def terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (tree_degree(kv[0]), tree_key(kv[0])))
-
-    def __repr__(self):
-        return f"FreeElement({self.coeffs})"
-
-
-def fmul(x, y, cap):
-    """Free (bilinear) product of two elements; grafts trees pairwise.
-
-    A product monomial of degree above ``cap`` raises DegreeBudgetExceeded.
-    """
-    out = {}
-    for t1, a in x.coeffs.items():
-        # grafting onto a fixed left factor is injective
-        row = {graft(t1, t2): b for t2, b in y.coeffs.items()}
-        for t in row:
-            if tree_degree(t) > cap:
-                raise DegreeBudgetExceeded(
-                    f"product monomial of degree {tree_degree(t)} exceeds cap {cap}")
-        accumulate(out, row, a)
-    return FreeElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +191,11 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, basis_names, cap):
-        self.text = text
+    def __init__(self, text, alg):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.gen_index = {name: k for k, name in enumerate(basis_names)}
-        self.cap = cap
+        self.gen_index = {name: k for k, name in enumerate(alg.system.basis_names)}
+        self.alg = alg
         self.depth = 0
 
     def peek(self):
@@ -286,7 +258,7 @@ class _Parser:
             if kind2 == "op" and val2 == "*":
                 self.next()
                 return coeff * self.factor()
-            return coeff * FreeElement.unit()
+            return coeff * self.alg.one()
         return self.factor()
 
     def factor(self):
@@ -295,7 +267,7 @@ class _Parser:
         if kind == "op" and val == "*":
             self.next()
             y = self.primary()
-            x = fmul(x, y, self.cap)
+            x = self.alg.mul(x, y)
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 raise ExprSyntaxError(
@@ -315,12 +287,8 @@ class _Parser:
                 kind3, val3, pos3 = self.next()
                 if kind3 != "int":
                     raise ExprSyntaxError("expected exponent", pos3)
-                n = int(val3)
-                if n > self.cap:
-                    raise DegreeBudgetExceeded(
-                        f"power {n} exceeds cap {self.cap}")
-                return FreeElement.monomial(power_tree(g, n))
-            return FreeElement.generator(g)
+                return self.alg.power(g, int(val3))
+            return self.alg.generator(g)
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(
@@ -334,42 +302,17 @@ class _Parser:
                 raise ExprSyntaxError("power of a non-generator", pos2)
             return x
         if kind == "int" and val == "1":
-            return FreeElement.unit()
+            return self.alg.one()
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def parse(text, basis_names, cap):
-    """Parse an expression into a FreeElement over the given generators.
+def parse(text, alg):
+    """Parse an expression into an element of the enveloping algebra ``alg``
+    over the names of its basis.
 
-    A power or product of degree above ``cap`` raises
-    ``DegreeBudgetExceeded`` before its monomials are built.
+    A power above ``alg.cap``, or a product whose factors' normal forms
+    have degrees summing above it, raises ``DegreeBudgetExceeded`` before
+    its terms are built.
     """
-    return _Parser(text, basis_names, cap).parse()
+    return _Parser(text, alg).parse()
 
-
-def format_tree(t, basis_names):
-    if t == UNIT:
-        return "1"
-    if is_leaf(t):
-        return basis_names[t]
-    return f"({format_tree(t[0], basis_names)}*{format_tree(t[1], basis_names)})"
-
-
-def format_element(x, basis_names):
-    """Canonical text form; ``parse(format_element(x), names, cap) == x``."""
-    if x.is_zero():
-        return "0"
-    parts = []
-    for t, a in x.terms():
-        if t == UNIT:
-            body = str(abs(a))
-        elif abs(a) == 1:
-            body = format_tree(t, basis_names)
-        else:
-            body = f"{abs(a)}*{format_tree(t, basis_names)}"
-        parts.append((a < 0, body))
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out

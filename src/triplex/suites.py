@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from . import hopf
 from .envelope import EnvelopingAlgebra
 from .exactlin import ZERO, Echelon, echelonize, mat_mul, mat_transpose
-from .freealg import DegreeBudgetExceeded
+from .freealg import DegreeBudgetExceeded, check_table_size
 from .lts import (InvalidStructure, check_axioms, lambda_map, lie_closure,
                   r_generators, simplicity_certificate, standard_embedding,
                   tau_commutator_check, tau_map, trace_identity_check,
@@ -27,6 +27,9 @@ MIN_CAP = {"jordan": 2, "lemma": 2, "expansion": 2, "s2": 3, "mainthm": 4}
 
 SUITE_NAMES = ("axioms", "embedding", "endo", "simple", "pbw", "jordan",
                "lemma", "expansion", "s2", "hopf", "mainthm", "all")
+
+# the suites that check the triple system alone and never build U_N(T)
+LTS_SUITES = ("axioms", "embedding", "endo", "simple")
 
 
 @dataclass
@@ -366,9 +369,13 @@ def run_suite(name, system, N=None, seed=0, max_monomials=200_000):
     N = N if N is not None else default_cap(system)
     # checked before any suite runs, so that no suite passes vacuously
     binding = max(MIN_CAP, key=MIN_CAP.get) if name == "all" else name
-    if N < MIN_CAP.get(binding, 0):
+    if binding in MIN_CAP and N < MIN_CAP[binding]:
         raise DegreeBudgetExceeded(
             f"the {binding} suite needs cap >= {MIN_CAP[binding]}, got {N}")
+    # and so is the free table's size, so that a wide system is rejected
+    # before the lts suites spend their time on it
+    if name not in LTS_SUITES:
+        check_table_size(system.dim, N, max_monomials)
     cache = {}
 
     def alg_cache(cap):

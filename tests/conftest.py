@@ -27,3 +27,8 @@ def s2_n5(s2):
 @pytest.fixture(scope="session")
 def sl2_n4(sl2_lts):
     return EnvelopingAlgebra(sl2_lts, 4)
+
+
+@pytest.fixture(scope="session")
+def s2_n4(s2):
+    return EnvelopingAlgebra(s2, 4)

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from triplex import cli, freealg
 from triplex.cli import LoadError, load_system
+from triplex.envelope import EnvelopingAlgebra
 from triplex.lts import LieAlgebra, TripleSystem
+from triplex.suites import SUITE_NAMES
 
 
 def data_path(name):
@@ -189,6 +192,28 @@ def test_suites_below_their_minimum_cap_exit_3(capsys, suite, cap, records):
     assert [(r["id"], r["params"]) for r in rep["records"]] == records
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_negative_cap_behaves_like_cap_zero(capsys, suite):
+    argv = ["verify", data_path("s2.json"), "--suite", suite, "-N"]
+    codes = []
+    for cap in ("-1", "0"):
+        codes.append(cli.main(argv + [cap]))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "KeyError" not in err
+    assert codes[0] == codes[1]
+
+
+def test_verify_all_on_a_wide_system_exits_3_at_once(tmp_path, capsys):
+    # the table guard runs before the lts suites, which take minutes here
+    doc = {"kind": "lts", "dim": 40, "basis": [f"a{i}" for i in range(40)],
+           "entries": []}
+    start = time.monotonic()
+    assert cli.main(["verify", write(tmp_path, doc), "--suite", "all"]) == 3
+    assert time.monotonic() - start < 2
+    assert capsys.readouterr().err.startswith(
+        "budget error: free monomial table for d=40, N=4 exceeds the guard")
+
+
 def test_verify_at_the_minimum_cap_passes(capsys):
     argv = ["verify", data_path("sl2_lts.json"), "--suite", "mainthm", "-N", "4"]
     assert cli.main(argv) == 0
@@ -234,6 +259,13 @@ def test_mul_coefficient_one_over_one(capsys):
 
 def test_mul_budget_exit_3():
     assert cli.main(["mul", data_path("s2.json"), "-N", "3", "e^2", "f^2"]) == 3
+
+
+def test_mul_over_the_cap_in_free_degree_only(capsys):
+    # ef = fe in U(T), so the free degree 7 is never reached in normal form
+    argv = ["mul", data_path("s2.json"), "-N", "6", "--", "((e*f - f*e)*e)*e^4", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_mul_bad_expression_exit_2():
@@ -313,12 +345,12 @@ def test_oversized_expression_exits_without_traceback(capsys, argv, code):
     assert "Traceback" not in err
 
 
-def test_nesting_bound_admits_what_the_cap_needs(capsys):
+def test_nesting_bound_admits_what_the_cap_needs(capsys, s2):
     deep = "(" * freealg.MAX_NESTING + "e" + ")" * freealg.MAX_NESTING
     assert cli.main(["mul", data_path("s2.json"), "-N", "3", deep, "f"]) == 0
     assert capsys.readouterr().out.strip() == "e*f"
     with pytest.raises(freealg.ExprSyntaxError, match="nested deeper than"):
-        freealg.parse("(" + deep + ")", ("e", "f"), 3)
+        freealg.parse("(" + deep + ")", EnvelopingAlgebra(s2, 3))
 
 
 _EXPR_ATOMS = st.sampled_from(["e", "f", "1", "0", "2/3", "e^2", "f^0", "e^99999"])

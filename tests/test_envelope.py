@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from triplex import catalog
 from triplex.envelope import (Element, EnvelopingAlgebra, PBWCertificateFailure,
                               exponent_vectors, representative_tree)
-from triplex.freealg import (DegreeBudgetExceeded, FreeElement, parse,
+from triplex.exactlin import accumulate
+from triplex.freealg import (UNIT, DegreeBudgetExceeded, graft, parse,
                              power_tree)
 from triplex.lts import TripleSystem
 from triplex.suites import s2_identity_suite
@@ -25,8 +28,17 @@ def from_nf_vector(alg, v):
 
 
 def lift(x):
-    """Representative in the free algebra (sum of representative trees)."""
-    return FreeElement({x.algebra.rep_tree[v]: a for v, a in x.coeffs.items()})
+    """Representative in the free algebra: a ``{tree: coefficient}`` dict
+    over representative trees."""
+    return {x.algebra.rep_tree[v]: a for v, a in x.coeffs.items()}
+
+
+def reduce_free(alg, x):
+    """Normal form of a free element ``{tree: coefficient}``, term by term."""
+    out = {}
+    for t, a in x.items():
+        accumulate(out, alg.reduce_tree(t).coeffs, a)
+    return Element(alg, out)
 
 
 def filtration_preservation_check(alg, a, b):
@@ -163,12 +175,103 @@ def test_filtration_preservation(s2_n5):
     assert filtration_preservation_check(s2_n5, 0, 1)
 
 
-def test_reduce_parse_examples(s2_n6, s2):
-    def read(text):
-        return s2_n6.reduce(parse(text, s2.basis_names, s2_n6.cap))
+def test_reduce_parse_examples(s2_n6):
     # a(bc) - (ab)c = -(a,b,c) = 1/2 iota([a,b,c]); [e,f,e] = 2e
-    assert read("e*(f*e) - (e*f)*e") == s2_n6.generator(0)
-    assert read("f*e") == read("e*f")
+    assert parse("e*(f*e) - (e*f)*e", s2_n6) == s2_n6.generator(0)
+    assert parse("f*e", s2_n6) == parse("e*f", s2_n6)
+    assert reduce_free(s2_n6, {(0, (1, 0)): 1, ((0, 1), 0): -1}) == s2_n6.generator(0)
+
+
+# -- the parser against free evaluation --------------------------------------
+# An expression tree is ("gen", g), ("one",), ("pow", g, n),
+# ("sum", [(c, tree), ...]), ("mul", x, y) or ("comm", x, y) for xy - yx;
+# the commutators have free degree above their normal forms' (ef = fe).
+
+@st.composite
+def expression_trees(draw, budget, depth=3):
+    """An expression tree over s2 of free degree at most ``budget``."""
+    if depth <= 0:
+        kinds = ["one", "gen", "pow"]
+    elif budget < 2:
+        kinds = ["one", "gen", "pow", "sum"]
+    else:
+        kinds = ["gen", "pow", "sum", "mul", "comm"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "one" or not budget:
+        return ("one",)
+    if kind == "gen":
+        return ("gen", draw(st.integers(0, 1)))
+    if kind == "pow":
+        return ("pow", draw(st.integers(0, 1)), draw(st.integers(0, budget)))
+    if kind == "sum":
+        inner = expression_trees(budget, depth - 1)
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        return ("sum", draw(st.lists(st.tuples(coeffs, inner), min_size=1, max_size=3)))
+    # both factors are nonconstant, so the free degree adds up
+    k = draw(st.integers(1, budget - 1))
+    return (kind, draw(expression_trees(k, depth - 1)),
+            draw(expression_trees(budget - k, depth - 1)))
+
+
+def render(x):
+    kind = x[0]
+    if kind == "one":
+        return "1"
+    if kind == "gen":
+        return "ef"[x[1]]
+    if kind == "pow":
+        return f"{'ef'[x[1]]}^{x[2]}"
+    if kind == "mul":
+        return f"({render(x[1])})*({render(x[2])})"
+    if kind == "comm":
+        a, b = render(x[1]), render(x[2])
+        return f"(({a})*({b}) - ({b})*({a}))"
+    text = ""
+    for c, y in x[1]:
+        sign = "-" if c < 0 else ("+" if text else "")
+        text += f" {sign} {abs(c)}*({render(y)})"
+    return f"({text})"
+
+
+def free_value(x):
+    """The value of an expression tree in the free algebra, as a
+    ``{tree: coefficient}`` dict."""
+    kind = x[0]
+    if kind == "one":
+        return {UNIT: F(1)}
+    if kind == "gen":
+        return {x[1]: F(1)}
+    if kind == "pow":
+        return {power_tree(x[1], x[2]): F(1)}
+    if kind == "sum":
+        out = {}
+        for c, y in x[1]:
+            accumulate(out, free_value(y), c)
+        return out
+    left, right = free_value(x[1]), free_value(x[2])
+    out = {}
+    for t1, a in left.items():
+        accumulate(out, {graft(t1, t2): a * b for t2, b in right.items()})
+        if kind == "comm":
+            accumulate(out, {graft(t2, t1): a * b for t2, b in right.items()}, -1)
+    return out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expression_trees(6))
+# over the cap in free degree, within it in normal-form degree:
+# ((ef - fe)e)e^3 = 0 and (e(fe) - (fe)e)f^3 = ef^3
+@example(("mul", ("mul", ("comm", ("gen", 0), ("gen", 1)), ("gen", 0)), ("pow", 0, 3)))
+@example(("mul", ("comm", ("gen", 0), ("mul", ("gen", 1), ("gen", 0))), ("pow", 1, 3)))
+def test_parse_matches_free_evaluation(s2_n4, s2_n6, x):
+    # the quotient map is an algebra morphism within the cap, so parsing at
+    # N=4 agrees with reducing the free value at N=6 whenever it succeeds
+    try:
+        got = parse(render(x), s2_n4)
+    except DegreeBudgetExceeded:
+        return
+    assert got.coeffs == reduce_free(s2_n6, free_value(x)).coeffs
 
 
 def test_mul_degree_budget(s2_n6):
@@ -184,7 +287,7 @@ def test_element_arithmetic_and_format(s2_n6):
     assert x.degree() == 2
     assert x.format() == "1 + 2*e - 1/2*f^2"
     assert (x - x).is_zero()
-    assert s2_n6.reduce(lift(x)) == x
+    assert reduce_free(s2_n6, lift(x)) == x
 
 
 def test_nf_vector_roundtrip(s2_n6):

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from triplex import catalog
 from triplex.envelope import Element, EnvelopingAlgebra
-from triplex.exactlin import (Combination, DimensionMismatch, accumulate,
-                              echelonize, kernel, mat, mat_bracket, mat_flatten,
-                              mat_unflatten, parse_rational)
-from triplex.freealg import FreeElement
+from triplex.exactlin import (DimensionMismatch, accumulate, echelonize, kernel,
+                              mat, mat_bracket, mat_flatten, mat_unflatten,
+                              parse_rational)
 
 F = Fraction
 
@@ -209,18 +208,12 @@ def test_accumulate_zero_scalar_is_a_no_op(x, y):
     assert out == x
 
 
-# one strategy of random combinations per class; keys come from each space
-kinds = st.sampled_from([
-    (lambda c: FreeElement(c), st.sampled_from([(), 0, 1, (0, 1), ((1, 0), 0)])),
-    (lambda c: Element(_S2_N3, c), st.sampled_from(_S2_N3.exponents)),
-])
-
-
 @st.composite
 def combination_triples(draw):
-    make, keys = draw(kinds)
-    coeffs = st.dictionaries(keys, st.one_of(mixed, st.integers(-3, 3)), max_size=6)
-    return make(draw(coeffs)), make(draw(coeffs)), draw(mixed)
+    alg = draw(st.sampled_from([_S2_N3, _S2_N2]))
+    coeffs = st.dictionaries(st.sampled_from(alg.exponents),
+                             st.one_of(mixed, st.integers(-3, 3)), max_size=6)
+    return Element(alg, draw(coeffs)), Element(alg, draw(coeffs)), draw(mixed)
 
 
 def assert_clean(x):
@@ -231,19 +224,18 @@ def assert_clean(x):
 def test_combination_arithmetic(triple):
     x, y, a = triple
     for z in (x, y, x + y, x - y, -x, a * x, 3 * x):
-        assert isinstance(z, Combination) and type(z) is type(x)
+        assert type(z) is Element and z.algebra is x.algebra
         assert_clean(z)
     assert x + y - y == x
     assert ((-x) + x).is_zero()
     assert (x - x).is_zero()
     assert a * (x + y) == a * x + a * y
     assert (0 * x).is_zero()
-    assert getattr(x + y, "algebra", None) is getattr(x, "algebra", None)
 
 
 def test_constructor_drops_zeros_and_wraps_values():
-    x = FreeElement({0: 2, 1: 0, (0, 1): F(1, 3)})
-    assert x.coeffs == {0: F(2), (0, 1): F(1, 3)}
+    x = Element(_S2_N3, {(1, 0): 2, (0, 1): 0, (1, 1): F(1, 3)})
+    assert x.coeffs == {(1, 0): F(2), (1, 1): F(1, 3)}
     assert_clean(x)
 
 
@@ -253,4 +245,4 @@ def test_elements_of_different_algebras_differ():
     assert x.coeffs == y.coeffs
     assert x != y
     assert x == Element(_S2_N3, {v: F(1)})
-    assert x != FreeElement({v: 1})
+    assert x != x.coeffs

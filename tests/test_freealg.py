@@ -1,4 +1,4 @@
-import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -6,17 +6,10 @@ import pytest
 
 from triplex import freealg
 from triplex.freealg import (UNIT, DegreeBudgetExceeded, ExprSyntaxError,
-                             FreeElement, MonomialTable, SizeGuardExceeded,
-                             _trees, fmul, format_element, format_tree, graft,
-                             parse, power_tree, tree_degree, tree_key)
+                             MonomialTable, SizeGuardExceeded, _trees,
+                             graft, parse, power_tree, tree_degree, tree_key)
 
 F = Fraction
-CAP = 6  # above every degree parsed here
-
-
-def max_degree(x):
-    """Largest tree degree in a free element (0 for zero)."""
-    return max((tree_degree(t) for t in x.coeffs), default=0)
 
 
 def catalan(n):
@@ -96,92 +89,56 @@ def test_tree_key_total_order():
     assert keys == sorted(keys)
 
 
-def test_fmul_unit_and_degree():
-    x = FreeElement({(0, 1): F(2), 0: F(1)})
-    one = FreeElement.unit()
-    assert fmul(one, x, CAP) == x
-    assert fmul(x, one, CAP) == x
-    y = FreeElement.generator(1)
-    z = fmul(x, y, CAP)
-    assert max_degree(z) == max_degree(x) + 1
+def test_parse_basic(s2_n6):
+    alg = s2_n6
+    e, f = alg.generator(0), alg.generator(1)
+    assert parse("e", alg) == e
+    assert parse("e*f", alg) == alg.monomial((1, 1))
+    assert parse("e^3", alg) == alg.monomial((3, 0))
+    assert parse("1", alg) == alg.one()
+    assert parse("2*e - f", alg) == 2 * e - f
+    assert parse("1/2*e", alg) == F(1, 2) * e
+    # s2 is not commutative: e(ef) = e^2 f but (ef)e = -e + e^2 f
+    assert parse("(e*f)*e", alg) == alg.monomial((2, 1)) - e
+    assert parse("e*(f*e)", alg) == alg.monomial((2, 1))
+    assert parse("-e + 3", alg) == 3 * alg.one() - e
 
 
-def test_fmul_bilinear():
-    a = FreeElement.generator(0)
-    b = FreeElement.generator(1)
-    lhs = fmul(a + b, a, CAP)
-    rhs = fmul(a, a, CAP) + fmul(b, a, CAP)
-    assert lhs == rhs
-
-
-def test_fmul_degree_budget():
-    x = FreeElement.monomial(power_tree(0, 3))
-    with pytest.raises(DegreeBudgetExceeded):
-        fmul(x, x, cap=5)
-    assert max_degree(fmul(x, x, cap=6)) == 6
-
-
-def test_parse_basic():
-    names = ("e", "f")
-    assert parse("e", names, CAP) == FreeElement.generator(0)
-    assert parse("e*f", names, CAP) == FreeElement.monomial((0, 1))
-    assert parse("e^3", names, CAP) == FreeElement.monomial(((0, 0), 0))
-    assert parse("1", names, CAP) == FreeElement.unit()
-    assert parse("2*e - f", names, CAP) == (2 * FreeElement.generator(0)
-                                            - FreeElement.generator(1))
-    assert parse("1/2*e", names, CAP) == F(1, 2) * FreeElement.generator(0)
-    assert parse("(e*f)*e", names, CAP) == FreeElement.monomial(((0, 1), 0))
-    assert parse("e*(f*e)", names, CAP) == FreeElement.monomial((0, (1, 0)))
-    assert parse("-e + 3", names, CAP) == (3 * FreeElement.unit()
-                                           - FreeElement.generator(0))
-
-
-def test_parse_coefficient_one_over_one():
-    names = ("e", "f")
+def test_parse_coefficient_one_over_one(s2_n6):
+    alg = s2_n6
     for text in ("1/1", "2/2", "1/0001"):
-        assert parse(text, names, CAP) == FreeElement.unit()
-    assert parse("1/1*e", names, CAP) == FreeElement.generator(0)
-    assert parse("1/1 - e", names, CAP) == FreeElement.unit() - FreeElement.generator(0)
+        assert parse(text, alg) == alg.one()
+    assert parse("1/1*e", alg) == alg.generator(0)
+    assert parse("1/1 - e", alg) == alg.one() - alg.generator(0)
 
 
-def test_parse_nonassociative_guard():
+def test_parse_nonassociative_guard(s2_n6):
     with pytest.raises(ExprSyntaxError):
-        parse("e*f*e", ("e", "f"), CAP)
+        parse("e*f*e", s2_n6)
 
 
-def test_parse_power_of_non_generator():
+def test_parse_power_of_non_generator(s2_n6):
     with pytest.raises(ExprSyntaxError):
-        parse("(e*f)^2", ("e", "f"), CAP)
+        parse("(e*f)^2", s2_n6)
 
 
-def test_parse_errors():
-    names = ("e", "f")
+def test_parse_errors(s2_n6):
     for bad in ("g", "e +", "e)", "(e", "1/0*e", "e^", "e @ f", ""):
         with pytest.raises(ExprSyntaxError):
-            parse(bad, names, CAP)
+            parse(bad, s2_n6)
 
 
-def test_format_tree():
-    names = ("e", "f")
-    assert format_tree(UNIT, names) == "1"
-    assert format_tree((0, (1, 0)), names) == "(e*(f*e))"
+def test_format_zero(s2_n6):
+    assert parse("e - e", s2_n6).is_zero()
+    assert parse("e - e", s2_n6).format() == "0"
 
 
-def test_parse_format_roundtrip_seeded_corpus():
-    names = ("e", "f", "g")
-    rng = random.Random(20240817)
-    pool = [t for n in range(0, 5) for t in _trees(3, n)]
-    for _ in range(1000):
-        coeffs = {}
-        for _ in range(rng.randint(1, 5)):
-            t = rng.choice(pool)
-            c = F(rng.randint(-9, 9), rng.randint(1, 9))
-            if c:
-                coeffs[t] = coeffs.get(t, F(0)) + c
-        x = FreeElement(coeffs)
-        assert parse(format_element(x, names), names, CAP) == x
+def test_parse_cap_uses_normal_form_degrees(s2_n4):
+    # ef = fe in U(T): the factor of degree 6 in the free algebra is 0
+    assert parse("((e*f - f*e)*e)*e^4", s2_n4).is_zero()
+    # every over-cap message names the cap
+    for text, message in (("e^5", "power 5 exceeds cap 4"),
+                          ("(e*f)*(e^2*f)", "product degree 2+3 exceeds cap 4")):
+        with pytest.raises(DegreeBudgetExceeded, match=re.escape(message)):
+            parse(text, s2_n4)
 
-
-def test_format_zero():
-    assert format_element(FreeElement(), ("e",)) == "0"
-    assert parse("e - e", ("e",), CAP) == FreeElement()
