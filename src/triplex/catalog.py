@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exactlin import ZERO, mat_trace
-from .lts import LieAlgebra, Operator, TripleSystem, lts_from_involution, lts_from_lie
+from .exactlin import ZERO
+from .lts import LieAlgebra, TripleSystem, lts_from_involution, lts_from_lie
 
 TWO = Fraction(2)
 
@@ -58,9 +58,10 @@ def _gl3_basis():
 
 
 def _sl3_coords(m):
-    # coordinates of a traceless 3x3 matrix in the basis above
-    return (m[0][1], m[0][2], m[1][0], m[1][2], m[2][0], m[2][1],
-            m[0][0], -m[2][2])
+    # sparse coordinates of a traceless 3x3 matrix in the basis above
+    coords = (m[0][1], m[0][2], m[1][0], m[1][2], m[2][0], m[2][1],
+              m[0][0], -m[2][2])
+    return {l: a for l, a in enumerate(coords) if a}
 
 
 def sl3_lie():
@@ -73,9 +74,9 @@ def sl3_lie():
         ab = tuple(tuple(sum(a[p][q] * b[q][r] for q in range(3))
                          - sum(b[p][q] * a[q][r] for q in range(3))
                          for r in range(3)) for p in range(3))
-        assert mat_trace(ab) == 0
+        assert ab[0][0] + ab[1][1] + ab[2][2] == 0
         coords = _sl3_coords(ab)
-        if any(coords):
+        if coords:
             brackets[(i, j)] = coords
     return LieAlgebra(8, names, brackets)
 
@@ -86,12 +87,9 @@ def sl3_transpose_lts():
     Negative eigenspace of the involution x -> -x^T of sl(3).
     """
     lie = sl3_lie()
-    basis = _gl3_basis()
-    cols = []
-    for b in basis:
-        minus_t = tuple(tuple(-b[q][p] for q in range(3)) for p in range(3))
-        cols.append(_sl3_coords(minus_t))
-    sigma = Operator(tuple(tuple(cols[j][i] for j in range(8)) for i in range(8)))
+    # column j of the involution: the coordinates of -b_j^T
+    sigma = {j: _sl3_coords(tuple(tuple(-b[q][p] for q in range(3)) for p in range(3)))
+             for j, b in enumerate(_gl3_basis())}
     return lts_from_involution(lie, sigma)
 
 

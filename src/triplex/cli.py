@@ -141,7 +141,7 @@ def cmd_embed(args):
         return EXIT_FAIL
     print(f"standard embedding: dim {emb.dim} = {emb.inn_dim} (inner derivations) "
           f"+ {emb.t_dim} (T)")
-    rank = echelonize([dict(enumerate(r)) for r in emb.killing], emb.dim).dim
+    rank = echelonize(emb.killing.values(), emb.dim).dim
     print(f"killing form rank: {rank} / {emb.dim}"
           + (" (nondegenerate)" if rank == emb.dim else " (degenerate)"))
     return EXIT_PASS
@@ -149,7 +149,7 @@ def cmd_embed(args):
 
 def cmd_endo(args):
     t = _as_lts(load_system(args.file))
-    space, _ = lie_closure(r_generators(t))
+    space, _ = lie_closure(r_generators(t), t.dim)
     ok = space.dim == t.dim ** 2
     print(f"lie closure of right-slot operators: dim {space.dim}, "
           f"expected {t.dim ** 2}")

@@ -23,7 +23,7 @@ from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, integer_row,
                        rational_row)
 from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
                       power_tree, tree_degree, tree_key)
-from .lts import check_axioms, unit_vector
+from .lts import check_axioms
 
 
 class PBWCertificateFailure(RuntimeError):
@@ -252,12 +252,9 @@ class EnvelopingAlgebra:
         return Element(self, {tuple(1 if i == g else 0 for i in range(self.d)): ONE})
 
     def inject(self, v):
-        """iota: a T-coordinate vector as a degree-1 element."""
-        out = {}
-        for i, a in enumerate(v):
-            if a:
-                out[tuple(1 if j == i else 0 for j in range(self.d))] = a
-        return Element(self, out)
+        """iota: a sparse T-coordinate vector as a degree-1 element."""
+        return Element(self, {tuple(1 if j == i else 0 for j in range(self.d)): a
+                              for i, a in sorted(v.items())})
 
     def power(self, g, n):
         """g^n as a normal-form monomial (bracketing independent)."""
@@ -374,10 +371,9 @@ class EnvelopingAlgebra:
         D = self.d_operator(a, b)
         if D(x * y) != D(x) * y + x * D(y):
             return False
-        d = self.d
-        dmat = self.system.d_op(unit_vector(d, ai), unit_vector(d, bi))
-        for g in range(d):
-            if D(self.generator(g)) != self.inject(dmat(unit_vector(d, g))):
+        consts = self.system.constants
+        for g in range(self.d):
+            if D(self.generator(g)) != self.inject(consts.get((ai, bi, g), {})):
                 return False
         return True
 
@@ -406,7 +402,7 @@ class EnvelopingAlgebra:
         lhs = self.associator(self.power(c, n), ea, eb)
         rhs = self.zero()
         if n >= 1:
-            bracket = self.system.basis_product(a, c, b)
+            bracket = self.system.constants.get((a, c, b), {})
             rhs = Fraction(n, 2) * (self.power(c, n - 1) * self.inject(bracket))
         D = self.d_operator(ea, ec)
         for i in range(0, n - 1):

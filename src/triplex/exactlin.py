@@ -295,63 +295,6 @@ def kernel(images, ambient):
     return echelonize(combos, len(images))
 
 
-# ---------------------------------------------------------------------------
-# dense matrices (dimensions here are tiny: operators on T or on L(T))
-
-def mat(rows):
-    return tuple(tuple(Fraction(a) for a in r) for r in rows)
-
-
-def mat_identity(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise DimensionMismatch("matrix size mismatch in product")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
-
-
-def mat_bracket(a, b):
-    """Commutator AB - BA, exactly."""
-    if len(a) != len(a[0]) or len(b) != len(b[0]) or len(a) != len(b):
-        raise DimensionMismatch("mat_bracket needs equal square matrices")
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_trace(a):
-    return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
-
-
-def mat_vec(a, v):
-    if len(a[0]) != len(v):
-        raise DimensionMismatch("matrix/vector size mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_flatten(a):
-    """Row-major flattening into a dict over the n*m columns."""
-    m = len(a[0])
-    return {i * m + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x}
-
-
-def mat_unflatten(v, n, m=None):
-    m = n if m is None else m
-    out = [[ZERO] * m for _ in range(n)]
-    for c, a in v.items():
-        out[c // m][c % m] = a
-    return tuple(tuple(r) for r in out)
-
-
 def parse_rational(text):
     """Parse "p" or "p/q" with q > 0; raises ValueError otherwise."""
     text = text.strip()

@@ -4,9 +4,13 @@ A triple system is given by structure constants for the trilinear
 product on a chosen basis; everything else (inner derivations, the
 standard embedding Lie algebra, the Killing form, Lie/associative
 closures of the right-slot operators) is derived by exact linear
-algebra.  Structure constants are stored sparsely, as the nonzero
-coordinates of each nonzero basis product, and every check below
-visits only those.
+algebra.  Everything here is sparse.  Structure constants are the
+nonzero coordinates of each nonzero basis product, and vectors are
+``{index: Fraction}`` dicts.  An operator is a dict of sparse columns
+``{x: {k: a}}``: column x holds the nonzero coordinates of the image of
+b_x, and no column is empty, so equal operators are equal dicts.  A
+symmetric bilinear form K is stored the same way, with K(b_k, b_x) at
+[x][k].  Every routine visits only stored keys.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, echelonize,
-                       kernel, mat_bracket, mat_flatten, mat_identity, mat_mul,
-                       mat_trace, mat_unflatten, mat_vec)
+from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate, echelonize, kernel
 
 
 class InvalidStructure(ValueError):
@@ -25,11 +27,7 @@ class InvalidStructure(ValueError):
 
 
 def _sparse(dim, v):
-    """Nonzero coordinates of ``v`` (a dict or a length-``dim`` sequence)."""
-    if not isinstance(v, dict):
-        if len(v) != dim:
-            raise InvalidStructure(f"coordinate vector of length {len(v)} for dim {dim}")
-        v = dict(enumerate(v))
+    """Nonzero coordinates of the ``{index: value}`` dict ``v``, as Fractions."""
     out = {}
     for l, a in v.items():
         if not 0 <= l < dim:
@@ -39,24 +37,62 @@ def _sparse(dim, v):
     return out
 
 
-def _dense(dim, coords):
-    out = [ZERO] * dim
-    for l, a in coords.items():
-        out[l] = a
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# operators as sparse columns
+
+def op_apply(op, v):
+    """The image of the sparse vector ``v``."""
+    out = {}
+    for x, a in v.items():
+        col = op.get(x)
+        if col:
+            accumulate(out, col, a)
+    return out
 
 
-def unit_vector(d, i):
-    return tuple(ONE if j == i else ZERO for j in range(d))
+def op_compose(a, b):
+    """The product ``a b`` (apply ``b`` first)."""
+    out = {}
+    for x, col in b.items():
+        image = op_apply(a, col)
+        if image:
+            out[x] = image
+    return out
 
 
-@dataclass(frozen=True)
-class Operator:
-    """A linear operator on T-coordinates."""
-    matrix: tuple
+def op_add(a, b, s=None):
+    """``a + s b`` (``a + b`` if ``s`` is None), as a new operator."""
+    out = {x: dict(col) for x, col in a.items()}
+    for x, col in b.items():
+        if not accumulate(out.setdefault(x, {}), col, s):
+            del out[x]
+    return out
 
-    def __call__(self, x):
-        return mat_vec(self.matrix, x)
+
+def op_bracket(a, b):
+    """The commutator ``a b - b a``."""
+    return op_add(op_compose(a, b), op_compose(b, a), -ONE)
+
+
+def op_transpose(op):
+    out = {}
+    for x, col in op.items():
+        for k, a in col.items():
+            out.setdefault(k, {})[x] = a
+    return out
+
+
+def _flatten(op, n):
+    """An operator on Q^n as a vector of Q^(n*n): row k of column x at k*n + x."""
+    return {k * n + x: a for x, col in op.items() for k, a in col.items()}
+
+
+def _unflatten(v, n):
+    out = {}
+    for c, a in v.items():
+        k, x = divmod(c, n)
+        out.setdefault(x, {})[k] = a
+    return out
 
 
 class TripleSystem:
@@ -91,43 +127,51 @@ class TripleSystem:
             constants[(i, j, k)] = dict(coords)
         return cls(dim, basis_names, constants)
 
-    def basis_product(self, i, j, k):
-        """[b_i, b_j, b_k] as a dense coordinate tuple."""
-        return _dense(self.dim, self.constants.get((i, j, k), {}))
-
     def triple_product(self, x, y, z):
         """Trilinear extension of the structure constants."""
-        d = self.dim
-        if len(x) != d or len(y) != d or len(z) != d:
-            raise InvalidStructure("coordinate length mismatch")
         consts = self.constants
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        zs = [(k, c) for k, c in enumerate(z) if c]
-        out = [ZERO] * d
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in ys:
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
                 ab = a * b
-                for k, c in zs:
+                for k, c in z.items():
                     coords = consts.get((i, j, k))
                     if coords:
-                        abc = ab * c
-                        for l, w in coords.items():
-                            out[l] += abc * w
-        return tuple(out)
+                        accumulate(out, coords, ab * c)
+        return out
+
+    def _op(self, free, a, b):
+        """x -> the product with b_x in slot ``free`` and a, b in the others."""
+        out = {}
+        for key, coords in self.constants.items():
+            i, j = key[:free] + key[free + 1:]
+            c = a.get(i, ZERO) * b.get(j, ZERO)
+            if c:
+                accumulate(out.setdefault(key[free], {}), coords, c)
+        return {x: col for x, col in out.items() if col}
 
     def r_op(self, a, b):
-        """Matrix of x -> [x, a, b]."""
-        d = self.dim
-        cols = [self.triple_product(unit_vector(d, i), a, b) for i in range(d)]
-        return Operator(tuple(tuple(cols[i][k] for i in range(d)) for k in range(d)))
+        """x -> [x, a, b]."""
+        return self._op(0, a, b)
 
     def d_op(self, a, b):
-        """Matrix of x -> [a, b, x]."""
-        d = self.dim
-        cols = [self.triple_product(a, b, unit_vector(d, i)) for i in range(d)]
-        return Operator(tuple(tuple(cols[i][k] for i in range(d)) for k in range(d)))
+        """x -> [a, b, x]."""
+        return self._op(2, a, b)
+
+
+def basis_operators(t, right=True):
+    """The nonzero R_{b_i,b_j}: x -> [x, b_i, b_j] (or, if not ``right``,
+    D_{b_i,b_j}: x -> [b_i, b_j, x]), by (i, j) in lexicographic order.
+
+    Their columns are the dicts of ``t.constants``: do not mutate them.
+    """
+    ops = {}
+    for (p, q, r), coords in t.constants.items():
+        if right:
+            ops.setdefault((q, r), {})[p] = coords
+        else:
+            ops.setdefault((p, q), {})[r] = coords
+    return {key: ops[key] for key in sorted(ops)}
 
 
 @dataclass
@@ -148,9 +192,9 @@ class AxiomReport:
 
 
 def _first_nonzero_sum(consts, orbit):
-    """Lexicographically first basis triple t with sum of C[s], s in orbit(t), != 0.
+    """Lexicographically first basis tuple t with sum of C[s], s in orbit(t), != 0.
 
-    ``orbit(i, j, k)`` lists triples (repeats count) and must be closed
+    ``orbit(*t)`` lists tuples (repeats count) and must be closed
     under the symmetry it describes, so only the orbits of stored keys
     can have a nonzero sum.
     """
@@ -163,18 +207,18 @@ def _first_nonzero_sum(consts, orbit):
     return None
 
 
+def _cyclic(i, j, k):
+    return (i, j, k), (j, k, i), (k, i, j)
+
+
 def _derivation_failure(consts, op):
     """First basis triple (x,y,z), lexicographically, where ``op`` is no derivation.
 
-    ``op`` maps a basis index x to the nonzero coordinates of op(b_x).
     The identity checked is
     op[x,y,z] = [op x,y,z] + [x,op y,z] + [x,y,op z];
     returns None if it holds on every basis triple.
     """
-    op_t = {}  # the transpose: p -> {x: coefficient of b_p in op(b_x)}
-    for x, col in op.items():
-        for p, a in col.items():
-            op_t.setdefault(p, {})[x] = a
+    op_t = op_transpose(op)  # p -> {x: coefficient of b_p in op(b_x)}
     residue = {}
     for (p, q, r), coords in consts.items():
         lhs = residue.setdefault((p, q, r), {})
@@ -213,18 +257,14 @@ def check_axioms(t):
             alt = AxiomVerdict(False, ("[x,y,z]+[y,x,z] != 0",) + bad)
 
     cyc = AxiomVerdict(True)
-    bad = _first_nonzero_sum(consts,
-                             lambda i, j, k: ((i, j, k), (j, k, i), (k, i, j)))
+    bad = _first_nonzero_sum(consts, _cyclic)
     if bad:
         cyc = AxiomVerdict(False, ("cyclic sum != 0",) + bad)
 
-    # D_{a,b} b_x = [a,b,x]; D_{a,b} = 0 is trivially a derivation
-    ops = {}
-    for (a, b, x), coords in consts.items():
-        ops.setdefault((a, b), {})[x] = coords
+    # D_{a,b} = 0 is trivially a derivation
     der = AxiomVerdict(True)
-    for a, b in sorted(ops):
-        bad = _derivation_failure(consts, ops[(a, b)])
+    for (a, b), op in basis_operators(t, right=False).items():
+        bad = _derivation_failure(consts, op)
         if bad:
             der = AxiomVerdict(False, ("derivation identity fails", a, b) + bad)
             break
@@ -259,174 +299,166 @@ class LieAlgebra:
             brackets[(i, j)] = dict(coords)
         return cls(dim, basis_names, brackets)
 
-    def basis_bracket(self, i, j):
-        """[b_i, b_j] as a dense coordinate tuple."""
-        return _dense(self.dim, self.brackets.get((i, j), {}))
-
     def bracket(self, x, y):
         brackets = self.brackets
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        out = [ZERO] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in ys:
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
                 coords = brackets.get((i, j))
                 if coords:
-                    ab = a * b
-                    for l, w in coords.items():
-                        out[l] += ab * w
-        return tuple(out)
+                    accumulate(out, coords, a * b)
+        return out
 
-    def _bracket_with_basis(self, i, coords):
-        """[b_i, v] for v given by its sparse coordinates."""
+    def _nested(self):
+        """[b_i, [b_j, b_k]] by (i, j, k), on the triples where it can be nonzero."""
+        by_second = {}
+        for (i, l), coords in self.brackets.items():
+            by_second.setdefault(l, []).append((i, coords))
         out = {}
-        for l, a in coords.items():
-            accumulate(out, self.brackets.get((i, l), {}), a)
+        for (j, k), inner in self.brackets.items():
+            for l, a in inner.items():
+                for i, coords in by_second.get(l, ()):
+                    accumulate(out.setdefault((i, j, k), {}), coords, a)
         return out
 
     def validate(self):
-        """Raise InvalidStructure unless antisymmetry and Jacobi hold."""
-        d = self.dim
-        brackets = self.brackets
-        for i in range(d):
-            if (i, i) in brackets:
+        """Raise InvalidStructure unless antisymmetry and Jacobi hold.
+
+        The failure named is the first basis pair, then the first basis
+        triple, in lexicographic order.
+        """
+        bad = _first_nonzero_sum(self.brackets, lambda i, j: ((i, j), (j, i)))
+        if bad:
+            i, j = bad
+            if (i, i) in self.brackets:
                 raise InvalidStructure(f"[b{i},b{i}] != 0")
-            for j in range(d):
-                total = accumulate(dict(brackets.get((i, j), {})),
-                                   brackets.get((j, i), {}))
-                if total:
-                    raise InvalidStructure(f"[b{i},b{j}] + [b{j},b{i}] != 0")
-        for i, j, k in iproduct(range(d), repeat=3):
-            s = self._bracket_with_basis(i, brackets.get((j, k), {}))
-            accumulate(s, self._bracket_with_basis(j, brackets.get((k, i), {})))
-            accumulate(s, self._bracket_with_basis(k, brackets.get((i, j), {})))
-            if s:
-                raise InvalidStructure(f"Jacobi fails on basis triple ({i},{j},{k})")
+            raise InvalidStructure(f"[b{i},b{j}] + [b{j},b{i}] != 0")
+        bad = _first_nonzero_sum(self._nested(), _cyclic)
+        if bad:
+            raise InvalidStructure("Jacobi fails on basis triple ({},{},{})".format(*bad))
 
     def killing(self):
         """K(b_i, b_j) = tr(ad b_i ad b_j) = sum over k of [b_i, [b_j, b_k]]_k."""
-        d = self.dim
-        return tuple(
-            tuple(sum((self._bracket_with_basis(i, self.brackets.get((j, k), {}))
-                       .get(k, ZERO) for k in range(d)), ZERO)
-                  for j in range(d))
-            for i in range(d))
+        out = {}
+        for (i, j, k), coords in self._nested().items():
+            if k in coords:
+                accumulate(out.setdefault(i, {}), {j: coords[k]})
+        return {i: row for i, row in out.items() if row}
 
 
 def lts_from_lie(l):
     """The triple system [x,y,z] = [[x,y],z] of a Lie algebra."""
     l.validate()
-    d = l.dim
+    by_first = {}
+    for (m, k), coords in l.brackets.items():
+        by_first.setdefault(m, []).append((k, coords))
     constants = {}
-    for i, j, k in iproduct(range(d), repeat=3):
-        v = {}
-        for m, a in l.brackets.get((i, j), {}).items():
-            accumulate(v, l.brackets.get((m, k), {}), a)
-        constants[(i, j, k)] = v
-    return TripleSystem(d, l.basis_names, constants)
+    for (i, j), inner in l.brackets.items():
+        for m, a in inner.items():
+            for k, coords in by_first.get(m, ()):
+                accumulate(constants.setdefault((i, j, k), {}), coords, a)
+    return TripleSystem(l.dim, l.basis_names,
+                        {key: constants[key] for key in sorted(constants)})
 
 
 def lts_from_involution(l, s):
-    """Restrict [[x,y],z] to the -1 eigenspace of an involutive automorphism."""
+    """Restrict [[x,y],z] to the -1 eigenspace of an involutive automorphism
+    ``s`` of ``l`` (an operator on L)."""
     l.validate()
     d = l.dim
-    m = s.matrix
-    if mat_mul(m, m) != mat_identity(d):
+    if op_compose(s, s) != {x: {x: ONE} for x in range(d)}:
         raise InvalidStructure("map is not an involution (square != identity)")
-    e = lambda i: unit_vector(d, i)
     for i, j in iproduct(range(d), repeat=2):
-        if mat_vec(m, l.basis_bracket(i, j)) != l.bracket(mat_vec(m, e(i)), mat_vec(m, e(j))):
+        if (op_apply(s, l.brackets.get((i, j), {}))
+                != l.bracket(s.get(i, {}), s.get(j, {}))):
             raise InvalidStructure("map is not a Lie algebra automorphism")
     # -1 eigenspace = kernel of (s + Id)
-    splus = tuple(tuple(m[a][b] + (ONE if a == b else ZERO) for b in range(d))
-                  for a in range(d))
-    ker = kernel([_sparse(d, mat_vec(splus, e(i))) for i in range(d)], d)
-    basis = [_dense(d, r) for r in ker.rows]
+    ker = kernel([accumulate(dict(s.get(i, {})), {i: ONE}) for i in range(d)], d)
+    basis = ker.rows
     k = len(basis)
     constants = {}
     for i, j, kk in iproduct(range(k), repeat=3):
         v = l.bracket(l.bracket(basis[i], basis[j]), basis[kk])
-        coords = ker.coordinates(_sparse(d, v))
+        coords = ker.coordinates(v)
         if coords is None:
             raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
-        constants[(i, j, kk)] = coords
+        constants[(i, j, kk)] = dict(enumerate(coords))
     names = tuple(f"t{i}" for i in range(k))
     return TripleSystem(k, names, constants)
-
-
-def _columns(matrix):
-    """Sparse columns of a square matrix: x -> nonzero coordinates of M b_x."""
-    n = len(matrix)
-    cols = {}
-    for x in range(n):
-        col = {k: matrix[k][x] for k in range(n) if matrix[k][x]}
-        if col:
-            cols[x] = col
-    return cols
 
 
 def inner_derivations(t):
     """Echelonized span of all D_{b_i,b_j}, verified closed and derivations.
 
-    Returns (Subspace over flattened d*d matrices, list of basis matrices).
+    Returns (Subspace over flattened d*d operators, list of basis operators).
     """
     d = t.dim
-    e = lambda i: unit_vector(d, i)
-    gens = [t.d_op(e(i), e(j)).matrix for i in range(d) for j in range(d)]
-    space = echelonize([mat_flatten(g) for g in gens], d * d)
-    basis = [mat_unflatten(r, d) for r in space.rows]
+    space = echelonize([_flatten(D, d) for D in basis_operators(t, right=False).values()],
+                       d * d)
+    basis = [_unflatten(r, d) for r in space.rows]
     for a in basis:
         for b in basis:
-            if not space.member(mat_flatten(mat_bracket(a, b))):
+            if not space.member(_flatten(op_bracket(a, b), d)):
                 raise InvalidStructure("inner derivations are not bracket-closed")
     for D in basis:
-        if _derivation_failure(t.constants, _columns(D)) is not None:
+        if _derivation_failure(t.constants, D) is not None:
             raise InvalidStructure("an inner derivation fails the derivation identity")
     return space, basis
 
 
 @dataclass
 class StandardEmbedding:
-    """L(T) = InnDer(T) (+) T with its involution and Killing form."""
+    """L(T) = InnDer(T) (+) T with its Killing form.
+
+    The involution of L(T) fixes the first ``inn_dim`` basis vectors (the
+    InnDer(T) block) and negates the rest (the T block).
+    """
     lie: LieAlgebra
     inn_dim: int
     t_dim: int
-    inn_basis: list            # matrices on T spanning InnDer(T), echelon basis
-    sigma: Operator            # diagonal +-1 on L(T)
-    killing: tuple             # trace form of the adjoint representation
-    killing_t: tuple           # restriction of the Killing form to the T block
+    inn_basis: list            # operators on T spanning InnDer(T), echelon basis
+    killing: dict              # trace form of the adjoint representation
+    killing_t: dict            # restriction of the Killing form to the T block
 
     @property
     def dim(self):
         return self.lie.dim
 
 
+def _graded(brackets, m):
+    """True iff [D,D] and [T,T] lie in D and [D,T], [T,D] in T, where D is
+    spanned by the first ``m`` basis vectors and T by the rest: exactly
+    when the involution fixing D and negating T preserves the bracket."""
+    for (p, q), coords in brackets.items():
+        odd = (p >= m) != (q >= m)
+        if any((l >= m) != odd for l in coords):
+            return False
+    return True
+
+
 def standard_embedding(t):
-    """Build L(T), validate Jacobi, and compute sigma and the Killing form."""
+    """Build L(T), validate Jacobi and the grading, and compute the Killing form."""
     d = t.dim
-    e = lambda i: unit_vector(d, i)
     inn_space, inn_basis = inner_derivations(t)
     m = len(inn_basis)
     n = m + d
 
-    def inn_coords(matrix):
-        coords = inn_space.coordinates(mat_flatten(matrix))
+    def inn_coords(op):
+        coords = inn_space.coordinates(_flatten(op, d))
         if coords is None:
             raise InvalidStructure("bracket leaves the inner derivation span")
         return dict(enumerate(coords))
 
     brackets = {}
-    for p in range(m):
-        for q in range(m):
-            brackets[(p, q)] = inn_coords(mat_bracket(inn_basis[p], inn_basis[q]))
-    for p in range(m):
-        for i, col in sorted(_columns(inn_basis[p]).items()):
+    for p, a in enumerate(inn_basis):
+        for q, b in enumerate(inn_basis):
+            brackets[(p, q)] = inn_coords(op_bracket(a, b))
+    for p, D in enumerate(inn_basis):
+        for i, col in sorted(D.items()):
             brackets[(p, m + i)] = {m + k: a for k, a in col.items()}
             brackets[(m + i, p)] = {m + k: -a for k, a in col.items()}
-    for i in range(d):
-        for j in range(d):
-            brackets[(m + i, m + j)] = inn_coords(t.d_op(e(i), e(j)).matrix)
+    for (i, j), D in basis_operators(t, right=False).items():
+        brackets[(m + i, m + j)] = inn_coords(D)
 
     names = tuple(f"D{p}" for p in range(m)) + t.basis_names
     lie = LieAlgebra(n, names, brackets)
@@ -434,28 +466,15 @@ def standard_embedding(t):
         lie.validate()
     except InvalidStructure as exc:
         raise InvalidStructure(f"standard embedding is not a Lie algebra: {exc}")
+    if not _graded(lie.brackets, m):
+        raise InvalidStructure("the bracket does not respect the grading InnDer(T) + T")
 
-    sigma_m = tuple(tuple((ONE if i < m else -ONE) if i == j else ZERO
-                          for j in range(n)) for i in range(n))
-    sigma = Operator(sigma_m)
     killing = lie.killing()
-
-    # sigma is an involutive automorphism preserving K; InnDer and T are
-    # orthogonal under K
-    assert mat_mul(sigma_m, sigma_m) == mat_identity(n)
-    for i, j in iproduct(range(n), repeat=2):
-        lhs = mat_vec(sigma_m, lie.basis_bracket(i, j))
-        rhs = lie.bracket(mat_vec(sigma_m, unit_vector(n, i)),
-                          mat_vec(sigma_m, unit_vector(n, j)))
-        if lhs != rhs:
-            raise InvalidStructure("sigma does not preserve the bracket")
-    for p in range(m):
-        for i in range(d):
-            if killing[p][m + i]:
-                raise InvalidStructure("InnDer(T) and T are not K-orthogonal")
-
-    killing_t = tuple(tuple(killing[m + i][m + j] for j in range(d)) for i in range(d))
-    return StandardEmbedding(lie, m, d, inn_basis, sigma, killing, killing_t)
+    if any(j >= m for i, row in killing.items() if i < m for j in row):
+        raise InvalidStructure("InnDer(T) and T are not K-orthogonal")
+    killing_t = {i - m: {j - m: a for j, a in row.items()}
+                 for i, row in killing.items() if i >= m}
+    return StandardEmbedding(lie, m, d, inn_basis, killing, killing_t)
 
 
 @dataclass
@@ -465,35 +484,40 @@ class TraceIdentityReport:
 
 
 def trace_identity_check(t, emb=None):
-    """2 tr(R_{b_i,b_j}) equals the Killing form K(b_i,b_j), all pairs."""
+    """2 tr(R_{b_i,b_j}) equals the Killing form K(b_i,b_j), all pairs.
+
+    tr R_{b_i,b_j} is the sum over x of C[(x,i,j)][x], so only the pairs
+    with a nonzero trace or a nonzero K(b_i,b_j) can fail.
+    """
     emb = emb or standard_embedding(t)
-    d = t.dim
-    e = lambda i: unit_vector(d, i)
+    traces = {}
+    for (x, i, j), coords in t.constants.items():
+        if x in coords:
+            traces[(i, j)] = traces.get((i, j), ZERO) + coords[x]
+    kt = emb.killing_t
     failures = []
-    for i, j in iproduct(range(d), repeat=2):
-        lhs = 2 * mat_trace(t.r_op(e(i), e(j)).matrix)
-        rhs = emb.killing_t[i][j]
+    for i, j in sorted(set(traces) | {(i, j) for i, row in kt.items() for j in row}):
+        lhs = 2 * traces.get((i, j), ZERO)
+        rhs = kt.get(i, {}).get(j, ZERO)
         if lhs != rhs:
             failures.append((i, j, lhs, rhs))
     return TraceIdentityReport(not failures, failures)
 
 
-def _span_closure(gens, product):
-    """Smallest subspace of n x n matrices containing ``gens`` and closed
+def _span_closure(gens, product, n):
+    """Smallest space of operators on Q^n containing ``gens`` and closed
     under ``product``.
 
-    Returns (canonical RREF Subspace over flattened matrices, list of its
-    basis matrices).  Every ordered pair of basis elements is multiplied
-    once, in order of discovery, and the search stops as soon as the span
-    is all of the n*n matrices: the closure is then known, and its
+    Returns (canonical RREF Subspace over the flattened operators, list
+    of its basis operators).  Every ordered pair of basis elements is
+    multiplied once, in order of discovery, and the search stops as soon
+    as the span is all of End(Q^n): the closure is then known, and its
     canonical basis with it.
     """
-    if not gens:
-        raise InvalidStructure("a span closure needs at least one generator")
-    n = len(gens[0])
     for g in gens:
-        if len(g) != n or len(g[0]) != n:
-            raise InvalidStructure("a span closure needs equal-size square matrices")
+        for x, col in g.items():
+            if not 0 <= x < n or any(not 0 <= k < n for k in col):
+                raise InvalidStructure(f"a span closure needs operators on Q^{n}")
     full = n * n
     ech = Echelon()
     basis = []
@@ -510,42 +534,41 @@ def _span_closure(gens, product):
             i += 1
 
     for c in candidates():
-        row = ech.insert(mat_flatten(c))
+        row = ech.insert(_flatten(c, n))
         if row is not None:
-            basis.append(mat_unflatten(row, n))
+            basis.append(_unflatten(row, n))
             if ech.dim == full:
                 break
     space = ech.subspace(full)
-    return space, [mat_unflatten(r, n) for r in space.rows]
+    return space, [_unflatten(r, n) for r in space.rows]
 
 
-def lie_closure(gens):
-    """Smallest bracket-closed subspace of matrices containing ``gens``.
+def lie_closure(gens, n):
+    """Smallest bracket-closed space of operators on Q^n containing ``gens``.
 
-    Returns (Subspace over flattened matrices, list of echelon basis
-    matrices).  Stops early once the span is all of End(T).
+    Returns (Subspace over flattened operators, list of echelon basis
+    operators).  Stops early once the span is all of End(Q^n).
     """
-    return _span_closure(gens, mat_bracket)
+    return _span_closure(gens, op_bracket, n)
 
 
 def r_generators(t):
-    d = t.dim
-    e = lambda i: unit_vector(d, i)
-    return [t.r_op(e(i), e(j)).matrix for i in range(d) for j in range(d)]
+    """The nonzero R_{b_i,b_j}, in order of (i, j)."""
+    return list(basis_operators(t).values())
 
 
 def endo_theorem_check(t):
     """True iff the Lie closure of all R_{b_i,b_j} is the full End(T)."""
-    space, _ = lie_closure(r_generators(t))
+    space, _ = lie_closure(r_generators(t), t.dim)
     return space.dim == t.dim * t.dim
 
 
-def associative_envelope(gens):
-    """Span-closure of ``gens`` under the matrix product (no unit adjoined).
+def associative_envelope(gens, n):
+    """Span-closure of ``gens`` under composition (no unit adjoined).
 
-    Stops early once the span is all of End(T).
+    Stops early once the span is all of End(Q^n).
     """
-    return _span_closure(gens, mat_mul)
+    return _span_closure(gens, op_compose, n)
 
 
 @dataclass
@@ -565,24 +588,23 @@ def simplicity_certificate(t):
     unless an explicit invariant-subspace witness is found.
     """
     d = t.dim
-    gens = r_generators(t)
-    triple_nonzero = bool(t.constants)
-    if not triple_nonzero:
+    if not t.constants:
         return SimplicityReport("not_simple", 0, False,
                                 witness=Echelon([0]).subspace(d) if d else None)
-    env_space, env_basis = associative_envelope(gens)
+    gens = r_generators(t)
+    env_space, _ = associative_envelope(gens, d)
     if env_space.dim == d * d:
         return SimplicityReport("simple", env_space.dim, True)
     # witness search: R-stable subspace generated by a single basis vector
     for i in range(d):
         ech = Echelon([i])
-        work = [unit_vector(d, i)]
+        work = [{i: ONE}]
         while work:
             new = []
             for v in work:
                 for g in gens:
-                    w = mat_vec(g, v)
-                    if ech.insert(dict(enumerate(w))) is not None:
+                    w = op_apply(g, v)
+                    if ech.insert(w) is not None:
                         new.append(w)
             work = new
         if 0 < ech.dim < d:
@@ -593,32 +615,26 @@ def simplicity_certificate(t):
 
 def tau_map(emb, x, y):
     """The rank <= 1 operator z -> K(y,z) x on T."""
-    d = emb.t_dim
-    ky = mat_vec(emb.killing_t, y)
-    return Operator(tuple(tuple(x[i] * ky[j] for j in range(d)) for i in range(d)))
+    if not x:
+        return {}
+    return {z: {i: a * c for i, a in x.items()}
+            for z, c in op_apply(emb.killing_t, y).items()}
 
 
 def lambda_map(emb, x, y):
-    a, b = tau_map(emb, x, y).matrix, tau_map(emb, y, x).matrix
-    return Operator(tuple(tuple(p - q for p, q in zip(ra, rb))
-                          for ra, rb in zip(a, b)))
+    return op_add(tau_map(emb, x, y), tau_map(emb, y, x), -ONE)
 
 
 def is_k_skew(emb, m):
-    d = emb.t_dim
+    """True iff K(m u, v) + K(u, m v) = 0 for all u, v."""
     kt = emb.killing_t
-    mt = tuple(zip(*m))
-    lhs = mat_mul(mt, kt)
-    rhs = mat_mul(kt, m)
-    return all(lhs[i][j] + rhs[i][j] == 0 for i in range(d) for j in range(d))
+    return not op_add(op_compose(op_transpose(m), kt), op_compose(kt, m))
 
 
 def tau_commutator_check(emb, dmat, x, y):
     """[d, tau_{x,y}] == tau_{d(x),y} + tau_{x,d(y)} for K-skew d."""
     if not is_k_skew(emb, dmat):
         raise InvalidStructure("operator is not skew with respect to the Killing form")
-    lhs = mat_bracket(dmat, tau_map(emb, x, y).matrix)
-    rhs_a = tau_map(emb, mat_vec(dmat, x), y).matrix
-    rhs_b = tau_map(emb, x, mat_vec(dmat, y)).matrix
-    rhs = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(rhs_a, rhs_b))
+    lhs = op_bracket(dmat, tau_map(emb, x, y))
+    rhs = op_add(tau_map(emb, op_apply(dmat, x), y), tau_map(emb, x, op_apply(dmat, y)))
     return lhs == rhs

@@ -204,7 +204,7 @@ def test_negative_cap_behaves_like_cap_zero(capsys, suite):
 
 
 def test_verify_all_on_a_wide_system_exits_3_at_once(tmp_path, capsys):
-    # the table guard runs before the lts suites, which take minutes here
+    # the table guard runs before any suite
     doc = {"kind": "lts", "dim": 40, "basis": [f"a{i}" for i in range(40)],
            "entries": []}
     start = time.monotonic()
@@ -212,6 +212,25 @@ def test_verify_all_on_a_wide_system_exits_3_at_once(tmp_path, capsys):
     assert time.monotonic() - start < 2
     assert capsys.readouterr().err.startswith(
         "budget error: free monomial table for d=40, N=4 exceeds the guard")
+
+
+@pytest.mark.parametrize("kind, command, code, line", [
+    ("lts", "embed", 0, "killing form rank: 0 / 200 (degenerate)"),
+    ("lts", "endo", 1, "lie closure of right-slot operators: dim 0, expected 40000"),
+    ("lts", "simple", 1, "invariant subspace witness of dimension 1"),
+    ("lie", "check", 0, "pass: valid Lie algebra, dim 200"),
+    ("lie", "simple", 1, "verdict: not_simple"),
+])
+def test_lts_commands_on_a_wide_system_finish_at_once(tmp_path, capsys, kind,
+                                                       command, code, line):
+    # 200 generators, all products zero: the lts layer visits only the
+    # stored structure constants, so this costs next to nothing
+    doc = {"kind": kind, "dim": 200, "basis": [f"a{i}" for i in range(200)],
+           "entries": []}
+    start = time.monotonic()
+    assert cli.main([command, write(tmp_path, doc)]) == code
+    assert time.monotonic() - start < 10
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_verify_at_the_minimum_cap_passes(capsys):

@@ -112,7 +112,7 @@ def test_triple_coherence(s2_n6, s2):
                 a, b, c = (s2_n6.generator(i), s2_n6.generator(j),
                            s2_n6.generator(k))
                 assoc = s2_n6.associator(a, b, c)
-                assert 2 * assoc == -1 * s2_n6.inject(s2.basis_product(i, j, k))
+                assert 2 * assoc == -1 * s2_n6.inject(s2.constants.get((i, j, k), {}))
 
 
 def test_power_nucleus(s2_n6):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from triplex import catalog
 from triplex.envelope import Element, EnvelopingAlgebra
 from triplex.exactlin import (DimensionMismatch, accumulate, echelonize, kernel,
-                              mat, mat_bracket, mat_flatten, mat_unflatten,
                               parse_rational)
 
 F = Fraction
@@ -68,33 +67,6 @@ def test_coordinates_in_the_rref_basis():
     s = echelonize([sv([1, 2, 0]), sv([0, 0, 1])], 3)
     assert s.coordinates(sv([2, 4, -3])) == [F(2), F(-3)]
     assert s.coordinates(sv([0, 1, 0])) is None
-
-
-def test_mat_flatten_roundtrip():
-    a = mat([[1, 0, F(1, 2)], [0, -3, 0]])
-    assert mat_flatten(a) == {0: F(1), 2: F(1, 2), 4: F(-3)}
-    assert mat_unflatten(mat_flatten(a), 2, 3) == a
-
-
-def test_mat_bracket_examples():
-    a = mat([[1, 2], [3, 4]])
-    assert mat_bracket(a, a) == mat([[0, 0], [0, 0]])
-    e11 = mat([[1, 0], [0, 0]])
-    e12 = mat([[0, 1], [0, 0]])
-    assert mat_bracket(e11, e12) == e12
-
-
-def test_mat_bracket_s2_r_matrices():
-    # [R_{f,e}, R_{e,e}] computed directly from the 2x2 coordinate matrices
-    r_fe = mat([[2, 0], [0, 0]])
-    r_ee = mat([[0, -2], [0, 0]])
-    expected = mat([[0, -4], [0, 0]])
-    assert mat_bracket(r_fe, r_ee) == expected
-
-
-def test_mat_bracket_size_mismatch():
-    with pytest.raises(DimensionMismatch):
-        mat_bracket(mat([[1]]), mat([[1, 0], [0, 1]]))
 
 
 def test_kernel_simple():

@@ -1,26 +1,33 @@
-"""Differential tests: the sparse ``lts`` checks against the dense code they replace.
+"""Differential tests: the sparse ``lts`` layer against the dense code it replaces.
 
-``DenseTripleSystem``, ``dense_check_axioms`` and the two closure loops
-are the implementations ``lts`` used before its structure constants were
-stored sparsely.  The sparse code must return the same values: the same
-axiom verdicts with the same counterexample tuples, the same products
-and the same canonical closures.
+The reference section below is the dense implementation ``lts`` used
+before its structure constants, vectors and operators were stored
+sparsely: dense coordinate tuples, operators as row-major matrices, and
+the standard embedding checked through its diagonal involution sigma.
+The sparse code must return the same values: the same axiom verdicts
+with the same counterexample tuples, the same products and operators,
+the same inner derivations, Killing forms, trace-identity failures,
+canonical closures and simplicity certificates.
 """
 
+import re
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplex import catalog
-from triplex.exactlin import (ONE, ZERO, Echelon, echelonize, mat_bracket,
-                              mat_flatten, mat_mul, mat_trace, mat_unflatten,
-                              mat_vec)
-from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure,
-                         TripleSystem, _span_closure, associative_envelope,
-                         check_axioms, inner_derivations, lie_closure,
-                         r_generators, unit_vector)
+from triplex.exactlin import ONE, ZERO, Echelon, echelonize, kernel
+from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure, LieAlgebra,
+                         TripleSystem, _graded, _span_closure, associative_envelope,
+                         check_axioms, inner_derivations, is_k_skew, lambda_map,
+                         lie_closure, lts_from_involution, lts_from_lie, op_apply,
+                         op_bracket, op_compose, r_generators, simplicity_certificate,
+                         standard_embedding, tau_commutator_check, tau_map,
+                         trace_identity_check)
 
 F = Fraction
 
@@ -30,12 +37,79 @@ BUNDLED = {name: make() for name, make in catalog.SYSTEMS.items()}
 # ---------------------------------------------------------------------------
 # dense reference code
 
+def unit_vector(d, i):
+    return tuple(ONE if j == i else ZERO for j in range(d))
+
+
 def _add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
 def _is_zero(x):
     return all(not a for a in x)
+
+
+def mat_identity(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(ra, cb)), ZERO) for cb in bt)
+                 for ra in a)
+
+
+def mat_bracket(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def mat_trace(a):
+    return sum((a[i][i] for i in range(len(a))), ZERO)
+
+
+def mat_vec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+
+
+def mat_flatten(a):
+    m = len(a[0])
+    return {i * m + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+
+
+def mat_unflatten(v, n):
+    out = [[ZERO] * n for _ in range(n)]
+    for c, a in v.items():
+        out[c // n][c % n] = a
+    return tuple(tuple(r) for r in out)
+
+
+def dense(d, v):
+    """A sparse vector as a length-d tuple."""
+    return tuple(v.get(i, ZERO) for i in range(d))
+
+
+def sparse(v):
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def columns(matrix):
+    """The sparse columns of a dense square matrix."""
+    n = len(matrix)
+    out = {}
+    for x in range(n):
+        col = {k: matrix[k][x] for k in range(n) if matrix[k][x]}
+        if col:
+            out[x] = col
+    return out
+
+
+def matrix(n, op):
+    """The dense matrix of sparse columns on Q^n."""
+    return tuple(tuple(op.get(x, {}).get(k, ZERO) for x in range(n)) for k in range(n))
 
 
 class DenseTripleSystem:
@@ -64,10 +138,33 @@ class DenseTripleSystem:
                         out[l] += c * a
         return tuple(out)
 
+    def r_op(self, a, b):
+        d = self.dim
+        cols = [self.triple_product(unit_vector(d, i), a, b) for i in range(d)]
+        return tuple(tuple(cols[i][k] for i in range(d)) for k in range(d))
+
     def d_op(self, a, b):
         d = self.dim
         cols = [self.triple_product(a, b, unit_vector(d, i)) for i in range(d)]
         return tuple(tuple(cols[i][k] for i in range(d)) for k in range(d))
+
+
+def dense_system(t):
+    return DenseTripleSystem(t.dim, t.constants)
+
+
+def dense_derivation_failure(t, D):
+    """First basis triple where the matrix ``D`` is no derivation, or None."""
+    d = t.dim
+    e = lambda i: unit_vector(d, i)
+    for x, y, z in iproduct(range(d), repeat=3):
+        lhs = mat_vec(D, t.basis_product(x, y, z))
+        rhs = _add(_add(t.triple_product(mat_vec(D, e(x)), e(y), e(z)),
+                        t.triple_product(e(x), mat_vec(D, e(y)), e(z))),
+                   t.triple_product(e(x), e(y), mat_vec(D, e(z))))
+        if lhs != rhs:
+            return x, y, z
+    return None
 
 
 def dense_check_axioms(t):
@@ -96,19 +193,189 @@ def dense_check_axioms(t):
 
     der = AxiomVerdict(True)
     for a, b in iproduct(range(d), repeat=2):
-        D = t.d_op(e(a), e(b))
-        for x, y, z in iproduct(range(d), repeat=3):
-            lhs = mat_vec(D, t.basis_product(x, y, z))
-            rhs = _add(_add(t.triple_product(mat_vec(D, e(x)), e(y), e(z)),
-                            t.triple_product(e(x), mat_vec(D, e(y)), e(z))),
-                       t.triple_product(e(x), e(y), mat_vec(D, e(z))))
-            if lhs != rhs:
-                der = AxiomVerdict(False, ("derivation identity fails", a, b, x, y, z))
-                break
-        if not der.ok:
+        bad = dense_derivation_failure(t, t.d_op(e(a), e(b)))
+        if bad:
+            der = AxiomVerdict(False, ("derivation identity fails", a, b) + bad)
             break
 
     return AxiomReport(alt, cyc, der)
+
+
+class DenseLie:
+    """Dense Lie structure constants: (i,j) -> tuple of length dim."""
+
+    def __init__(self, dim, brackets):
+        self.dim = dim
+        self.brackets = {key: dense(dim, v) for key, v in brackets.items()
+                         if any(v.values())}
+
+    def basis_bracket(self, i, j):
+        return self.brackets.get((i, j), (ZERO,) * self.dim)
+
+    def bracket(self, x, y):
+        out = [ZERO] * self.dim
+        for (i, j), vec in self.brackets.items():
+            c = x[i] * y[j]
+            if c:
+                for l, a in enumerate(vec):
+                    out[l] += c * a
+        return tuple(out)
+
+    def validate(self):
+        d = self.dim
+        e = lambda i: unit_vector(d, i)
+        for i in range(d):
+            if not _is_zero(self.basis_bracket(i, i)):
+                raise InvalidStructure(f"[b{i},b{i}] != 0")
+            for j in range(d):
+                if not _is_zero(_add(self.basis_bracket(i, j), self.basis_bracket(j, i))):
+                    raise InvalidStructure(f"[b{i},b{j}] + [b{j},b{i}] != 0")
+        for i, j, k in iproduct(range(d), repeat=3):
+            s = _add(_add(self.bracket(e(i), self.basis_bracket(j, k)),
+                          self.bracket(e(j), self.basis_bracket(k, i))),
+                     self.bracket(e(k), self.basis_bracket(i, j)))
+            if not _is_zero(s):
+                raise InvalidStructure(f"Jacobi fails on basis triple ({i},{j},{k})")
+
+    def killing(self):
+        d = self.dim
+        ad = [tuple(tuple(self.basis_bracket(i, j)[k] for j in range(d))
+                    for k in range(d)) for i in range(d)]
+        return tuple(tuple(mat_trace(mat_mul(ad[i], ad[j])) for j in range(d))
+                     for i in range(d))
+
+
+def validation_error(lie):
+    try:
+        lie.validate()
+    except InvalidStructure as exc:
+        return str(exc)
+    return None
+
+
+def dense_lts_from_lie(l):
+    """The dense constants [[b_i,b_j],b_k] of a valid DenseLie."""
+    d = l.dim
+    e = lambda i: unit_vector(d, i)
+    return {(i, j, k): sparse(l.bracket(l.basis_bracket(i, j), e(k)))
+            for i, j, k in iproduct(range(d), repeat=3)}
+
+
+def dense_lts_from_involution(l, m):
+    """The -1 eigenspace constants of the matrix ``m`` acting on a DenseLie."""
+    l.validate()
+    d = l.dim
+    if mat_mul(m, m) != mat_identity(d):
+        raise InvalidStructure("map is not an involution (square != identity)")
+    e = lambda i: unit_vector(d, i)
+    for i, j in iproduct(range(d), repeat=2):
+        if mat_vec(m, l.basis_bracket(i, j)) != l.bracket(mat_vec(m, e(i)), mat_vec(m, e(j))):
+            raise InvalidStructure("map is not a Lie algebra automorphism")
+    splus = tuple(tuple(m[a][b] + (ONE if a == b else ZERO) for b in range(d))
+                  for a in range(d))
+    ker = kernel([sparse(mat_vec(splus, e(i))) for i in range(d)], d)
+    basis = [dense(d, r) for r in ker.rows]
+    k = len(basis)
+    constants = {}
+    for i, j, kk in iproduct(range(k), repeat=3):
+        v = l.bracket(l.bracket(basis[i], basis[j]), basis[kk])
+        coords = ker.coordinates(sparse(v))
+        if coords is None:
+            raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
+        constants[(i, j, kk)] = dict(enumerate(coords))
+    return TripleSystem(k, tuple(f"t{i}" for i in range(k)), constants).constants
+
+
+def dense_inner_derivations(t):
+    d = t.dim
+    e = lambda i: unit_vector(d, i)
+    gens = [t.d_op(e(i), e(j)) for i in range(d) for j in range(d)]
+    space = echelonize([mat_flatten(g) for g in gens], d * d)
+    basis = [mat_unflatten(r, d) for r in space.rows]
+    for a in basis:
+        for b in basis:
+            if not space.member(mat_flatten(mat_bracket(a, b))):
+                raise InvalidStructure("inner derivations are not bracket-closed")
+    for D in basis:
+        if dense_derivation_failure(t, D) is not None:
+            raise InvalidStructure("an inner derivation fails the derivation identity")
+    return space, basis
+
+
+def sigma_matrix(n, m):
+    """diag(1, ..., 1, -1, ..., -1) with m entries 1."""
+    return tuple(tuple((ONE if i < m else -ONE) if i == j else ZERO for j in range(n))
+                 for i in range(n))
+
+
+def dense_sigma_preserves(lie, sigma):
+    n = lie.dim
+    e = lambda i: unit_vector(n, i)
+    return all(mat_vec(sigma, lie.basis_bracket(i, j))
+               == lie.bracket(mat_vec(sigma, e(i)), mat_vec(sigma, e(j)))
+               for i, j in iproduct(range(n), repeat=2))
+
+
+def dense_standard_embedding(t):
+    d = t.dim
+    e = lambda i: unit_vector(d, i)
+    inn_space, inn_basis = dense_inner_derivations(t)
+    m = len(inn_basis)
+    n = m + d
+
+    def inn_coords(matrix):
+        coords = inn_space.coordinates(mat_flatten(matrix))
+        if coords is None:
+            raise InvalidStructure("bracket leaves the inner derivation span")
+        return dict(enumerate(coords))
+
+    brackets = {}
+    for p in range(m):
+        for q in range(m):
+            brackets[(p, q)] = inn_coords(mat_bracket(inn_basis[p], inn_basis[q]))
+    for p in range(m):
+        for i in range(d):
+            col = {m + k: inn_basis[p][k][i] for k in range(d)}
+            brackets[(p, m + i)] = col
+            brackets[(m + i, p)] = {k: -a for k, a in col.items()}
+    for i in range(d):
+        for j in range(d):
+            brackets[(m + i, m + j)] = inn_coords(t.d_op(e(i), e(j)))
+
+    lie = DenseLie(n, brackets)
+    error = validation_error(lie)
+    if error:
+        raise InvalidStructure(f"standard embedding is not a Lie algebra: {error}")
+    sigma = sigma_matrix(n, m)
+    assert mat_mul(sigma, sigma) == mat_identity(n)
+    if not dense_sigma_preserves(lie, sigma):
+        raise InvalidStructure("sigma does not preserve the bracket")
+    killing = lie.killing()
+    for p in range(m):
+        for i in range(d):
+            if killing[p][m + i]:
+                raise InvalidStructure("InnDer(T) and T are not K-orthogonal")
+    killing_t = tuple(tuple(killing[m + i][m + j] for j in range(d)) for i in range(d))
+    return SimpleNamespace(lie=lie, inn_dim=m, inn_basis=inn_basis, sigma=sigma,
+                           killing=killing, killing_t=killing_t)
+
+
+def dense_trace_failures(t, emb):
+    d = t.dim
+    e = lambda i: unit_vector(d, i)
+    failures = []
+    for i, j in iproduct(range(d), repeat=2):
+        lhs = 2 * mat_trace(t.r_op(e(i), e(j)))
+        rhs = emb.killing_t[i][j]
+        if lhs != rhs:
+            failures.append((i, j, lhs, rhs))
+    return failures
+
+
+def dense_r_generators(t):
+    d = t.dim
+    e = lambda i: unit_vector(d, i)
+    return [t.r_op(e(i), e(j)) for i in range(d) for j in range(d)]
 
 
 def _closure_loop(gens, product):
@@ -143,6 +410,58 @@ def dense_lie_closure(gens):
 
 def dense_associative_envelope(gens):
     return _closure_loop(gens, mat_mul)
+
+
+def dense_simplicity_certificate(t):
+    """(verdict, envelope_dim, triple_nonzero, witness)."""
+    d = t.dim
+    gens = dense_r_generators(t)
+    if not t.constants:
+        return "not_simple", 0, False, Echelon([0]).subspace(d)
+    env_space, _ = dense_associative_envelope(gens)
+    if env_space.dim == d * d:
+        return "simple", env_space.dim, True, None
+    for i in range(d):
+        ech = Echelon([i])
+        work = [unit_vector(d, i)]
+        while work:
+            new = []
+            for v in work:
+                for g in gens:
+                    w = mat_vec(g, v)
+                    if ech.insert(sparse(w)) is not None:
+                        new.append(w)
+            work = new
+        if 0 < ech.dim < d:
+            return "not_simple", env_space.dim, True, ech.subspace(d)
+    return "inconclusive", env_space.dim, True, None
+
+
+def dense_tau_map(kt, x, y):
+    d = len(x)
+    ky = mat_vec(kt, y)
+    return tuple(tuple(x[i] * ky[j] for j in range(d)) for i in range(d))
+
+
+def dense_lambda_map(kt, x, y):
+    return mat_sub(dense_tau_map(kt, x, y), dense_tau_map(kt, y, x))
+
+
+def dense_is_k_skew(kt, m):
+    d = len(kt)
+    lhs = mat_mul(tuple(zip(*m)), kt)
+    rhs = mat_mul(kt, m)
+    return all(lhs[i][j] + rhs[i][j] == 0 for i in range(d) for j in range(d))
+
+
+def dense_tau_commutator_check(kt, dmat, x, y):
+    if not dense_is_k_skew(kt, dmat):
+        raise InvalidStructure("operator is not skew with respect to the Killing form")
+    lhs = mat_bracket(dmat, dense_tau_map(kt, x, y))
+    rhs_a = dense_tau_map(kt, mat_vec(dmat, x), y)
+    rhs_b = dense_tau_map(kt, x, mat_vec(dmat, y))
+    rhs = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(rhs_a, rhs_b))
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +618,199 @@ def test_triple_product_and_operators_match_dense(case, data):
     ref = DenseTripleSystem(d, consts)
     vec = st.tuples(*[st.integers(-2, 2).map(F)] * d)
     x, y, z = data.draw(vec), data.draw(vec), data.draw(vec)
-    assert t.triple_product(x, y, z) == ref.triple_product(x, y, z)
-    assert t.d_op(x, y).matrix == ref.d_op(x, y)
+    sx, sy, sz = sparse(x), sparse(y), sparse(z)
+    assert t.triple_product(sx, sy, sz) == sparse(ref.triple_product(x, y, z))
+    assert t.r_op(sx, sy) == columns(ref.r_op(x, y))
+    assert t.d_op(sx, sy) == columns(ref.d_op(x, y))
     for i, j, k in iproduct(range(d), repeat=3):
-        assert t.basis_product(i, j, k) == ref.basis_product(i, j, k)
+        assert t.constants.get((i, j, k), {}) == sparse(ref.basis_product(i, j, k))
 
 
 def test_killing_form_matches_trace_of_adjoints():
     for lie in (catalog.sl2_lie(), catalog.sl3_lie()):
         d = lie.dim
-        ad = [tuple(tuple(lie.basis_bracket(i, j)[k] for j in range(d))
+        ad = [tuple(tuple(lie.brackets.get((i, j), {}).get(k, ZERO) for j in range(d))
                     for k in range(d)) for i in range(d)]
-        assert lie.killing() == tuple(
+        assert lie.killing() == columns(tuple(
             tuple(mat_trace(mat_mul(ad[i], ad[j])) for j in range(d))
-            for i in range(d))
+            for i in range(d)))
+
+
+# ---------------------------------------------------------------------------
+# Lie algebras: validation, the triple system [[x,y],z], involutions
+
+@st.composite
+def bracket_tables(draw):
+    """Small random bracket constants: raw or antisymmetric."""
+    d = draw(st.integers(1, 3))
+    idx = st.integers(0, d - 1)
+    entries = draw(st.lists(st.tuples(idx, idx, idx, st.integers(-2, 2)), max_size=6))
+    antisymmetric = draw(st.booleans())
+    brackets = {}
+    for i, j, l, a in entries:
+        _add_at(brackets, (i, j), l, F(a))
+        if antisymmetric:
+            _add_at(brackets, (j, i), l, -F(a))
+    return d, brackets
+
+
+def assert_lie_layer_matches(lie):
+    ref = DenseLie(lie.dim, lie.brackets)
+    error = validation_error(lie)
+    assert error == validation_error(ref)
+    if error is None:
+        assert lie.killing() == columns(ref.killing())
+        assert lts_from_lie(lie).constants == {key: v for key, v in
+                                               dense_lts_from_lie(ref).items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+def test_lie_layer_random_matches_dense(case):
+    d, brackets = case
+    assert_lie_layer_matches(LieAlgebra(d, tuple(f"b{i}" for i in range(d)), brackets))
+
+
+LIES = {"sl2": catalog.sl2_lie, "sl3": catalog.sl3_lie,
+        **{f"L({name})": (lambda t=t: standard_embedding(t).lie)
+           for name, t in BUNDLED.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(LIES))
+def test_lie_layer_bundled_matches_dense(name):
+    assert_lie_layer_matches(LIES[name]())
+
+
+def _sl3_transpose():
+    # column j: the coordinates of -b_j^T in the sl(3) basis
+    return {j: catalog._sl3_coords(tuple(tuple(-b[q][p] for q in range(3))
+                                         for p in range(3)))
+            for j, b in enumerate(catalog._gl3_basis())}
+
+
+@pytest.mark.parametrize("lie, sigma", [
+    (catalog.sl3_lie(), _sl3_transpose()),
+    (catalog.sl2_lie(), columns(sigma_matrix(3, 1))),        # gives s2
+    (catalog.sl2_lie(), columns(sigma_matrix(3, 2))),        # no automorphism
+    (catalog.sl2_lie(), {0: {0: F(2)}, 1: {1: ONE}, 2: {2: ONE}}),  # no involution
+], ids=["sl3_transpose", "sl2_cartan", "sl2_not_automorphism", "sl2_not_involution"])
+def test_lts_from_involution_matches_dense(lie, sigma):
+    try:
+        ref = dense_lts_from_involution(DenseLie(lie.dim, lie.brackets),
+                                        matrix(lie.dim, sigma))
+    except InvalidStructure as exc:
+        with pytest.raises(InvalidStructure, match=re.escape(str(exc))):
+            lts_from_involution(lie, sigma)
+        return
+    assert lts_from_involution(lie, sigma).constants == ref
+
+
+# ---------------------------------------------------------------------------
+# the standard embedding, the trace identity, closures, simplicity
+
+def assert_lts_layer_matches(t):
+    """Every lts result on ``t`` equals the dense reference's."""
+    d = t.dim
+    ref_t = dense_system(t)
+    try:
+        ref = dense_standard_embedding(ref_t)
+    except InvalidStructure:
+        with pytest.raises(InvalidStructure):
+            standard_embedding(t)
+        ref = None
+    if ref is not None:
+        emb = standard_embedding(t)
+        assert emb.inn_dim == ref.inn_dim and emb.t_dim == d
+        assert emb.inn_basis == [columns(b) for b in ref.inn_basis]
+        assert inner_derivations(t)[0] == dense_inner_derivations(ref_t)[0]
+        assert emb.lie.brackets == {key: sparse(v) for key, v in ref.lie.brackets.items()}
+        assert emb.killing == columns(ref.killing)
+        assert emb.killing_t == columns(ref.killing_t)
+        assert _graded(emb.lie.brackets, emb.inn_dim)
+        assert (trace_identity_check(t, emb).failures
+                == dense_trace_failures(ref_t, ref))
+    gens, ref_gens = r_generators(t), dense_r_generators(ref_t)
+    for closure, dense_closure in ((lie_closure, dense_lie_closure),
+                                   (associative_envelope, dense_associative_envelope)):
+        space, basis = closure(gens, d)
+        ref_space, ref_basis = dense_closure(ref_gens)
+        assert space == ref_space
+        assert basis == [columns(b) for b in ref_basis]
+    cert = simplicity_certificate(t)
+    assert ((cert.verdict, cert.envelope_dim, cert.triple_nonzero, cert.witness)
+            == dense_simplicity_certificate(ref_t))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_lts_layer_bundled_matches_dense(name):
+    assert_lts_layer_matches(BUNDLED[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensors())
+def test_lts_layer_random_matches_dense(case):
+    d, consts = case
+    t = TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
+    if check_axioms(t).ok:
+        assert_lts_layer_matches(t)
+
+
+@st.composite
+def rebased_systems(draw):
+    """A bundled system in a random basis b'_i = P b_i, P a product of
+    elementary matrices I + c E_{ab}: [b'_i, b'_j, b'_k] in the new basis."""
+    t = BUNDLED[draw(st.sampled_from(["s2", "sl2_lts", "s2_plus_s2"]))]
+    d = t.dim
+    p = pinv = {x: {x: ONE} for x in range(d)}
+    idx = st.integers(0, d - 1)
+    for a, b, c in draw(st.lists(st.tuples(idx, idx, st.integers(-2, 2)), max_size=4)):
+        if a != b and c:
+            p = op_compose(p, {x: {x: ONE} for x in range(d)} | {b: {a: F(c), b: ONE}})
+            pinv = op_compose({x: {x: ONE} for x in range(d)} | {b: {a: F(-c), b: ONE}},
+                              pinv)
+    constants = {(i, j, k): op_apply(pinv, t.triple_product(p[i], p[j], p[k]))
+                 for i, j, k in iproduct(range(d), repeat=3)}
+    return TripleSystem(d, t.basis_names, constants)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rebased_systems())
+def test_lts_layer_rebased_matches_dense(t):
+    assert check_axioms(t).ok
+    assert_lts_layer_matches(t)
+
+
+@pytest.mark.parametrize("m, graded", [(1, True), (2, False)])
+def test_grading_check_on_sl2(m, graded):
+    # basis (h, e, f): D = {h} is the Cartan split; with D = {h, e},
+    # [e, f] = h lands in D although e is in D and f is not
+    lie = catalog.sl2_lie()
+    assert _graded(lie.brackets, m) == graded
+    assert dense_sigma_preserves(DenseLie(3, lie.brackets), sigma_matrix(3, m)) == graded
+
+
+@cache
+def embeddings(name):
+    t = BUNDLED[name]
+    return standard_embedding(t), dense_standard_embedding(dense_system(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["s2", "sl2_lts", "sl3_sym", "s2_plus_s2"]), st.data())
+def test_tau_helpers_match_dense(name, data):
+    emb, ref = embeddings(name)
+    d = emb.t_dim
+    kt = ref.killing_t
+    vec = st.tuples(*[st.integers(-3, 3).map(F)] * d)
+    x, y, u, v = (data.draw(vec) for _ in range(4))
+    assert tau_map(emb, sparse(x), sparse(y)) == columns(dense_tau_map(kt, x, y))
+    lam = lambda_map(emb, sparse(u), sparse(v))
+    assert lam == columns(dense_lambda_map(kt, u, v))
+    assert is_k_skew(emb, lam) and dense_is_k_skew(kt, matrix(d, lam))
+    assert (tau_commutator_check(emb, lam, sparse(x), sparse(y))
+            == dense_tau_commutator_check(kt, matrix(d, lam), x, y))
+    other = data.draw(st.tuples(*[vec] * d))
+    assert is_k_skew(emb, columns(other)) == dense_is_k_skew(kt, other)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +818,23 @@ def test_killing_form_matches_trace_of_adjoints():
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_span_closure_bundled_matches_loops(name):
-    gens = r_generators(BUNDLED[name])
-    assert lie_closure(gens) == dense_lie_closure(gens)
-    assert associative_envelope(gens) == dense_associative_envelope(gens)
+    t = BUNDLED[name]
+    gens = r_generators(t)
+    ref_gens = dense_r_generators(dense_system(t))
+    assert [columns(g) for g in ref_gens if any(map(any, g))] == gens
+    for closure, loop in ((lie_closure, dense_lie_closure),
+                          (associative_envelope, dense_associative_envelope)):
+        space, basis = closure(gens, t.dim)
+        ref_space, ref_basis = loop(ref_gens)
+        assert space == ref_space and basis == [columns(b) for b in ref_basis]
 
 
 def test_non_full_closure_s2_plus_s2():
-    gens = r_generators(BUNDLED["s2_plus_s2"])
-    space, basis = lie_closure(gens)
+    t = BUNDLED["s2_plus_s2"]
+    space, basis = lie_closure(r_generators(t), 4)
     assert space.dim == 8 and space.ambient == 16
-    assert (space, basis) == dense_lie_closure(gens)
+    ref_space, ref_basis = dense_lie_closure(dense_r_generators(dense_system(t)))
+    assert space == ref_space and basis == [columns(b) for b in ref_basis]
 
 
 @st.composite
@@ -341,16 +846,24 @@ def generator_sets(draw):
     return draw(st.lists(matrix, min_size=1, max_size=3))
 
 
+PRODUCTS = {"bracket": (op_bracket, mat_bracket), "compose": (op_compose, mat_mul)}
+
+
 @settings(max_examples=60, deadline=None)
-@given(generator_sets(), st.sampled_from([mat_bracket, mat_mul]))
+@given(generator_sets(), st.sampled_from(sorted(PRODUCTS)))
 def test_span_closure_random_matches_loop(gens, product):
-    assert _span_closure(gens, product) == _closure_loop(gens, product)
+    sparse_product, dense_product = PRODUCTS[product]
+    space, basis = _span_closure([columns(g) for g in gens], sparse_product, len(gens[0]))
+    ref_space, ref_basis = _closure_loop(gens, dense_product)
+    assert space == ref_space
+    assert basis == [columns(b) for b in ref_basis]
 
 
 def test_span_closure_uses_both_orders():
     # E12 E21 = E11 and E21 E12 = E22: the product algebra needs both orders
     e12 = ((ZERO, ONE), (ZERO, ZERO))
     e21 = ((ZERO, ZERO), (ONE, ZERO))
-    closure = associative_envelope([e12, e21])
-    assert closure[0].dim == 4
-    assert closure == dense_associative_envelope([e12, e21])
+    space, basis = associative_envelope([columns(e12), columns(e21)], 2)
+    assert space.dim == 4
+    ref_space, ref_basis = dense_associative_envelope([e12, e21])
+    assert space == ref_space and basis == [columns(b) for b in ref_basis]
