@@ -103,18 +103,20 @@ class EnvelopingAlgebra:
         self.d = system.dim
         self.table = MonomialTable(self.d, cap, max_monomials)
 
+        # normal-form index k names the basis monomial exponents[k]: sorted by
+        # degree, so generator g is index d - g, the same at every cap
         self.exponents = exponent_vectors(self.d, cap)
         self.exp_index = {v: i for i, v in enumerate(self.exponents)}
         self.nf_size = len(self.exponents)
-        self.rep_tree = {v: representative_tree(v) for v in self.exponents}
-        rep_set = set(self.rep_tree.values())
-        self.tree_exp = {t: v for v, t in self.rep_tree.items()}
+        self.nf_degree = [sum(v) for v in self.exponents]
+        self.rep_tree = [representative_tree(v) for v in self.exponents]
+        self.tree_nf = {t: k for k, t in enumerate(self.rep_tree)}
 
         # elimination order: higher degree first; within a degree the
         # representative monomials come last so pivots avoid them
         degree = self.table.degree
         order = sorted(self.table.trees,
-                       key=lambda t: (-degree(t), t in rep_set, tree_key(t)))
+                       key=lambda t: (-degree(t), t in self.tree_nf, tree_key(t)))
         self._elim_of_tree = {t: i for i, t in enumerate(order)}
         self._tree_of_elim = order
 
@@ -124,13 +126,11 @@ class EnvelopingAlgebra:
         self._reduce_cache = {}
         self._verify_power_bracketings()
         # right ideal closures eliminate with higher degrees first, so rows
-        # with pivot degree <= k span the intersection with filtration(k)
-        self._closure_order = sorted(self.exponents, key=lambda v: (-sum(v), v))
+        # with pivot degree <= k span the intersection with filtration(k);
         # closure column -> normal-form index, and back
-        self._closure_nf = [self.exp_index[v] for v in self._closure_order]
-        self._closure_col = [0] * self.nf_size
-        for c, i in enumerate(self._closure_nf):
-            self._closure_col[i] = c
+        self._closure_nf = sorted(range(self.nf_size),
+                                  key=lambda k: (-self.nf_degree[k], k))
+        self._closure_col = sorted(range(self.nf_size), key=self._closure_nf.__getitem__)
         # the basis-product table, filled on first use
         self._products = {}
 
@@ -188,7 +188,7 @@ class EnvelopingAlgebra:
 
     def _certify(self):
         N, d = self.cap, self.d
-        rep_elims = {self._elim_of_tree[t] for t in self.tree_exp}
+        rep_elims = {self._elim_of_tree[t] for t in self.tree_nf}
         pivot_degree = {}
         for p in self._ech.pivots():
             if p in rep_elims:
@@ -237,7 +237,7 @@ class EnvelopingAlgebra:
                 raise DegreeBudgetExceeded(
                     f"monomial degree {tree_degree(t)} exceeds cap {self.cap}")
             residue = self._ech.reduce({self._elim_of_tree[t]: ONE})
-            cached = Element(self, {self.tree_exp[self._tree_of_elim[c]]: a
+            cached = Element(self, {self.tree_nf[self._tree_of_elim[c]]: a
                                     for c, a in residue.items()})
             self._reduce_cache[t] = cached
         return cached
@@ -246,27 +246,26 @@ class EnvelopingAlgebra:
         return Element(self, {})
 
     def one(self):
-        return Element(self, {(0,) * self.d: ONE})
+        return Element(self, {0: ONE})
 
     def generator(self, g):
-        return Element(self, {tuple(1 if i == g else 0 for i in range(self.d)): ONE})
+        return Element(self, {self.d - g: ONE})
 
     def inject(self, v):
         """iota: a sparse T-coordinate vector as a degree-1 element."""
-        return Element(self, {tuple(1 if j == i else 0 for j in range(self.d)): a
-                              for i, a in sorted(v.items())})
+        return Element(self, {self.d - i: a for i, a in v.items()})
 
     def power(self, g, n):
         """g^n as a normal-form monomial (bracketing independent)."""
         if n > self.cap:
             raise DegreeBudgetExceeded(f"power {n} exceeds cap {self.cap}")
-        return Element(self, {tuple(n if i == g else 0 for i in range(self.d)): ONE})
+        return self.monomial(tuple(n if i == g else 0 for i in range(self.d)))
 
     def monomial(self, exps):
         if sum(exps) > self.cap:
             raise DegreeBudgetExceeded(
                 f"monomial degree {sum(exps)} exceeds cap {self.cap}")
-        return Element(self, {tuple(exps): ONE})
+        return Element(self, {self.exp_index[tuple(exps)]: ONE})
 
     def monomials_upto(self, k):
         """Exponent vectors of total degree <= k, in basis order."""
@@ -286,34 +285,23 @@ class EnvelopingAlgebra:
         a table filled on first use (shared rows: do not mutate)."""
         row = self._products.get((i, j))
         if row is None:
-            vx, vy = self.exponents[i], self.exponents[j]
-            if sum(vx) + sum(vy) > self.cap:
+            di, dj = self.nf_degree[i], self.nf_degree[j]
+            if di + dj > self.cap:
                 raise DegreeBudgetExceeded(
-                    f"product degree {sum(vx)}+{sum(vy)} exceeds cap {self.cap}")
-            t = graft(self.rep_tree[vx], self.rep_tree[vy])
-            row = self.row(self.reduce_tree(t))
+                    f"product degree {di}+{dj} exceeds cap {self.cap}")
+            t = graft(self.rep_tree[i], self.rep_tree[j])
+            row = integer_row(self.reduce_tree(t).coeffs)
             # the table keeps the one copy of this product
             del self._reduce_cache[t]
             self._products[i, j] = row
         return row
 
-    def row(self, x):
-        """An element as an integer row ``(den, {k: int})`` over normal-form
-        indices."""
-        index = self.exp_index
-        den, w = integer_row(x.coeffs)
-        return den, {index[v]: a for v, a in w.items()}
-
-    def element(self, row):
-        """The element of an integer row over normal-form indices."""
-        exps = self.exponents
-        return Element(self, {exps[k]: a for k, a in rational_row(*row).items()})
-
     def mul(self, x, y):
         if x.degree() + y.degree() > self.cap:
             raise DegreeBudgetExceeded(
                 f"product degree {x.degree()}+{y.degree()} exceeds cap {self.cap}")
-        return self.element(self.mul_rows(self.row(x), self.row(y)))
+        return Element(self, rational_row(*self.mul_rows(integer_row(x.coeffs),
+                                                         integer_row(y.coeffs))))
 
     def mul_rows(self, x, y):
         """The product of two integer rows over normal-form indices, as one
@@ -427,12 +415,12 @@ class EnvelopingAlgebra:
         """
         if not gens:
             raise ValueError("right_ideal_closure needs at least one generator")
-        N = self.cap
-        order, col, index = self._closure_order, self._closure_col, self.exp_index
+        N, deg = self.cap, self.nf_degree
+        nf, col = self._closure_nf, self._closure_col
         ceiling = self.nf_size - all(not g.counit() for g in gens)
         ech = Echelon()
         queue = []
-        for vec in chain(({col[index[v]]: a for v, a in g.coeffs.items()} for g in gens),
+        for vec in chain(({col[k]: a for k, a in g.coeffs.items()} for g in gens),
                          self._right_products(queue)):
             if ech.dim == ceiling:
                 break
@@ -444,7 +432,7 @@ class EnvelopingAlgebra:
         if ech.dim < ceiling:
             nf_ech = Echelon()
             for row in queue:
-                nf_ech.insert({self._closure_nf[c]: a for c, a in row.items()})
+                nf_ech.insert({nf[c]: a for c, a in row.items()})
             subspace = nf_ech.subspace(n)
         else:
             subspace = self.augmentation_ideal() if ceiling < n else self.filtration(N)
@@ -452,7 +440,7 @@ class EnvelopingAlgebra:
         # just before it; the rows with pivot degree <= k span the closure's
         # intersection with filtration(k)
         pivots = ech.pivots()
-        per_degree = [sum(1 for p in pivots if sum(order[p]) <= k) for k in range(N + 1)]
+        per_degree = [sum(1 for p in pivots if deg[nf[p]] <= k) for k in range(N + 1)]
         unit = n - 1
         contains_one = unit in pivots
         # the intersection with filtration(1) lies in T unless one of its
@@ -462,8 +450,8 @@ class EnvelopingAlgebra:
         safe = N - max(g.degree() for g in gens)
         # the first stratum n0 such that every monomial of degree n0..safe is
         # inside: one above the top degree of a monomial outside
-        top = next((sum(v) for v in reversed(self.monomials_upto(safe))
-                    if not ech.contains({col[index[v]]: ONE})), -1)
+        top = next((deg[k] for k in reversed(range(len(self.monomials_upto(safe))))
+                    if not ech.contains({col[k]: ONE})), -1)
         stabilization = top + 1 if top < safe else None
         return IdealClosure(subspace, per_degree, contains_one, meets_t,
                             stabilization, safe)
@@ -473,13 +461,13 @@ class EnvelopingAlgebra:
         runs included) and each monomial m within the budget of r's top
         degree, as an integer vector in closure coordinates: a positive
         multiple of r * m, so it spans the same line."""
-        order, col, nf = self._closure_order, self._closure_col, self._closure_nf
+        deg, col, nf = self.nf_degree, self._closure_col, self._closure_nf
         table, product = self._products, self.basis_product
         for row in queue:
             ints = [(nf[c], a) for c, a in integer_row(row)[1].items()]
             # the pivot is the row's lowest column, and so its top degree;
             # the monomials of degree 1..k have normal-form indices 1..
-            for m in range(1, len(self.monomials_upto(self.cap - sum(order[min(row)])))):
+            for m in range(1, len(self.monomials_upto(self.cap - deg[nf[min(row)]]))):
                 # mul_rows(r, m), written out for one monomial: through
                 # mul_rows the closures of s2_plus_s2 at N=4 took 4% longer
                 out, den = {}, 1
@@ -516,8 +504,10 @@ class IdealClosure:
 
 class Element:
     """An element of a truncated enveloping algebra in normal-form coordinates:
-    ``coeffs`` maps exponent vectors (k_1, ..., k_d), for the representative
-    monomial b1^k1 (b2^k2 (...)), to nonzero ``Fraction``s.
+    ``coeffs`` maps normal-form indices k to nonzero ``Fraction``s.  Index k
+    names the representative monomial b1^k1 (b2^k2 (...)) of the exponent
+    vector ``algebra.exponents[k]``; the indices are sorted by degree, and
+    ``terms`` and ``format`` name them by their exponent vectors.
 
     Elements are equal only when they belong to the same algebra object.
     """
@@ -555,13 +545,15 @@ class Element:
         return hash(frozenset(self.coeffs.items()))
 
     def degree(self):
-        return max((sum(v) for v in self.coeffs), default=0)
+        return self.algebra.nf_degree[max(self.coeffs)] if self.coeffs else 0
 
     def counit(self):
-        return self.coeffs.get((0,) * self.algebra.d, ZERO)
+        return self.coeffs.get(0, ZERO)
 
     def terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        """(exponent vector, coefficient) pairs in (degree, lex) order."""
+        exps = self.algebra.exponents
+        return [(exps[k], a) for k, a in sorted(self.coeffs.items())]
 
     def __mul__(self, other):
         if isinstance(other, Element):

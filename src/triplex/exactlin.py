@@ -2,9 +2,10 @@
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
-plain ``{column: Fraction}`` dicts over integer columns.  ``accumulate``
-is the one sparse-dict arithmetic: it adds relators, tensors and the
-coefficient dicts of enveloping-algebra elements.  Hot sums run on
+plain ``{column: Fraction}`` dicts over integer columns; an element of
+the enveloping algebra is one over normal-form indices, and a tensor is
+one over pairs of them.  ``accumulate`` is the one sparse-dict
+arithmetic: it adds relators, tensors and elements.  Hot sums run on
 integer rows ``(den, {k: int})`` instead (``integer_row``,
 ``sum_integer_rows``, ``rational_row``), with one ``Fraction`` formed per
 entry of the result.

@@ -1,7 +1,7 @@
 """H-bialgebra structure on the truncated enveloping algebra.
 
 Tensors in U(x)U are plain dicts ``{(left, right): Fraction}`` over pairs
-of normal-form exponent vectors (``comult3`` adds a third leg), and
+of normal-form indices (``comult3`` adds a third leg), and
 ``tensor_mul`` multiplies two of them legwise through the algebra's
 integer basis-product table, summing in integers over one denominator.
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
@@ -34,16 +34,15 @@ from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degre
 
 def tensor_mul(alg, s, t):
     """Legwise product of two tensors {(left, right): coefficient}."""
-    product, index, exps = alg.basis_product, alg.exp_index, alg.exponents
+    product = alg.basis_product
     (ds, s), (dt, t) = integer_row(s), integer_row(t)
 
     def terms():
         for (l1, r1), a in s.items():
             for (l2, r2), b in t.items():
-                d1, left = product(index[l1], index[l2])
-                d2, right = product(index[r1], index[r2])
-                yield a * b, (d1 * d2, {(exps[kl], exps[kr]): p * q
-                                        for kl, p in left.items()
+                d1, left = product(l1, l2)
+                d2, right = product(r1, r2)
+                yield a * b, (d1 * d2, {(kl, kr): p * q for kl, p in left.items()
                                         for kr, q in right.items()})
 
     den, out = sum_integer_rows(terms())
@@ -56,12 +55,11 @@ def _comult_tree(alg, t, memo):
     ``memo`` maps the subtrees seen so far to their (shared) images."""
     dt = memo.get(t)
     if dt is None:
-        unit = (0,) * alg.d
         if t == UNIT:
-            dt = {(unit, unit): ONE}
+            dt = {(0, 0): ONE}
         elif is_leaf(t):
-            g = tuple(int(i == t) for i in range(alg.d))
-            dt = {(g, unit): ONE, (unit, g): ONE}
+            g = alg.d - t  # the generator's normal-form index
+            dt = {(g, 0): ONE, (0, g): ONE}
         else:
             dt = tensor_mul(alg, _comult_tree(alg, t[0], memo),
                             _comult_tree(alg, t[1], memo))
@@ -77,10 +75,10 @@ def comult(x):
     dx, xs = integer_row(x.coeffs)
 
     def images():
-        for exps, a in xs.items():
-            hit = cache.get(exps)
+        for k, a in xs.items():
+            hit = cache.get(k)
             if hit is None:
-                cache[exps] = hit = integer_row(_comult_tree(alg, alg.rep_tree[exps], {}))
+                cache[k] = hit = integer_row(_comult_tree(alg, alg.rep_tree[k], {}))
             yield a, hit
 
     den, out = sum_integer_rows(images())
@@ -94,14 +92,13 @@ def comult3(x):
     out = {}
     for (l, r), a in comult(x).items():
         accumulate(out, {(l1, l2, r): b for (l1, l2), b
-                         in comult(alg.monomial(l)).items()}, a)
+                         in comult(Element(alg, {l: ONE})).items()}, a)
     return out
 
 
 def s_map(x):
     """The order-2 automorphism induced by a -> -a: (-1)^degree on monomials."""
-    return Element(x.algebra, {v: a if sum(v) % 2 == 0 else -a
-                               for v, a in x.coeffs.items()})
+    return Element(x.algebra, {k: a * _sign(x.algebra, k) for k, a in x.coeffs.items()})
 
 
 def left_div(x, y):
@@ -112,17 +109,18 @@ def left_div(x, y):
 def right_div(y, x):
     """y / x = sum S(x_(3)) ((x_(1) y) S(x_(2)))."""
     alg = y.algebra
-    return alg.element(_right_div(alg, alg.row(y), integer_row(comult3(x))))
+    return Element(alg, rational_row(*_right_div(alg, integer_row(y.coeffs),
+                                                 integer_row(comult3(x)))))
 
 
-def _basis(alg, v):
-    """The basis monomial v as an integer row."""
-    return 1, {alg.exp_index[v]: 1}
+def _basis(k):
+    """The basis monomial k as an integer row."""
+    return 1, {k: 1}
 
 
-def _sign(v):
-    """S on the basis monomial v: (-1)^degree."""
-    return -1 if sum(v) % 2 else 1
+def _sign(alg, k):
+    """S on the basis monomial k: (-1)^degree."""
+    return -1 if alg.nf_degree[k] % 2 else 1
 
 
 def _right_div(alg, y, split3):
@@ -130,9 +128,9 @@ def _right_div(alg, y, split3):
     mul = alg.mul_rows
     d, triples = split3
     den, out = sum_integer_rows(
-        (a * _sign(v2) * _sign(v3),
-         mul(_basis(alg, v3), mul(mul(_basis(alg, v1), y), _basis(alg, v2))))
-        for (v1, v2, v3), a in triples.items())
+        (a * _sign(alg, k2) * _sign(alg, k3),
+         mul(_basis(k3), mul(mul(_basis(k1), y), _basis(k2))))
+        for (k1, k2, k3), a in triples.items())
     return den * d, out
 
 
@@ -167,11 +165,11 @@ class CheckReport:
 def check_coalgebra(alg, degree):
     """Coassociativity, cocommutativity, counit laws and multiplicativity."""
     failures = []
-    unit = (0,) * alg.d
     monomials = alg.monomials_upto(degree)
-    delta = {v: comult(alg.monomial(v)) for v in monomials}
-    for v in monomials:
-        x, dx = alg.monomial(v), delta[v]
+    # by normal-form index: the monomials are the first indices
+    delta = [comult(alg.monomial(v)) for v in monomials]
+    for v, dx in zip(monomials, delta):
+        x = alg.monomial(v)
         # coassociativity: (Delta (x) Id) Delta == (Id (x) Delta) Delta
         rhs = {}
         for (l, r), a in dx.items():
@@ -180,13 +178,13 @@ def check_coalgebra(alg, degree):
             failures.append(("coassociativity", v))
         if {(r, l): a for (l, r), a in dx.items()} != dx:
             failures.append(("cocommutativity", v))
-        if ({r: a for (l, r), a in dx.items() if l == unit} != x.coeffs
-                or {l: a for (l, r), a in dx.items() if r == unit} != x.coeffs):
+        if ({r: a for (l, r), a in dx.items() if l == 0} != x.coeffs
+                or {l: a for (l, r), a in dx.items() if r == 0} != x.coeffs):
             failures.append(("counit law", v))
-    for v in monomials:
-        for w in alg.monomials_upto(min(degree, alg.cap - sum(v))):
+    for i, v in enumerate(monomials):
+        for j, w in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
             if (comult(alg.monomial(v) * alg.monomial(w))
-                    != tensor_mul(alg, delta[v], delta[w])):
+                    != tensor_mul(alg, delta[i], delta[j])):
                 failures.append(("multiplicativity", v, w))
     return CheckReport(not failures, failures)
 
@@ -202,27 +200,27 @@ def check_divisions(alg, x, ys):
     the identities that fail."""
     mul = alg.mul_rows
     ddx, dx = integer_row(comult(x))
-    split3 = {v: integer_row(comult3(alg.monomial(v)))
-              for v in {v for pair in dx for v in pair}}
+    split3 = {k: integer_row(comult3(Element(alg, {k: ONE})))
+              for k in {k for pair in dx for k in pair}}
     out = []
     for y in ys:
-        yr = alg.row(y)
+        yr = integer_row(y.coeffs)
         x2y, yx1, ydiv = {}, {}, {}  # keyed by the leg they multiply
         terms = ([], [], [], [])
-        for (v1, v2), a in dx.items():
-            if v2 not in x2y:
-                x2y[v2] = mul(_basis(alg, v2), yr)
-            if v1 not in yx1:
-                yx1[v1] = mul(yr, _basis(alg, v1))
-                ydiv[v1] = _right_div(alg, yr, split3[v1])
+        for (k1, k2), a in dx.items():
+            if k2 not in x2y:
+                x2y[k2] = mul(_basis(k2), yr)
+            if k1 not in yx1:
+                yx1[k1] = mul(yr, _basis(k1))
+                ydiv[k1] = _right_div(alg, yr, split3[k1])
             # S is (-1)^degree on monomials: x1 \ (x2 y) and x1 (x2 \ y)
             # are x1 (x2 y) up to sign
-            p = mul(_basis(alg, v1), x2y[v2])
-            terms[0].append((a * _sign(v1), p))
-            terms[1].append((a * _sign(v2), p))
-            terms[2].append((a, _right_div(alg, yx1[v1], split3[v2])))
-            terms[3].append((a, mul(ydiv[v1], _basis(alg, v2))))
-        target = alg.row(x.counit() * y)
+            p = mul(_basis(k1), x2y[k2])
+            terms[0].append((a * _sign(alg, k1), p))
+            terms[1].append((a * _sign(alg, k2), p))
+            terms[2].append((a, _right_div(alg, yx1[k1], split3[k2])))
+            terms[3].append((a, mul(ydiv[k1], _basis(k2))))
+        target = integer_row((x.counit() * y).coeffs)
         lhs = (sum_integer_rows(t) for t in terms)
         out.append([name for name, (den, w) in zip(_DIVISION_IDENTITIES, lhs)
                     if not _same((den * ddx, w), target)])
@@ -236,7 +234,7 @@ def check_weak_assoc(alg, y, xs, zs):
     the index pairs (i, j) into ``xs`` and ``zs`` of those that fail."""
     mul = alg.mul_rows
     budget = alg.cap - y.degree()
-    yr = alg.row(y)
+    yr = integer_row(y.coeffs)
     # for each x within the budget: the room left for z, Delta x and
     # w = sum x1 (y x2), formed once; y x2 by x2
     splits, yx2 = [], {}
@@ -245,25 +243,25 @@ def check_weak_assoc(alg, y, xs, zs):
         if room < 0:
             continue
         ddx, dx = integer_row(comult(x))
-        for v1, v2 in dx:
-            if v2 not in yx2:
-                yx2[v2] = mul(yr, _basis(alg, v2))
-        den, w = sum_integer_rows((a, mul(_basis(alg, v1), yx2[v2]))
-                                  for (v1, v2), a in dx.items())
+        for k1, k2 in dx:
+            if k2 not in yx2:
+                yx2[k2] = mul(yr, _basis(k2))
+        den, w = sum_integer_rows((a, mul(_basis(k1), yx2[k2]))
+                                  for (k1, k2), a in dx.items())
         splits.append((i, room, ddx, dx, (den * ddx, w)))
     cases, failures = 0, []
     for j, z in enumerate(zs):
-        zr, degree = alg.row(z), z.degree()
+        zr, degree = integer_row(z.coeffs), z.degree()
         yx2z = {}  # y (x2 z) by x2, for this z only
         for i, room, ddx, dx, w in splits:
             if degree > room:
                 continue
             cases += 1
-            for v1, v2 in dx:
-                if v2 not in yx2z:
-                    yx2z[v2] = mul(yr, mul(_basis(alg, v2), zr))
-            den, lhs = sum_integer_rows((a, mul(_basis(alg, v1), yx2z[v2]))
-                                        for (v1, v2), a in dx.items())
+            for k1, k2 in dx:
+                if k2 not in yx2z:
+                    yx2z[k2] = mul(yr, mul(_basis(k2), zr))
+            den, lhs = sum_integer_rows((a, mul(_basis(k1), yx2z[k2]))
+                                        for (k1, k2), a in dx.items())
             if not _same((den * ddx, lhs), mul(w, zr)):
                 failures.append((i, j))
     return cases, failures
@@ -272,17 +270,15 @@ def check_weak_assoc(alg, y, xs, zs):
 def primitives(alg, degree):
     """Solution space of Delta(x) = x(x)1 + 1(x)x inside filtration(degree)."""
     check_coideal(alg)
-    unit = (0,) * alg.d
-    monomials = alg.monomials_upto(degree)
     pair_index = {}  # tensor coordinates, numbered as they appear
     images = []
-    for v in monomials:
-        defect = comult(alg.monomial(v))
-        accumulate(defect, {(v, unit): ONE}, -ONE)
-        accumulate(defect, {(unit, v): ONE}, -ONE)
-        images.append({pair_index.setdefault(k, len(pair_index)): a
-                       for k, a in defect.items()})
+    # the monomials of degree <= degree are the first normal-form indices,
+    # so the kernel's coordinates are normal-form indices
+    for k in range(len(alg.monomials_upto(degree))):
+        defect = comult(Element(alg, {k: ONE}))
+        accumulate(defect, {(k, 0): ONE}, -ONE)
+        accumulate(defect, {(0, k): ONE}, -ONE)
+        images.append({pair_index.setdefault(p, len(pair_index)): a
+                       for p, a in defect.items()})
     ambient = max(len(pair_index), 1)
-    ker = kernel(images, ambient)
-    return echelonize([{alg.exp_index[monomials[c]]: a for c, a in r.items()}
-                       for r in ker.rows], alg.nf_size)
+    return echelonize(kernel(images, ambient).rows, alg.nf_size)

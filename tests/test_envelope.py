@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -17,15 +18,6 @@ F = Fraction
 
 
 # -- oracles: coordinates, lifts and the filtration, from their definitions ----
-
-def nf_vector(alg, x):
-    """Element coordinates as a dict over the normal-form basis."""
-    return {alg.exp_index[v]: a for v, a in x.coeffs.items()}
-
-
-def from_nf_vector(alg, v):
-    return Element(alg, {alg.exponents[c]: a for c, a in v.items()})
-
 
 def lift(x):
     """Representative in the free algebra: a ``{tree: coefficient}`` dict
@@ -48,7 +40,7 @@ def filtration_preservation_check(alg, a, b):
         filt = alg.filtration(k)
         for v in alg.monomials_upto(k):
             img = F(-2) * alg.associator(alg.monomial(v), ea, eb)
-            if not filt.member(nf_vector(alg, img)):
+            if not filt.member(img.coeffs):
                 return False
     return True
 
@@ -60,6 +52,29 @@ def test_exponent_vectors_order_and_count():
     degrees = [sum(v) for v in vs]
     assert degrees == sorted(degrees)
     assert vs[1:3] == [(0, 1), (1, 0)]
+
+
+def test_normal_form_indices(s2_n4, s2_n6, sl2_n4):
+    for alg in (s2_n4, s2_n6, sl2_n4):
+        d = alg.d
+        # (0,...,0,1) sorts first among the degree-1 vectors: generator g
+        # has index d - g
+        for g in range(d):
+            assert alg.generator(g).coeffs == {d - g: F(1)}
+            assert alg.exponents[d - g] == tuple(int(i == g) for i in range(d))
+        assert alg.one().coeffs == {0: F(1)}
+        # the monomials of degree <= k are the first comb(d + k, k) indices
+        for k in range(alg.cap + 1):
+            assert alg.monomials_upto(k) == alg.exponents[:comb(d + k, k)]
+            assert all(alg.nf_degree[i] <= k < alg.nf_degree[j]
+                       for i in range(comb(d + k, k))
+                       for j in range(comb(d + k, k), alg.nf_size))
+        assert alg.monomials_upto(-1) == []
+    # an exponent vector has the same index at every cap
+    assert s2_n6.exponents[:s2_n4.nf_size] == s2_n4.exponents
+    assert all(s2_n6.exp_index[v] == k for v, k in s2_n4.exp_index.items())
+    assert (s2_n4.power(0, 3).coeffs == s2_n6.power(0, 3).coeffs
+            == {s2_n4.exp_index[(3, 0)]: F(1)})
 
 
 def test_representative_tree_shape():
@@ -94,7 +109,8 @@ def test_rejects_non_triple_system():
 def test_generators_commute(s2_n6):
     e, f = s2_n6.generator(0), s2_n6.generator(1)
     assert e * f == f * e
-    assert (e * f).coeffs == {(1, 1): F(1)}
+    assert (e * f).coeffs == {s2_n6.exp_index[(1, 1)]: F(1)}
+    assert (e * f).terms() == [((1, 1), F(1))]
 
 
 def test_power_bracketing_independent(s2_n6):
@@ -291,16 +307,18 @@ def test_element_arithmetic_and_format(s2_n6):
 
 
 def test_nf_vector_roundtrip(s2_n6):
+    # terms() names the normal-form indices by their exponent vectors
     e, f = s2_n6.generator(0), s2_n6.generator(1)
     x = 3 * (e * f) - f
-    assert from_nf_vector(s2_n6, nf_vector(s2_n6, x)) == x
+    assert x.terms() == [((0, 1), F(-1)), ((1, 1), F(3))]
+    assert Element(s2_n6, {s2_n6.exp_index[v]: a for v, a in x.terms()}) == x
 
 
 def test_augmentation_ideal(s2_n6):
     aug = s2_n6.augmentation_ideal()
     assert aug.dim == s2_n6.nf_size - 1
-    assert not aug.member(nf_vector(s2_n6, s2_n6.one()))
-    assert aug.member(nf_vector(s2_n6, s2_n6.generator(0)))
+    assert not aug.member(s2_n6.one().coeffs)
+    assert aug.member(s2_n6.generator(0).coeffs)
 
 
 def test_right_ideal_closure_generator(s2_n6):

@@ -183,7 +183,7 @@ def test_accumulate_zero_scalar_is_a_no_op(x, y):
 @st.composite
 def combination_triples(draw):
     alg = draw(st.sampled_from([_S2_N3, _S2_N2]))
-    coeffs = st.dictionaries(st.sampled_from(alg.exponents),
+    coeffs = st.dictionaries(st.sampled_from(range(alg.nf_size)),
                              st.one_of(mixed, st.integers(-3, 3)), max_size=6)
     return Element(alg, draw(coeffs)), Element(alg, draw(coeffs)), draw(mixed)
 
@@ -206,13 +206,15 @@ def test_combination_arithmetic(triple):
 
 
 def test_constructor_drops_zeros_and_wraps_values():
-    x = Element(_S2_N3, {(1, 0): 2, (0, 1): 0, (1, 1): F(1, 3)})
-    assert x.coeffs == {(1, 0): F(2), (1, 1): F(1, 3)}
+    # normal-form indices 2, 1 and 4: e, f and ef
+    x = Element(_S2_N3, {2: 2, 1: 0, 4: F(1, 3)})
+    assert x.coeffs == {2: F(2), 4: F(1, 3)}
+    assert x.format() == "2*e + 1/3*e*f"
     assert_clean(x)
 
 
 def test_elements_of_different_algebras_differ():
-    v = (1, 0)
+    v = 2  # e, at both caps
     x, y = Element(_S2_N3, {v: 1}), Element(_S2_N2, {v: 1})
     assert x.coeffs == y.coeffs
     assert x != y

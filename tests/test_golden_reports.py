@@ -4,7 +4,10 @@ Each entry is (exit code, first 16 hex digits of the sha256 of stdout).
 ``verify --json -N 4`` is pinned for every suite on four bundled systems
 at seed 0, and for the sl3_sym ``mainthm`` suite; ``check``, ``embed``,
 ``endo``, ``simple`` and ``pbw`` (at their default cap) are pinned on all
-six bundled systems.  A deliberate change of output re-records the tables:
+six bundled systems.  ``NORMAL_FORMS`` pins ``Element.terms()`` and
+``format()`` of the normal form of every free monomial and of every
+product of two basis monomials, at s2 N=6 and sl3_sym N=4, as (lines,
+digest).  A deliberate change of output re-records the tables:
 ``PYTHONPATH=src python tests/test_golden_reports.py`` prints them.
 """
 
@@ -16,6 +19,7 @@ from importlib import resources
 import pytest
 
 from triplex import cli, suites
+from triplex.envelope import EnvelopingAlgebra
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
 VERIFY_SYSTEMS = ("abelian3", "s2", "sl2_lts", "s2_plus_s2")
@@ -103,6 +107,12 @@ TEXT = {
 }
 
 
+NORMAL_FORMS = {
+    ("s2", 6): (3449, "811ce968c00666f6"),
+    ("sl3_sym", 4): (4407, "7eb58d46e29650e7"),
+}
+
+
 def run(argv):
     """Exit code and stdout digest of one CLI invocation."""
     out = io.StringIO()
@@ -135,6 +145,27 @@ def test_command_text_output(system, command):
     assert run(text_argv(system, command)) == TEXT[system, command]
 
 
+def normal_form_text(system, cap):
+    """terms() and format() of every table monomial's normal form, then of
+    every product of two basis monomials within the cap."""
+    alg = EnvelopingAlgebra(cli._as_lts(cli.load_system(data_path(system))), cap)
+    xs = [alg.reduce_tree(t) for t in alg.table.trees]
+    xs += [alg.monomial(vx) * alg.monomial(vy) for vx in alg.exponents
+           for vy in alg.monomials_upto(cap - sum(vx))]
+    return [f"{x.terms()} {x.format()}" for x in xs]
+
+
+def normal_form_digest(system, cap):
+    lines = normal_form_text(system, cap)
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("system, cap", sorted(NORMAL_FORMS),
+                         ids=[f"{s}-N{c}" for s, c in sorted(NORMAL_FORMS)])
+def test_normal_form_terms_and_format(system, cap):
+    assert normal_form_digest(system, cap) == NORMAL_FORMS[system, cap]
+
+
 def test_tables_cover_every_suite_and_command():
     names = [n for n in suites.SUITE_NAMES if n != "all"]
     assert set(VERIFY) == ({(s, n) for s in VERIFY_SYSTEMS for n in names}
@@ -150,3 +181,8 @@ if __name__ == "__main__":
             code, digest = run(argv(*key))
             print(f'    ("{key[0]}", "{key[1]}"): ({code}, "{digest}"),')
         print("}")
+    print("NORMAL_FORMS = {")
+    for key in sorted(NORMAL_FORMS):
+        lines, digest = normal_form_digest(*key)
+        print(f'    ("{key[0]}", {key[1]}): ({lines}, "{digest}"),')
+    print("}")

@@ -22,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from triplex import catalog
 from triplex.exactlin import ONE, ZERO, Echelon, echelonize, kernel
 from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure, LieAlgebra,
-                         TripleSystem, _graded, _span_closure, associative_envelope,
-                         check_axioms, inner_derivations, is_k_skew, lambda_map,
+                         TripleSystem, _derivation_failure, _graded, _span_closure,
+                         associative_envelope, basis_operators, check_axioms, inner_derivations, is_k_skew, lambda_map,
                          lie_closure, lts_from_involution, lts_from_lie, op_apply,
                          op_bracket, op_compose, r_generators, simplicity_certificate,
                          standard_embedding, tau_commutator_check, tau_map,
@@ -608,6 +608,55 @@ def test_inner_derivations_fail_iff_derivation_fails(case):
     except InvalidStructure:
         raised = True
     assert raised == (not check_axioms(t).derivation.ok)
+
+
+def scan_derivation(t):
+    """The per-operator scan: the first D_{a,b}, in (a, b) order, that is no
+    derivation, with no verdict decided on a basis first."""
+    for (a, b), op in basis_operators(t, right=False).items():
+        bad = _derivation_failure(t.constants, op)
+        if bad:
+            return AxiomVerdict(False, ("derivation identity fails", a, b) + bad)
+    return AxiomVerdict(True)
+
+
+@st.composite
+def perturbed_bundled(draw):
+    """A bundled system plus up to two alternating, cyclic tensors: the two
+    linear identities still hold, and the derivation identity mostly fails."""
+    t = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]
+    d, consts = t.dim, _raw(t)
+    idx = st.integers(0, d - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k, l = (draw(idx) for _ in range(4))
+        a = F(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.integers(1, 2)))
+        for key, coords in alt_cyclic_part({(i, j, k): {l: a}}).items():
+            for m, b in coords.items():
+                _add_at(consts, key, m, b)
+    return d, consts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tensors(), perturbed_bundled()))
+def test_derivation_verdict_matches_per_operator_scan(case):
+    d, consts = case
+    t = TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
+    assert check_axioms(t).derivation == scan_derivation(t)
+
+
+def test_derivation_failure_named_by_the_scan():
+    # D_{0,1} stays a derivation and D_{0,2} does not: the verdict comes
+    # from the basis, the counterexample from the scan in (a, b) order
+    consts = _raw(BUNDLED["s2_plus_s2"])
+    for key, coords in alt_cyclic_part({(0, 2, 3): {0: ONE}}).items():
+        for l, a in coords.items():
+            _add_at(consts, key, l, a)
+    t = TripleSystem(4, tuple(f"b{i}" for i in range(4)), consts)
+    rep = check_axioms(t)
+    assert rep.alternating.ok and rep.cyclic.ok
+    assert rep.derivation == scan_derivation(t) == AxiomVerdict(
+        False, ("derivation identity fails", 0, 2, 0, 1, 3))
+    assert min(basis_operators(t, right=False)) == (0, 1)
 
 
 @settings(max_examples=80, deadline=None)

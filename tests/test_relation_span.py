@@ -72,7 +72,7 @@ def normal_forms(alg, rref_rows):
         row = by_pivot.get(c)
         residue = ({k: -a for k, a in row.items() if k != c} if row is not None
                    else {c: ONE})
-        out[t] = {alg.tree_exp[alg._tree_of_elim[k]]: a for k, a in residue.items()}
+        out[t] = {alg.tree_nf[alg._tree_of_elim[k]]: a for k, a in residue.items()}
     return out
 
 
