@@ -245,11 +245,15 @@ class EnvelopingAlgebra:
     def zero(self):
         return Element(self, {})
 
+    def basis(self, k):
+        """The basis monomial of normal-form index k."""
+        return Element(self, {k: ONE})
+
     def one(self):
-        return Element(self, {0: ONE})
+        return self.basis(0)
 
     def generator(self, g):
-        return Element(self, {self.d - g: ONE})
+        return self.basis(self.d - g)
 
     def inject(self, v):
         """iota: a sparse T-coordinate vector as a degree-1 element."""
@@ -265,17 +269,20 @@ class EnvelopingAlgebra:
         if sum(exps) > self.cap:
             raise DegreeBudgetExceeded(
                 f"monomial degree {sum(exps)} exceeds cap {self.cap}")
-        return Element(self, {self.exp_index[tuple(exps)]: ONE})
+        return self.basis(self.exp_index[tuple(exps)])
+
+    def count_upto(self, k):
+        """How many monomials have degree <= k: they are the first indices."""
+        k = min(k, self.cap)
+        return comb(self.d + k, k) if k >= 0 else 0
 
     def monomials_upto(self, k):
         """Exponent vectors of total degree <= k, in basis order."""
-        # exponent vectors are enumerated in degree order, so these are
-        # the first comb(d + k, k) of them
-        return self.exponents[:comb(self.d + k, k)] if k >= 0 else []
+        return self.exponents[:self.count_upto(k)]
 
     def filtration(self, k):
         """Span of normal-form monomials of total degree <= k."""
-        return Echelon(range(len(self.monomials_upto(k)))).subspace(self.nf_size)
+        return Echelon(range(self.count_upto(k))).subspace(self.nf_size)
 
     # -- products and operators --------------------------------------------
 
@@ -450,7 +457,7 @@ class EnvelopingAlgebra:
         safe = N - max(g.degree() for g in gens)
         # the first stratum n0 such that every monomial of degree n0..safe is
         # inside: one above the top degree of a monomial outside
-        top = next((deg[k] for k in reversed(range(len(self.monomials_upto(safe))))
+        top = next((deg[k] for k in reversed(range(self.count_upto(safe)))
                     if not ech.contains({col[k]: ONE})), -1)
         stabilization = top + 1 if top < safe else None
         return IdealClosure(subspace, per_degree, contains_one, meets_t,
@@ -467,7 +474,7 @@ class EnvelopingAlgebra:
             ints = [(nf[c], a) for c, a in integer_row(row)[1].items()]
             # the pivot is the row's lowest column, and so its top degree;
             # the monomials of degree 1..k have normal-form indices 1..
-            for m in range(1, len(self.monomials_upto(self.cap - deg[nf[min(row)]]))):
+            for m in range(1, self.count_upto(self.cap - deg[nf[min(row)]])):
                 # mul_rows(r, m), written out for one monomial: through
                 # mul_rows the closures of s2_plus_s2 at N=4 took 4% longer
                 out, den = {}, 1

@@ -92,7 +92,7 @@ def comult3(x):
     out = {}
     for (l, r), a in comult(x).items():
         accumulate(out, {(l1, l2, r): b for (l1, l2), b
-                         in comult(Element(alg, {l: ONE})).items()}, a)
+                         in comult(alg.basis(l)).items()}, a)
     return out
 
 
@@ -200,7 +200,7 @@ def check_divisions(alg, x, ys):
     the identities that fail."""
     mul = alg.mul_rows
     ddx, dx = integer_row(comult(x))
-    split3 = {k: integer_row(comult3(Element(alg, {k: ONE})))
+    split3 = {k: integer_row(comult3(alg.basis(k)))
               for k in {k for pair in dx for k in pair}}
     out = []
     for y in ys:
@@ -274,8 +274,8 @@ def primitives(alg, degree):
     images = []
     # the monomials of degree <= degree are the first normal-form indices,
     # so the kernel's coordinates are normal-form indices
-    for k in range(len(alg.monomials_upto(degree))):
-        defect = comult(Element(alg, {k: ONE}))
+    for k in range(alg.count_upto(degree)):
+        defect = comult(alg.basis(k))
         accumulate(defect, {(k, 0): ONE}, -ONE)
         accumulate(defect, {(0, k): ONE}, -ONE)
         images.append({pair_index.setdefault(p, len(pair_index)): a

@@ -65,11 +65,14 @@ def test_normal_form_indices(s2_n4, s2_n6, sl2_n4):
         assert alg.one().coeffs == {0: F(1)}
         # the monomials of degree <= k are the first comb(d + k, k) indices
         for k in range(alg.cap + 1):
+            assert alg.count_upto(k) == comb(d + k, k)
             assert alg.monomials_upto(k) == alg.exponents[:comb(d + k, k)]
             assert all(alg.nf_degree[i] <= k < alg.nf_degree[j]
                        for i in range(comb(d + k, k))
                        for j in range(comb(d + k, k), alg.nf_size))
-        assert alg.monomials_upto(-1) == []
+        assert alg.count_upto(-1) == 0 and alg.monomials_upto(-1) == []
+        assert alg.count_upto(alg.cap + 1) == alg.nf_size
+        assert all(alg.basis(k).terms() == [(v, F(1))] for k, v in enumerate(alg.exponents))
     # an exponent vector has the same index at every cap
     assert s2_n6.exponents[:s2_n4.nf_size] == s2_n4.exponents
     assert all(s2_n6.exp_index[v] == k for v, k in s2_n4.exp_index.items())

@@ -612,7 +612,7 @@ def test_inner_derivations_fail_iff_derivation_fails(case):
 
 def scan_derivation(t):
     """The per-operator scan: the first D_{a,b}, in (a, b) order, that is no
-    derivation, with no verdict decided on a basis first."""
+    derivation, checking every operator."""
     for (a, b), op in basis_operators(t, right=False).items():
         bad = _derivation_failure(t.constants, op)
         if bad:
@@ -645,8 +645,8 @@ def test_derivation_verdict_matches_per_operator_scan(case):
 
 
 def test_derivation_failure_named_by_the_scan():
-    # D_{0,1} stays a derivation and D_{0,2} does not: the verdict comes
-    # from the basis, the counterexample from the scan in (a, b) order
+    # D_{0,1} stays a derivation and D_{0,2} does not: the first failing
+    # D_{a,b} in (a, b) order is named, not just some failing one
     consts = _raw(BUNDLED["s2_plus_s2"])
     for key, coords in alt_cyclic_part({(0, 2, 3): {0: ONE}}).items():
         for l, a in coords.items():
