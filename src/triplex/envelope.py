@@ -2,7 +2,10 @@
 
 Built as a quotient of the free unital nonassociative algebra by the
 span of the defining relators (the list ``relators`` returns), closed into
-a two-sided ideal within the degree budget.  The closure is scheduled by
+a two-sided ideal within the degree budget.  The build runs on free-table
+indices, with products from ``MonomialTable.pair``; trees appear only at
+the boundary: the relators, the argument of ``reduce_tree`` and the
+representatives ``rep_tree``.  The closure is scheduled by
 degree: vectors enter the echelon in order of their top degree, so every
 lower-degree pivot is in place when a row is reduced and the stored rows
 stay short.  The quotient is certified a posteriori: the dimension at
@@ -22,7 +25,7 @@ from math import comb, lcm
 from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, integer_row,
                        rational_row)
 from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
-                      power_tree, tree_degree, tree_key)
+                      power_tree, tree_degree)
 from .lts import check_axioms
 
 
@@ -110,15 +113,16 @@ class EnvelopingAlgebra:
         self.nf_size = len(self.exponents)
         self.nf_degree = [sum(v) for v in self.exponents]
         self.rep_tree = [representative_tree(v) for v in self.exponents]
-        self.tree_nf = {t: k for k, t in enumerate(self.rep_tree)}
 
-        # elimination order: higher degree first; within a degree the
-        # representative monomials come last so pivots avoid them
-        degree = self.table.degree
-        order = sorted(self.table.trees,
-                       key=lambda t: (-degree(t), t in self.tree_nf, tree_key(t)))
-        self._elim_of_tree = {t: i for i, t in enumerate(order)}
-        self._tree_of_elim = order
+        # elimination columns over table indices: higher degree first, and
+        # within a degree the representatives last so pivots avoid them.
+        # Column -> table index, its inverse, column -> normal-form index/None
+        index, degrees = self.table.index, self.table.degrees
+        reps = {index[t]: k for k, t in enumerate(self.rep_tree)}
+        self._elim_index = sorted(range(self.table.size),
+                                  key=lambda i: (-degrees[i], i in reps, i))
+        self._elim_col = sorted(range(self.table.size), key=self._elim_index.__getitem__)
+        self._elim_nf = [reps.get(i) for i in self._elim_index]
 
         self._ech = Echelon()
         self._build_relation_span()
@@ -142,17 +146,20 @@ class EnvelopingAlgebra:
         Vectors are inserted in order of top degree (the normal selection
         strategy of Buchberger's algorithm, degree by degree as in F4), so
         the lower-degree pivots exist before a row is reduced and forward
-        rows stay short.  ``pending[t]`` holds sources of vectors of top
-        degree t: a relator, or ``(row, n)`` for the row times every
-        monomial of degree n on both sides, expanded when reached.  The
-        closure is fixed by its span, whatever the insertion order.
+        rows stay short.  ``pending[t]`` holds sources ``(row, n)`` of
+        vectors of top degree t, over table indices: a relator (n = 0), or
+        the row times every monomial of degree n on both sides, expanded
+        when reached (no row has a unit term, so ``table.pair`` has every
+        product).  The closure is fixed by its span, whatever the order.
         """
-        N, degree = self.cap, self.table.degree
-        elim, tree_of = self._elim_of_tree, self._tree_of_elim
+        N, table = self.cap, self.table
+        degrees, pair, start = table.degrees, table.pair, table.degree_start
+        col, index_of = self._elim_col, self._elim_index
         pending = [[] for _ in range(N + 1)]
         for rel in relators(self.system, N):
             if rel:
-                pending[max(map(degree, rel))].append(rel)
+                row = {table.index[t]: a for t, a in rel.items()}
+                pending[max(degrees[i] for i in row)].append((row, 0))
         t = 0
         while t <= N:
             if not pending[t]:
@@ -160,53 +167,41 @@ class EnvelopingAlgebra:
                 continue
             # newest first: first-in first-out left longer rows (s2 at N=7:
             # longest row tail 71 against 7)
-            source = pending[t].pop()
-            if isinstance(source, dict):
-                vecs = (source,)
+            source, n = pending[t].pop()
+            if n:
+                # source * m, then m * source
+                vecs = (vec for m in range(*start[n:n + 2])
+                        for vec in ({col[pair[i, m]]: a for i, a in source.items()},
+                                    {col[pair[m, i]]: a for i, a in source.items()}))
             else:
-                vecs = (self._mul_row(source[0], m, left)
-                        for m in self.table.degree_slice(source[1])
-                        for left in (False, True))
+                vecs = ({col[i]: a for i, a in source.items()},)
             for vec in vecs:
-                new = self._ech.insert({elim[x]: a for x, a in vec.items()})
+                new = self._ech.insert(vec)
                 if new is not None:
                     # the pivot is the row's lowest elimination column, and
                     # the elimination order puts higher degrees first
-                    s = degree(tree_of[min(new)])
-                    row = {tree_of[c]: a for c, a in new.items()}
+                    s = degrees[index_of[min(new)]]
+                    row = {index_of[c]: a for c, a in new.items()}
                     for n in range(1, N - s + 1):
                         pending[s + n].append((row, n))
                     # a row whose degree fell has products below bucket t
                     t = min(t, s + 1)
 
-    @staticmethod
-    def _mul_row(row, m, left):
-        # grafting a fixed monomial m on either side is injective
-        if left:
-            return {graft(m, t): a for t, a in row.items()}
-        return {graft(t, m): a for t, a in row.items()}
-
     def _certify(self):
-        N, d = self.cap, self.d
-        rep_elims = {self._elim_of_tree[t] for t in self.tree_nf}
-        pivot_degree = {}
-        for p in self._ech.pivots():
-            if p in rep_elims:
-                t = self._tree_of_elim[p]
-                raise PBWCertificateFailure(
-                    f"pivot fell on normal-form representative {t!r}")
-            pivot_degree[p] = self.table.degree(self._tree_of_elim[p])
+        N, d, table = self.cap, self.d, self.table
         counts = [0] * (N + 1)
-        for p, deg in pivot_degree.items():
-            counts[deg] += 1
+        for p in self._ech.pivots():
+            i = self._elim_index[p]
+            if self._elim_nf[p] is not None:
+                raise PBWCertificateFailure(
+                    f"pivot fell on normal-form representative {table.trees[i]!r}")
+            counts[table.degrees[i]] += 1
         self.relspan_degree_dims = []
         self.degree_dims = []
-        running = 0
+        rel_dim = 0
         for n in range(N + 1):
-            running += counts[n]
-            rel_dim = running
-            free_dim = self.table.cumulative_count(n)
-            quot = free_dim - rel_dim
+            rel_dim += counts[n]
+            quot = table.degree_start[n + 1] - rel_dim
             expected = comb(d + n, n)
             if quot != expected:
                 raise PBWCertificateFailure(
@@ -232,13 +227,16 @@ class EnvelopingAlgebra:
         """Normal form of a single monomial tree, cached."""
         cached = self._reduce_cache.get(t)
         if cached is None:
-            # the table holds every monomial within the cap
-            if t not in self._elim_of_tree and tree_degree(t) > self.cap:
-                raise DegreeBudgetExceeded(
-                    f"monomial degree {tree_degree(t)} exceeds cap {self.cap}")
-            residue = self._ech.reduce({self._elim_of_tree[t]: ONE})
-            cached = Element(self, {self.tree_nf[self._tree_of_elim[c]]: a
-                                    for c, a in residue.items()})
+            i = self.table.index.get(t)
+            if i is None:
+                # the table holds every monomial within the cap
+                if tree_degree(t) > self.cap:
+                    raise DegreeBudgetExceeded(
+                        f"monomial degree {tree_degree(t)} exceeds cap {self.cap}")
+                raise ValueError(f"{t!r} is not a monomial tree on d={self.d} "
+                                 f"generators (cap {self.cap})")
+            residue = self._ech.reduce({self._elim_col[i]: ONE})
+            cached = Element(self, {self._elim_nf[c]: a for c, a in residue.items()})
             self._reduce_cache[t] = cached
         return cached
 
@@ -253,7 +251,7 @@ class EnvelopingAlgebra:
         return self.basis(0)
 
     def generator(self, g):
-        return self.basis(self.d - g)
+        return self.power(g, 1)
 
     def inject(self, v):
         """iota: a sparse T-coordinate vector as a degree-1 element."""
@@ -261,11 +259,17 @@ class EnvelopingAlgebra:
 
     def power(self, g, n):
         """g^n as a normal-form monomial (bracketing independent)."""
+        if not 0 <= g < self.d:
+            raise ValueError(f"no generator {g} on d={self.d} generators "
+                             f"(cap {self.cap})")
         if n > self.cap:
             raise DegreeBudgetExceeded(f"power {n} exceeds cap {self.cap}")
         return self.monomial(tuple(n if i == g else 0 for i in range(self.d)))
 
     def monomial(self, exps):
+        if len(exps) != self.d or min(exps, default=0) < 0:
+            raise ValueError(f"{exps} is not an exponent vector on d={self.d} "
+                             f"generators (cap {self.cap})")
         if sum(exps) > self.cap:
             raise DegreeBudgetExceeded(
                 f"monomial degree {sum(exps)} exceeds cap {self.cap}")

@@ -5,9 +5,11 @@ Monomials are binary trees: a leaf is a generator index, an internal
 node is an ordered pair of subtrees, and the empty product 1 is the
 empty tuple.  Structural equality of trees is the monomial identity;
 there are Catalan(n-1) * d^n monomials of degree n.  Free-algebra
-elements are plain ``{tree: Fraction}`` dicts.  The parser reads text
-straight into an enveloping algebra: the quotient map is an algebra
-morphism within the cap, so no free element is built on the way.
+elements are plain ``{tree: Fraction}`` dicts.  ``MonomialTable`` numbers
+the trees and tabulates their products, so the enveloping-algebra build
+runs on indices.  The parser reads text straight into an enveloping
+algebra: the quotient map is an algebra morphism within the cap, so no
+free element is built on the way.
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ class MonomialTable:
     """Degree-stratified bijection between trees of degree <= N and indices.
 
     Index order refines degree order: the unit gets index 0, then all
-    degree-1 monomials in canonical order, and so on.
+    degree-1 monomials in canonical order, and so on.  The monomials of
+    degree n are the indices ``range(*degree_start[n:n + 2])``, and
+    ``pair[i, j]`` is the index of the product of the non-unit monomials
+    of indices i and j, when its degree is within the cap.
     """
 
     def __init__(self, d, cap, max_monomials=200_000):
@@ -127,29 +132,14 @@ class MonomialTable:
         for n in range(cap + 1):
             self.degree_start.append(len(trees))
             trees.extend(_trees(d, n))
-        self.trees = trees
-        self.index = {t: i for i, t in enumerate(trees)}
-        self.degrees = [tree_degree(t) for t in trees]  # index -> degree
         self.size = len(trees)
-
-    def degree(self, t):
-        """Stored degree of a tree in the table (KeyError for any other)."""
-        return self.degrees[self.index[t]]
-
-    def degree_count(self, n):
-        if n < 0:
-            return 0
-        hi = self.degree_start[n + 1] if n + 1 <= self.cap else self.size
-        return hi - self.degree_start[n]
-
-    def cumulative_count(self, n):
-        if n < 0:
-            return 0
-        return self.degree_start[n + 1] if n + 1 <= self.cap else self.size
-
-    def degree_slice(self, n):
-        lo = self.degree_start[n]
-        return self.trees[lo:lo + self.degree_count(n)]
+        self.degree_start.append(self.size)
+        self.trees = trees
+        self.index = index = {t: i for i, t in enumerate(trees)}
+        self.degrees = [tree_degree(t) for t in trees]  # index -> degree
+        # the monomials after the unit and the generators are products
+        self.pair = {(index[l], index[r]): k
+                     for k, (l, r) in enumerate(trees[d + 1:], d + 1)}
 
 
 # ---------------------------------------------------------------------------

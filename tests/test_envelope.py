@@ -299,6 +299,33 @@ def test_mul_degree_budget(s2_n6):
         x * x
 
 
+BAD_INPUTS = {
+    "power(5, 2)": lambda alg: alg.power(5, 2),
+    "generator(5)": lambda alg: alg.generator(5),
+    "generator(-1)": lambda alg: alg.generator(-1),
+    "monomial((1,))": lambda alg: alg.monomial((1,)),
+    "monomial((-1, 2))": lambda alg: alg.monomial((-1, 2)),
+    "power(0, -1)": lambda alg: alg.power(0, -1),
+    "reduce_tree(7)": lambda alg: alg.reduce_tree(7),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_invalid_input_names_d_and_the_cap(s2_n6, call):
+    with pytest.raises(ValueError, match=r"d=2 .*cap 6") as info:
+        call(s2_n6)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("call", [lambda alg: alg.power(0, 7),
+                                  lambda alg: alg.monomial((4, 3)),
+                                  lambda alg: alg.reduce_tree(power_tree(1, 7))],
+                         ids=["power", "monomial", "reduce_tree"])
+def test_over_cap_input_exceeds_the_budget(s2_n6, call):
+    with pytest.raises(DegreeBudgetExceeded, match="cap 6"):
+        call(s2_n6)
+
+
 def test_element_arithmetic_and_format(s2_n6):
     e, f = s2_n6.generator(0), s2_n6.generator(1)
     x = 2 * e - F(1, 2) * (f * f) + s2_n6.one()

@@ -30,9 +30,10 @@ def test_monomial_table_sizes():
     t = MonomialTable(2, 6)
     assert t.size == sum(catalan(n - 1) * 2 ** n for n in range(1, 7)) + 1
     assert t.size == 3239
-    assert t.degree_count(0) == 1
-    assert t.degree_count(3) == 16
-    assert t.cumulative_count(2) == 1 + 2 + 4
+    assert t.degree_start[1] - t.degree_start[0] == 1
+    assert t.degree_start[4] - t.degree_start[3] == 16
+    assert t.degree_start[3] == 1 + 2 + 4
+    assert t.degree_start[-1] == t.size
     assert MonomialTable(3, 4).size == 1 + 3 + 9 + 54 + 405
 
 
@@ -64,9 +65,10 @@ def test_monomial_table_index_refines_degree():
     degrees = [tree_degree(tr) for tr in t.trees]
     assert degrees == sorted(degrees)
     assert all(t.index[tr] == i for i, tr in enumerate(t.trees))
-    assert [t.degree(tr) for tr in t.trees] == degrees
-    with pytest.raises(KeyError):
-        t.degree(power_tree(0, 5))
+    assert t.degrees == degrees
+    assert all(t.degrees[i] == n for n in range(t.cap + 1)
+               for i in range(*t.degree_start[n:n + 2]))
+    assert power_tree(0, 5) not in t.index
 
 
 def test_graft_unit_laws():

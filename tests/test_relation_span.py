@@ -15,6 +15,7 @@ import pytest
 from triplex import cli, envelope
 from triplex.envelope import EnvelopingAlgebra
 from triplex.exactlin import ONE, Echelon
+from triplex.freealg import tree_degree, tree_key
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
 CASES = [(name, cap) for name in SYSTEMS
@@ -30,24 +31,26 @@ class RoundBased(EnvelopingAlgebra):
     """The algebra built by the round-based closure."""
 
     def _insert_relation(self, coeffs, work):
-        row = self._ech.insert({self._elim_of_tree[t]: a for t, a in coeffs.items()})
+        row = self._ech.insert({self._elim_col[i]: a for i, a in coeffs.items()})
         if row is not None:
-            top = self.table.degree(self._tree_of_elim[min(row)])
-            work.append((top, {self._tree_of_elim[c]: a for c, a in row.items()}))
+            top = self.table.degrees[self._elim_index[min(row)]]
+            work.append((top, {self._elim_index[c]: a for c, a in row.items()}))
 
     def _build_relation_span(self):
-        N = self.cap
+        N, table = self.cap, self.table
         work = []
         for rel in envelope.relators(self.system, N):
-            self._insert_relation(rel, work)
+            self._insert_relation({table.index[t]: a for t, a in rel.items()}, work)
         while work:
             work.sort(key=lambda item: item[0])
             new = []
             for top, row in work:
                 for n in range(1, N - top + 1):
-                    for m in self.table.degree_slice(n):
-                        self._insert_relation(self._mul_row(row, m, left=False), new)
-                        self._insert_relation(self._mul_row(row, m, left=True), new)
+                    for m in range(*table.degree_start[n:n + 2]):
+                        self._insert_relation(
+                            {table.pair[i, m]: a for i, a in row.items()}, new)
+                        self._insert_relation(
+                            {table.pair[m, i]: a for i, a in row.items()}, new)
             work = new
 
 
@@ -68,11 +71,11 @@ def normal_forms(alg, rref_rows):
     to itself."""
     by_pivot = {min(row): row for row in rref_rows}
     out = {}
-    for t, c in alg._elim_of_tree.items():
+    for c, i in enumerate(alg._elim_index):
         row = by_pivot.get(c)
         residue = ({k: -a for k, a in row.items() if k != c} if row is not None
                    else {c: ONE})
-        out[t] = {alg.tree_nf[alg._tree_of_elim[k]]: a for k, a in residue.items()}
+        out[alg.table.trees[i]] = {alg._elim_nf[k]: a for k, a in residue.items()}
     return out
 
 
@@ -110,4 +113,26 @@ def test_cursor_moves_back_after_a_degree_fall(monkeypatch):
         assert alg._ech.rref_rows() == ref._ech.rref_rows()
         # the span holds e and its degree-2 products
         for t in (e, (e, e), (e, f), (f, e)):
-            assert alg._ech.contains({alg._elim_of_tree[t]: ONE}), t
+            assert alg._ech.contains({alg._elim_col[alg.table.index[t]]: ONE}), t
+
+
+@pytest.mark.parametrize("name, cap", CASES, ids=[f"{n}-N{c}" for n, c in CASES])
+def test_index_order_and_pair_table_match_the_trees(name, cap):
+    alg = EnvelopingAlgebra(load(name), cap)
+    table, reps = alg.table, set(alg.rep_tree)
+    # the elimination order over table indices is the order the build
+    # used when it sorted the trees themselves
+    by_trees = sorted(table.trees,
+                      key=lambda t: (-tree_degree(t), t in reps, tree_key(t)))
+    assert [table.trees[i] for i in alg._elim_index] == by_trees
+    assert all(alg._elim_col[i] == c for c, i in enumerate(alg._elim_index))
+    # column -> normal-form index names each representative once
+    assert all(table.trees[i] == alg.rep_tree[k]
+               for i, k in zip(alg._elim_index, alg._elim_nf) if k is not None)
+    assert sorted(k for k in alg._elim_nf if k is not None) == list(range(alg.nf_size))
+    # pair[i, j] names the tree (trees[i], trees[j]), for every product
+    # of two non-unit monomials within the cap
+    for (i, j), k in table.pair.items():
+        assert table.trees[k] == (table.trees[i], table.trees[j])
+    assert len(table.pair) == table.size - 1 - alg.d
+    assert table.degree_start[-1] == table.size
