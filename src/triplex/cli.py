@@ -279,6 +279,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_monomials < 1:
+        print(f"error: --max-monomials must be at least 1, got {args.max_monomials}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (LoadError, InvalidStructure, ExprSyntaxError, ValueError) as exc:

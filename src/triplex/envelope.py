@@ -3,7 +3,7 @@
 Built as a quotient of the free unital nonassociative algebra by the
 span of the defining relators (the list ``relators`` returns), closed into
 a two-sided ideal within the degree budget.  The build runs on free-table
-indices, with products from ``MonomialTable.pair``; trees appear only at
+indices, with products from ``MonomialTable.pairs``; trees appear only at
 the boundary: the relators, the argument of ``reduce_tree`` and the
 representatives ``rep_tree``.  The closure is scheduled by
 degree: vectors enter the echelon in order of their top degree, so every
@@ -149,11 +149,11 @@ class EnvelopingAlgebra:
         rows stay short.  ``pending[t]`` holds sources ``(row, n)`` of
         vectors of top degree t, over table indices: a relator (n = 0), or
         the row times every monomial of degree n on both sides, expanded
-        when reached (no row has a unit term, so ``table.pair`` has every
-        product).  The closure is fixed by its span, whatever the order.
+        when reached (no row has a unit term, so ``table.pairs()`` has
+        every product).  The closure is fixed by its span, whatever the order.
         """
         N, table = self.cap, self.table
-        degrees, pair, start = table.degrees, table.pair, table.degree_start
+        degrees, pair, start = table.degrees, table.pairs(), table.degree_start
         col, index_of = self._elim_col, self._elim_index
         pending = [[] for _ in range(N + 1)]
         for rel in relators(self.system, N):
@@ -473,26 +473,12 @@ class EnvelopingAlgebra:
         degree, as an integer vector in closure coordinates: a positive
         multiple of r * m, so it spans the same line."""
         deg, col, nf = self.nf_degree, self._closure_col, self._closure_nf
-        table, product = self._products, self.basis_product
         for row in queue:
-            ints = [(nf[c], a) for c, a in integer_row(row)[1].items()]
+            ints = (1, {nf[c]: a for c, a in integer_row(row)[1].items()})
             # the pivot is the row's lowest column, and so its top degree;
             # the monomials of degree 1..k have normal-form indices 1..
             for m in range(1, self.count_upto(self.cap - deg[nf[min(row)]])):
-                # mul_rows(r, m), written out for one monomial: through
-                # mul_rows the closures of s2_plus_s2 at N=4 took 4% longer
-                out, den = {}, 1
-                for i, a in ints:
-                    d, w = table.get((i, m)) or product(i, m)
-                    if d != den:
-                        new = lcm(den, d)
-                        if new != den:
-                            for k in out:
-                                out[k] *= new // den
-                            den = new
-                        a *= den // d
-                    for k, b in w.items():
-                        out[k] = out.get(k, 0) + a * b
+                _, out = self.mul_rows(ints, (1, {m: 1}))
                 yield {col[k]: b for k, b in out.items()}
 
 

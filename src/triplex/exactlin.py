@@ -126,14 +126,10 @@ class Echelon:
         Returns ``(finals, scale)``: each final ``(column, w, s)`` is a
         residue entry equal to ``w / s``, and ``scale / s`` is an integer.
         """
-        vec = {c: a for c, a in vec.items() if a}
         # pairwise lcm/gcd and list rows (not star-args or tuple rows):
         # freed tuples of every length stay in CPython's tuple free lists
         # and raised peak memory by about 1 MiB on the ideal closures
-        scale = 1
-        for a in vec.values():
-            scale = lcm(scale, a.denominator)
-        work = {c: a.numerator * (scale // a.denominator) for c, a in vec.items()}
+        scale, work = integer_row({c: a for c, a in vec.items() if a})
         heap = list(work)
         heapq.heapify(heap)
         rows = self._rows

@@ -114,9 +114,7 @@ class MonomialTable:
 
     Index order refines degree order: the unit gets index 0, then all
     degree-1 monomials in canonical order, and so on.  The monomials of
-    degree n are the indices ``range(*degree_start[n:n + 2])``, and
-    ``pair[i, j]`` is the index of the product of the non-unit monomials
-    of indices i and j, when its degree is within the cap.
+    degree n are the indices ``range(*degree_start[n:n + 2])``.
     """
 
     def __init__(self, d, cap, max_monomials=200_000):
@@ -135,11 +133,19 @@ class MonomialTable:
         self.size = len(trees)
         self.degree_start.append(self.size)
         self.trees = trees
-        self.index = index = {t: i for i, t in enumerate(trees)}
+        self.index = {t: i for i, t in enumerate(trees)}
         self.degrees = [tree_degree(t) for t in trees]  # index -> degree
+
+    def pairs(self):
+        """``{(i, j): k}``: k is the index of the product of the non-unit
+        monomials of indices i and j, for each product within the cap.
+
+        Built on each call, so the dict lives only as long as its caller
+        keeps it."""
+        index, trees = self.index, self.trees
         # the monomials after the unit and the generators are products
-        self.pair = {(index[l], index[r]): k
-                     for k, (l, r) in enumerate(trees[d + 1:], d + 1)}
+        return {(index[l], index[r]): k
+                for k, (l, r) in enumerate(trees[self.d + 1:], self.d + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,24 +17,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 
-from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate, echelonize, kernel
+from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate, echelonize
 
 
 class InvalidStructure(ValueError):
     """Structure constants fail a claimed algebraic property."""
 
 
-def _sparse(dim, v):
-    """Nonzero coordinates of the ``{index: value}`` dict ``v``, as Fractions."""
+def _validated(dim, basis_names, table, arity):
+    """``basis_names`` as a tuple, and ``table`` (``arity`` basis indices ->
+    ``{index: value}``) without zero coordinates or empty entries, its
+    values as Fractions.  Every index is checked against ``dim``."""
+    names = tuple(basis_names)
+    if len(names) != dim:
+        raise InvalidStructure("one basis name per dimension required")
     out = {}
-    for l, a in v.items():
-        if not 0 <= l < dim:
-            raise InvalidStructure(f"coordinate index {l} out of range for dim {dim}")
-        if a:
-            out[l] = Fraction(a)
-    return out
+    for key, v in table.items():
+        if len(key) != arity:
+            raise InvalidStructure(f"{key!r} is not a tuple of {arity} basis indices")
+        for idx in key:
+            if not 0 <= idx < dim:
+                raise InvalidStructure(f"index {idx} out of range for dim {dim}")
+        coords = {}
+        for l, a in v.items():
+            if not 0 <= l < dim:
+                raise InvalidStructure(f"coordinate index {l} out of range for dim {dim}")
+            if a:
+                coords[l] = Fraction(a)
+        if coords:
+            out[key] = coords
+    return names, out
+
+
+def _unique(entries, kind):
+    """The ``(key, coords)`` pairs of ``entries`` as a dict; a repeated key
+    is an error."""
+    table = {}
+    for key, coords in entries:
+        if key in table:
+            raise InvalidStructure(
+                f"duplicate entry for {kind} ({','.join(map(str, key))})")
+        table[key] = coords
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +125,8 @@ class TripleSystem:
 
     def __init__(self, dim, basis_names, constants):
         self.dim = dim
-        self.basis_names = tuple(basis_names)
-        if len(self.basis_names) != dim:
-            raise InvalidStructure("one basis name per dimension required")
         # (i,j,k) -> {l: a}: the nonzero coordinates of each nonzero [b_i,b_j,b_k]
-        self.constants = {}
-        for (i, j, k), v in constants.items():
-            for idx in (i, j, k):
-                if not 0 <= idx < dim:
-                    raise InvalidStructure(f"index {idx} out of range for dim {dim}")
-            coords = _sparse(dim, v)
-            if coords:
-                self.constants[(i, j, k)] = coords
+        self.basis_names, self.constants = _validated(dim, basis_names, constants, 3)
 
     @classmethod
     def from_entries(cls, dim, basis_names, entries):
@@ -120,12 +135,7 @@ class TripleSystem:
         Unlisted triples are zero.  Duplicate triples are an error; no
         symmetry completion is performed.
         """
-        constants = {}
-        for (i, j, k), coords in entries:
-            if (i, j, k) in constants:
-                raise InvalidStructure(f"duplicate entry for triple ({i},{j},{k})")
-            constants[(i, j, k)] = dict(coords)
-        return cls(dim, basis_names, constants)
+        return cls(dim, basis_names, _unique(entries, "triple"))
 
     def triple_product(self, x, y, z):
         """Trilinear extension of the structure constants."""
@@ -280,27 +290,12 @@ class LieAlgebra:
 
     def __init__(self, dim, basis_names, brackets):
         self.dim = dim
-        self.basis_names = tuple(basis_names)
-        if len(self.basis_names) != dim:
-            raise InvalidStructure("one basis name per dimension required")
         # (i,j) -> {l: a}: the nonzero coordinates of each nonzero [b_i,b_j]
-        self.brackets = {}
-        for (i, j), v in brackets.items():
-            for idx in (i, j):
-                if not 0 <= idx < dim:
-                    raise InvalidStructure(f"index {idx} out of range for dim {dim}")
-            coords = _sparse(dim, v)
-            if coords:
-                self.brackets[(i, j)] = coords
+        self.basis_names, self.brackets = _validated(dim, basis_names, brackets, 2)
 
     @classmethod
     def from_entries(cls, dim, basis_names, entries):
-        brackets = {}
-        for (i, j), coords in entries:
-            if (i, j) in brackets:
-                raise InvalidStructure(f"duplicate entry for pair ({i},{j})")
-            brackets[(i, j)] = dict(coords)
-        return cls(dim, basis_names, brackets)
+        return cls(dim, basis_names, _unique(entries, "pair"))
 
     def bracket(self, x, y):
         brackets = self.brackets
@@ -362,32 +357,6 @@ def lts_from_lie(l):
                 accumulate(constants.setdefault((i, j, k), {}), coords, a)
     return TripleSystem(l.dim, l.basis_names,
                         {key: constants[key] for key in sorted(constants)})
-
-
-def lts_from_involution(l, s):
-    """Restrict [[x,y],z] to the -1 eigenspace of an involutive automorphism
-    ``s`` of ``l`` (an operator on L)."""
-    l.validate()
-    d = l.dim
-    if op_compose(s, s) != {x: {x: ONE} for x in range(d)}:
-        raise InvalidStructure("map is not an involution (square != identity)")
-    for i, j in iproduct(range(d), repeat=2):
-        if (op_apply(s, l.brackets.get((i, j), {}))
-                != l.bracket(s.get(i, {}), s.get(j, {}))):
-            raise InvalidStructure("map is not a Lie algebra automorphism")
-    # -1 eigenspace = kernel of (s + Id)
-    ker = kernel([accumulate(dict(s.get(i, {})), {i: ONE}) for i in range(d)], d)
-    basis = ker.rows
-    k = len(basis)
-    constants = {}
-    for i, j, kk in iproduct(range(k), repeat=3):
-        v = l.bracket(l.bracket(basis[i], basis[j]), basis[kk])
-        coords = ker.coordinates(v)
-        if coords is None:
-            raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
-        constants[(i, j, kk)] = dict(enumerate(coords))
-    names = tuple(f"t{i}" for i in range(k))
-    return TripleSystem(k, names, constants)
 
 
 def inner_derivations(t):

@@ -254,6 +254,16 @@ def test_pbw_size_guard_exit_3():
                      "-N", "6"]) == 3
 
 
+@pytest.mark.parametrize("guard, argv", [
+    ("-5", ["pbw", data_path("s2.json"), "-N", "2"]),
+    ("0", ["verify", data_path("s2.json"), "--suite", "axioms"]),
+], ids=["negative", "zero"])
+def test_size_guard_below_one_exit_2(guard, argv, capsys):
+    assert cli.main(["--max-monomials", guard] + argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --max-monomials must be at least 1, got {guard}\n"
+
+
 def test_pbw_on_a_wide_system_exits_3(tmp_path, capsys):
     # 200 generators: the guard rejects the degree-3 stratum (16 million
     # trees) from its size alone

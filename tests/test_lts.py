@@ -1,13 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
+
+from constructions import lts_from_involution, sl3_lie, sl3_transpose
 
 from triplex import catalog
 from triplex.exactlin import echelonize
 from triplex.lts import (InvalidStructure, LieAlgebra, TripleSystem, _flatten,
                          _unflatten, associative_envelope, check_axioms,
                          endo_theorem_check, inner_derivations, is_k_skew,
-                         lambda_map, lie_closure, lts_from_involution,
+                         lambda_map, lie_closure,
                          op_bracket, r_generators, simplicity_certificate,
                          standard_embedding, tau_commutator_check, tau_map,
                          trace_identity_check)
@@ -101,9 +104,40 @@ def test_span_closure_rejects_out_of_range_operators():
         lie_closure([cols([[1]]), cols([[1, 0], [0, 1]])], 1)
 
 
+AB = ("a", "b")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TripleSystem(2, ("a",), {}), "one basis name per dimension required"),
+    (lambda: LieAlgebra(2, ("a",), {}), "one basis name per dimension required"),
+    (lambda: TripleSystem(2, AB, {(0, 1, 2): {0: 1}}), "index 2 out of range for dim 2"),
+    (lambda: LieAlgebra(2, AB, {(-1, 0): {0: 1}}), "index -1 out of range for dim 2"),
+    (lambda: TripleSystem(2, AB, {(0, 1, 0): {2: 1}}),
+     "coordinate index 2 out of range for dim 2"),
+    (lambda: LieAlgebra(2, AB, {(0, 1): {5: 1}}), "coordinate index 5 out of range for dim 2"),
+    (lambda: TripleSystem(2, AB, {(0, 1): {0: 1}}), "(0, 1) is not a tuple of 3 basis indices"),
+    (lambda: LieAlgebra(2, AB, {(0, 1, 1): {0: 1}}),
+     "(0, 1, 1) is not a tuple of 2 basis indices"),
+    (lambda: TripleSystem.from_entries(2, AB, [((0, 1, 0), {0: 1}), ((0, 1, 0), {1: 1})]),
+     "duplicate entry for triple (0,1,0)"),
+    (lambda: LieAlgebra.from_entries(2, AB, [((0, 1), {0: 1}), ((0, 1), {1: 1})]),
+     "duplicate entry for pair (0,1)"),
+])
+def test_structure_constants_are_validated(make, message):
+    with pytest.raises(InvalidStructure, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_structure_constants_keep_nonzero_fractions():
+    t = TripleSystem(2, AB, {(0, 1, 0): {0: 0, 1: 3}, (1, 0, 0): {0: F(0)}})
+    l = LieAlgebra.from_entries(2, AB, [((0, 1), {1: F(1, 2), 0: 0})])
+    assert t.constants == {(0, 1, 0): {1: F(3)}} and type(t.constants[0, 1, 0][1]) is F
+    assert l.brackets == {(0, 1): {1: F(1, 2)}}
+
+
 def test_lie_algebra_validate(sl2_lts):
     catalog.sl2_lie().validate()
-    catalog.sl3_lie().validate()
+    sl3_lie().validate()
     bad = LieAlgebra(2, ("a", "b"), {(0, 1): {0: F(1)}})
     with pytest.raises(InvalidStructure):
         bad.validate()
@@ -118,7 +152,7 @@ def test_lts_from_lie_sl2(sl2_lts):
 
 
 def test_lts_from_involution_sl3():
-    t = catalog.sl3_transpose_lts()
+    t = lts_from_involution(sl3_lie(), sl3_transpose())
     assert t.dim == 5
     assert check_axioms(t).ok
 

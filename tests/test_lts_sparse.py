@@ -10,7 +10,6 @@ the same inner derivations, Killing forms, trace-identity failures,
 canonical closures and simplicity certificates.
 """
 
-import re
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -19,12 +18,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from constructions import sl3_lie
+
 from triplex import catalog
-from triplex.exactlin import ONE, ZERO, Echelon, echelonize, kernel
+from triplex.exactlin import ONE, ZERO, Echelon, echelonize
 from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure, LieAlgebra,
                          TripleSystem, _derivation_failure, _graded, _span_closure,
                          associative_envelope, basis_operators, check_axioms, inner_derivations, is_k_skew, lambda_map,
-                         lie_closure, lts_from_involution, lts_from_lie, op_apply,
+                         lie_closure, lts_from_lie, op_apply,
                          op_bracket, op_compose, r_generators, simplicity_certificate,
                          standard_embedding, tau_commutator_check, tau_map,
                          trace_identity_check)
@@ -259,31 +260,6 @@ def dense_lts_from_lie(l):
     e = lambda i: unit_vector(d, i)
     return {(i, j, k): sparse(l.bracket(l.basis_bracket(i, j), e(k)))
             for i, j, k in iproduct(range(d), repeat=3)}
-
-
-def dense_lts_from_involution(l, m):
-    """The -1 eigenspace constants of the matrix ``m`` acting on a DenseLie."""
-    l.validate()
-    d = l.dim
-    if mat_mul(m, m) != mat_identity(d):
-        raise InvalidStructure("map is not an involution (square != identity)")
-    e = lambda i: unit_vector(d, i)
-    for i, j in iproduct(range(d), repeat=2):
-        if mat_vec(m, l.basis_bracket(i, j)) != l.bracket(mat_vec(m, e(i)), mat_vec(m, e(j))):
-            raise InvalidStructure("map is not a Lie algebra automorphism")
-    splus = tuple(tuple(m[a][b] + (ONE if a == b else ZERO) for b in range(d))
-                  for a in range(d))
-    ker = kernel([sparse(mat_vec(splus, e(i))) for i in range(d)], d)
-    basis = [dense(d, r) for r in ker.rows]
-    k = len(basis)
-    constants = {}
-    for i, j, kk in iproduct(range(k), repeat=3):
-        v = l.bracket(l.bracket(basis[i], basis[j]), basis[kk])
-        coords = ker.coordinates(sparse(v))
-        if coords is None:
-            raise InvalidStructure("eigenspace is not closed under [[x,y],z]")
-        constants[(i, j, kk)] = dict(enumerate(coords))
-    return TripleSystem(k, tuple(f"t{i}" for i in range(k)), constants).constants
 
 
 def dense_inner_derivations(t):
@@ -676,7 +652,7 @@ def test_triple_product_and_operators_match_dense(case, data):
 
 
 def test_killing_form_matches_trace_of_adjoints():
-    for lie in (catalog.sl2_lie(), catalog.sl3_lie()):
+    for lie in (catalog.sl2_lie(), sl3_lie()):
         d = lie.dim
         ad = [tuple(tuple(lie.brackets.get((i, j), {}).get(k, ZERO) for j in range(d))
                     for k in range(d)) for i in range(d)]
@@ -686,7 +662,7 @@ def test_killing_form_matches_trace_of_adjoints():
 
 
 # ---------------------------------------------------------------------------
-# Lie algebras: validation, the triple system [[x,y],z], involutions
+# Lie algebras: validation and the triple system [[x,y],z]
 
 @st.composite
 def bracket_tables(draw):
@@ -720,7 +696,7 @@ def test_lie_layer_random_matches_dense(case):
     assert_lie_layer_matches(LieAlgebra(d, tuple(f"b{i}" for i in range(d)), brackets))
 
 
-LIES = {"sl2": catalog.sl2_lie, "sl3": catalog.sl3_lie,
+LIES = {"sl2": catalog.sl2_lie, "sl3": sl3_lie,
         **{f"L({name})": (lambda t=t: standard_embedding(t).lie)
            for name, t in BUNDLED.items()}}
 
@@ -728,30 +704,6 @@ LIES = {"sl2": catalog.sl2_lie, "sl3": catalog.sl3_lie,
 @pytest.mark.parametrize("name", sorted(LIES))
 def test_lie_layer_bundled_matches_dense(name):
     assert_lie_layer_matches(LIES[name]())
-
-
-def _sl3_transpose():
-    # column j: the coordinates of -b_j^T in the sl(3) basis
-    return {j: catalog._sl3_coords(tuple(tuple(-b[q][p] for q in range(3))
-                                         for p in range(3)))
-            for j, b in enumerate(catalog._gl3_basis())}
-
-
-@pytest.mark.parametrize("lie, sigma", [
-    (catalog.sl3_lie(), _sl3_transpose()),
-    (catalog.sl2_lie(), columns(sigma_matrix(3, 1))),        # gives s2
-    (catalog.sl2_lie(), columns(sigma_matrix(3, 2))),        # no automorphism
-    (catalog.sl2_lie(), {0: {0: F(2)}, 1: {1: ONE}, 2: {2: ONE}}),  # no involution
-], ids=["sl3_transpose", "sl2_cartan", "sl2_not_automorphism", "sl2_not_involution"])
-def test_lts_from_involution_matches_dense(lie, sigma):
-    try:
-        ref = dense_lts_from_involution(DenseLie(lie.dim, lie.brackets),
-                                        matrix(lie.dim, sigma))
-    except InvalidStructure as exc:
-        with pytest.raises(InvalidStructure, match=re.escape(str(exc))):
-            lts_from_involution(lie, sigma)
-        return
-    assert lts_from_involution(lie, sigma).constants == ref
 
 
 # ---------------------------------------------------------------------------

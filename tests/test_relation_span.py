@@ -38,6 +38,7 @@ class RoundBased(EnvelopingAlgebra):
 
     def _build_relation_span(self):
         N, table = self.cap, self.table
+        pair = table.pairs()
         work = []
         for rel in envelope.relators(self.system, N):
             self._insert_relation({table.index[t]: a for t, a in rel.items()}, work)
@@ -48,9 +49,9 @@ class RoundBased(EnvelopingAlgebra):
                 for n in range(1, N - top + 1):
                     for m in range(*table.degree_start[n:n + 2]):
                         self._insert_relation(
-                            {table.pair[i, m]: a for i, a in row.items()}, new)
+                            {pair[i, m]: a for i, a in row.items()}, new)
                         self._insert_relation(
-                            {table.pair[m, i]: a for i, a in row.items()}, new)
+                            {pair[m, i]: a for i, a in row.items()}, new)
             work = new
 
 
@@ -130,9 +131,10 @@ def test_index_order_and_pair_table_match_the_trees(name, cap):
     assert all(table.trees[i] == alg.rep_tree[k]
                for i, k in zip(alg._elim_index, alg._elim_nf) if k is not None)
     assert sorted(k for k in alg._elim_nf if k is not None) == list(range(alg.nf_size))
-    # pair[i, j] names the tree (trees[i], trees[j]), for every product
+    # pairs()[i, j] names the tree (trees[i], trees[j]), for every product
     # of two non-unit monomials within the cap
-    for (i, j), k in table.pair.items():
+    pair = table.pairs()
+    for (i, j), k in pair.items():
         assert table.trees[k] == (table.trees[i], table.trees[j])
-    assert len(table.pair) == table.size - 1 - alg.d
+    assert len(pair) == table.size - 1 - alg.d
     assert table.degree_start[-1] == table.size
