@@ -137,6 +137,7 @@ class EnvelopingAlgebra:
         self._closure_col = sorted(range(self.nf_size), key=self._closure_nf.__getitem__)
         # the basis-product table, filled on first use
         self._products = {}
+        self._t_closure = None
 
     # -- construction -------------------------------------------------------
 
@@ -419,45 +420,91 @@ class EnvelopingAlgebra:
         """Closure of span(gens) under right multiplication by monomials.
 
         A row of top degree t is multiplied by every monomial m with
-        1 <= |m| <= cap - t.  The counit is multiplicative, so the
-        augmentation ideal is a two-sided ideal: when every generator has
-        counit 0 the closure lies in it, and the loop stops once the span
-        has its dimension (otherwise once the span is everything).
+        1 <= |m| <= cap - t, until the span is closed or is known to be
+        its final value.  The closure columns put the unit last, with the
+        degree-1 columns just before it; ``exit`` names the stop taken:
+        - "unit" (rule A): an accepted row has its pivot on the unit column,
+          so it is a multiple of 1.  A right ideal that holds 1 holds every
+          monomial m = 1 m, so the closure is everything.
+        - "t" (rule B, only when every generator has counit 0): d accepted
+          rows have pivots on degree-1 columns.  The counit is
+          multiplicative, so no row has a unit term, and these rows span
+          T.  The closure then contains the closure of T and lies in the
+          augmentation ideal, a two-sided ideal; the rule is used only if
+          the closure of T is that ideal (``closure_of_t``).  A generator
+          with a nonzero counit would void this: its degree-1 rows can
+          carry a unit term.
+        - "ceiling": every generator has counit 0 and the span has the
+          dimension of the augmentation ideal.
+        - "saturated": every product is in the span.
         """
+        return self._close(gens, rule_b=True)
+
+    def closure_of_t(self):
+        """The right ideal closure of T (of the d generators), computed
+        once per algebra.  Rule B of ``right_ideal_closure`` rests on it, so
+        it is closed without rule B."""
+        if self._t_closure is None:
+            self._t_closure = self._close(
+                [self.generator(g) for g in range(self.d)], rule_b=False)
+        return self._t_closure
+
+    def _close(self, gens, rule_b):
         if not gens:
             raise ValueError("right_ideal_closure needs at least one generator")
-        N, deg = self.cap, self.nf_degree
+        N, n, deg = self.cap, self.nf_size, self.nf_degree
         nf, col = self._closure_nf, self._closure_col
-        ceiling = self.nf_size - all(not g.counit() for g in gens)
+        unit = n - 1
+        in_aug = all(not g.counit() for g in gens)
+        # rule B needs t_rows == d rows with a pivot in T (None: it is off);
+        # the closure of T lies in the augmentation ideal, so it is that
+        # ideal when it has its dimension
+        t_goal = (self.d if rule_b and in_aug
+                  and self.closure_of_t().subspace.dim == n - 1 else None)
+        t_rows = 0
         ech = Echelon()
         queue = []
+        stop = "saturated"
         for vec in chain(({col[k]: a for k, a in g.coeffs.items()} for g in gens),
                          self._right_products(queue)):
-            if ech.dim == ceiling:
-                break
             row = ech.insert(vec)
-            if row is not None:
-                queue.append(row)
+            if row is None:
+                continue
+            queue.append(row)
+            p = min(row)
+            t_rows += p >= unit - self.d
+            if p == unit:
+                stop = "unit"
+            elif t_rows == t_goal:
+                stop = "t"
+            elif in_aug and ech.dim == n - 1:
+                stop = "ceiling"
+            else:
+                continue
+            break
 
-        n = self.nf_size
-        if ech.dim < ceiling:
+        if stop == "saturated":
             nf_ech = Echelon()
             for row in queue:
                 nf_ech.insert({nf[c]: a for c, a in row.items()})
             subspace = nf_ech.subspace(n)
+        elif stop == "unit":
+            ech, subspace = Echelon(range(n)), self.filtration(N)
         else:
-            subspace = self.augmentation_ideal() if ceiling < n else self.filtration(N)
-        # the closure order puts the unit last, with the degree-1 columns
-        # just before it; the rows with pivot degree <= k span the closure's
-        # intersection with filtration(k)
+            ech, subspace = Echelon(range(unit)), self.augmentation_ideal()
+        # the rows with pivot degree <= k span the closure's intersection
+        # with filtration(k)
         pivots = ech.pivots()
         per_degree = [sum(1 for p in pivots if deg[nf[p]] <= k) for k in range(N + 1)]
-        unit = n - 1
         contains_one = unit in pivots
-        # the intersection with filtration(1) lies in T unless one of its
-        # rows (the queue holds them all) has a unit term
-        meets_t = per_degree[1] - any(unit in row for row in queue
-                                      if min(row) >= unit - self.d)
+        if stop == "saturated":
+            # the intersection with filtration(1) lies in T unless one of its
+            # rows (the queue holds them all) has a unit term
+            meets_t = per_degree[1] - any(unit in row for row in queue
+                                          if min(row) >= unit - self.d)
+        else:
+            # everything and the augmentation ideal both contain T
+            meets_t = self.d
         safe = N - max(g.degree() for g in gens)
         # the first stratum n0 such that every monomial of degree n0..safe is
         # inside: one above the top degree of a monomial outside
@@ -465,7 +512,7 @@ class EnvelopingAlgebra:
                     if not ech.contains({col[k]: ONE})), -1)
         stabilization = top + 1 if top < safe else None
         return IdealClosure(subspace, per_degree, contains_one, meets_t,
-                            stabilization, safe)
+                            stabilization, safe, stop)
 
     def _right_products(self, queue):
         """Yield r * m for each row r of ``queue`` (rows appended while this
@@ -497,6 +544,9 @@ class IdealClosure:
     meets_t_dim: int
     stabilization_degree: int | None
     safe_window: int
+    # which stop ended the closure (see ``right_ideal_closure``); it stays
+    # out of every report
+    exit: str = "saturated"
 
 
 class Element:

@@ -332,8 +332,9 @@ def suite_mainthm(system, alg_cache, N, seed):
         ic = alg.right_ideal_closure([x])
         rep.add("closure_of_counit_nonzero_element", {"sample": idx},
                 ic.contains_one)
-    gens = [alg.monomial(v) for v in alg.exponents if sum(v) >= 1]
-    ic = alg.right_ideal_closure(gens)
+    # the proof's step "a right ideal that contains T is the augmentation
+    # ideal", on the closure of the d generators
+    ic = alg.closure_of_t()
     aug = alg.augmentation_ideal()
     rep.add("augmentation_closure_stable",
             {"dim": ic.subspace.dim, "expected": aug.dim},

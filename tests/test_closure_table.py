@@ -280,8 +280,8 @@ def test_mainthm_fails_a_closure_outside_the_augmentation_ideal(monkeypatch):
     assert verdicts == ["fail", "fail"]
 
 
-def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
-    alg = algebra("s2_plus_s2", 4)
+def counting_inserts(monkeypatch):
+    """The list of vectors that envelope's Echelons insert from now on."""
     inserts = []
 
     class Counting(Echelon):
@@ -290,8 +290,113 @@ def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
             return super().insert(vec)
 
     monkeypatch.setattr(envelope, "Echelon", Counting)
-    ic = alg.right_ideal_closure([alg.monomial(v) for v in alg.exponents[1:]])
-    # every monomial of positive degree is accepted, and then the span is
-    # the augmentation ideal: no product is formed
-    assert len(inserts) == alg.nf_size - 1
+    return inserts
+
+
+def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
+    alg = algebra("s2_plus_s2", 4)
+    gens = [alg.monomial(v) for v in alg.exponents[1:]]
+    # the closure of T is primed first, so that only this closure's inserts
+    # are counted
+    assert alg.closure_of_t().exit == "ceiling"
+    inserts = counting_inserts(monkeypatch)
+    ic = alg.right_ideal_closure(gens)
+    # the generators come in basis order, degree 1 first: once the d
+    # generators are accepted the span holds T (rule B), and no product or
+    # further generator is inserted
+    assert (len(inserts), ic.exit) == (alg.d, "t")
     assert ic.subspace == alg.augmentation_ideal()
+    # without rule B every monomial of positive degree is accepted, and
+    # then the span is the augmentation ideal: no product is formed
+    inserts.clear()
+    ic = alg._close(gens, rule_b=False)
+    assert (len(inserts), ic.exit) == (alg.nf_size - 1, "ceiling")
+    assert ic.subspace == alg.augmentation_ideal()
+
+
+# -- the early exits ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+def test_closure_of_t_is_the_augmentation_ideal(name, cap):
+    # rule B is in force on every bundled case: check its premise against
+    # the reference fixpoint
+    alg = algebra(name, cap)
+    ic = alg.closure_of_t()
+    slow = reference_closure(alg, [alg.generator(g) for g in range(alg.d)])
+    assert ic.subspace == slow.subspace == alg.augmentation_ideal()
+    assert ic.exit == "ceiling"
+    assert_same_closure(alg, [alg.generator(g) for g in range(alg.d)])
+
+
+def test_counit_nonzero_generator_with_t_in_its_span_exits_by_rule_a():
+    # 1 + e and f put d = 2 pivots on the degree-1 columns, but 1 + e has a
+    # unit term: rule B must not fire, and the closure holds 1
+    alg = algebra("s2", 4)
+    e, f = alg.generator(0), alg.generator(1)
+    gens = [alg.one() + e, f]
+    ic = alg.right_ideal_closure(gens)
+    assert (ic.subspace.dim, ic.contains_one, ic.exit) == (15, True, "unit")
+    assert ic.subspace == alg.filtration(4)
+    assert_same_closure(alg, gens)
+
+
+def test_counit_nonzero_generator_exits_by_rule_a(monkeypatch):
+    alg = algebra("s2", 4)
+    gens = [alg.one() + alg.generator(0)]
+    alg.closure_of_t()
+    inserts = counting_inserts(monkeypatch)
+    ic = alg.right_ideal_closure(gens)
+    # every insert is accepted, and the twelfth row is a multiple of 1: the
+    # closure stops with 12 of its 15 dimensions in the span
+    assert (len(inserts), ic.exit) == (12, "unit")
+    assert ic.subspace == alg.filtration(4)
+    assert_same_closure(alg, gens)
+
+
+def test_closure_of_all_positive_monomials_exits_by_rule_b():
+    for name, cap in CASES:
+        alg = algebra(name, cap)
+        gens = [alg.monomial(v) for v in alg.exponents[1:]]
+        assert alg.right_ideal_closure(gens).exit == "t"
+        assert_same_closure(alg, gens)
+
+
+def test_closure_without_t_saturates():
+    # s2_plus_s2 is not simple: a generator's closure meets T in its own
+    # summand only and never reaches the ceiling
+    alg = algebra("s2_plus_s2", 4)
+    ic = alg.right_ideal_closure([alg.generator(0)])
+    assert (ic.exit, ic.meets_t_dim, ic.subspace.dim) == ("saturated", 2, 55)
+    assert_same_closure(alg, [alg.generator(0)])
+
+
+def test_the_exit_stays_out_of_the_ideal_text(capsys):
+    assert cli.main(["ideal", str(resources.files("triplex") / "data" / "s2.json"),
+                     "-N", "4", "--right", "1+e"]) == 0
+    assert capsys.readouterr().out == (
+        "right ideal closure: dim 15 / 15\n"
+        "per-degree dims: [1, 3, 6, 10, 15]\n"
+        "contains 1: True\n"
+        "intersection with T: dim 2\n"
+        "stabilization degree: 0 (safe window 3)\n")
+
+
+def test_a_short_closure_of_t_fails_mainthm_and_turns_rule_b_off(monkeypatch):
+    alg = algebra("s2", 4)
+    aug = alg.augmentation_ideal()
+
+    def stable_records():
+        rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)
+        return [(r["params"], r["verdict"]) for r in rep.records
+                if r["id"] == "augmentation_closure_stable"]
+
+    assert stable_records() == [({"dim": aug.dim, "expected": aug.dim}, "pass")]
+    # a closure of T one dimension short of the augmentation ideal
+    span = echelonize([{k: ONE} for k in range(1, alg.nf_size - 1)], alg.nf_size)
+    small = IdealClosure(span, [0, 2, 5, 9, 13], False, 2, None, 3)
+    monkeypatch.setattr(alg, "closure_of_t", lambda: small)
+    assert stable_records() == [({"dim": aug.dim - 1, "expected": aug.dim}, "fail")]
+    # rule B rests on the closure of T: without it the closure of every
+    # monomial of positive degree runs to the ceiling
+    ic = alg.right_ideal_closure([alg.monomial(v) for v in alg.exponents[1:]])
+    assert (ic.exit, ic.subspace) == ("ceiling", aug)
