@@ -1,16 +1,23 @@
 """H-bialgebra structure on the truncated enveloping algebra.
 
-Tensors in U(x)U are plain dicts ``{(left, right): Fraction}`` over pairs
-of normal-form indices (``comult3`` adds a third leg), and
-``tensor_mul`` multiplies two of them legwise through the algebra's
-integer basis-product table, summing in integers over one denominator.
+Inside this module a tensor in U(x)U is an integer row ``(den, {(left,
+right): int})`` over pairs of normal-form indices (``comult3``'s rows
+have a third leg), and ``_tensor_rows`` multiplies two of them legwise
+through the algebra's integer basis-product table, summing over one lcm
+denominator.  ``Fraction``s appear only at the API boundary: ``comult``,
+``comult3`` and ``tensor_mul`` return plain dicts ``{(left, right):
+Fraction}`` without zero entries.
+
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
-1(x)a on generators.  It is evaluated on a free tree as the
-``tensor_mul`` of the images of its two halves, once per distinct
-subtree, and cached per basis monomial.  That is only sound because Delta
-descends to the quotient: ``check_coideal`` certifies that the
-generator-level relator families are coideal elements, once per algebra
-before the first comultiplication.
+1(x)a on generators.  It is evaluated on a free tree as the legwise
+product of the images of its two halves, once per distinct subtree, and
+cached per basis monomial as an integer row.  That is only sound
+because Delta descends to the quotient: ``check_coideal`` certifies that
+the generator-level relator families are coideal elements, once per
+algebra before the first comultiplication.  ``check_coalgebra`` compares
+the cached rows exactly (``_same``): coassociativity, cocommutativity,
+the counit laws, and multiplicativity, where Delta of the basis product
+row of (i, j) must equal the legwise product of the rows of i and j.
 
 The division and weak-associativity checks sum integer rows
 (``EnvelopingAlgebra.mul_rows``) and compare them exactly at the end.
@@ -24,6 +31,7 @@ w = sum x1 (y x2) once per (x, y) for its one y, and y (x2 z) once per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .exactlin import (ONE, accumulate, echelonize, integer_row, kernel,
                        rational_row, sum_integer_rows)
@@ -32,68 +40,112 @@ from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
 
 
+def _tensor_rows(alg, s, t):
+    """Legwise product of two integer tensor rows, as one (its zero entries
+    kept).  This is ``sum_integer_rows`` over the pairs of terms, written
+    out as ``EnvelopingAlgebra.mul_rows`` is."""
+    (ds, s), (dt, t) = s, t
+    table, product = alg._products, alg.basis_product
+    out, den = {}, 1
+    for (l1, r1), a in s.items():
+        for (l2, r2), b in t.items():
+            d1, left = table.get((l1, l2)) or product(l1, l2)
+            d2, right = table.get((r1, r2)) or product(r1, r2)
+            d, c = d1 * d2, a * b
+            if d != den:
+                new = lcm(den, d)
+                if new != den:
+                    for k in out:
+                        out[k] *= new // den
+                    den = new
+                c *= den // d
+            for kl, p in left.items():
+                p *= c
+                for kr, q in right.items():
+                    out[kl, kr] = out.get((kl, kr), 0) + p * q
+    return den * ds * dt, out
+
+
+def _nonzero(den, w):
+    """The integer row w / den without its zero entries."""
+    return den, {k: a for k, a in w.items() if a}
+
+
 def tensor_mul(alg, s, t):
     """Legwise product of two tensors {(left, right): coefficient}."""
-    product = alg.basis_product
-    (ds, s), (dt, t) = integer_row(s), integer_row(t)
-
-    def terms():
-        for (l1, r1), a in s.items():
-            for (l2, r2), b in t.items():
-                d1, left = product(l1, l2)
-                d2, right = product(r1, r2)
-                yield a * b, (d1 * d2, {(kl, kr): p * q for kl, p in left.items()
-                                        for kr, q in right.items()})
-
-    den, out = sum_integer_rows(terms())
-    return rational_row(den * ds * dt, out)
+    return rational_row(*_tensor_rows(alg, integer_row(s), integer_row(t)))
 
 
 def _comult_tree(alg, t, memo):
-    """Delta of a free tree: 1(x)1 for the unit, g(x)1 + 1(x)g for a
-    generator g, and the legwise product of its halves' images for a pair.
-    ``memo`` maps the subtrees seen so far to their (shared) images."""
+    """Delta of a free tree as an integer tensor row: 1(x)1 for the unit,
+    g(x)1 + 1(x)g for a generator g, and the legwise product of its
+    halves' images for a pair.  ``memo`` maps the subtrees seen so far to
+    their (shared) images."""
     dt = memo.get(t)
     if dt is None:
         if t == UNIT:
-            dt = {(0, 0): ONE}
+            dt = 1, {(0, 0): 1}
         elif is_leaf(t):
             g = alg.d - t  # the generator's normal-form index
-            dt = {(g, 0): ONE, (0, g): ONE}
+            dt = 1, {(g, 0): 1, (0, g): 1}
         else:
-            dt = tensor_mul(alg, _comult_tree(alg, t[0], memo),
-                            _comult_tree(alg, t[1], memo))
+            dt = _nonzero(*_tensor_rows(alg, _comult_tree(alg, t[0], memo),
+                                        _comult_tree(alg, t[1], memo)))
         memo[t] = dt
     return dt
 
 
+def _comult_basis(alg, k):
+    """Delta of the basis monomial k, from the per-algebra cache that
+    ``check_coideal`` creates (shared rows: do not mutate)."""
+    cache = alg._hopf_comult
+    row = cache.get(k)
+    if row is None:
+        cache[k] = row = _comult_tree(alg, alg.rep_tree[k], {})
+    return row
+
+
+def _comult_rows(alg, x):
+    """Delta of the integer row x over normal-form indices, as an integer
+    tensor row without zero entries."""
+    check_coideal(alg)
+    dx, xs = x
+    den, out = sum_integer_rows((a, _comult_basis(alg, k)) for k, a in xs.items())
+    return _nonzero(den * dx, out)
+
+
+def _legs3(alg, x, left):
+    """(Delta (x) Id) x if ``left``, else (Id (x) Delta) x, for an integer
+    tensor row x, as an integer row over triples (its zero entries kept)."""
+    dx, xs = x
+
+    def terms():
+        for (l, r), a in xs.items():
+            if left:
+                d, w = _comult_basis(alg, l)
+                yield a, (d, {(l1, l2, r): b for (l1, l2), b in w.items()})
+            else:
+                d, w = _comult_basis(alg, r)
+                yield a, (d, {(l, r1, r2): b for (r1, r2), b in w.items()})
+
+    den, out = sum_integer_rows(terms())
+    return den * dx, out
+
+
+def _comult3_rows(alg, x):
+    """(Delta (x) Id) Delta of the integer row x, without zero entries."""
+    return _nonzero(*_legs3(alg, _comult_rows(alg, x), True))
+
+
 def comult(x):
     """Algebra morphism with Delta(a) = a(x)1 + 1(x)a on generators."""
-    alg = x.algebra
-    check_coideal(alg)
-    cache = alg._hopf_comult  # integer rows, by basis monomial
-    dx, xs = integer_row(x.coeffs)
-
-    def images():
-        for k, a in xs.items():
-            hit = cache.get(k)
-            if hit is None:
-                cache[k] = hit = integer_row(_comult_tree(alg, alg.rep_tree[k], {}))
-            yield a, hit
-
-    den, out = sum_integer_rows(images())
-    return rational_row(den * dx, out)
+    return rational_row(*_comult_rows(x.algebra, integer_row(x.coeffs)))
 
 
 def comult3(x):
     """Left-nested iterated comultiplication (Delta (x) Id) Delta, as a
     dict from monomial triples to coefficients."""
-    alg = x.algebra
-    out = {}
-    for (l, r), a in comult(x).items():
-        accumulate(out, {(l1, l2, r): b for (l1, l2), b
-                         in comult(alg.basis(l)).items()}, a)
-    return out
+    return rational_row(*_comult3_rows(x.algebra, integer_row(x.coeffs)))
 
 
 def s_map(x):
@@ -109,8 +161,8 @@ def left_div(x, y):
 def right_div(y, x):
     """y / x = sum S(x_(3)) ((x_(1) y) S(x_(2)))."""
     alg = y.algebra
-    return Element(alg, rational_row(*_right_div(alg, integer_row(y.coeffs),
-                                                 integer_row(comult3(x)))))
+    return Element(alg, rational_row(*_right_div(
+        alg, integer_row(y.coeffs), _comult3_rows(alg, integer_row(x.coeffs)))))
 
 
 def _basis(k):
@@ -143,15 +195,16 @@ def _same(r, s):
 def check_coideal(alg):
     """Certify Delta descends to the quotient: the generator-level relator
     families (``relators`` up to degree 3) have zero comultiplication in
-    U(x)U.  Passing creates the per-algebra cache ``comult`` reads."""
+    U(x)U, exactly.  Passing creates the per-algebra cache of integer rows
+    that ``comult`` reads."""
     if getattr(alg, "_hopf_comult", None) is not None:
         return
     memo = {}
     for rel in relators(alg.system, min(alg.cap, 3)):
-        acc = {}
-        for t, c in rel.items():
-            accumulate(acc, _comult_tree(alg, t, memo), c)
-        if acc:
+        _, coeffs = integer_row(rel)
+        _, acc = sum_integer_rows((c, _comult_tree(alg, t, memo))
+                                  for t, c in coeffs.items())
+        if any(acc.values()):
             raise PBWCertificateFailure("a defining relator is not a coideal element")
     alg._hopf_comult = {}
 
@@ -163,29 +216,28 @@ class CheckReport:
 
 
 def check_coalgebra(alg, degree):
-    """Coassociativity, cocommutativity, counit laws and multiplicativity."""
+    """Coassociativity, cocommutativity, counit laws and multiplicativity,
+    on the cached integer rows."""
+    check_coideal(alg)
     failures = []
     monomials = alg.monomials_upto(degree)
     # by normal-form index: the monomials are the first indices
-    delta = [comult(alg.monomial(v)) for v in monomials]
-    for v, dx in zip(monomials, delta):
-        x = alg.monomial(v)
+    delta = [_comult_basis(alg, k) for k in range(len(monomials))]
+    for k, (v, dx) in enumerate(zip(monomials, delta)):
+        den, w = dx
         # coassociativity: (Delta (x) Id) Delta == (Id (x) Delta) Delta
-        rhs = {}
-        for (l, r), a in dx.items():
-            accumulate(rhs, {(l, rl, rr): b for (rl, rr), b in delta[r].items()}, a)
-        if comult3(x) != rhs:
+        if not _same(_legs3(alg, dx, True), _legs3(alg, dx, False)):
             failures.append(("coassociativity", v))
-        if {(r, l): a for (l, r), a in dx.items()} != dx:
+        if not _same((den, {(r, l): a for (l, r), a in w.items()}), dx):
             failures.append(("cocommutativity", v))
-        if ({r: a for (l, r), a in dx.items() if l == 0} != x.coeffs
-                or {l: a for (l, r), a in dx.items() if r == 0} != x.coeffs):
+        if not (_same((den, {r: a for (l, r), a in w.items() if l == 0}), _basis(k))
+                and _same((den, {l: a for (l, r), a in w.items() if r == 0}), _basis(k))):
             failures.append(("counit law", v))
     for i, v in enumerate(monomials):
-        for j, w in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
-            if (comult(alg.monomial(v) * alg.monomial(w))
-                    != tensor_mul(alg, delta[i], delta[j])):
-                failures.append(("multiplicativity", v, w))
+        for j, u in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
+            if not _same(_comult_rows(alg, alg.basis_product(i, j)),
+                         _tensor_rows(alg, delta[i], delta[j])):
+                failures.append(("multiplicativity", v, u))
     return CheckReport(not failures, failures)
 
 
@@ -199,9 +251,8 @@ def check_divisions(alg, x, ys):
     and sum (y / x1) x2 all equal eps(x) y.  Returns one list per y, of
     the identities that fail."""
     mul = alg.mul_rows
-    ddx, dx = integer_row(comult(x))
-    split3 = {k: integer_row(comult3(alg.basis(k)))
-              for k in {k for pair in dx for k in pair}}
+    ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
+    split3 = {k: _comult3_rows(alg, _basis(k)) for k in {k for pair in dx for k in pair}}
     out = []
     for y in ys:
         yr = integer_row(y.coeffs)
@@ -242,7 +293,7 @@ def check_weak_assoc(alg, y, xs, zs):
         room = budget - x.degree()
         if room < 0:
             continue
-        ddx, dx = integer_row(comult(x))
+        ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
         for k1, k2 in dx:
             if k2 not in yx2:
                 yx2[k2] = mul(yr, _basis(k2))

@@ -2,7 +2,9 @@
 
 Each entry is (exit code, first 16 hex digits of the sha256 of stdout).
 ``verify --json -N 4`` is pinned for every suite on four bundled systems
-at seed 0, and for the sl3_sym ``mainthm`` suite; ``check``, ``embed``,
+at seed 0, and for the sl3_sym ``mainthm`` suite; ``SEEDED`` pins it for
+the sl3_sym ``hopf`` suite at seeds 0 and 1 (the ``s_map_automorphism``
+samples depend on the seed); ``check``, ``embed``,
 ``endo``, ``simple`` and ``pbw`` (at their default cap) are pinned on all
 six bundled systems.  ``NORMAL_FORMS`` pins ``Element.terms()`` and
 ``format()`` of the normal form of every free monomial and of every
@@ -14,6 +16,7 @@ digest).  A deliberate change of output re-records the tables:
 import contextlib
 import hashlib
 import io
+import json
 from importlib import resources
 
 import pytest
@@ -73,6 +76,11 @@ VERIFY = {
     ("sl3_sym", "mainthm"): (0, "a601acef5132fbda"),
 }
 
+SEEDED = {
+    ("sl3_sym", "hopf", 0): (0, "77763ca8d429001d"),
+    ("sl3_sym", "hopf", 1): (0, "7c1c35cb3a1e674e"),
+}
+
 TEXT = {
     ("abelian3", "check"): (0, "f89396446aaab389"),
     ("abelian3", "embed"): (0, "37adf1fc131ac703"),
@@ -129,6 +137,10 @@ def verify_argv(system, suite):
     return ["verify", data_path(system), "--suite", suite, "--json", "-N", "4"]
 
 
+def seeded_argv(system, suite, seed):
+    return verify_argv(system, suite) + ["--seed", str(seed)]
+
+
 def text_argv(system, command):
     return [command, data_path(system)]
 
@@ -137,6 +149,12 @@ def text_argv(system, command):
                          ids=[f"{s}-{n}" for s, n in sorted(VERIFY)])
 def test_verify_json_report(system, suite):
     assert run(verify_argv(system, suite)) == VERIFY[system, suite]
+
+
+@pytest.mark.parametrize("system, suite, seed", sorted(SEEDED),
+                         ids=[f"{s}-{n}-seed{k}" for s, n, k in sorted(SEEDED)])
+def test_seeded_verify_json_report(system, suite, seed):
+    assert run(seeded_argv(system, suite, seed)) == SEEDED[system, suite, seed]
 
 
 @pytest.mark.parametrize("system, command", sorted(TEXT),
@@ -175,11 +193,12 @@ def test_tables_cover_every_suite_and_command():
 
 if __name__ == "__main__":
     for title, table, argv in (("VERIFY", VERIFY, verify_argv),
+                               ("SEEDED", SEEDED, seeded_argv),
                                ("TEXT", TEXT, text_argv)):
         print(f"{title} = {{")
         for key in sorted(table):
             code, digest = run(argv(*key))
-            print(f'    ("{key[0]}", "{key[1]}"): ({code}, "{digest}"),')
+            print(f'    ({", ".join(map(json.dumps, key))}): ({code}, "{digest}"),')
         print("}")
     print("NORMAL_FORMS = {")
     for key in sorted(NORMAL_FORMS):

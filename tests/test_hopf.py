@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from triplex import cli, hopf, suites
 from triplex.envelope import (Element, EnvelopingAlgebra, relators,
                               representative_tree)
-from triplex.exactlin import ONE, accumulate, echelonize
+from triplex.exactlin import (ONE, accumulate, echelonize, integer_row,
+                              rational_row, sum_integer_rows)
 from triplex.freealg import UNIT, graft, is_leaf
 from triplex.hopf import (check_coalgebra, check_divisions, check_weak_assoc,
                           comult, comult3, left_div, primitives, right_div,
@@ -173,10 +174,13 @@ def _reference_comult(alg, x):
 
 
 def _comult_free(alg, x):
-    out, memo = {}, {}
-    for t, c in x.items():
-        accumulate(out, hopf._comult_tree(alg, t, memo), c)
-    return out
+    """Delta of a free combination through ``hopf._comult_tree``'s integer
+    rows, as a rational dict."""
+    memo = {}
+    dx, xs = integer_row(x)
+    den, out = sum_integer_rows((c, hopf._comult_tree(alg, t, memo))
+                                for t, c in xs.items())
+    return rational_row(den * dx, out)
 
 
 def test_comult_matches_free_splitting_on_every_basis_monomial():
@@ -224,8 +228,8 @@ def test_comult_tree_matches_free_splitting_on_free_elements(data):
 def test_check_coideal_multiplies_once_per_distinct_subtree(monkeypatch):
     alg = _algebra("sl3_sym.json", 4)
     calls = []
-    mul = hopf.tensor_mul
-    monkeypatch.setattr(hopf, "tensor_mul", lambda *args: calls.append(1) or mul(*args))
+    mul = hopf._tensor_rows
+    monkeypatch.setattr(hopf, "_tensor_rows", lambda *args: calls.append(1) or mul(*args))
     monkeypatch.setattr(alg, "_hopf_comult", None, raising=False)
     hopf.check_coideal(alg)
     subtrees = set()
@@ -375,3 +379,152 @@ def test_a_corrupted_product_fails_both_hoisted_checks():
     divisions, weak = hoisted_cases(alg)
     assert any(divisions.values()) and not all(weak.values())
     assert (divisions, weak) == reference_cases(alg)
+
+
+# -- differential test: the integer-row Hopf layer against the Fraction path
+# it replaced, kept here as the reference --
+
+def reference_tensor_mul(alg, s, t):
+    """Legwise product of two {(left, right): Fraction} tensors."""
+    product = alg.basis_product
+    (ds, s), (dt, t) = integer_row(s), integer_row(t)
+
+    def terms():
+        for (l1, r1), a in s.items():
+            for (l2, r2), b in t.items():
+                d1, left = product(l1, l2)
+                d2, right = product(r1, r2)
+                yield a * b, (d1 * d2, {(kl, kr): p * q for kl, p in left.items()
+                                        for kr, q in right.items()})
+
+    den, out = sum_integer_rows(terms())
+    return rational_row(den * ds * dt, out)
+
+
+def reference_comult_tree(alg, t, memo):
+    dt = memo.get(t)
+    if dt is None:
+        if t == UNIT:
+            dt = {(0, 0): ONE}
+        elif is_leaf(t):
+            g = alg.d - t
+            dt = {(g, 0): ONE, (0, g): ONE}
+        else:
+            dt = reference_tensor_mul(alg, reference_comult_tree(alg, t[0], memo),
+                                      reference_comult_tree(alg, t[1], memo))
+        memo[t] = dt
+    return dt
+
+
+def reference_coideal(alg, rels):
+    """Whether every relator of ``rels`` has zero comultiplication."""
+    memo = {}
+    for rel in rels:
+        acc = {}
+        for t, c in rel.items():
+            accumulate(acc, reference_comult_tree(alg, t, memo), c)
+        if acc:
+            return False
+    return True
+
+
+def reference_comult(alg, x):
+    """Delta of an element from the algebra's comultiplication cache, as
+    ``comult`` read it: integer rows turned into ``Fraction`` dicts."""
+    hopf.check_coideal(alg)
+    cache, out = alg._hopf_comult, {}
+    for k, a in x.coeffs.items():
+        if k not in cache:
+            cache[k] = integer_row(reference_comult_tree(alg, alg.rep_tree[k], {}))
+        accumulate(out, rational_row(*cache[k]), a)
+    return out
+
+
+def reference_check_coalgebra(alg, degree):
+    failures = []
+    monomials = alg.monomials_upto(degree)
+    delta = [reference_comult(alg, alg.monomial(v)) for v in monomials]
+    for v, dx in zip(monomials, delta):
+        x = alg.monomial(v)
+        lhs, rhs = {}, {}
+        for (l, r), a in dx.items():
+            accumulate(lhs, {(l1, l2, r): b for (l1, l2), b
+                             in reference_comult(alg, alg.basis(l)).items()}, a)
+            accumulate(rhs, {(l, rl, rr): b for (rl, rr), b in delta[r].items()}, a)
+        if lhs != rhs:
+            failures.append(("coassociativity", v))
+        if {(r, l): a for (l, r), a in dx.items()} != dx:
+            failures.append(("cocommutativity", v))
+        if ({r: a for (l, r), a in dx.items() if l == 0} != x.coeffs
+                or {l: a for (l, r), a in dx.items() if r == 0} != x.coeffs):
+            failures.append(("counit law", v))
+    for i, v in enumerate(monomials):
+        for j, w in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
+            if (reference_comult(alg, alg.monomial(v) * alg.monomial(w))
+                    != reference_tensor_mul(alg, delta[i], delta[j])):
+                failures.append(("multiplicativity", v, w))
+    return failures
+
+
+def _coalgebra_failures(alg):
+    """check_coalgebra's failures and the reference's, at the suite's degree."""
+    degree = min(3, alg.cap)
+    return hopf.check_coalgebra(alg, degree).failures, reference_check_coalgebra(alg, degree)
+
+
+def test_integer_rows_match_the_fraction_reference():
+    for name, cap in _ALGEBRAS:
+        alg = _algebra(name, cap)
+        assert reference_coideal(alg, relators(alg.system, min(cap, 3))), (name, cap)
+        hopf.check_coideal(alg)
+        for k in range(alg.nf_size):
+            assert (rational_row(*hopf._comult_basis(alg, k))
+                    == reference_comult_tree(alg, alg.rep_tree[k], {})), (name, cap, k)
+        got, want = _coalgebra_failures(alg)
+        assert got == want == [], (name, cap)
+
+
+@pytest.mark.parametrize("scale", [F(1, 2), -1])
+def test_check_coideal_matches_the_reference_on_a_broken_relator(monkeypatch, scale):
+    alg = EnvelopingAlgebra(_algebra("sl3_sym.json", 3).system, 3)
+    rels = relators(alg.system, 3)
+    # one leg of the first commutator ab - ba rescaled: not a coideal element
+    (t, c), *rest = rels[0].items()
+    rels[0] = {t: scale * c, **dict(rest)}
+    assert not reference_coideal(alg, rels)
+    monkeypatch.setattr(hopf, "relators", lambda system, cap: rels)
+    with pytest.raises(hopf.PBWCertificateFailure, match="not a coideal element"):
+        hopf.check_coideal(alg)
+
+
+def test_a_corrupted_comult_entry_fails_both_coalgebra_checks_alike():
+    # a fresh algebra, so that the corrupted entry reaches no other test
+    alg = EnvelopingAlgebra(_algebra("s2_plus_s2.json", 4).system, 4)
+    for k in range(alg.nf_size):
+        comult(alg.basis(k))
+    # Delta(e f) gains (1/3) e(x)f: still coassociative, since e and f are
+    # primitive, but no longer cocommutative
+    v = (1, 1, 0, 0)
+    ef, e, f = alg.exp_index[v], alg.exp_index[1, 0, 0, 0], alg.exp_index[0, 1, 0, 0]
+    den, row = alg._hopf_comult[ef]
+    row = {p: 3 * a for p, a in row.items()}
+    row[e, f] += den
+    alg._hopf_comult[ef] = 3 * den, row
+    got, want = _coalgebra_failures(alg)
+    assert got == want
+    assert {f[0] for f in got} == {"coassociativity", "cocommutativity", "multiplicativity"}
+    assert ("cocommutativity", v) in got and ("coassociativity", v) not in got
+
+
+def test_a_corrupted_product_fails_both_coalgebra_checks_alike():
+    alg = EnvelopingAlgebra(_algebra("sl3_sym.json", 4).system, 4)
+    for k in range(alg.nf_size):
+        comult(alg.basis(k))
+    # a product whose table row has a denominator other than 1, scaled by 3/2
+    i, j = next((i, j) for i in range(1, alg.count_upto(2)) for j in range(1, alg.count_upto(2))
+                if alg.basis_product(i, j)[0] != 1)
+    den, row = alg.basis_product(i, j)
+    alg._products[i, j] = 2 * den, {k: 3 * b for k, b in row.items()}
+    got, want = _coalgebra_failures(alg)
+    assert got == want
+    assert got and {f[0] for f in got} == {"multiplicativity"}
