@@ -22,8 +22,8 @@ from itertools import chain
 from itertools import product as iproduct
 from math import comb, lcm
 
-from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, integer_row,
-                       rational_row)
+from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, echelonize,
+                       integer_row, rational_row)
 from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
                       power_tree, tree_degree)
 from .lts import check_axioms
@@ -484,10 +484,8 @@ class EnvelopingAlgebra:
             break
 
         if stop == "saturated":
-            nf_ech = Echelon()
-            for row in queue:
-                nf_ech.insert({nf[c]: a for c, a in row.items()})
-            subspace = nf_ech.subspace(n)
+            subspace = echelonize(
+                ({nf[c]: a for c, a in row.items()} for row in queue), n)
         elif stop == "unit":
             ech, subspace = Echelon(range(n)), self.filtration(N)
         else:
@@ -496,7 +494,6 @@ class EnvelopingAlgebra:
         # with filtration(k)
         pivots = ech.pivots()
         per_degree = [sum(1 for p in pivots if deg[nf[p]] <= k) for k in range(N + 1)]
-        contains_one = unit in pivots
         if stop == "saturated":
             # the intersection with filtration(1) lies in T unless one of its
             # rows (the queue holds them all) has a unit term
@@ -511,17 +508,17 @@ class EnvelopingAlgebra:
         top = next((deg[k] for k in reversed(range(self.count_upto(safe)))
                     if not ech.contains({col[k]: ONE})), -1)
         stabilization = top + 1 if top < safe else None
-        return IdealClosure(subspace, per_degree, contains_one, meets_t,
+        return IdealClosure(subspace, per_degree, unit in pivots, meets_t,
                             stabilization, safe, stop)
 
     def _right_products(self, queue):
-        """Yield r * m for each row r of ``queue`` (rows appended while this
-        runs included) and each monomial m within the budget of r's top
-        degree, as an integer vector in closure coordinates: a positive
-        multiple of r * m, so it spans the same line."""
+        """Yield r * m for each integer row r of ``queue`` (rows appended
+        while this runs included) and each monomial m within the budget of
+        r's top degree, as an integer vector in closure coordinates: a
+        positive multiple of r * m, so it spans the same line."""
         deg, col, nf = self.nf_degree, self._closure_col, self._closure_nf
         for row in queue:
-            ints = (1, {nf[c]: a for c, a in integer_row(row)[1].items()})
+            ints = (1, {nf[c]: a for c, a in row.items()})
             # the pivot is the row's lowest column, and so its top degree;
             # the monomials of degree 1..k have normal-form indices 1..
             for m in range(1, self.count_upto(self.cap - deg[nf[min(row)]])):

@@ -12,11 +12,12 @@ entry of the result.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each input is scaled once to integers
-over a common denominator, and ``Fraction``s are formed only for the
-values it returns.  A ``Subspace`` is the span of an ``Echelon`` with
-its canonical reduced row-echelon basis (lowest-index elimination), so
-every subspace has one representation and all downstream normal forms
-are bit-reproducible; ``echelonize``, ``kernel``, the enveloping-algebra
+over a common denominator, and ``insert`` returns the integer row it
+stores.  ``Fraction``s are formed only in ``reduce``, ``rref_rows`` and
+``Subspace``.  A ``Subspace`` is the span of an ``Echelon`` with its
+canonical reduced row-echelon basis (lowest-index elimination), so every
+subspace has one representation and all downstream normal forms are
+bit-reproducible; ``echelonize``, ``kernel``, the enveloping-algebra
 builds and the ideal closures all eliminate through it.  Coordinate
 subspaces (spans of unit vectors) start an ``Echelon`` from their unit
 rows directly, without elimination.
@@ -102,11 +103,11 @@ class Echelon:
     nonzero column, so callers that want a custom elimination priority
     remap their columns before inserting.  Rows are stored as primitive
     integer vectors (coprime entries, positive pivot entry) and
-    elimination is fraction-free, on Python ints.  ``Fraction``s appear
-    only at the boundary: callers pass rational dicts, and ``reduce``,
-    ``insert`` and ``rref_rows`` return rational dicts.  Rows are
-    forward-reduced only; call ``rref_rows`` for the fully reduced
-    canonical basis.
+    elimination is fraction-free, on Python ints.  Callers pass rational
+    or integer dicts; ``insert`` returns the primitive integer row it
+    stores, and only ``reduce`` and ``rref_rows`` return rational dicts.
+    Rows are forward-reduced only; call ``rref_rows`` for the fully
+    reduced canonical basis.
     """
 
     def __init__(self, units=()):
@@ -172,24 +173,20 @@ class Echelon:
         return {c: Fraction(w, s) for c, w, s in self._eliminate(vec)[0]}
 
     def insert(self, vec):
-        """Add ``vec`` to the span; returns the pivot-1 new row or None."""
+        """Add ``vec`` to the span; returns the primitive integer row it
+        stores (``{column: int}``, positive pivot entry) or None."""
         finals, scale = self._eliminate(vec)
         if not finals:
             return None
         ints = [(c, w * (scale // s)) for c, w, s in finals]
-        p, pv = ints[0]
         g = 0
         for _, w in ints:
             g = gcd(g, w)
-        if pv < 0:
-            g = -g
-        pv //= g
-        tail = [(c, w // g) for c, w in ints[1:]]
+        g = -g if ints[0][1] < 0 else g
+        row = [(c, w // g) for c, w in ints]
+        (p, pv), tail = row[0], row[1:]
         self._rows[p] = (pv, tail)
-        row = {p: ONE}
-        for c, w in tail:
-            row[c] = Fraction(w, pv)
-        return row
+        return dict(row)
 
     def contains(self, vec):
         return not self._eliminate(vec)[0]

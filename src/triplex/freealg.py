@@ -190,7 +190,10 @@ class _Parser:
     def __init__(self, text, alg):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.gen_index = {name: k for k, name in enumerate(alg.system.basis_names)}
+        self.gen_index = {}
+        for k, name in enumerate(alg.system.basis_names):
+            if self.gen_index.setdefault(name, k) != k:
+                raise ValueError(f"basis name {name!r} is repeated")
         self.alg = alg
         self.depth = 0
 

@@ -305,28 +305,31 @@ def suite_hopf(system, alg_cache, N, seed):
 def suite_mainthm(system, alg_cache, N, seed):
     rep = SuiteReport("mainthm")
     alg = alg_cache(N)
+    aug = alg.augmentation_ideal()
+    simple = simplicity_certificate(system).verdict == "simple"
 
-    def inside_aug(sub):
-        # normal-form column 0 is the unit: a pivot there is a vector with
-        # a nonzero counit
-        return 0 not in sub.pivots
+    def proper_closure_ok(ic):
+        # a full envelope makes "simple" central simple: the theorem then
+        # leaves the augmentation ideal as the only proper right ideal
+        if simple:
+            return ic.subspace == aug
+        # no pivot on the unit column 0: every vector has counit 0
+        return (0 not in ic.subspace.pivots
+                and (ic.meets_t_dim > 0 or ic.stabilization_degree is not None))
 
     for idx, g in enumerate([alg.generator(i) for i in range(alg.d)]):
         ic = alg.right_ideal_closure([g])
-        ok = (inside_aug(ic.subspace) and not ic.contains_one
-              and (ic.meets_t_dim > 0 or ic.stabilization_degree is not None))
         rep.add("closure_of_generator", {"generator": idx,
                                          "per_degree": ic.per_degree_dims,
                                          "meets_t": ic.meets_t_dim,
-                                         "stabilization": ic.stabilization_degree}, ok)
+                                         "stabilization": ic.stabilization_degree},
+                proper_closure_ok(ic))
     aug_samples = _seeded_elements(alg, seed, 20, augmentation=True)
     for idx, x in enumerate(aug_samples):
         ic = alg.right_ideal_closure([x])
-        ok = (inside_aug(ic.subspace) and not ic.contains_one
-              and (ic.meets_t_dim > 0 or ic.stabilization_degree is not None))
         rep.add("closure_of_augmentation_element",
                 {"sample": idx, "meets_t": ic.meets_t_dim,
-                 "stabilization": ic.stabilization_degree}, ok)
+                 "stabilization": ic.stabilization_degree}, proper_closure_ok(ic))
     unit_samples = _seeded_elements(alg, seed + 1, 20, augmentation=False)
     for idx, x in enumerate(unit_samples):
         ic = alg.right_ideal_closure([x])
@@ -335,7 +338,6 @@ def suite_mainthm(system, alg_cache, N, seed):
     # the proof's step "a right ideal that contains T is the augmentation
     # ideal", on the closure of the d generators
     ic = alg.closure_of_t()
-    aug = alg.augmentation_ideal()
     rep.add("augmentation_closure_stable",
             {"dim": ic.subspace.dim, "expected": aug.dim},
             ic.subspace == aug)

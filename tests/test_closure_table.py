@@ -280,6 +280,19 @@ def test_mainthm_fails_a_closure_outside_the_augmentation_ideal(monkeypatch):
     assert verdicts == ["fail", "fail"]
 
 
+def test_mainthm_fails_a_proper_closure_below_the_augmentation_ideal(monkeypatch):
+    # s2 is simple, so every proper closure must be the augmentation ideal:
+    # the span of T is inside it, holds no 1 and meets T, and still fails
+    alg = algebra("s2", 4)
+    span = echelonize([alg.generator(g).coeffs for g in range(alg.d)], alg.nf_size)
+    fake = IdealClosure(span, [0, 2, 2, 2, 2], False, 2, None, 3)
+    monkeypatch.setattr(alg, "right_ideal_closure", lambda gens: fake)
+    rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)
+    verdicts = {r["verdict"] for r in rep.records
+                if r["id"] in ("closure_of_generator", "closure_of_augmentation_element")}
+    assert verdicts == {"fail"}
+
+
 def counting_inserts(monkeypatch):
     """The list of vectors that envelope's Echelons insert from now on."""
     inserts = []

@@ -2,11 +2,13 @@
 
 ``FractionEchelon`` is the accumulator ``exactlin.Echelon`` used to be,
 with ``Fraction`` rows normalized to pivot 1.  Both must agree on every
-value they return, after every step.
+value they return, after every step; the integer row ``Echelon.insert``
+returns is the reference's row times its positive pivot entry.
 """
 
 import heapq
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -119,7 +121,16 @@ def steps(draw):
 def test_integer_echelon_matches_fraction_reference(vectors, probes):
     fast, ref = Echelon(), FractionEchelon()
     for v in vectors:
-        assert fast.insert(v) == ref.insert(v)
+        row, ref_row = fast.insert(v), ref.insert(v)
+        if ref_row is None:
+            assert row is None
+        else:
+            # the stored row: primitive integers, positive pivot entry, and
+            # the reference's pivot-1 row once divided by that entry
+            pv = row[min(row)]
+            assert all(type(a) is int for a in row.values())
+            assert pv > 0 and gcd(*row.values()) == 1
+            assert {c: Fraction(a, pv) for c, a in row.items()} == ref_row
         assert fast.pivots() == ref.pivots()
         assert fast.dim == ref.dim
         assert fast.rref_rows() == ref.rref_rows()
@@ -129,10 +140,12 @@ def test_integer_echelon_matches_fraction_reference(vectors, probes):
 
 
 def test_returned_values_are_fractions():
+    """``insert`` returns the integer row it stores; ``reduce`` and
+    ``rref_rows`` return ``Fraction``s."""
     ech = Echelon()
     row = ech.insert({0: Fraction(2, 3), 2: Fraction(-4, 5), 5: 6})
-    assert row == {0: ONE, 2: Fraction(-6, 5), 5: Fraction(9)}
-    assert all(type(a) is Fraction for a in row.values())
+    assert row == {0: 5, 2: -6, 5: 45}
+    assert all(type(a) is int for a in row.values())
     residue = ech.reduce({2: ONE, 0: Fraction(1, 7)})
     assert residue == {2: Fraction(41, 35), 5: Fraction(-9, 7)}
     assert all(type(a) is Fraction for a in residue.values())

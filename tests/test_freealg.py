@@ -5,9 +5,11 @@ from math import comb
 import pytest
 
 from triplex import freealg
+from triplex.envelope import EnvelopingAlgebra
 from triplex.freealg import (UNIT, DegreeBudgetExceeded, ExprSyntaxError,
                              MonomialTable, SizeGuardExceeded, _trees,
                              graft, parse, power_tree, tree_degree, tree_key)
+from triplex.lts import TripleSystem
 
 F = Fraction
 
@@ -128,6 +130,12 @@ def test_parse_errors(s2_n6):
     for bad in ("g", "e +", "e)", "(e", "1/0*e", "e^", "e @ f", ""):
         with pytest.raises(ExprSyntaxError):
             parse(bad, s2_n6)
+
+
+def test_parse_rejects_repeated_basis_names(s2):
+    twin = TripleSystem(2, ("a", "a"), s2.constants)
+    with pytest.raises(ValueError, match="basis name 'a' is repeated"):
+        parse("a", EnvelopingAlgebra(twin, 2))
 
 
 def test_format_zero(s2_n6):
