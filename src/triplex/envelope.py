@@ -12,6 +12,14 @@ stay short.  The quotient is certified a posteriori: the dimension at
 every filtration level must match the symmetric-algebra count, and the
 normal-form representatives (exponent-vector monomials) must survive as
 non-pivot columns; otherwise the build aborts.
+
+Products of normal forms read one table of basis products, each an
+integer row ``(den, {k: int})``: ``mul_rows`` multiplies two rows,
+``mul_basis`` a row by one basis monomial.  The right-ideal closures and
+the identity checks of the paper (the Jordan operator identity, the
+lemma's derivation residue, the associator expansion, the derivation
+property of D) run on these rows, with no ``Element`` and no
+``Fraction`` per product; ``Element`` is the boundary type.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from itertools import product as iproduct
 from math import comb, lcm
 
 from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, echelonize,
-                       integer_row, rational_row)
+                       integer_row, rational_row, same_row, sum_integer_rows)
 from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
                       power_tree, tree_degree)
 from .lts import check_axioms
@@ -317,7 +325,8 @@ class EnvelopingAlgebra:
 
     def mul_rows(self, x, y):
         """The product of two integer rows over normal-form indices, as one
-        (its zero entries kept).
+        (its zero entries kept).  Zero entries of x and y are skipped, so a
+        cancelled term never asks ``basis_product`` for its pair.
 
         This is ``sum_integer_rows`` over the pairs of terms, written out:
         fed through a generator, the hopf suite's weak-associativity check
@@ -326,7 +335,11 @@ class EnvelopingAlgebra:
         table, product = self._products, self.basis_product
         out, den = {}, 1
         for i, a in xs.items():
+            if not a:
+                continue
             for j, b in ys.items():
+                if not b:
+                    continue
                 d, row = table.get((i, j)) or product(i, j)
                 c = a * b
                 if d != den:
@@ -340,75 +353,136 @@ class EnvelopingAlgebra:
                     out[k] = out.get(k, 0) + c * e
         return den * dx * dy, out
 
+    def mul_basis(self, k, x, right=False):
+        """basis(k) * x, or x * basis(k) when ``right``, for an integer row x,
+        as one integer row (its zero entries kept).
+
+        ``mul_rows`` with the one-term side written out: each nonzero term
+        of x reads one table row, summed over one lcm denominator."""
+        dx, xs = x
+        table, product = self._products, self.basis_product
+        out, den = {}, 1
+        for i, a in xs.items():
+            if not a:
+                continue
+            key = (i, k) if right else (k, i)
+            d, row = table.get(key) or product(*key)
+            if d != den:
+                new = lcm(den, d)
+                if new != den:
+                    for j in out:
+                        out[j] *= new // den
+                    den = new
+                a *= den // d
+            for j, e in row.items():
+                out[j] = out.get(j, 0) + a * e
+        return den * dx, out
+
     def associator(self, x, y, z):
         return (x * y) * z - x * (y * z)
 
-    def d_operator(self, a, b):
-        """D_{a,b} = [L_a, L_b] acting on elements: z -> a(bz) - b(az)."""
-        def apply(z):
-            return a * (b * z) - b * (a * z)
-        return apply
-
     # -- identity checks ----------------------------------------------------
+    #
+    # Each check takes elements and returns a bool, but computes on integer
+    # rows read from the basis-product table: no Element and no Fraction
+    # per product.  Rows keep the zero entries their sums leave, which the
+    # products skip; the two sides of an identity are compared exactly by
+    # ``same_row``, and a degree is read from the nonzero entries only.
+
+    def _power_index(self, g, n):
+        """The normal-form index of g^n (of the unit for n = 0)."""
+        return self.exp_index[tuple(n if i == g else 0 for i in range(self.d))]
+
+    def _inject_row(self, v):
+        """iota of a sparse T-coordinate vector, as an integer row."""
+        den, w = integer_row(v)
+        return den, {self.d - i: a for i, a in w.items()}
+
+    def _basis_associator(self, i, y, k):
+        """(b_i y) b_k - b_i (y b_k) for basis monomials i, k and an integer
+        row y."""
+        mul = self.mul_basis
+        return sum_integer_rows(((1, mul(k, mul(i, y), right=True)),
+                                 (-1, mul(i, mul(k, y, right=True)))))
+
+    def _d_rows(self, a, b, z):
+        """D_{a,b} z = a (b z) - b (a z) for basis monomials a, b and an
+        integer row z."""
+        mul = self.mul_basis
+        return sum_integer_rows(((1, mul(a, mul(b, z))), (-1, mul(b, mul(a, z)))))
 
     def check_jordan(self, a, x):
         """L_{ax+xa} == L_a L_x + L_x L_a on the safe filtration window."""
         k = self.cap - x.degree() - a.degree()
         if k < 0:
             raise DegreeBudgetExceeded("no domain left for the operator identity")
-        lhs_mult = a * x + x * a
-        for v in self.monomials_upto(k):
-            y = self.monomial(v)
-            if lhs_mult * y != a * (x * y) + x * (a * y):
+        mul, mul_basis = self.mul_rows, self.mul_basis
+        ar, xr = integer_row(a.coeffs), integer_row(x.coeffs)
+        lhs_mult = sum_integer_rows(((1, mul(ar, xr)), (1, mul(xr, ar))))
+        for y in range(self.count_upto(k)):
+            lhs = mul_basis(y, lhs_mult, right=True)
+            rhs = sum_integer_rows(((1, mul(ar, mul_basis(y, xr, right=True))),
+                                    (1, mul(xr, mul_basis(y, ar, right=True)))))
+            if not same_row(lhs, rhs):
                 return False
         return True
 
     def check_d_derivation(self, ai, bi, x, y):
         """D_{a,b}(xy) == D_{a,b}(x) y + x D_{a,b}(y), plus agreement on T."""
-        a, b = self.generator(ai), self.generator(bi)
         if x.degree() + y.degree() + 2 > self.cap:
             raise DegreeBudgetExceeded("derivation check exceeds the degree budget")
-        D = self.d_operator(a, b)
-        if D(x * y) != D(x) * y + x * D(y):
+        a, b, mul = self.d - ai, self.d - bi, self.mul_rows
+        xr, yr = integer_row(x.coeffs), integer_row(y.coeffs)
+        lhs = self._d_rows(a, b, mul(xr, yr))
+        rhs = sum_integer_rows(((1, mul(self._d_rows(a, b, xr), yr)),
+                                (1, mul(xr, self._d_rows(a, b, yr)))))
+        if not same_row(lhs, rhs):
             return False
         consts = self.system.constants
-        for g in range(self.d):
-            if D(self.generator(g)) != self.inject(consts.get((ai, bi, g), {})):
-                return False
-        return True
+        return all(same_row(self._d_rows(a, b, (1, {self.d - g: 1})),
+                            self._inject_row(consts.get((ai, bi, g), {})))
+                   for g in range(self.d))
+
+    def _lemma_residue(self, c, a, b, n):
+        """(c^n,a,b) - n c^{n-1} (c,a,b) as an integer row, its zero
+        entries kept (the top degree always cancels)."""
+        d = self.d
+        lhs = self._basis_associator(self._power_index(c, n), (1, {d - a: 1}), d - b)
+        if n == 0:
+            return lhs
+        inner = self._basis_associator(d - c, (1, {d - a: 1}), d - b)
+        return sum_integer_rows(
+            ((1, lhs), (-n, self.mul_basis(self._power_index(c, n - 1), inner))))
 
     def check_lemma_derivation(self, c, a, b, n):
         """(c^n,a,b) - n c^{n-1} (c,a,b) lies in filtration(n-2)."""
         if n + 2 > self.cap:
             raise DegreeBudgetExceeded("lemma check exceeds the degree budget")
-        ca, cb, cc = self.generator(a), self.generator(b), self.generator(c)
-        lhs = self.associator(self.power(c, n), ca, cb)
-        if n == 0:
-            residue = lhs
-        else:
-            residue = lhs - Fraction(n) * (self.power(c, n - 1)
-                                           * self.associator(cc, ca, cb))
-        # filtration(n - 2) is the span of the monomials of degree <= n - 2
-        return residue.is_zero() or residue.degree() <= n - 2
+        # filtration(n - 2) is the span of the monomials of degree <= n - 2;
+        # the degree is read from the nonzero entries only
+        deg = self.nf_degree
+        _, w = self._lemma_residue(c, a, b, n)
+        return all(deg[k] <= n - 2 for k, v in w.items() if v)
 
     def check_assoc_expansion(self, c, a, b, n):
         """Full associator expansion:
-        (c^n,a,b) == n/2 c^{n-1} [a,c,b] - 1/2 sum_i (c^i, D_{a,c}(c^{n-1-i}), b).
+        (c^n,a,b) == n/2 c^{n-1} [a,c,b] - 1/2 sum_i (c^i, D_{a,c}(c^{n-1-i}), b),
+        compared as 2 (c^n,a,b) against the sum with its halves cleared.
         """
         if n + 2 > self.cap:
             raise DegreeBudgetExceeded("expansion check exceeds the degree budget")
-        d = self.d
-        ea, eb, ec = self.generator(a), self.generator(b), self.generator(c)
-        lhs = self.associator(self.power(c, n), ea, eb)
-        rhs = self.zero()
+        d, power = self.d, self._power_index
+        ga, gb, gc = d - a, d - b, d - c
+        lhs = self._basis_associator(power(c, n), (1, {ga: 1}), gb)
+        terms = []
         if n >= 1:
-            bracket = self.system.constants.get((a, c, b), {})
-            rhs = Fraction(n, 2) * (self.power(c, n - 1) * self.inject(bracket))
-        D = self.d_operator(ea, ec)
-        for i in range(0, n - 1):
-            mid = D(self.power(c, n - 1 - i))
-            rhs = rhs - Fraction(1, 2) * self.associator(self.power(c, i), mid, eb)
-        return lhs == rhs
+            bracket = self._inject_row(self.system.constants.get((a, c, b), {}))
+            terms.append((n, self.mul_basis(power(c, n - 1), bracket)))
+        for i in range(n - 1):
+            mid = self._d_rows(ga, gc, (1, {power(c, n - 1 - i): 1}))
+            terms.append((-1, self._basis_associator(power(c, i), mid, gb)))
+        den, rhs = sum_integer_rows(terms)
+        return same_row(lhs, (2 * den, rhs))
 
     # -- ideals --------------------------------------------------------------
 
@@ -522,7 +596,7 @@ class EnvelopingAlgebra:
             # the pivot is the row's lowest column, and so its top degree;
             # the monomials of degree 1..k have normal-form indices 1..
             for m in range(1, self.count_upto(self.cap - deg[nf[min(row)]])):
-                _, out = self.mul_rows(ints, (1, {m: 1}))
+                _, out = self.mul_basis(m, ints, right=True)
                 yield {col[k]: b for k, b in out.items()}
 
 

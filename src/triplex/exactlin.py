@@ -8,7 +8,9 @@ one over pairs of them.  ``accumulate`` is the one sparse-dict
 arithmetic: it adds relators, tensors and elements.  Hot sums run on
 integer rows ``(den, {k: int})`` instead (``integer_row``,
 ``sum_integer_rows``, ``rational_row``), with one ``Fraction`` formed per
-entry of the result.
+entry of the result; ``same_row`` compares two such rows by one
+cross-multiplication per entry, and ``nonzero_row`` drops the zero
+entries a sum leaves behind.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each input is scaled once to integers
@@ -87,6 +89,17 @@ def sum_integer_rows(terms):
         for k, b in row.items():
             out[k] = out.get(k, 0) + c * b
     return den, out
+
+
+def nonzero_row(den, w):
+    """The integer row w / den without its zero entries."""
+    return den, {k: a for k, a in w.items() if a}
+
+
+def same_row(r, s):
+    """Whether two integer rows are the same rational vector."""
+    (dr, wr), (ds, ws) = r, s
+    return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())
 
 
 def rational_row(den, w):

@@ -15,17 +15,20 @@ cached per basis monomial as an integer row.  That is only sound
 because Delta descends to the quotient: ``check_coideal`` certifies that
 the generator-level relator families are coideal elements, once per
 algebra before the first comultiplication.  ``check_coalgebra`` compares
-the cached rows exactly (``_same``): coassociativity, cocommutativity,
+the cached rows exactly (``same_row``): coassociativity, cocommutativity,
 the counit laws, and multiplicativity, where Delta of the basis product
 row of (i, j) must equal the legwise product of the rows of i and j.
 
-The division and weak-associativity checks sum integer rows
-(``EnvelopingAlgebra.mul_rows``) and compare them exactly at the end.
-Each takes its inner loop variable as a list and forms what does not
-depend on it once: ``check_divisions`` splits x, and the legs of its
-split, once for all its ys; ``check_weak_assoc`` forms Delta x and
-w = sum x1 (y x2) once per (x, y) for its one y, and y (x2 z) once per
-(x2, z), shared by the xs whose splits contain x2 and dropped after z.
+The division and weak-associativity checks sum integer rows and compare
+them exactly at the end (``same_row``).  A product by a single basis
+monomial, on either side, goes through ``EnvelopingAlgebra.mul_basis``,
+which reads one table row per term; only products of two general rows
+go through ``mul_rows``.  Each check takes its inner loop variable as a
+list and forms what does not depend on it once: ``check_divisions``
+splits x, and the legs of its split, once for all its ys;
+``check_weak_assoc`` forms Delta x and w = sum x1 (y x2) once per (x, y)
+for its one y, and y (x2 z) once per (x2, z), shared by the xs whose
+splits contain x2 and dropped after z.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .exactlin import (ONE, accumulate, echelonize, integer_row, kernel,
-                       rational_row, sum_integer_rows)
+                       nonzero_row, rational_row, same_row, sum_integer_rows)
 from .envelope import Element, PBWCertificateFailure, relators
 from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
@@ -66,11 +69,6 @@ def _tensor_rows(alg, s, t):
     return den * ds * dt, out
 
 
-def _nonzero(den, w):
-    """The integer row w / den without its zero entries."""
-    return den, {k: a for k, a in w.items() if a}
-
-
 def tensor_mul(alg, s, t):
     """Legwise product of two tensors {(left, right): coefficient}."""
     return rational_row(*_tensor_rows(alg, integer_row(s), integer_row(t)))
@@ -89,8 +87,8 @@ def _comult_tree(alg, t, memo):
             g = alg.d - t  # the generator's normal-form index
             dt = 1, {(g, 0): 1, (0, g): 1}
         else:
-            dt = _nonzero(*_tensor_rows(alg, _comult_tree(alg, t[0], memo),
-                                        _comult_tree(alg, t[1], memo)))
+            dt = nonzero_row(*_tensor_rows(alg, _comult_tree(alg, t[0], memo),
+                                           _comult_tree(alg, t[1], memo)))
         memo[t] = dt
     return dt
 
@@ -111,7 +109,7 @@ def _comult_rows(alg, x):
     check_coideal(alg)
     dx, xs = x
     den, out = sum_integer_rows((a, _comult_basis(alg, k)) for k, a in xs.items())
-    return _nonzero(den * dx, out)
+    return nonzero_row(den * dx, out)
 
 
 def _legs3(alg, x, left):
@@ -134,7 +132,7 @@ def _legs3(alg, x, left):
 
 def _comult3_rows(alg, x):
     """(Delta (x) Id) Delta of the integer row x, without zero entries."""
-    return _nonzero(*_legs3(alg, _comult_rows(alg, x), True))
+    return nonzero_row(*_legs3(alg, _comult_rows(alg, x), True))
 
 
 def comult(x):
@@ -177,19 +175,13 @@ def _sign(alg, k):
 
 def _right_div(alg, y, split3):
     """y / x on integer rows: ``y`` and ``split3``, the ``comult3`` of x."""
-    mul = alg.mul_rows
+    mul = alg.mul_basis
     d, triples = split3
     den, out = sum_integer_rows(
         (a * _sign(alg, k2) * _sign(alg, k3),
-         mul(_basis(k3), mul(mul(_basis(k1), y), _basis(k2))))
+         mul(k3, mul(k2, mul(k1, y), right=True)))
         for (k1, k2, k3), a in triples.items())
     return den * d, out
-
-
-def _same(r, s):
-    """Whether two integer rows are the same rational vector."""
-    (dr, wr), (ds, ws) = r, s
-    return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())
 
 
 def check_coideal(alg):
@@ -226,17 +218,18 @@ def check_coalgebra(alg, degree):
     for k, (v, dx) in enumerate(zip(monomials, delta)):
         den, w = dx
         # coassociativity: (Delta (x) Id) Delta == (Id (x) Delta) Delta
-        if not _same(_legs3(alg, dx, True), _legs3(alg, dx, False)):
+        if not same_row(_legs3(alg, dx, True), _legs3(alg, dx, False)):
             failures.append(("coassociativity", v))
-        if not _same((den, {(r, l): a for (l, r), a in w.items()}), dx):
+        if not same_row((den, {(r, l): a for (l, r), a in w.items()}), dx):
             failures.append(("cocommutativity", v))
-        if not (_same((den, {r: a for (l, r), a in w.items() if l == 0}), _basis(k))
-                and _same((den, {l: a for (l, r), a in w.items() if r == 0}), _basis(k))):
+        x = _basis(k)
+        if not (same_row((den, {r: a for (l, r), a in w.items() if l == 0}), x)
+                and same_row((den, {l: a for (l, r), a in w.items() if r == 0}), x)):
             failures.append(("counit law", v))
     for i, v in enumerate(monomials):
         for j, u in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
-            if not _same(_comult_rows(alg, alg.basis_product(i, j)),
-                         _tensor_rows(alg, delta[i], delta[j])):
+            if not same_row(_comult_rows(alg, alg.basis_product(i, j)),
+                            _tensor_rows(alg, delta[i], delta[j])):
                 failures.append(("multiplicativity", v, u))
     return CheckReport(not failures, failures)
 
@@ -250,7 +243,7 @@ def check_divisions(alg, x, ys):
     every y of ``ys``: sum x1 \\ (x2 y), sum x1 (x2 \\ y), sum (y x1) / x2
     and sum (y / x1) x2 all equal eps(x) y.  Returns one list per y, of
     the identities that fail."""
-    mul = alg.mul_rows
+    mul = alg.mul_basis
     ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
     split3 = {k: _comult3_rows(alg, _basis(k)) for k in {k for pair in dx for k in pair}}
     out = []
@@ -260,21 +253,21 @@ def check_divisions(alg, x, ys):
         terms = ([], [], [], [])
         for (k1, k2), a in dx.items():
             if k2 not in x2y:
-                x2y[k2] = mul(_basis(k2), yr)
+                x2y[k2] = mul(k2, yr)
             if k1 not in yx1:
-                yx1[k1] = mul(yr, _basis(k1))
+                yx1[k1] = mul(k1, yr, right=True)
                 ydiv[k1] = _right_div(alg, yr, split3[k1])
             # S is (-1)^degree on monomials: x1 \ (x2 y) and x1 (x2 \ y)
             # are x1 (x2 y) up to sign
-            p = mul(_basis(k1), x2y[k2])
+            p = mul(k1, x2y[k2])
             terms[0].append((a * _sign(alg, k1), p))
             terms[1].append((a * _sign(alg, k2), p))
             terms[2].append((a, _right_div(alg, yx1[k1], split3[k2])))
-            terms[3].append((a, mul(ydiv[k1], _basis(k2))))
+            terms[3].append((a, mul(k2, ydiv[k1], right=True)))
         target = integer_row((x.counit() * y).coeffs)
         lhs = (sum_integer_rows(t) for t in terms)
         out.append([name for name, (den, w) in zip(_DIVISION_IDENTITIES, lhs)
-                    if not _same((den * ddx, w), target)])
+                    if not same_row((den * ddx, w), target)])
     return out
 
 
@@ -283,7 +276,7 @@ def check_weak_assoc(alg, y, xs, zs):
     every x of ``xs`` and z of ``zs`` whose degrees sum to at most the cap.
     Returns ``(cases, failures)``: the number of (x, z) pairs compared and
     the index pairs (i, j) into ``xs`` and ``zs`` of those that fail."""
-    mul = alg.mul_rows
+    mul = alg.mul_basis
     budget = alg.cap - y.degree()
     yr = integer_row(y.coeffs)
     # for each x within the budget: the room left for z, Delta x and
@@ -296,8 +289,8 @@ def check_weak_assoc(alg, y, xs, zs):
         ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
         for k1, k2 in dx:
             if k2 not in yx2:
-                yx2[k2] = mul(yr, _basis(k2))
-        den, w = sum_integer_rows((a, mul(_basis(k1), yx2[k2]))
+                yx2[k2] = mul(k2, yr, right=True)
+        den, w = sum_integer_rows((a, mul(k1, yx2[k2]))
                                   for (k1, k2), a in dx.items())
         splits.append((i, room, ddx, dx, (den * ddx, w)))
     cases, failures = 0, []
@@ -310,10 +303,10 @@ def check_weak_assoc(alg, y, xs, zs):
             cases += 1
             for k1, k2 in dx:
                 if k2 not in yx2z:
-                    yx2z[k2] = mul(yr, mul(_basis(k2), zr))
-            den, lhs = sum_integer_rows((a, mul(_basis(k1), yx2z[k2]))
+                    yx2z[k2] = alg.mul_rows(yr, mul(k2, zr))
+            den, lhs = sum_integer_rows((a, mul(k1, yx2z[k2]))
                                         for (k1, k2), a in dx.items())
-            if not _same((den * ddx, lhs), mul(w, zr)):
+            if not same_row((den * ddx, lhs), alg.mul_rows(w, zr)):
                 failures.append((i, j))
     return cases, failures
 

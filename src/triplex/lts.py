@@ -561,28 +561,37 @@ def simplicity_certificate(t):
     """
     d = t.dim
     if not t.constants:
-        return SimplicityReport("not_simple", 0, False,
-                                witness=Echelon([0]).subspace(d) if d else None)
+        witness = generated_ideal(t, 0).subspace(d) if d else None
+        return SimplicityReport("not_simple", 0, False, witness)
     gens = r_generators(t)
     env_space, _ = associative_envelope(gens, d)
     if env_space.dim == d * d:
         return SimplicityReport("simple", env_space.dim, True)
-    # witness search: R-stable subspace generated by a single basis vector
+    # witness search: the ideal generated by a single basis vector
     for i in range(d):
-        ech = Echelon([i])
-        work = [{i: ONE}]
-        while work:
-            new = []
-            for v in work:
-                for g in gens:
-                    w = op_apply(g, v)
-                    if ech.insert(w) is not None:
-                        new.append(w)
-            work = new
-        if 0 < ech.dim < d:
+        ideal = generated_ideal(t, i)
+        if 0 < ideal.dim < d:
             return SimplicityReport("not_simple", env_space.dim, True,
-                                    ech.subspace(d))
+                                    ideal.subspace(d))
     return SimplicityReport("inconclusive", env_space.dim, True)
+
+
+def generated_ideal(t, i):
+    """The ideal of T generated by the basis vector i, as an ``Echelon``:
+    the smallest subspace that contains it and is stable under every
+    R_{b,c} (which is what makes a subspace an ideal)."""
+    gens = r_generators(t)
+    ech = Echelon([i])
+    work = [{i: ONE}]
+    while work:
+        new = []
+        for v in work:
+            for g in gens:
+                w = op_apply(g, v)
+                if ech.insert(w) is not None:
+                    new.append(w)
+        work = new
+    return ech
 
 
 def tau_map(emb, x, y):

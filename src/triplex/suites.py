@@ -14,10 +14,11 @@ from . import hopf
 from .envelope import EnvelopingAlgebra
 from .exactlin import Echelon, echelonize
 from .freealg import DegreeBudgetExceeded, check_table_size
-from .lts import (InvalidStructure, basis_operators, check_axioms, lambda_map,
-                  lie_closure, op_compose, op_transpose, r_generators,
-                  simplicity_certificate, standard_embedding,
-                  tau_commutator_check, tau_map, trace_identity_check)
+from .lts import (InvalidStructure, basis_operators, check_axioms,
+                  generated_ideal, lambda_map, lie_closure, op_compose,
+                  op_transpose, r_generators, simplicity_certificate,
+                  standard_embedding, tau_commutator_check, tau_map,
+                  trace_identity_check)
 
 # the least cap at which a suite checks anything: below it the jordan
 # window, the lemma and expansion ranges and the s2 identities are empty,
@@ -308,22 +309,24 @@ def suite_mainthm(system, alg_cache, N, seed):
     aug = alg.augmentation_ideal()
     simple = simplicity_certificate(system).verdict == "simple"
 
-    def proper_closure_ok(ic):
+    def proper_closure_ok(ic, ideal_dim=0):
         # a full envelope makes "simple" central simple: the theorem then
         # leaves the augmentation ideal as the only proper right ideal
         if simple:
             return ic.subspace == aug
-        # no pivot on the unit column 0: every vector has counit 0
-        return (0 not in ic.subspace.pivots
+        # no pivot on the unit column 0: every vector has counit 0; and the
+        # closure meets T at least in the ideal its generator generates
+        return (0 not in ic.subspace.pivots and ic.meets_t_dim >= ideal_dim
                 and (ic.meets_t_dim > 0 or ic.stabilization_degree is not None))
 
     for idx, g in enumerate([alg.generator(i) for i in range(alg.d)]):
         ic = alg.right_ideal_closure([g])
+        ideal_dim = 0 if simple else generated_ideal(system, idx).dim
         rep.add("closure_of_generator", {"generator": idx,
                                          "per_degree": ic.per_degree_dims,
                                          "meets_t": ic.meets_t_dim,
                                          "stabilization": ic.stabilization_degree},
-                proper_closure_ok(ic))
+                proper_closure_ok(ic, ideal_dim))
     aug_samples = _seeded_elements(alg, seed, 20, augmentation=True)
     for idx, x in enumerate(aug_samples):
         ic = alg.right_ideal_closure([x])

@@ -20,6 +20,7 @@ from triplex.envelope import (Element, EnvelopingAlgebra, IdealClosure,
                               representative_tree)
 from triplex.exactlin import ONE, Echelon, accumulate, echelonize, integer_row
 from triplex.freealg import DegreeBudgetExceeded, graft
+from triplex.lts import generated_ideal
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
 CASES = [(name, cap) for name in SYSTEMS for cap in (2, 3, 4)] + [("s2", 6)]
@@ -291,6 +292,33 @@ def test_mainthm_fails_a_proper_closure_below_the_augmentation_ideal(monkeypatch
     verdicts = {r["verdict"] for r in rep.records
                 if r["id"] in ("closure_of_generator", "closure_of_augmentation_element")}
     assert verdicts == {"fail"}
+
+
+def test_mainthm_generator_closures_meet_the_ideal_they_generate():
+    # s2_plus_s2 is not simple: each generator generates its s2 summand, a
+    # 2-dim ideal of T, and its right ideal closure meets T in all of it
+    alg = algebra("s2_plus_s2", 4)
+    assert [generated_ideal(alg.system, g).dim for g in range(alg.d)] == [2] * 4
+    rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)
+    records = [r for r in rep.records if r["id"] == "closure_of_generator"]
+    assert {r["verdict"] for r in records} == {"pass"}
+    assert [r["params"]["meets_t"] for r in records] == [2] * 4
+
+
+def test_mainthm_fails_a_generator_closure_short_of_its_ideal(monkeypatch):
+    # a closure spanned by the generator alone meets T in one dimension,
+    # one short of the s2 summand it generates; it holds no 1 and meets T,
+    # so only the ideal's dimension rejects it
+    alg = algebra("s2_plus_s2", 4)
+    span = echelonize([alg.generator(0).coeffs], alg.nf_size)
+    fake = IdealClosure(span, [0, 1, 1, 1, 1], False, 1, None, 3)
+    monkeypatch.setattr(alg, "right_ideal_closure", lambda gens: fake)
+    rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)
+    verdicts = {}
+    for r in rep.records:
+        verdicts.setdefault(r["id"], set()).add(r["verdict"])
+    assert verdicts["closure_of_generator"] == {"fail"}
+    assert verdicts["closure_of_augmentation_element"] == {"pass"}
 
 
 def counting_inserts(monkeypatch):
