@@ -16,10 +16,9 @@ non-pivot columns; otherwise the build aborts.
 Products of normal forms read one table of basis products, each an
 integer row ``(den, {k: int})``: ``mul_rows`` multiplies two rows,
 ``mul_basis`` a row by one basis monomial.  The right-ideal closures and
-the identity checks of the paper (the Jordan operator identity, the
-lemma's derivation residue, the associator expansion, the derivation
-property of D) run on these rows, with no ``Element`` and no
-``Fraction`` per product; ``Element`` is the boundary type.
+the identity checks of the paper (``identities.IdentityChecks``, a base
+class of ``EnvelopingAlgebra``) run on these rows, with no ``Element``
+and no ``Fraction`` per product; ``Element`` is the boundary type.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from itertools import product as iproduct
 from math import comb, lcm
 
 from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, echelonize,
-                       integer_row, rational_row, same_row, sum_integer_rows)
+                       integer_row, rational_row)
 from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
                       power_tree, tree_degree)
+from .identities import IdentityChecks
 from .lts import check_axioms
 
 
@@ -99,8 +99,9 @@ def relators(system, cap):
     return rels
 
 
-class EnvelopingAlgebra:
-    """U(T) truncated at total degree ``cap``, with certified normal forms."""
+class EnvelopingAlgebra(IdentityChecks):
+    """U(T) truncated at total degree ``cap``, with certified normal forms
+    (and the identity checks of ``IdentityChecks``)."""
 
     def __init__(self, system, cap, max_monomials=200_000):
         report = check_axioms(system)
@@ -380,109 +381,6 @@ class EnvelopingAlgebra:
 
     def associator(self, x, y, z):
         return (x * y) * z - x * (y * z)
-
-    # -- identity checks ----------------------------------------------------
-    #
-    # Each check takes elements and returns a bool, but computes on integer
-    # rows read from the basis-product table: no Element and no Fraction
-    # per product.  Rows keep the zero entries their sums leave, which the
-    # products skip; the two sides of an identity are compared exactly by
-    # ``same_row``, and a degree is read from the nonzero entries only.
-
-    def _power_index(self, g, n):
-        """The normal-form index of g^n (of the unit for n = 0)."""
-        return self.exp_index[tuple(n if i == g else 0 for i in range(self.d))]
-
-    def _inject_row(self, v):
-        """iota of a sparse T-coordinate vector, as an integer row."""
-        den, w = integer_row(v)
-        return den, {self.d - i: a for i, a in w.items()}
-
-    def _basis_associator(self, i, y, k):
-        """(b_i y) b_k - b_i (y b_k) for basis monomials i, k and an integer
-        row y."""
-        mul = self.mul_basis
-        return sum_integer_rows(((1, mul(k, mul(i, y), right=True)),
-                                 (-1, mul(i, mul(k, y, right=True)))))
-
-    def _d_rows(self, a, b, z):
-        """D_{a,b} z = a (b z) - b (a z) for basis monomials a, b and an
-        integer row z."""
-        mul = self.mul_basis
-        return sum_integer_rows(((1, mul(a, mul(b, z))), (-1, mul(b, mul(a, z)))))
-
-    def check_jordan(self, a, x):
-        """L_{ax+xa} == L_a L_x + L_x L_a on the safe filtration window."""
-        k = self.cap - x.degree() - a.degree()
-        if k < 0:
-            raise DegreeBudgetExceeded("no domain left for the operator identity")
-        mul, mul_basis = self.mul_rows, self.mul_basis
-        ar, xr = integer_row(a.coeffs), integer_row(x.coeffs)
-        lhs_mult = sum_integer_rows(((1, mul(ar, xr)), (1, mul(xr, ar))))
-        for y in range(self.count_upto(k)):
-            lhs = mul_basis(y, lhs_mult, right=True)
-            rhs = sum_integer_rows(((1, mul(ar, mul_basis(y, xr, right=True))),
-                                    (1, mul(xr, mul_basis(y, ar, right=True)))))
-            if not same_row(lhs, rhs):
-                return False
-        return True
-
-    def check_d_derivation(self, ai, bi, x, y):
-        """D_{a,b}(xy) == D_{a,b}(x) y + x D_{a,b}(y), plus agreement on T."""
-        if x.degree() + y.degree() + 2 > self.cap:
-            raise DegreeBudgetExceeded("derivation check exceeds the degree budget")
-        a, b, mul = self.d - ai, self.d - bi, self.mul_rows
-        xr, yr = integer_row(x.coeffs), integer_row(y.coeffs)
-        lhs = self._d_rows(a, b, mul(xr, yr))
-        rhs = sum_integer_rows(((1, mul(self._d_rows(a, b, xr), yr)),
-                                (1, mul(xr, self._d_rows(a, b, yr)))))
-        if not same_row(lhs, rhs):
-            return False
-        consts = self.system.constants
-        return all(same_row(self._d_rows(a, b, (1, {self.d - g: 1})),
-                            self._inject_row(consts.get((ai, bi, g), {})))
-                   for g in range(self.d))
-
-    def _lemma_residue(self, c, a, b, n):
-        """(c^n,a,b) - n c^{n-1} (c,a,b) as an integer row, its zero
-        entries kept (the top degree always cancels)."""
-        d = self.d
-        lhs = self._basis_associator(self._power_index(c, n), (1, {d - a: 1}), d - b)
-        if n == 0:
-            return lhs
-        inner = self._basis_associator(d - c, (1, {d - a: 1}), d - b)
-        return sum_integer_rows(
-            ((1, lhs), (-n, self.mul_basis(self._power_index(c, n - 1), inner))))
-
-    def check_lemma_derivation(self, c, a, b, n):
-        """(c^n,a,b) - n c^{n-1} (c,a,b) lies in filtration(n-2)."""
-        if n + 2 > self.cap:
-            raise DegreeBudgetExceeded("lemma check exceeds the degree budget")
-        # filtration(n - 2) is the span of the monomials of degree <= n - 2;
-        # the degree is read from the nonzero entries only
-        deg = self.nf_degree
-        _, w = self._lemma_residue(c, a, b, n)
-        return all(deg[k] <= n - 2 for k, v in w.items() if v)
-
-    def check_assoc_expansion(self, c, a, b, n):
-        """Full associator expansion:
-        (c^n,a,b) == n/2 c^{n-1} [a,c,b] - 1/2 sum_i (c^i, D_{a,c}(c^{n-1-i}), b),
-        compared as 2 (c^n,a,b) against the sum with its halves cleared.
-        """
-        if n + 2 > self.cap:
-            raise DegreeBudgetExceeded("expansion check exceeds the degree budget")
-        d, power = self.d, self._power_index
-        ga, gb, gc = d - a, d - b, d - c
-        lhs = self._basis_associator(power(c, n), (1, {ga: 1}), gb)
-        terms = []
-        if n >= 1:
-            bracket = self._inject_row(self.system.constants.get((a, c, b), {}))
-            terms.append((n, self.mul_basis(power(c, n - 1), bracket)))
-        for i in range(n - 1):
-            mid = self._d_rows(ga, gc, (1, {power(c, n - 1 - i): 1}))
-            terms.append((-1, self._basis_associator(power(c, i), mid, gb)))
-        den, rhs = sum_integer_rows(terms)
-        return same_row(lhs, (2 * den, rhs))
 
     # -- ideals --------------------------------------------------------------
 

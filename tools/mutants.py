@@ -38,11 +38,11 @@ MUTANTS = [
      "    return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())",
      "    return True",
      [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table"]),
-    ("lemma-without-n-term", "envelope.py",
+    ("lemma-without-n-term", "identities.py",
      "            ((1, lhs), (-n, self.mul_basis(self._power_index(c, n - 1), inner))))",
      "            ((1, lhs),))",
      [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks"]),
-    ("lemma-degree-with-zero-entries", "envelope.py",
+    ("lemma-degree-with-zero-entries", "identities.py",
      "        return all(deg[k] <= n - 2 for k, v in w.items() if v)",
      "        return all(deg[k] <= n - 2 for k in w)",
      [f"{IDENTITY_TESTS}::test_lemma_degree_ignores_cancelled_top_degree_entries"]),
