@@ -7,8 +7,12 @@ the enveloping algebra is one over normal-form indices, and a tensor is
 one over pairs of them.  ``accumulate`` is the one sparse-dict
 arithmetic: it adds relators, tensors and elements.  Hot sums run on
 integer rows ``(den, {k: int})`` instead (``integer_row``,
-``sum_integer_rows``, ``rational_row``), with one ``Fraction`` formed per
-entry of the result; ``same_row`` compares two such rows by one
+``rational_row``), with one ``Fraction`` formed per entry of the result.
+``add_row`` is the one integer-row sum: it adds ``c * row / d`` into an
+accumulator ``[den, w]`` in place, and is the only code that rescales
+to a common denominator; ``sum_integer_rows``, the products of
+``EnvelopingAlgebra`` and the legwise tensor products of ``hopf`` all add
+through it.  ``same_row`` compares two integer rows by one
 cross-multiplication per entry, and ``nonzero_row`` drops the zero
 entries a sum leaves behind.
 
@@ -72,23 +76,32 @@ def integer_row(coeffs):
     return den, {k: a.numerator * (den // a.denominator) for k, a in coeffs.items()}
 
 
+def add_row(acc, c, d, row):
+    """``acc += c * row / d`` in place, for an integer c and an integer row
+    ``row`` over the denominator d.  The accumulator ``acc`` is a list
+    ``[den, w]``, always a fresh one (``[1, {}]`` to start): never a shared
+    table row.  ``w`` is rescaled only when d brings a new factor to
+    ``den``, and zero entries may remain in it.  Returns ``acc``."""
+    den, w = acc
+    if d != den:
+        new = lcm(den, d)
+        if new != den:
+            for k in w:
+                w[k] *= new // den
+            acc[0] = den = new
+        c *= den // d
+    for k, b in row.items():
+        w[k] = w.get(k, 0) + c * b
+    return acc
+
+
 def sum_integer_rows(terms):
-    """``(den, w)`` with ``w / den`` the sum of ``c * row / d`` over the terms
-    ``(c, (d, row))``, for integers ``c`` and integer rows: one common
-    denominator, rescaled only when a row brings a new factor.  Zero
-    entries may remain in ``w``."""
-    out, den = {}, 1
+    """The accumulator ``[den, w]`` of the sum of ``c * row / d`` over the
+    terms ``(c, (d, row))``, for integers ``c`` and integer rows."""
+    acc = [1, {}]
     for c, (d, row) in terms:
-        if d != den:
-            new = lcm(den, d)
-            if new != den:
-                for k in out:
-                    out[k] *= new // den
-                den = new
-            c *= den // d
-        for k, b in row.items():
-            out[k] = out.get(k, 0) + c * b
-    return den, out
+        add_row(acc, c, d, row)
+    return acc
 
 
 def nonzero_row(den, w):

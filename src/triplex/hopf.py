@@ -3,10 +3,11 @@
 Inside this module a tensor in U(x)U is an integer row ``(den, {(left,
 right): int})`` over pairs of normal-form indices (``comult3``'s rows
 have a third leg), and ``_tensor_rows`` multiplies two of them legwise
-through the algebra's integer basis-product table, summing over one lcm
-denominator.  ``Fraction``s appear only at the API boundary: ``comult``,
-``comult3`` and ``tensor_mul`` return plain dicts ``{(left, right):
-Fraction}`` without zero entries.
+through the algebra's integer basis-product table, adding the outer
+product of each pair of table rows into one ``exactlin.add_row``
+accumulator.  ``Fraction``s appear only at the API boundary: ``comult``
+and ``comult3`` return plain dicts ``{(left, right): Fraction}`` without
+zero entries.
 
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
 1(x)a on generators.  It is evaluated on a free tree as the legwise
@@ -19,24 +20,23 @@ the cached rows exactly (``same_row``): coassociativity, cocommutativity,
 the counit laws, and multiplicativity, where Delta of the basis product
 row of (i, j) must equal the legwise product of the rows of i and j.
 
-The division and weak-associativity checks sum integer rows and compare
-them exactly at the end (``same_row``).  A product by a single basis
-monomial, on either side, goes through ``EnvelopingAlgebra.mul_basis``,
-which reads one table row per term; only products of two general rows
-go through ``mul_rows``.  Each check takes its inner loop variable as a
-list and forms what does not depend on it once: ``check_divisions``
-splits x, and the legs of its split, once for all its ys;
-``check_weak_assoc`` forms Delta x and w = sum x1 (y x2) once per (x, y)
-for its one y, and y (x2 z) once per (x2, z), shared by the xs whose
-splits contain x2 and dropped after z.
+The division and weak-associativity checks add each side of an identity
+into one accumulator in place and compare the sides exactly at the end
+(``same_row``).  A product by a single basis monomial, on either side,
+goes through ``EnvelopingAlgebra.mul_basis``, which reads one table row
+per term; only products of two general rows go through ``mul_rows``.
+Each check takes its inner loop variable as a list and forms what does
+not depend on it once: ``check_divisions`` splits x, and the legs of its
+split, once for all its ys; ``check_weak_assoc`` forms Delta x and w =
+sum x1 (y x2) once per (x, y) for its one y, and y (x2 z) once per (x2,
+z), shared by the xs whose splits contain x2 and dropped after z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
-from .exactlin import (ONE, accumulate, echelonize, integer_row, kernel,
+from .exactlin import (ONE, accumulate, add_row, echelonize, integer_row, kernel,
                        nonzero_row, rational_row, same_row, sum_integer_rows)
 from .envelope import Element, PBWCertificateFailure, relators
 from .freealg import UNIT, is_leaf
@@ -44,34 +44,19 @@ from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degre
 
 
 def _tensor_rows(alg, s, t):
-    """Legwise product of two integer tensor rows, as one (its zero entries
-    kept).  This is ``sum_integer_rows`` over the pairs of terms, written
-    out as ``EnvelopingAlgebra.mul_rows`` is."""
+    """Legwise product of two integer tensor rows, as an accumulator (its
+    zero entries kept): the outer product of the two table rows of each
+    pair of terms, added through ``add_row``."""
     (ds, s), (dt, t) = s, t
     table, product = alg._products, alg.basis_product
-    out, den = {}, 1
+    acc, d = [1, {}], ds * dt
     for (l1, r1), a in s.items():
         for (l2, r2), b in t.items():
             d1, left = table.get((l1, l2)) or product(l1, l2)
             d2, right = table.get((r1, r2)) or product(r1, r2)
-            d, c = d1 * d2, a * b
-            if d != den:
-                new = lcm(den, d)
-                if new != den:
-                    for k in out:
-                        out[k] *= new // den
-                    den = new
-                c *= den // d
-            for kl, p in left.items():
-                p *= c
-                for kr, q in right.items():
-                    out[kl, kr] = out.get((kl, kr), 0) + p * q
-    return den * ds * dt, out
-
-
-def tensor_mul(alg, s, t):
-    """Legwise product of two tensors {(left, right): coefficient}."""
-    return rational_row(*_tensor_rows(alg, integer_row(s), integer_row(t)))
+            outer = {(kl, kr): p * q for kl, p in left.items() for kr, q in right.items()}
+            add_row(acc, a * b, d1 * d2 * d, outer)
+    return acc
 
 
 def _comult_tree(alg, t, memo):
@@ -114,20 +99,17 @@ def _comult_rows(alg, x):
 
 def _legs3(alg, x, left):
     """(Delta (x) Id) x if ``left``, else (Id (x) Delta) x, for an integer
-    tensor row x, as an integer row over triples (its zero entries kept)."""
+    tensor row x, as an accumulator over triples (its zero entries kept)."""
     dx, xs = x
-
-    def terms():
-        for (l, r), a in xs.items():
-            if left:
-                d, w = _comult_basis(alg, l)
-                yield a, (d, {(l1, l2, r): b for (l1, l2), b in w.items()})
-            else:
-                d, w = _comult_basis(alg, r)
-                yield a, (d, {(l, r1, r2): b for (r1, r2), b in w.items()})
-
-    den, out = sum_integer_rows(terms())
-    return den * dx, out
+    acc = [1, {}]
+    for (l, r), a in xs.items():
+        if left:
+            d, w = _comult_basis(alg, l)
+            add_row(acc, a, d * dx, {(l1, l2, r): b for (l1, l2), b in w.items()})
+        else:
+            d, w = _comult_basis(alg, r)
+            add_row(acc, a, d * dx, {(l, r1, r2): b for (r1, r2), b in w.items()})
+    return acc
 
 
 def _comult3_rows(alg, x):
@@ -151,18 +133,6 @@ def s_map(x):
     return Element(x.algebra, {k: a * _sign(x.algebra, k) for k, a in x.coeffs.items()})
 
 
-def left_div(x, y):
-    """x \\ y = S(x) y."""
-    return s_map(x) * y
-
-
-def right_div(y, x):
-    """y / x = sum S(x_(3)) ((x_(1) y) S(x_(2)))."""
-    alg = y.algebra
-    return Element(alg, rational_row(*_right_div(
-        alg, integer_row(y.coeffs), _comult3_rows(alg, integer_row(x.coeffs)))))
-
-
 def _basis(k):
     """The basis monomial k as an integer row."""
     return 1, {k: 1}
@@ -173,15 +143,18 @@ def _sign(alg, k):
     return -1 if alg.nf_degree[k] % 2 else 1
 
 
-def _right_div(alg, y, split3):
-    """y / x on integer rows: ``y`` and ``split3``, the ``comult3`` of x."""
+def _right_div(alg, y, split3, into=None, c=1):
+    """Add c (y / x) = c sum S(x_(3)) ((x_(1) y) S(x_(2))) into the
+    accumulator ``into`` (or a fresh one), for an integer row ``y`` and
+    ``split3``, the ``comult3`` of x."""
     mul = alg.mul_basis
     d, triples = split3
-    den, out = sum_integer_rows(
-        (a * _sign(alg, k2) * _sign(alg, k3),
-         mul(k3, mul(k2, mul(k1, y), right=True)))
-        for (k1, k2, k3), a in triples.items())
-    return den * d, out
+    y = y[0] * d, y[1]  # the split's denominator rides on y's
+    acc = [1, {}] if into is None else into
+    for (k1, k2, k3), a in triples.items():
+        mul(k3, mul(k2, mul(k1, y), right=True), into=acc,
+            c=c * a * _sign(alg, k2) * _sign(alg, k3))
+    return acc
 
 
 def check_coideal(alg):
@@ -250,7 +223,7 @@ def check_divisions(alg, x, ys):
     for y in ys:
         yr = integer_row(y.coeffs)
         x2y, yx1, ydiv = {}, {}, {}  # keyed by the leg they multiply
-        terms = ([], [], [], [])
+        lhs = [[1, {}] for _ in _DIVISION_IDENTITIES]
         for (k1, k2), a in dx.items():
             if k2 not in x2y:
                 x2y[k2] = mul(k2, yr)
@@ -260,12 +233,11 @@ def check_divisions(alg, x, ys):
             # S is (-1)^degree on monomials: x1 \ (x2 y) and x1 (x2 \ y)
             # are x1 (x2 y) up to sign
             p = mul(k1, x2y[k2])
-            terms[0].append((a * _sign(alg, k1), p))
-            terms[1].append((a * _sign(alg, k2), p))
-            terms[2].append((a, _right_div(alg, yx1[k1], split3[k2])))
-            terms[3].append((a, mul(k2, ydiv[k1], right=True)))
+            add_row(lhs[0], a * _sign(alg, k1), *p)
+            add_row(lhs[1], a * _sign(alg, k2), *p)
+            _right_div(alg, yx1[k1], split3[k2], into=lhs[2], c=a)
+            mul(k2, ydiv[k1], right=True, into=lhs[3], c=a)
         target = integer_row((x.counit() * y).coeffs)
-        lhs = (sum_integer_rows(t) for t in terms)
         out.append([name for name, (den, w) in zip(_DIVISION_IDENTITIES, lhs)
                     if not same_row((den * ddx, w), target)])
     return out
@@ -287,12 +259,13 @@ def check_weak_assoc(alg, y, xs, zs):
         if room < 0:
             continue
         ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
-        for k1, k2 in dx:
+        w = [1, {}]
+        for (k1, k2), a in dx.items():
             if k2 not in yx2:
                 yx2[k2] = mul(k2, yr, right=True)
-        den, w = sum_integer_rows((a, mul(k1, yx2[k2]))
-                                  for (k1, k2), a in dx.items())
-        splits.append((i, room, ddx, dx, (den * ddx, w)))
+            mul(k1, yx2[k2], into=w, c=a)
+        w[0] *= ddx
+        splits.append((i, room, ddx, dx, w))
     cases, failures = 0, []
     for j, z in enumerate(zs):
         zr, degree = integer_row(z.coeffs), z.degree()
@@ -301,12 +274,13 @@ def check_weak_assoc(alg, y, xs, zs):
             if degree > room:
                 continue
             cases += 1
-            for k1, k2 in dx:
+            lhs = [1, {}]
+            for (k1, k2), a in dx.items():
                 if k2 not in yx2z:
                     yx2z[k2] = alg.mul_rows(yr, mul(k2, zr))
-            den, lhs = sum_integer_rows((a, mul(k1, yx2z[k2]))
-                                        for (k1, k2), a in dx.items())
-            if not same_row((den * ddx, lhs), alg.mul_rows(w, zr)):
+                mul(k1, yx2z[k2], into=lhs, c=a)
+            lhs[0] *= ddx
+            if not same_row(lhs, alg.mul_rows(w, zr)):
                 failures.append((i, j))
     return cases, failures
 

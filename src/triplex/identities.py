@@ -7,15 +7,16 @@ check takes elements and returns a bool, as the paper states the
 identity (the Jordan operator identity, the derivation property of D,
 the lemma's derivation residue, the full associator expansion), but
 computes on integer rows read from the basis-product table: no
-``Element`` and no ``Fraction`` per product.  Rows keep the zero entries
-their sums leave, which the products skip; the two sides of an identity
-are compared exactly by ``same_row``, and a degree is read from the
-nonzero entries only.
+``Element`` and no ``Fraction`` per product.  Each side of an identity
+is one ``exactlin.add_row`` accumulator that its products add into in
+place (``into``, scaled by ``c``); it keeps the zero entries its sums
+leave, which the products skip.  The two sides are compared exactly by
+``same_row``, and a degree is read from the nonzero entries only.
 """
 
 from __future__ import annotations
 
-from .exactlin import integer_row, same_row, sum_integer_rows
+from .exactlin import integer_row, same_row
 from .freealg import DegreeBudgetExceeded
 
 
@@ -31,18 +32,18 @@ class IdentityChecks:
         den, w = integer_row(v)
         return den, {self.d - i: a for i, a in w.items()}
 
-    def _basis_associator(self, i, y, k):
-        """(b_i y) b_k - b_i (y b_k) for basis monomials i, k and an integer
-        row y."""
+    def _basis_associator(self, i, y, k, into=None, c=1):
+        """Add c ((b_i y) b_k - b_i (y b_k)), for basis monomials i, k and an
+        integer row y, into the accumulator ``into`` (or a fresh one)."""
         mul = self.mul_basis
-        return sum_integer_rows(((1, mul(k, mul(i, y), right=True)),
-                                 (-1, mul(i, mul(k, y, right=True)))))
+        acc = mul(k, mul(i, y), right=True, into=into, c=c)
+        return mul(i, mul(k, y, right=True), into=acc, c=-c)
 
     def _d_rows(self, a, b, z):
         """D_{a,b} z = a (b z) - b (a z) for basis monomials a, b and an
         integer row z."""
         mul = self.mul_basis
-        return sum_integer_rows(((1, mul(a, mul(b, z))), (-1, mul(b, mul(a, z)))))
+        return mul(b, mul(a, z), into=mul(a, mul(b, z)), c=-1)
 
     def check_jordan(self, a, x):
         """L_{ax+xa} == L_a L_x + L_x L_a on the safe filtration window."""
@@ -51,11 +52,11 @@ class IdentityChecks:
             raise DegreeBudgetExceeded("no domain left for the operator identity")
         mul, mul_basis = self.mul_rows, self.mul_basis
         ar, xr = integer_row(a.coeffs), integer_row(x.coeffs)
-        lhs_mult = sum_integer_rows(((1, mul(ar, xr)), (1, mul(xr, ar))))
+        lhs_mult = mul(xr, ar, into=mul(ar, xr))
         for y in range(self.count_upto(k)):
             lhs = mul_basis(y, lhs_mult, right=True)
-            rhs = sum_integer_rows(((1, mul(ar, mul_basis(y, xr, right=True))),
-                                    (1, mul(xr, mul_basis(y, ar, right=True)))))
+            rhs = mul(xr, mul_basis(y, ar, right=True),
+                      into=mul(ar, mul_basis(y, xr, right=True)))
             if not same_row(lhs, rhs):
                 return False
         return True
@@ -67,8 +68,7 @@ class IdentityChecks:
         a, b, mul = self.d - ai, self.d - bi, self.mul_rows
         xr, yr = integer_row(x.coeffs), integer_row(y.coeffs)
         lhs = self._d_rows(a, b, mul(xr, yr))
-        rhs = sum_integer_rows(((1, mul(self._d_rows(a, b, xr), yr)),
-                                (1, mul(xr, self._d_rows(a, b, yr)))))
+        rhs = mul(xr, self._d_rows(a, b, yr), into=mul(self._d_rows(a, b, xr), yr))
         if not same_row(lhs, rhs):
             return False
         consts = self.system.constants
@@ -84,8 +84,7 @@ class IdentityChecks:
         if n == 0:
             return lhs
         inner = self._basis_associator(d - c, (1, {d - a: 1}), d - b)
-        return sum_integer_rows(
-            ((1, lhs), (-n, self.mul_basis(self._power_index(c, n - 1), inner))))
+        return self.mul_basis(self._power_index(c, n - 1), inner, into=lhs, c=-n)
 
     def check_lemma_derivation(self, c, a, b, n):
         """(c^n,a,b) - n c^{n-1} (c,a,b) lies in filtration(n-2)."""
@@ -107,12 +106,12 @@ class IdentityChecks:
         d, power = self.d, self._power_index
         ga, gb, gc = d - a, d - b, d - c
         lhs = self._basis_associator(power(c, n), (1, {ga: 1}), gb)
-        terms = []
+        rhs = [1, {}]
         if n >= 1:
             bracket = self._inject_row(self.system.constants.get((a, c, b), {}))
-            terms.append((n, self.mul_basis(power(c, n - 1), bracket)))
+            self.mul_basis(power(c, n - 1), bracket, into=rhs, c=n)
         for i in range(n - 1):
             mid = self._d_rows(ga, gc, (1, {power(c, n - 1 - i): 1}))
-            terms.append((-1, self._basis_associator(power(c, i), mid, gb)))
-        den, rhs = sum_integer_rows(terms)
-        return same_row(lhs, (2 * den, rhs))
+            self._basis_associator(power(c, i), mid, gb, into=rhs, c=-1)
+        den, w = rhs
+        return same_row(lhs, (2 * den, w))

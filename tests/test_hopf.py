@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_hopf import left_div, right_div, tensor_mul
+
 from triplex import cli, hopf, suites
 from triplex.envelope import (Element, EnvelopingAlgebra, relators,
                               representative_tree)
@@ -13,8 +15,7 @@ from triplex.exactlin import (ONE, accumulate, echelonize, integer_row,
                               rational_row, sum_integer_rows)
 from triplex.freealg import UNIT, graft, is_leaf
 from triplex.hopf import (check_coalgebra, check_divisions, check_weak_assoc,
-                          comult, comult3, left_div, primitives, right_div,
-                          s_map, tensor_mul)
+                          comult, comult3, primitives, s_map)
 
 F = Fraction
 

@@ -16,7 +16,9 @@ longer matches, or if the unchanged copy fails; a refactor that makes a
 mutant inapplicable must replace it or retire it with a reason.
 
 ``EQUIVALENT`` lists mutants that change no output, with the reason; they
-are not run, but their old text must still match.
+are not run, but their old text must still match.  ``RETIRED`` lists
+mutants whose code is gone, with the reason; they are neither run nor
+matched.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 IDENTITY_TESTS = "tests/test_identity_rows.py"
 CLOSURE_TESTS = "tests/test_closure_table.py"
+ACCUMULATOR_TESTS = "tests/test_row_accumulator.py"
 
 MUTANTS = [
     ("same-row-always-true", "exactlin.py",
@@ -39,24 +42,13 @@ MUTANTS = [
      "    return True",
      [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table"]),
     ("lemma-without-n-term", "identities.py",
-     "            ((1, lhs), (-n, self.mul_basis(self._power_index(c, n - 1), inner))))",
-     "            ((1, lhs),))",
+     "        return self.mul_basis(self._power_index(c, n - 1), inner, into=lhs, c=-n)",
+     "        return lhs",
      [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks"]),
     ("lemma-degree-with-zero-entries", "identities.py",
      "        return all(deg[k] <= n - 2 for k, v in w.items() if v)",
      "        return all(deg[k] <= n - 2 for k in w)",
      [f"{IDENTITY_TESTS}::test_lemma_degree_ignores_cancelled_top_degree_entries"]),
-    ("mul-basis-without-lcm-rescale", "envelope.py",
-     "            if d != den:\n"
-     "                new = lcm(den, d)\n"
-     "                if new != den:\n"
-     "                    for j in out:\n"
-     "                        out[j] *= new // den\n"
-     "                    den = new\n"
-     "                a *= den // d\n",
-     "",
-     [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table",
-      "tests/test_hopf.py"]),
     ("right-products-by-generators-only", "envelope.py",
      "            for m in range(1, self.count_upto(self.cap - deg[nf[min(row)]])):",
      "            for m in range(1, min(self.d + 1,"
@@ -70,16 +62,31 @@ MUTANTS = [
      "            ints = (1, {nf[c]: a for c, a in row.items()})",
      "            ints = (1, dict(row))",
      ["tests/test_acceptance.py::test_criterion_11_right_ideal_property"]),
-    ("mul-rows-without-lcm-rescale", "envelope.py",
-     "                if d != den:\n"
-     "                    new = lcm(den, d)\n"
-     "                    if new != den:\n"
-     "                        for k in out:\n"
-     "                            out[k] *= new // den\n"
-     "                        den = new\n"
-     "                    c *= den // d\n",
+    ("add-row-without-lcm-rescale", "exactlin.py",
+     "    if d != den:\n"
+     "        new = lcm(den, d)\n"
+     "        if new != den:\n"
+     "            for k in w:\n"
+     "                w[k] *= new // den\n"
+     "            acc[0] = den = new\n"
+     "        c *= den // d\n",
      "",
-     [f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows"]),
+     [ACCUMULATOR_TESTS,
+      f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
+      f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table",
+      "tests/test_hopf.py"]),
+    ("mul-basis-without-row-denominator", "envelope.py",
+     "                add_row(acc, c * a, d * dx, row)",
+     "                add_row(acc, c * a, d, row)",
+     [ACCUMULATOR_TESTS,
+      f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
+      IDENTITY_TESTS, "tests/test_hopf.py"]),
+    ("mul-basis-ignores-scale", "envelope.py",
+     "                add_row(acc, c * a, d * dx, row)",
+     "                add_row(acc, a, d * dx, row)",
+     [ACCUMULATOR_TESTS,
+      f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
+      IDENTITY_TESTS, "tests/test_hopf.py"]),
 ]
 
 EQUIVALENT = [
@@ -92,6 +99,15 @@ EQUIVALENT = [
      "                                    {col[pair[i, m]]: a for i, a in source.items()}))",
      "both sides of every product enter the echelon before the next source "
      "is popped, so the span and every normal form are the same"),
+]
+
+RETIRED = [
+    ("mul-basis-without-lcm-rescale",
+     "mul_basis has no rescaling loop of its own: it adds through exactlin.add_row, "
+     "whose loop add-row-without-lcm-rescale drops"),
+    ("mul-rows-without-lcm-rescale",
+     "mul_rows is a sum of mul_basis calls into one accumulator: its rescaling "
+     "loop is add_row's too"),
 ]
 
 
