@@ -2,7 +2,10 @@
 
 Built as a quotient of the free unital nonassociative algebra by the
 span of the defining relators (the list ``relators`` returns), closed into
-a two-sided ideal within the degree budget.  The build runs on free-table
+a two-sided ideal within the degree budget.  The nucleus relators take
+their monomial arguments among the normal-form representatives only; the
+certificate is what shows that this closes the same ideal as the family
+over all free monomials (see ``relators``).  The build runs on free-table
 indices, with products from ``MonomialTable.pairs``; trees appear only at
 the boundary: the relators, the argument of ``reduce_tree`` and the
 representatives ``rep_tree``.  The closure is scheduled by
@@ -65,11 +68,42 @@ def relators(system, cap):
     Returns sparse dicts tree -> coefficient, family by family: the
     commutators ab - ba of generators (cap >= 2); the generalized left
     alternative nucleus (a,m1,m2) + (m1,a,m2) for a generator a and
-    monomials m1, m2 with |m1| + |m2| < cap; the triple coherence
-    a(bc) - b(ac) - [a,b,c] (cap >= 3).  With cap 3 these are the
-    generator-level families.
+    representative monomials m1, m2 (``representative_tree``) with
+    |m1| + |m2| < cap; the triple coherence a(bc) - b(ac) - [a,b,c]
+    (cap >= 3).  With cap 3 these are the generator-level families, and
+    m1, m2 are generators.
+
+    The nucleus relator is linear in m1 and in m2, so the representatives
+    stand for every free monomial.  Let J be the span the build closes
+    from these relators and J_full the one it closes from the nucleus
+    family over all free trees.  Every relator here is one of those, so
+    J lies in J_full.  Conversely:
+    - A vector of J of top degree s is a combination of echelon rows of
+      top degree <= s, and the build multiplies each of them by every
+      monomial within its budget.  So J holds v m and m v for v in J of
+      top degree s and monomials m with s + |m| <= cap.
+    - If J passes the PBW certificate, the representatives of degree
+      <= n span the monomials of degree <= n modulo J.  So a monomial
+      m1 is rho1 + u1, with rho1 a combination of representatives of
+      degree <= |m1| and u1 in J of top degree <= |m1|.  The unit
+      representative gives the zero relator.
+    - With u1 in place of m1 (or u2 in place of m2), each of the four
+      terms of the nucleus relator, such as (a u1) m2 or m1 (a u2), is u1
+      (or u2) multiplied by monomials one at a time, each product within
+      the budget of the first point, so it lies in J.  So every relator
+      of the full family lies in J, the build's products keep J_full
+      inside J, and J = J_full: every normal form, dimension and report
+      is the same.
+    A pivot on a representative in J is one in J_full too, so such a
+    certificate failure carries over.  The only possible disagreement is
+    a dimension failure of J where J_full passes, never a wrong normal
+    form.
     """
     d = system.dim
+    # the representatives of each degree 0..cap-2, in basis order
+    reps = {}
+    for v in exponent_vectors(d, cap - 2):
+        reps.setdefault(sum(v), []).append(representative_tree(v))
     # a list, not a generator: building the relators between the build's
     # insertions raised its peak memory (s2 at N=6: about 0.25 MiB)
     rels = []
@@ -88,8 +122,8 @@ def relators(system, cap):
     for a in range(d):
         for n1 in range(1, cap - 1):
             for n2 in range(1, cap - n1):
-                for m1 in _trees(d, n1):
-                    for m2 in _trees(d, n2):
+                for m1 in reps[n1]:
+                    for m2 in reps[n2]:
                         add((ONE, ((a, m1), m2)), (-ONE, (a, (m1, m2))),
                             (ONE, ((m1, a), m2)), (-ONE, (m1, (a, m2))))
     if cap >= 3:
@@ -246,7 +280,8 @@ class EnvelopingAlgebra(IdentityChecks):
                         f"monomial degree {tree_degree(t)} exceeds cap {self.cap}")
                 raise ValueError(f"{t!r} is not a monomial tree on d={self.d} "
                                  f"generators (cap {self.cap})")
-            residue = self._ech.reduce({self._elim_col[i]: ONE})
+            # an int unit vector: the echelon takes it without a rescale
+            residue = self._ech.reduce({self._elim_col[i]: 1})
             cached = Element(self, {self._elim_nf[c]: a for c, a in residue.items()})
             self._reduce_cache[t] = cached
         return cached
@@ -453,7 +488,7 @@ class EnvelopingAlgebra(IdentityChecks):
         # the first stratum n0 such that every monomial of degree n0..safe is
         # inside: one above the top degree of a monomial outside
         top = next((deg[k] for k in reversed(range(self.count_upto(safe)))
-                    if not ech.contains({col[k]: ONE})), -1)
+                    if not ech.contains({col[k]: 1})), -1)
         stabilization = top + 1 if top < safe else None
         return IdealClosure(subspace, per_degree, unit in pivots, meets_t,
                             stabilization, safe, stop)

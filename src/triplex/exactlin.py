@@ -17,16 +17,17 @@ cross-multiplication per entry, and ``nonzero_row`` drops the zero
 entries a sum leaves behind.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
-are primitive integer vectors, each input is scaled once to integers
-over a common denominator, and ``insert`` returns the integer row it
-stores.  ``Fraction``s are formed only in ``reduce``, ``rref_rows`` and
-``Subspace``.  A ``Subspace`` is the span of an ``Echelon`` with its
-canonical reduced row-echelon basis (lowest-index elimination), so every
-subspace has one representation and all downstream normal forms are
-bit-reproducible; ``echelonize``, ``kernel``, the enveloping-algebra
-builds and the ideal closures all eliminate through it.  Coordinate
-subspaces (spans of unit vectors) start an ``Echelon`` from their unit
-rows directly, without elimination.
+are primitive integer vectors, each rational input is scaled once to
+integers over a common denominator (an integer input is taken as it
+is), and ``insert`` returns the integer row it stores.  ``Fraction``s
+are formed only in ``reduce``, ``rref_rows`` and ``Subspace``.  A
+``Subspace`` is the span of an ``Echelon`` with its canonical reduced
+row-echelon basis (lowest-index elimination), so every subspace has one
+representation and all downstream normal forms are bit-reproducible;
+``echelonize``, ``kernel``, the enveloping-algebra builds and the ideal
+closures all eliminate through it.  Coordinate subspaces (spans of unit
+vectors) start an ``Echelon`` from their unit rows directly, without
+elimination.
 """
 
 from __future__ import annotations
@@ -155,8 +156,13 @@ class Echelon:
         """
         # pairwise lcm/gcd and list rows (not star-args or tuple rows):
         # freed tuples of every length stay in CPython's tuple free lists
-        # and raised peak memory by about 1 MiB on the ideal closures
-        scale, work = integer_row({c: a for c, a in vec.items() if a})
+        # and raised peak memory by about 1 MiB on the ideal closures.
+        # ``work`` is a fresh dict, as the loop below mutates it; integer
+        # input (the products of the build and of the closures) needs no
+        # rescale
+        scale, work = 1, {c: a for c, a in vec.items() if a}
+        if any(type(a) is not int for a in work.values()):
+            scale, work = integer_row(work)
         heap = list(work)
         heapq.heapify(heap)
         rows = self._rows

@@ -150,3 +150,24 @@ def test_returned_values_are_fractions():
     assert residue == {2: Fraction(41, 35), 5: Fraction(-9, 7)}
     assert all(type(a) is Fraction for a in residue.values())
     assert all(type(a) is Fraction for r in ech.rref_rows() for a in r.values())
+
+
+# integer vectors with zero entries among their values
+integer_vectors = st.dictionaries(st.integers(0, COLUMNS - 1), st.integers(-6, 6), max_size=6)
+
+
+@given(st.lists(integer_vectors, min_size=1, max_size=16), integer_vectors)
+@settings(max_examples=200, deadline=None)
+def test_integer_input_matches_the_same_fraction_input(vectors, probe):
+    """An int-valued vector skips the rescale to integers; it must give what
+    the same vector as ``Fraction``s gives, and stay as the caller made it."""
+    ints, fracs = Echelon(), Echelon()
+    for v in vectors + [probe]:
+        given_v = dict(v)
+        f = {c: Fraction(a) for c, a in v.items()}
+        assert ints.reduce(v) == fracs.reduce(f)
+        assert ints.contains(v) == fracs.contains(f)
+        assert ints.insert(v) == fracs.insert(f)
+        assert v == given_v
+        assert ints.pivots() == fracs.pivots()
+    assert ints.rref_rows() == fracs.rref_rows()

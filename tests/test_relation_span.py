@@ -1,21 +1,30 @@
 """Differential tests of the degree-scheduled relation-span build.
 
-The reference is the round-based closure the build used before, kept here
-as it was: it inserts the relators, then, round by round, the products of
-every new row with every monomial within the budget, on both sides, as
-soon as they are made.  The closure is fixed by its span, so the two must
-give the same pivots, the same canonical rows, the same per-degree dims
-and the same normal form for every monomial of the table.
+Two references are kept here as they were.  ``all_tree_relators`` is the
+relator list with the nucleus family over every free tree, where
+``envelope.relators`` takes the PBW representatives only.  The round-based
+closure is the build's earlier schedule: it inserts those relators, then,
+round by round, the products of every new row with every monomial within
+the budget, on both sides, as soon as they are made.  The closure is fixed
+by its span, so the builds must give the same pivots, the same canonical
+rows, the same per-degree dims and the same normal form for every
+monomial of the table.
 """
 
 from importlib import resources
+from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_lts_sparse import rebased_systems
 
 from triplex import cli, envelope
-from triplex.envelope import EnvelopingAlgebra
-from triplex.exactlin import ONE, Echelon
-from triplex.freealg import tree_degree, tree_key
+from triplex.envelope import EnvelopingAlgebra, PBWCertificateFailure
+from triplex.exactlin import ONE, Echelon, accumulate
+from triplex.freealg import _trees, tree_degree, tree_key
+from triplex.lts import TripleSystem
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
 CASES = [(name, cap) for name in SYSTEMS
@@ -27,8 +36,41 @@ def load(name):
     return cli._as_lts(cli.load_system(str(path)))
 
 
+def all_tree_relators(system, cap):
+    """The relators of ``envelope.relators``, with m1 and m2 of the nucleus
+    family over every free tree of their degrees."""
+    d = system.dim
+    rels = []
+
+    def add(*terms):
+        out = {}
+        for c, t in terms:
+            accumulate(out, {t: c})
+        rels.append(out)
+
+    if cap >= 2:
+        for i in range(d):
+            for j in range(i + 1, d):
+                add((ONE, (i, j)), (-ONE, (j, i)))
+    for a in range(d):
+        for n1 in range(1, cap - 1):
+            for n2 in range(1, cap - n1):
+                for m1 in _trees(d, n1):
+                    for m2 in _trees(d, n2):
+                        add((ONE, ((a, m1), m2)), (-ONE, (a, (m1, m2))),
+                            (ONE, ((m1, a), m2)), (-ONE, (m1, (a, m2))))
+    if cap >= 3:
+        for i, j, k in iproduct(range(d), repeat=3):
+            bracket = system.constants.get((i, j, k), {})
+            add((ONE, (i, (j, k))), (-ONE, (j, (i, k))),
+                *((-c, l) for l, c in bracket.items()))
+    return rels
+
+
 class RoundBased(EnvelopingAlgebra):
     """The algebra built by the round-based closure."""
+
+    relators = staticmethod(all_tree_relators)
 
     def _insert_relation(self, coeffs, work):
         row = self._ech.insert({self._elim_col[i]: a for i, a in coeffs.items()})
@@ -40,7 +82,7 @@ class RoundBased(EnvelopingAlgebra):
         N, table = self.cap, self.table
         pair = table.pairs()
         work = []
-        for rel in envelope.relators(self.system, N):
+        for rel in self.relators(self.system, N):
             self._insert_relation({table.index[t]: a for t, a in rel.items()}, work)
         while work:
             work.sort(key=lambda item: item[0])
@@ -96,14 +138,88 @@ def test_build_matches_round_based_closure(name, cap):
         assert alg.reduce_tree(t).coeffs == expected[t], t
 
 
+def all_tree_build(system, cap):
+    """The degree-scheduled build from ``all_tree_relators``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "relators", all_tree_relators)
+        return EnvelopingAlgebra(system, cap)
+
+
+def assert_same_algebra(alg, full):
+    assert alg.degree_dims == full.degree_dims
+    assert alg.relspan_degree_dims == full.relspan_degree_dims
+    assert alg.relspan_dim == full.relspan_dim
+    for t in alg.table.trees:
+        assert alg.reduce_tree(t).coeffs == full.reduce_tree(t).coeffs, t
+
+
+@pytest.mark.parametrize("name, cap", CASES, ids=[f"{n}-N{c}" for n, c in CASES])
+def test_representative_relators_match_all_tree_relators(name, cap):
+    system = load(name)
+    assert_same_algebra(EnvelopingAlgebra(system, cap), all_tree_build(system, cap))
+
+
+@pytest.mark.parametrize("name, cap, count, full_count", [
+    ("s2", 6, 179, 1105), ("sl3_sym", 4, 1010, 1510), ("s2_plus_s2", 4, 454, 646)])
+def test_representative_relators_are_fewer(name, cap, count, full_count):
+    system = load(name)
+    rels, full = envelope.relators(system, cap), all_tree_relators(system, cap)
+    assert (len(rels), len(full)) == (count, full_count)
+    # every relator is one of the full family's
+    assert {frozenset(r.items()) for r in rels} <= {frozenset(r.items()) for r in full}
+    # with generators for m1 and m2, the families are the same list
+    # (the coideal certificate reads them at cap 3)
+    assert ({frozenset(r.items()) for r in envelope.relators(system, 3)}
+            == {frozenset(r.items()) for r in all_tree_relators(system, 3)})
+
+
+@settings(max_examples=10, deadline=None)
+@given(rebased_systems())
+def test_representative_relators_match_on_rebased_systems(system):
+    assert_same_algebra(EnvelopingAlgebra(system, 4), all_tree_build(system, 4))
+
+
+@st.composite
+def triple_tensors(draw):
+    """A sparse trilinear product on 2 or 3 generators with small integer
+    constants: mostly not a Lie triple system."""
+    d = draw(st.integers(2, 3))
+    idx = st.integers(0, d - 1)
+    entries = draw(st.dictionaries(
+        st.tuples(idx, idx, idx),
+        st.dictionaries(idx, st.integers(-2, 2), min_size=1, max_size=2),
+        max_size=6))
+    return TripleSystem(d, [f"b{i}" for i in range(d)], entries)
+
+
+def build_or_failure(build, system, cap):
+    try:
+        return build(system, cap)
+    except PBWCertificateFailure:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(triple_tensors())
+def test_representative_relators_give_the_same_verdict(system):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "check_axioms", lambda t: SimpleNamespace(ok=True))
+        alg = build_or_failure(EnvelopingAlgebra, system, 4)
+        full = build_or_failure(all_tree_build, system, 4)
+    assert (alg is None) == (full is None)
+    if alg is not None:
+        assert_same_algebra(alg, full)
+
+
 def test_cursor_moves_back_after_a_degree_fall(monkeypatch):
     # e(ef) + e and e(ef) have top degree 3, and their difference e has top
     # degree 1: its degree-2 products enter the schedule after it has
     # passed degree 2.  The quotient is then too small for the
     # certificate, so the spans are compared before it.
     e, f = 0, 1
-    monkeypatch.setattr(envelope, "relators", lambda system, cap: [
-        {(e, (e, f)): ONE, e: ONE}, {(e, (e, f)): ONE}])
+    rels = lambda system, cap: [{(e, (e, f)): ONE, e: ONE}, {(e, (e, f)): ONE}]
+    monkeypatch.setattr(envelope, "relators", rels)
+    monkeypatch.setattr(RoundBased, "relators", staticmethod(rels))
     monkeypatch.setattr(EnvelopingAlgebra, "_certify", lambda self: None)
     monkeypatch.setattr(EnvelopingAlgebra, "_verify_power_bracketings",
                         lambda self: None)

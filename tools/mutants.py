@@ -35,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 IDENTITY_TESTS = "tests/test_identity_rows.py"
 CLOSURE_TESTS = "tests/test_closure_table.py"
 ACCUMULATOR_TESTS = "tests/test_row_accumulator.py"
+NUCLEUS_TESTS = "tests/test_relation_span.py::test_representative_relators_match_all_tree_relators"
+ECHELON_TESTS = "tests/test_echelon_kernel.py"
 
 MUTANTS = [
     ("same-row-always-true", "exactlin.py",
@@ -87,6 +89,23 @@ MUTANTS = [
      [ACCUMULATOR_TESTS,
       f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
       IDENTITY_TESTS, "tests/test_hopf.py"]),
+    ("nucleus-m1-equals-m2", "envelope.py",
+     "                    for m2 in reps[n2]:",
+     "                    for m2 in [m1] if n1 == n2 else []:",
+     [NUCLEUS_TESTS]),
+    ("nucleus-m2-generators-only", "envelope.py",
+     "            for n2 in range(1, cap - n1):",
+     "            for n2 in range(1, min(2, cap - n1)):",
+     [NUCLEUS_TESTS]),
+    ("nucleus-without-top-n1", "envelope.py",
+     "        for n1 in range(1, cap - 1):",
+     "        for n1 in range(1, cap - 2):",
+     [NUCLEUS_TESTS]),
+    ("eliminate-skips-rescale", "exactlin.py",
+     "        if any(type(a) is not int for a in work.values()):\n"
+     "            scale, work = integer_row(work)\n",
+     "",
+     [f"{ECHELON_TESTS}::test_integer_input_matches_the_same_fraction_input"]),
 ]
 
 EQUIVALENT = [
