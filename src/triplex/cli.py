@@ -227,7 +227,7 @@ def build_parser():
         prog="triplex",
         description="Exact-arithmetic kernel for Lie triple systems and their "
                     "truncated nonassociative enveloping algebras.")
-    parser.add_argument("--max-monomials", type=int, default=200_000,
+    parser.add_argument("--max-monomials", type=int, default=freealg.MAX_MONOMIALS,
                         help="hard guard on the free monomial table size")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -35,8 +35,8 @@ from math import comb
 
 from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, add_row,
                        echelonize, integer_row, rational_row)
-from .freealg import (UNIT, DegreeBudgetExceeded, MonomialTable, _trees, graft,
-                      power_tree, tree_degree)
+from .freealg import (MAX_MONOMIALS, UNIT, DegreeBudgetExceeded, MonomialTable, _trees,
+                      graft, power_tree, tree_degree)
 from .identities import IdentityChecks
 from .lts import check_axioms
 
@@ -138,7 +138,7 @@ class EnvelopingAlgebra(IdentityChecks):
     """U(T) truncated at total degree ``cap``, with certified normal forms
     (and the identity checks of ``IdentityChecks``)."""
 
-    def __init__(self, system, cap, max_monomials=200_000):
+    def __init__(self, system, cap, max_monomials=MAX_MONOMIALS):
         report = check_axioms(system)
         if not report.ok:
             raise PBWCertificateFailure(
@@ -610,6 +610,6 @@ class Element:
         return f"<{self.format()}>"
 
 
-def build(system, cap, max_monomials=200_000):
+def build(system, cap, max_monomials=MAX_MONOMIALS):
     """Construct the degree-truncated enveloping algebra of a triple system."""
     return EnvelopingAlgebra(system, cap, max_monomials)

@@ -22,6 +22,7 @@ from math import comb
 from .exactlin import ONE
 
 UNIT = ()
+MAX_MONOMIALS = 200_000  # the default guard of ``check_table_size``
 
 
 class DegreeBudgetExceeded(ValueError):
@@ -117,7 +118,7 @@ class MonomialTable:
     degree n are the indices ``range(*degree_start[n:n + 2])``.
     """
 
-    def __init__(self, d, cap, max_monomials=200_000):
+    def __init__(self, d, cap, max_monomials=MAX_MONOMIALS):
         if d < 1:
             raise ValueError("need at least one generator")
         if cap < 0:

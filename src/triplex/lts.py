@@ -4,7 +4,8 @@ A triple system is given by structure constants for the trilinear
 product on a chosen basis; everything else (inner derivations, the
 standard embedding Lie algebra, the Killing form, Lie/associative
 closures of the right-slot operators) is derived by exact linear
-algebra.  Everything here is sparse.  Structure constants are the
+algebra.  One scan of the D_{b_a,b_b} gives both the derivation verdict
+and InnDer(T).  Everything here is sparse.  Structure constants are the
 nonzero coordinates of each nonzero basis product, and vectors are
 ``{index: Fraction}`` dicts.  An operator is a dict of sparse columns
 ``{x: {k: a}}``: column x holds the nonzero coordinates of the image of
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate, echelonize
+from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate
 
 
 class InvalidStructure(ValueError):
@@ -247,6 +248,20 @@ def _derivation_failure(consts, op):
     return None
 
 
+def _derivation_pass(t):
+    """``(ech, bad)``: the ``Echelon`` of the flattened D_{b_a,b_b}, and the
+    first (a, b, x, y, z) where D_{a,b} is no derivation, or None (only then
+    does ``ech`` hold every D).  The identity is linear in D, so only the
+    D's that enlarge the span of the earlier, passing ones need checking."""
+    d, ech = t.dim, Echelon()
+    for (a, b), op in basis_operators(t, right=False).items():
+        if ech.insert(_flatten(op, d)) is not None:
+            bad = _derivation_failure(t.constants, op)
+            if bad:
+                return ech, (a, b) + bad
+    return ech, None
+
+
 def check_axioms(t):
     """Verify the three defining identities on all basis combinations.
 
@@ -271,16 +286,10 @@ def check_axioms(t):
     if bad:
         cyc = AxiomVerdict(False, ("cyclic sum != 0",) + bad)
 
-    # linear in the operator: a D_{a,b} in the span of earlier, passing ones
-    # passes, so only the D's that enlarge the span need checking
     der = AxiomVerdict(True)
-    d, ech = t.dim, Echelon()
-    for (a, b), op in basis_operators(t, right=False).items():
-        if ech.insert(_flatten(op, d)) is not None:
-            bad = _derivation_failure(consts, op)
-            if bad:
-                der = AxiomVerdict(False, ("derivation identity fails", a, b) + bad)
-                break
+    bad = _derivation_pass(t)[1]
+    if bad:
+        der = AxiomVerdict(False, ("derivation identity fails",) + bad)
 
     return AxiomReport(alt, cyc, der)
 
@@ -345,37 +354,27 @@ class LieAlgebra:
 
 
 def lts_from_lie(l):
-    """The triple system [x,y,z] = [[x,y],z] of a Lie algebra."""
+    """The triple system [x,y,z] = [[x,y],z] of a Lie algebra: once
+    ``validate`` has checked antisymmetry, [[b_i,b_j],b_k] is
+    -[b_k,[b_i,b_j]], which ``_nested`` holds at (k, i, j)."""
     l.validate()
-    by_first = {}
-    for (m, k), coords in l.brackets.items():
-        by_first.setdefault(m, []).append((k, coords))
-    constants = {}
-    for (i, j), inner in l.brackets.items():
-        for m, a in inner.items():
-            for k, coords in by_first.get(m, ()):
-                accumulate(constants.setdefault((i, j, k), {}), coords, a)
-    return TripleSystem(l.dim, l.basis_names,
-                        {key: constants[key] for key in sorted(constants)})
+    constants = {(i, j, k): {m: -a for m, a in coords.items()}
+                 for (k, i, j), coords in l._nested().items()}
+    return TripleSystem(l.dim, l.basis_names, dict(sorted(constants.items())))
 
 
 def inner_derivations(t):
-    """Echelonized span of all D_{b_i,b_j}, verified closed and derivations.
+    """Echelonized span of all D_{b_i,b_j}, verified to be derivations.
 
     Returns (Subspace over flattened d*d operators, list of basis operators).
+    The span is then bracket-closed, since [D, D_{a,b}] = D_{Da,b} + D_{a,Db}
+    for every derivation D, so no bracket is formed here.
     """
-    d = t.dim
-    space = echelonize([_flatten(D, d) for D in basis_operators(t, right=False).values()],
-                       d * d)
-    basis = [_unflatten(r, d) for r in space.rows]
-    for a in basis:
-        for b in basis:
-            if not space.member(_flatten(op_bracket(a, b), d)):
-                raise InvalidStructure("inner derivations are not bracket-closed")
-    for D in basis:
-        if _derivation_failure(t.constants, D) is not None:
-            raise InvalidStructure("an inner derivation fails the derivation identity")
-    return space, basis
+    ech, bad = _derivation_pass(t)
+    if bad:
+        raise InvalidStructure("an inner derivation fails the derivation identity")
+    space = ech.subspace(t.dim ** 2)
+    return space, [_unflatten(r, t.dim) for r in space.rows]
 
 
 @dataclass

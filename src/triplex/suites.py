@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from . import hopf
 from .envelope import EnvelopingAlgebra
 from .exactlin import Echelon, echelonize
-from .freealg import DegreeBudgetExceeded, check_table_size
+from .freealg import MAX_MONOMIALS, DegreeBudgetExceeded, check_table_size
 from .lts import (InvalidStructure, basis_operators, check_axioms,
                   generated_ideal, lambda_map, lie_closure, op_compose,
                   op_transpose, r_generators, simplicity_certificate,
@@ -362,7 +362,7 @@ _SUITES = {
 }
 
 
-def run_suite(name, system, N=None, seed=0, max_monomials=200_000):
+def run_suite(name, system, N=None, seed=0, max_monomials=MAX_MONOMIALS):
     """Run one named suite (or "all") and return its SuiteReport.
 
     Deterministic given (name, system, N, seed).

@@ -10,7 +10,7 @@ from triplex.exactlin import echelonize
 from triplex.lts import (InvalidStructure, LieAlgebra, TripleSystem, _flatten,
                          _unflatten, associative_envelope, check_axioms,
                          endo_theorem_check, inner_derivations, is_k_skew,
-                         lambda_map, lie_closure,
+                         lambda_map, lie_closure, lts_from_lie,
                          op_bracket, r_generators, simplicity_certificate,
                          standard_embedding, tau_commutator_check, tau_map,
                          trace_identity_check)
@@ -143,12 +143,13 @@ def test_lie_algebra_validate(sl2_lts):
         bad.validate()
 
 
-def test_lts_from_lie_sl2(sl2_lts):
-    assert sl2_lts.dim == 3
-    assert check_axioms(sl2_lts).ok
+def test_lts_from_lie_sl2():
+    t = lts_from_lie(catalog.sl2_lie())
+    assert t.dim == 3
+    assert check_axioms(t).ok
     # [[h,e],e] = [2e,e] = 0 and [[h,e],f] = [2e,f] = 2h
-    assert (0, 1, 1) not in sl2_lts.constants
-    assert sl2_lts.constants[(0, 1, 2)] == {0: F(2)}
+    assert (0, 1, 1) not in t.constants
+    assert t.constants[(0, 1, 2)] == {0: F(2)}
 
 
 def test_lts_from_involution_sl3():

@@ -10,6 +10,7 @@ the same inner derivations, Killing forms, trace-identity failures,
 canonical closures and simplicity certificates.
 """
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from constructions import sl3_lie
 
-from triplex import catalog
+from triplex import catalog, cli
 from triplex.exactlin import ONE, ZERO, Echelon, echelonize
 from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure, LieAlgebra,
                          TripleSystem, _derivation_failure, _graded, _span_closure,
@@ -573,17 +574,60 @@ def test_derivation_only_failure():
         inner_derivations(t)
 
 
+def raises_invalid(f, *args):
+    try:
+        f(*args)
+    except InvalidStructure:
+        return True
+    return False
+
+
 @settings(max_examples=80, deadline=None)
 @given(tensors())
 def test_inner_derivations_fail_iff_derivation_fails(case):
+    # against the dense reference, which checks bracket closure and each
+    # basis operator on its own: the sparse check_axioms and
+    # inner_derivations share one derivation pass
     d, consts = case
     t = TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
-    try:
-        inner_derivations(t)
-        raised = False
-    except InvalidStructure:
-        raised = True
-    assert raised == (not check_axioms(t).derivation.ok)
+    ref = DenseTripleSystem(d, consts)
+    raised = raises_invalid(inner_derivations, t)
+    assert raised == raises_invalid(dense_inner_derivations, ref)
+    assert raised == (not dense_check_axioms(ref).derivation.ok)
+    if not raised:
+        assert inner_derivations(t)[0] == dense_inner_derivations(ref)[0]
+
+
+# [a,b,a] = -b and [a,c,c] = a, with the swaps that make the product
+# alternating; its cyclic sums vanish, but its D's span no bracket-closed space
+UNCLOSED = {(0, 1, 0): {1: -ONE}, (1, 0, 0): {1: ONE},
+            (0, 2, 2): {0: ONE}, (2, 0, 2): {0: -ONE}}
+UNCLOSED_MESSAGE = "an inner derivation fails the derivation identity"
+
+
+def test_unclosed_inner_derivations_fail_the_derivation_identity(tmp_path, capsys):
+    # the dense reference meets the open bracket first; closure follows from
+    # the derivation identity, so the sparse code names that identity instead
+    t = TripleSystem(3, ("a", "b", "c"), UNCLOSED)
+    with pytest.raises(InvalidStructure, match="not bracket-closed"):
+        dense_inner_derivations(DenseTripleSystem(3, UNCLOSED))
+    rep = check_axioms(t)
+    assert rep.alternating.ok and rep.cyclic.ok
+    assert rep.derivation == AxiomVerdict(False, ("derivation identity fails",
+                                                  0, 1, 0, 2, 2))
+    for build in (inner_derivations, standard_embedding):
+        with pytest.raises(InvalidStructure, match=UNCLOSED_MESSAGE):
+            build(t)
+    path = tmp_path / "unclosed.json"
+    path.write_text(json.dumps({
+        "kind": "lts", "dim": 3, "basis": ["a", "b", "c"],
+        "entries": [{"args": list(key), "value": {str(l): str(a) for l, a in v.items()}}
+                    for key, v in UNCLOSED.items()]}))
+    assert cli.main(["verify", str(path), "--suite", "embedding", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert report["records"] == [{"id": "embedding_build", "params": {},
+                                  "verdict": "fail", "witness": UNCLOSED_MESSAGE}]
 
 
 def scan_derivation(t):

@@ -37,6 +37,13 @@ CLOSURE_TESTS = "tests/test_closure_table.py"
 ACCUMULATOR_TESTS = "tests/test_row_accumulator.py"
 NUCLEUS_TESTS = "tests/test_relation_span.py::test_representative_relators_match_all_tree_relators"
 ECHELON_TESTS = "tests/test_echelon_kernel.py"
+LTS_SPARSE = "tests/test_lts_sparse.py"
+# the derivation verdict against the dense reference and a per-operator scan
+# written in the tests, not against another caller of lts._derivation_pass
+DERIVATION_TESTS = [f"{LTS_SPARSE}::test_check_axioms_random_matches_dense",
+                    f"{LTS_SPARSE}::test_derivation_failure_named_by_the_scan",
+                    f"{LTS_SPARSE}::test_derivation_verdict_matches_per_operator_scan"]
+INNER_DERIVATION_TESTS = [f"{LTS_SPARSE}::test_inner_derivations_fail_iff_derivation_fails"]
 
 MUTANTS = [
     ("same-row-always-true", "exactlin.py",
@@ -106,6 +113,50 @@ MUTANTS = [
      "            scale, work = integer_row(work)\n",
      "",
      [f"{ECHELON_TESTS}::test_integer_input_matches_the_same_fraction_input"]),
+    ("derivation-pass-checks-rejected", "lts.py",
+     "        if ech.insert(_flatten(op, d)) is not None:",
+     "        if ech.insert(_flatten(op, d)) is None:",
+     DERIVATION_TESTS + INNER_DERIVATION_TESTS),
+    ("derivation-pass-checks-none", "lts.py",
+     "            bad = _derivation_failure(t.constants, op)",
+     "            bad = None",
+     DERIVATION_TESTS + INNER_DERIVATION_TESTS),
+    ("derivation-pass-checks-first-only", "lts.py",
+     "        if ech.insert(_flatten(op, d)) is not None:",
+     "        if ech.insert(_flatten(op, d)) is not None and ech.dim == 1:",
+     # the random tensors of the inner-derivations test (d <= 3) seldom pass
+     # a first D and fail a later one: it is not a reliable kill
+     DERIVATION_TESTS),
+    ("graded-parity-inverted", "lts.py",
+     "        odd = (p >= m) != (q >= m)",
+     "        odd = (p >= m) == (q >= m)",
+     [f"{LTS_SPARSE}::test_grading_check_on_sl2",
+      f"{LTS_SPARSE}::test_lie_layer_bundled_matches_dense"]),
+    ("flatten-column-major", "lts.py",
+     "    return {k * n + x: a for x, col in op.items() for k, a in col.items()}\n"
+     "\n"
+     "\n"
+     "def _unflatten(v, n):\n"
+     "    out = {}\n"
+     "    for c, a in v.items():\n"
+     "        k, x = divmod(c, n)\n",
+     "    return {x * n + k: a for x, col in op.items() for k, a in col.items()}\n"
+     "\n"
+     "\n"
+     "def _unflatten(v, n):\n"
+     "    out = {}\n"
+     "    for c, a in v.items():\n"
+     "        x, k = divmod(c, n)\n",
+     [f"{LTS_SPARSE}::test_span_closure_bundled_matches_loops",
+      f"{LTS_SPARSE}::test_span_closure_random_matches_loop",
+      f"{LTS_SPARSE}::test_lts_layer_bundled_matches_dense",
+      "tests/test_lts.py::test_flatten_roundtrip"]),
+    ("lts-from-lie-without-sign", "lts.py",
+     "    constants = {(i, j, k): {m: -a for m, a in coords.items()}",
+     "    constants = {(i, j, k): {m: a for m, a in coords.items()}",
+     ["tests/test_provenance.py", "tests/test_lts.py::test_lts_from_lie_sl2",
+      f"{LTS_SPARSE}::test_lie_layer_random_matches_dense",
+      f"{LTS_SPARSE}::test_lie_layer_bundled_matches_dense"]),
 ]
 
 EQUIVALENT = [
