@@ -1,20 +1,11 @@
 """Degree-truncated universal enveloping algebra of a Lie triple system.
 
-Built as a quotient of the free unital nonassociative algebra by the
-span of the defining relators (the list ``relators`` returns), closed into
-a two-sided ideal within the degree budget.  The nucleus relators take
-their monomial arguments among the normal-form representatives only; the
-certificate is what shows that this closes the same ideal as the family
-over all free monomials (see ``relators``).  The build runs on free-table
-indices, with products from ``MonomialTable.pairs``; trees appear only at
-the boundary: the relators, the argument of ``reduce_tree`` and the
-representatives ``rep_tree``.  The closure is scheduled by
-degree: vectors enter the echelon in order of their top degree, so every
-lower-degree pivot is in place when a row is reduced and the stored rows
-stay short.  The quotient is certified a posteriori: the dimension at
-every filtration level must match the symmetric-algebra count, and the
-normal-form representatives (exponent-vector monomials) must survive as
-non-pivot columns; otherwise the build aborts.
+U_N(T) is the quotient of the free unital nonassociative algebra, within
+degree N, by the two-sided ideal of the defining relators (``relators``).
+It is built on the quotient side, one degree at a time (vector
+enumeration), over symbols for the pairs of basis monomials, and
+certified level by level (``_build``); the free monomial table only
+guards the input's size and is the domain of ``reduce_tree``.
 
 Products of normal forms read one table of basis products, each an
 integer row ``(den, {k: int})``: ``mul_rows`` multiplies two rows,
@@ -36,7 +27,7 @@ from math import comb
 from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, add_row,
                        echelonize, integer_row, rational_row)
 from .freealg import (MAX_MONOMIALS, UNIT, DegreeBudgetExceeded, MonomialTable, _trees,
-                      graft, power_tree, tree_degree)
+                      graft, is_leaf, power_tree, tree_degree)
 from .identities import IdentityChecks
 from .lts import check_axioms
 
@@ -71,17 +62,17 @@ def relators(system, cap):
     representative monomials m1, m2 (``representative_tree``) with
     |m1| + |m2| < cap; the triple coherence a(bc) - b(ac) - [a,b,c]
     (cap >= 3).  With cap 3 these are the generator-level families, and
-    m1, m2 are generators.
+    m1, m2 are generators.  Coefficients are ``int``s (a structure
+    constant that is not an integer stays a ``Fraction``).
 
     The nucleus relator is linear in m1 and in m2, so the representatives
-    stand for every free monomial.  Let J be the span the build closes
-    from these relators and J_full the one it closes from the nucleus
-    family over all free trees.  Every relator here is one of those, so
-    J lies in J_full.  Conversely:
-    - A vector of J of top degree s is a combination of echelon rows of
-      top degree <= s, and the build multiplies each of them by every
-      monomial within its budget.  So J holds v m and m v for v in J of
-      top degree s and monomials m with s + |m| <= cap.
+    stand for every free monomial.  Let J be the two-sided ideal these
+    relators generate within the budget, and J_full the one the nucleus
+    family over all free trees generates.  Every relator here is one of
+    those, so J lies in J_full.  Conversely:
+    - J holds v m and m v for v in J of top degree s and monomials m with
+      s + |m| <= cap: once no level collapses, J within degree s is the
+      ideal generated within the budget s (see ``_build``).
     - If J passes the PBW certificate, the representatives of degree
       <= n span the monomials of degree <= n modulo J.  So a monomial
       m1 is rho1 + u1, with rho1 a combination of representatives of
@@ -91,13 +82,11 @@ def relators(system, cap):
       terms of the nucleus relator, such as (a u1) m2 or m1 (a u2), is u1
       (or u2) multiplied by monomials one at a time, each product within
       the budget of the first point, so it lies in J.  So every relator
-      of the full family lies in J, the build's products keep J_full
-      inside J, and J = J_full: every normal form, dimension and report
-      is the same.
-    A pivot on a representative in J is one in J_full too, so such a
-    certificate failure carries over.  The only possible disagreement is
-    a dimension failure of J where J_full passes, never a wrong normal
-    form.
+      of the full family lies in J, and J = J_full: every normal form,
+      dimension and report is the same.
+    A collapse in J is one in J_full too, so such a certificate failure
+    carries over.  The only possible disagreement is a dimension failure
+    of J where J_full passes, never a wrong normal form.
     """
     d = system.dim
     # the representatives of each degree 0..cap-2, in basis order
@@ -111,26 +100,27 @@ def relators(system, cap):
     def add(*terms):
         out = {}
         for c, t in terms:
-            accumulate(out, {t: c})
-        rels.append(out)
+            out[t] = out.get(t, 0) + c
+        rels.append({t: c for t, c in out.items() if c})
 
     if cap >= 2:
         for i in range(d):
             for j in range(i + 1, d):
-                add((ONE, (i, j)), (-ONE, (j, i)))
+                add((1, (i, j)), (-1, (j, i)))
     # (a,m1,m2) + (m1,a,m2) = (a m1)m2 - a(m1 m2) + (m1 a)m2 - m1(a m2)
     for a in range(d):
         for n1 in range(1, cap - 1):
             for n2 in range(1, cap - n1):
                 for m1 in reps[n1]:
                     for m2 in reps[n2]:
-                        add((ONE, ((a, m1), m2)), (-ONE, (a, (m1, m2))),
-                            (ONE, ((m1, a), m2)), (-ONE, (m1, (a, m2))))
+                        add((1, ((a, m1), m2)), (-1, (a, (m1, m2))),
+                            (1, ((m1, a), m2)), (-1, (m1, (a, m2))))
     if cap >= 3:
         for i, j, k in iproduct(range(d), repeat=3):
             bracket = system.constants.get((i, j, k), {})
-            add((ONE, (i, (j, k))), (-ONE, (j, (i, k))),
-                *((-c, l) for l, c in bracket.items()))
+            add((1, (i, (j, k))), (-1, (j, (i, k))),
+                *((-(c.numerator if c.denominator == 1 else c), l)
+                  for l, c in bracket.items()))
     return rels
 
 
@@ -148,6 +138,7 @@ class EnvelopingAlgebra(IdentityChecks):
         self.system = system
         self.cap = cap
         self.d = system.dim
+        # the guarded domain of ``reduce_tree``: every tree within the cap
         self.table = MonomialTable(self.d, cap, max_monomials)
 
         # normal-form index k names the basis monomial exponents[k]: sorted by
@@ -157,21 +148,12 @@ class EnvelopingAlgebra(IdentityChecks):
         self.nf_size = len(self.exponents)
         self.nf_degree = [sum(v) for v in self.exponents]
         self.rep_tree = [representative_tree(v) for v in self.exponents]
+        self._rep_index = {t: k for k, t in enumerate(self.rep_tree)}
 
-        # elimination columns over table indices: higher degree first, and
-        # within a degree the representatives last so pivots avoid them.
-        # Column -> table index, its inverse, column -> normal-form index/None
-        index, degrees = self.table.index, self.table.degrees
-        reps = {index[t]: k for k, t in enumerate(self.rep_tree)}
-        self._elim_index = sorted(range(self.table.size),
-                                  key=lambda i: (-degrees[i], i in reps, i))
-        self._elim_col = sorted(range(self.table.size), key=self._elim_index.__getitem__)
-        self._elim_nf = [reps.get(i) for i in self._elim_index]
-
-        self._ech = Echelon()
-        self._build_relation_span()
-        self._certify()
         self._reduce_cache = {}
+        # basis products: the build fills those it needs, the rest on first use
+        self._products = {}
+        self._build()
         self._verify_power_bracketings()
         # right ideal closures eliminate with higher degrees first, so rows
         # with pivot degree <= k span the intersection with filtration(k);
@@ -179,84 +161,87 @@ class EnvelopingAlgebra(IdentityChecks):
         self._closure_nf = sorted(range(self.nf_size),
                                   key=lambda k: (-self.nf_degree[k], k))
         self._closure_col = sorted(range(self.nf_size), key=self._closure_nf.__getitem__)
-        # the basis-product table, filled on first use
-        self._products = {}
         self._t_closure = None
 
     # -- construction -------------------------------------------------------
 
-    def _build_relation_span(self):
-        """Close the relators into a two-sided ideal within the budget.
+    def _build(self):
+        """Build and certify U_{<=n} for n = 2..cap, one degree at a time.
 
-        Vectors are inserted in order of top degree (the normal selection
-        strategy of Buchberger's algorithm, degree by degree as in F4), so
-        the lower-degree pivots exist before a row is reduced and forward
-        rows stay short.  ``pending[t]`` holds sources ``(row, n)`` of
-        vectors of top degree t, over table indices: a relator (n = 0), or
-        the row times every monomial of degree n on both sides, expanded
-        when reached (no row has a unit term, so ``table.pairs()`` has
-        every product).  The closure is fixed by its span, whatever the order.
+        Level n eliminates over the symbols P(i, j) of non-unit basis
+        monomials with deg i + deg j = n: those that are not
+        representatives, then the representatives (column k - hi for basis
+        monomial k, hi = ``count_upto(n)``), then the basis monomials k of
+        degree < n (column k).  Its relators (at n = 2 also those of degree
+        1) map term by term: a pair (l, r), or a generator l as (l, 1), to
+        NF(l) * NF(r), where * sends a pair of total degree n to its symbol
+        and a lower pair to its product.
+
+        This is U_{<=n}: the kernel of the map from trees to symbols lies
+        in the ideal ((l - NF(l)) r is in it within the budget); a product
+        of an element of the ideal of lower degree and a monomial maps to
+        0; and if no level collapses, the ideal of each smaller cap is the
+        restriction of the ideal at this cap, since an element of the ideal
+        whose terms of degree m cancel maps to a relation that pivots off
+        the symbols at level m.  So level n fails if a relation pivots off
+        the non-representative symbols (a lower level collapses) or if the
+        rank is not their number (the dimension is not C(d+n, n)).
         """
-        N, table = self.cap, self.table
-        degrees, pair, start = table.degrees, table.pairs(), table.degree_start
-        col, index_of = self._elim_col, self._elim_index
-        pending = [[] for _ in range(N + 1)]
-        for rel in relators(self.system, N):
-            if rel:
-                row = {table.index[t]: a for t, a in rel.items()}
-                pending[max(degrees[i] for i in row)].append((row, 0))
-        t = 0
-        while t <= N:
-            if not pending[t]:
-                t += 1
-                continue
-            # newest first: first-in first-out left longer rows (s2 at N=7:
-            # longest row tail 71 against 7)
-            source, n = pending[t].pop()
-            if n:
-                # source * m, then m * source
-                vecs = (vec for m in range(*start[n:n + 2])
-                        for vec in ({col[pair[i, m]]: a for i, a in source.items()},
-                                    {col[pair[m, i]]: a for i, a in source.items()}))
-            else:
-                vecs = ({col[i]: a for i, a in source.items()},)
-            for vec in vecs:
-                new = self._ech.insert(vec)
-                if new is not None:
-                    # the pivot is the row's lowest elimination column, and
-                    # the elimination order puts higher degrees first
-                    s = degrees[index_of[min(new)]]
-                    row = {index_of[c]: a for c, a in new.items()}
-                    for n in range(1, N - s + 1):
-                        pending[s + n].append((row, n))
-                    # a row whose degree fell has products below bucket t
-                    t = min(t, s + 1)
+        N, deg, sym, table = self.cap, self.nf_degree, {}, self.table
+        by_level = [[] for _ in range(N + 1)]
+        for rel in filter(None, relators(self.system, N)):
+            by_level[max(2, *(table.degrees[table.index[t]] for t in rel))].append(rel)
+        # symbol (i, j) -> its column at level deg i + deg j; level n ->
+        # (its echelon, count_upto(n)); a relator's half -> its integer NF
+        self._symbol, self._levels, halves = sym, {}, {}
+        for n in range(2, N + 1):
+            lo, hi = self.count_upto(n - 1), self.count_upto(n)
+            for k in range(lo, hi):
+                sym[tuple(self._rep_index[h] for h in self.rep_tree[k])] = k - hi
+            others = [(i, j) for i in range(1, lo) for j in range(1, lo)
+                      if deg[i] + deg[j] == n and (i, j) not in sym]
+            sym.update(zip(others, range(lo - hi - len(others), lo - hi)))
+            ech = Echelon()
+            for rel in by_level[n]:
+                ech.insert(self._relation_row(rel, n, halves))
+            pivots = ech.pivots()
+            if pivots and pivots[-1] >= lo - hi:
+                raise PBWCertificateFailure(
+                    f"level {n} collapsed: a relation pivots off the {len(others)} "
+                    f"non-representative symbols (rank {len(pivots)})")
+            if len(pivots) != len(others):
+                raise PBWCertificateFailure(
+                    f"quotient dimension {hi + len(others) - len(pivots)} at filtration "
+                    f"level {n} does not match the symmetric-algebra count {hi} "
+                    f"(rank {len(pivots)}, {len(others)} non-representative symbols)")
+            self._levels[n] = ech, hi
+        self.degree_dims = [self.count_upto(n) for n in range(N + 1)]
+        # the relation span within degree n: the free monomials less the basis
+        self.relspan_degree_dims = [table.degree_start[n + 1] - m
+                                    for n, m in enumerate(self.degree_dims)]
+        self.relspan_dim = table.size - self.nf_size
 
-    def _certify(self):
-        N, d, table = self.cap, self.d, self.table
-        counts = [0] * (N + 1)
-        for p in self._ech.pivots():
-            i = self._elim_index[p]
-            if self._elim_nf[p] is not None:
-                raise PBWCertificateFailure(
-                    f"pivot fell on normal-form representative {table.trees[i]!r}")
-            counts[table.degrees[i]] += 1
-        self.relspan_degree_dims = []
-        self.degree_dims = []
-        rel_dim = 0
-        for n in range(N + 1):
-            rel_dim += counts[n]
-            quot = table.degree_start[n + 1] - rel_dim
-            expected = comb(d + n, n)
-            if quot != expected:
-                raise PBWCertificateFailure(
-                    f"quotient dimension {quot} at filtration level {n} does "
-                    f"not match the symmetric-algebra count {expected}")
-            self.relspan_degree_dims.append(rel_dim)
-            self.degree_dims.append(quot)
-        self.relspan_dim = self._ech.dim
+    def _relation_row(self, rel, n, halves):
+        """The image of ``rel`` at level n, over that level's columns (see
+        ``_build``); ``halves`` caches its halves' integer normal forms."""
+        deg, sym, acc = self.nf_degree, self._symbol, [1, {}]
+        for t, c in rel.items():
+            num, den = c.numerator, c.denominator
+            pair = (t, UNIT) if is_leaf(t) else t  # a generator g is g * 1
+            for h in pair:
+                if h not in halves:
+                    halves[h] = integer_row(self.reduce_tree(h).coeffs)
+            (dx, xs), (dy, ys) = (halves[h] for h in pair)
+            for i, a in xs.items():
+                for j, b in ys.items():
+                    dp, row = (self.basis_product(i, j) if deg[i] + deg[j] < n
+                               else (1, {sym[i, j]: 1}))
+                    add_row(acc, num * a * b, den * dx * dy * dp, row)
+        return acc[1]
 
     def _verify_power_bracketings(self):
+        # every bracketing of g^n (n <= 4) has one normal form: a check of
+        # the products, since a tree's normal form is its halves' product
         for g in range(self.d):
             for n in range(2, min(4, self.cap) + 1):
                 target = self.reduce_tree(power_tree(g, n))
@@ -269,20 +254,33 @@ class EnvelopingAlgebra(IdentityChecks):
     # -- normal forms -------------------------------------------------------
 
     def reduce_tree(self, t):
-        """Normal form of a single monomial tree, cached."""
+        """Normal form of a single monomial tree, cached.
+
+        A pair of representatives is a symbol of its level, reduced by that
+        level's echelon; any other pair is the product of its halves'
+        normal forms."""
         cached = self._reduce_cache.get(t)
         if cached is None:
-            i = self.table.index.get(t)
-            if i is None:
+            if t not in self.table.index:
                 # the table holds every monomial within the cap
                 if tree_degree(t) > self.cap:
                     raise DegreeBudgetExceeded(
                         f"monomial degree {tree_degree(t)} exceeds cap {self.cap}")
                 raise ValueError(f"{t!r} is not a monomial tree on d={self.d} "
                                  f"generators (cap {self.cap})")
-            # an int unit vector: the echelon takes it without a rescale
-            residue = self._ech.reduce({self._elim_col[i]: 1})
-            cached = Element(self, {self._elim_nf[c]: a for c, a in residue.items()})
+            if t == UNIT or is_leaf(t):
+                cached = self.basis(0 if t == UNIT else self.d - t)
+            else:
+                i, j = (self._rep_index.get(h) for h in t)
+                if i is not None and j is not None:
+                    ech, hi = self._levels[self.nf_degree[i] + self.nf_degree[j]]
+                    # an int unit vector: the echelon takes it without a rescale
+                    residue = ech.reduce({self._symbol[i, j]: 1})
+                    cached = Element(self, {c + hi if c < 0 else c: a
+                                            for c, a in residue.items()})
+                else:
+                    x, y = (integer_row(self.reduce_tree(h).coeffs) for h in t)
+                    cached = Element(self, rational_row(*self.mul_rows(x, y)))
             self._reduce_cache[t] = cached
         return cached
 

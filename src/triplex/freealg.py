@@ -5,9 +5,10 @@ Monomials are binary trees: a leaf is a generator index, an internal
 node is an ordered pair of subtrees, and the empty product 1 is the
 empty tuple.  Structural equality of trees is the monomial identity;
 there are Catalan(n-1) * d^n monomials of degree n.  Free-algebra
-elements are plain ``{tree: Fraction}`` dicts.  ``MonomialTable`` numbers
-the trees and tabulates their products, so the enveloping-algebra build
-runs on indices.  The parser reads text straight into an enveloping
+elements are plain ``{tree: coefficient}`` dicts.  ``MonomialTable``
+numbers the trees within a cap: the guard on an enveloping algebra's
+input and the domain of its ``reduce_tree``, not used to build it.
+The parser reads text straight into an enveloping
 algebra: the quotient map is an algebra morphism within the cap, so no
 free element is built on the way.
 """
@@ -81,18 +82,25 @@ def power_tree(g, n):
 
 @lru_cache(maxsize=None)
 def _trees(d, n):
-    """All monomial trees of degree n on d generators, sorted by tree_key."""
+    """All monomial trees of degree n on d generators, in ``tree_key`` order:
+    keys are prefix-free, so pairs (l, r) sort by l's key, then r's, and l
+    runs over the lower trees in key order (``_lower``), r over the stratum
+    n - deg l."""
     if n == 0:
         return (UNIT,)
     if n == 1:
         return tuple(range(d))
-    out = []
-    for i in range(1, n):
-        for l in _trees(d, i):
-            for r in _trees(d, n - i):
-                out.append((l, r))
-    out.sort(key=tree_key)
-    return tuple(out)
+    return tuple((l, r) for l, k in _lower(d, n - 1) for r in _trees(d, n - k))
+
+
+@lru_cache(maxsize=None)
+def _lower(d, m):
+    """``(tree, degree)`` for every tree of degree 1..m on d generators, in
+    ``tree_key`` order: the generators, then the pairs."""
+    if m == 0:
+        return ()
+    return tuple((g, 1) for g in range(d)) + tuple(
+        ((l, r), k + j) for l, k in _lower(d, m - 1) for r, j in _lower(d, m - k))
 
 
 def check_table_size(d, cap, max_monomials):
@@ -136,17 +144,6 @@ class MonomialTable:
         self.trees = trees
         self.index = {t: i for i, t in enumerate(trees)}
         self.degrees = [tree_degree(t) for t in trees]  # index -> degree
-
-    def pairs(self):
-        """``{(i, j): k}``: k is the index of the product of the non-unit
-        monomials of indices i and j, for each product within the cap.
-
-        Built on each call, so the dict lives only as long as its caller
-        keeps it."""
-        index, trees = self.index, self.trees
-        # the monomials after the unit and the generators are products
-        return {(index[l], index[r]): k
-                for k, (l, r) in enumerate(trees[self.d + 1:], self.d + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,34 @@ def test_tree_key_total_order():
     assert keys == sorted(keys)
 
 
+def sorted_trees(d, n):
+    """The trees of degree n, grafted from every split and sorted by
+    ``tree_key``: the reference for ``_trees``, which sorts nothing."""
+    if n <= 1:
+        return [UNIT] if n == 0 else list(range(d))
+    return sorted(((l, r) for i in range(1, n)
+                   for l in sorted_trees(d, i) for r in sorted_trees(d, n - i)),
+                  key=tree_key)
+
+
+# d <= 5 and n <= 6, except the strata of more than 50,000 trees
+TREE_STRATA = [(d, n) for d in range(1, 6) for n in range(1, 7)
+               if catalan(n - 1) * d ** n <= 50_000]
+
+
+@pytest.mark.parametrize("d, n", TREE_STRATA)
+def test_trees_come_in_tree_key_order(d, n):
+    assert list(_trees(d, n)) == sorted_trees(d, n)
+
+
+@pytest.mark.parametrize("d, cap", [(2, 6), (3, 5), (5, 4)])
+def test_monomial_table_numbers_the_sorted_strata(d, cap):
+    # perfbench's golden normal-form digests are keyed by table index
+    t = MonomialTable(d, cap)
+    assert t.trees == [tr for n in range(cap + 1) for tr in sorted_trees(d, n)]
+    assert t.index == {tr: i for i, tr in enumerate(t.trees)}
+
+
 def test_parse_basic(s2_n6):
     alg = s2_n6
     e, f = alg.generator(0), alg.generator(1)

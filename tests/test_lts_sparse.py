@@ -582,22 +582,6 @@ def raises_invalid(f, *args):
     return False
 
 
-@settings(max_examples=80, deadline=None)
-@given(tensors())
-def test_inner_derivations_fail_iff_derivation_fails(case):
-    # against the dense reference, which checks bracket closure and each
-    # basis operator on its own: the sparse check_axioms and
-    # inner_derivations share one derivation pass
-    d, consts = case
-    t = TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
-    ref = DenseTripleSystem(d, consts)
-    raised = raises_invalid(inner_derivations, t)
-    assert raised == raises_invalid(dense_inner_derivations, ref)
-    assert raised == (not dense_check_axioms(ref).derivation.ok)
-    if not raised:
-        assert inner_derivations(t)[0] == dense_inner_derivations(ref)[0]
-
-
 # [a,b,a] = -b and [a,c,c] = a, with the swaps that make the product
 # alternating; its cyclic sums vanish, but its D's span no bracket-closed space
 UNCLOSED = {(0, 1, 0): {1: -ONE}, (1, 0, 0): {1: ONE},
@@ -641,10 +625,11 @@ def scan_derivation(t):
 
 
 @st.composite
-def perturbed_bundled(draw):
-    """A bundled system plus up to two alternating, cyclic tensors: the two
-    linear identities still hold, and the derivation identity mostly fails."""
-    t = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]
+def perturbed_bundled(draw, names=tuple(sorted(BUNDLED))):
+    """A bundled system (one of ``names``) plus up to two alternating, cyclic
+    tensors: the two linear identities still hold, and the derivation
+    identity mostly fails."""
+    t = BUNDLED[draw(st.sampled_from(names))]
     d, consts = t.dim, _raw(t)
     idx = st.integers(0, d - 1)
     for _ in range(draw(st.integers(0, 2))):
@@ -654,6 +639,25 @@ def perturbed_bundled(draw):
             for m, b in coords.items():
                 _add_at(consts, key, m, b)
     return d, consts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(tensors(), perturbed_bundled(("abelian3", "s2", "s2_plus_s2", "sl2_lts"))))
+def test_inner_derivations_fail_iff_derivation_fails(case):
+    # against the dense reference, which checks bracket closure and each
+    # basis operator on its own: the sparse check_axioms and
+    # inner_derivations share one derivation pass.  The perturbed bundled
+    # systems pass their first D_{a,b} and fail a later one, which the
+    # small random tensors seldom do (sl3_sym is left out: the dense
+    # axiom check takes about 5 s on it)
+    d, consts = case
+    t = TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
+    ref = DenseTripleSystem(d, consts)
+    raised = raises_invalid(inner_derivations, t)
+    assert raised == raises_invalid(dense_inner_derivations, ref)
+    assert raised == (not dense_check_axioms(ref).derivation.ok)
+    if not raised:
+        assert inner_derivations(t)[0] == dense_inner_derivations(ref)[0]
 
 
 @settings(max_examples=150, deadline=None)

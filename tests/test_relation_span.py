@@ -1,14 +1,22 @@
-"""Differential tests of the degree-scheduled relation-span build.
+"""Differential tests of the quotient-side build against the free-table
+build (``free_table.FreeTable``), and of that reference itself.
 
-Two references are kept here as they were.  ``all_tree_relators`` is the
-relator list with the nucleus family over every free tree, where
-``envelope.relators`` takes the PBW representatives only.  The round-based
-closure is the build's earlier schedule: it inserts those relators, then,
-round by round, the products of every new row with every monomial within
-the budget, on both sides, as soon as they are made.  The closure is fixed
-by its span, so the builds must give the same pivots, the same canonical
-rows, the same per-degree dims and the same normal form for every
-monomial of the table.
+The free-table build closes the relators into a two-sided ideal of the
+free algebra, over every free monomial within the cap; the quotient-side
+build in ``triplex.envelope`` works one degree at a time over symbols
+P(i, j) of basis monomials.  Both must give the same dims, the same
+normal form for every monomial of the table, the same basis products and
+the same certificate verdicts.
+
+Two more references are kept here as they were.  ``all_tree_relators`` is
+the relator list with the nucleus family over every free tree, where
+``envelope.relators`` takes the PBW representatives only.  The
+round-based closure is the free-table build's earlier schedule: it
+inserts those relators, then, round by round, the products of every new
+row with every monomial within the budget, on both sides, as soon as
+they are made.  The closure is fixed by its span, so the free-table
+builds must give the same pivots, the same canonical rows, the same
+per-degree dims and the same normal form for every monomial of the table.
 """
 
 from importlib import resources
@@ -18,6 +26,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from free_table import FreeTable, pairs
 from test_lts_sparse import rebased_systems
 
 from triplex import cli, envelope
@@ -67,10 +76,11 @@ def all_tree_relators(system, cap):
     return rels
 
 
-class RoundBased(EnvelopingAlgebra):
+class RoundBased(FreeTable):
     """The algebra built by the round-based closure."""
 
-    relators = staticmethod(all_tree_relators)
+    def relators(self, system, cap):
+        return all_tree_relators(system, cap)
 
     def _insert_relation(self, coeffs, work):
         row = self._ech.insert({self._elim_col[i]: a for i, a in coeffs.items()})
@@ -80,7 +90,7 @@ class RoundBased(EnvelopingAlgebra):
 
     def _build_relation_span(self):
         N, table = self.cap, self.table
-        pair = table.pairs()
+        pair = pairs(table)
         work = []
         for rel in self.relators(self.system, N):
             self._insert_relation({table.index[t]: a for t, a in rel.items()}, work)
@@ -125,7 +135,7 @@ def normal_forms(alg, rref_rows):
 @pytest.mark.parametrize("name, cap", CASES, ids=[f"{n}-N{c}" for n, c in CASES])
 def test_build_matches_round_based_closure(name, cap):
     system = load(name)
-    alg, ref = EnvelopingAlgebra(system, cap), RoundBased(system, cap)
+    alg, ref = FreeTable(system, cap), RoundBased(system, cap)
     assert alg._ech.pivots() == ref._ech.pivots()
     rows = canonical_rows(ref._ech)
     if cap <= 4:
@@ -138,25 +148,40 @@ def test_build_matches_round_based_closure(name, cap):
         assert alg.reduce_tree(t).coeffs == expected[t], t
 
 
-def all_tree_build(system, cap):
-    """The degree-scheduled build from ``all_tree_relators``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(envelope, "relators", all_tree_relators)
-        return EnvelopingAlgebra(system, cap)
+class AllTrees(FreeTable):
+    """The free-table build from ``all_tree_relators``."""
+
+    def relators(self, system, cap):
+        return all_tree_relators(system, cap)
 
 
-def assert_same_algebra(alg, full):
-    assert alg.degree_dims == full.degree_dims
-    assert alg.relspan_degree_dims == full.relspan_degree_dims
-    assert alg.relspan_dim == full.relspan_dim
+def assert_same_algebra(alg, ref):
+    assert alg.degree_dims == ref.degree_dims
+    assert alg.relspan_degree_dims == ref.relspan_degree_dims
+    assert alg.relspan_dim == ref.relspan_dim
     for t in alg.table.trees:
-        assert alg.reduce_tree(t).coeffs == full.reduce_tree(t).coeffs, t
+        assert alg.reduce_tree(t).coeffs == ref.reduce_tree(t).coeffs, t
+    for i, n in enumerate(alg.nf_degree):
+        for j in range(alg.count_upto(alg.cap - n)):
+            assert alg.basis_product(i, j) == ref.basis_product(i, j), (i, j)
+
+
+@pytest.mark.parametrize("name, cap", CASES, ids=[f"{n}-N{c}" for n, c in CASES])
+def test_quotient_build_matches_free_table(name, cap):
+    system = load(name)
+    assert_same_algebra(EnvelopingAlgebra(system, cap), FreeTable(system, cap))
+
+
+@settings(max_examples=10, deadline=None)
+@given(rebased_systems())
+def test_quotient_build_matches_free_table_on_rebased_systems(system):
+    assert_same_algebra(EnvelopingAlgebra(system, 4), FreeTable(system, 4))
 
 
 @pytest.mark.parametrize("name, cap", CASES, ids=[f"{n}-N{c}" for n, c in CASES])
 def test_representative_relators_match_all_tree_relators(name, cap):
     system = load(name)
-    assert_same_algebra(EnvelopingAlgebra(system, cap), all_tree_build(system, cap))
+    assert_same_algebra(EnvelopingAlgebra(system, cap), AllTrees(system, cap))
 
 
 @pytest.mark.parametrize("name, cap, count, full_count", [
@@ -176,7 +201,7 @@ def test_representative_relators_are_fewer(name, cap, count, full_count):
 @settings(max_examples=10, deadline=None)
 @given(rebased_systems())
 def test_representative_relators_match_on_rebased_systems(system):
-    assert_same_algebra(EnvelopingAlgebra(system, 4), all_tree_build(system, 4))
+    assert_same_algebra(EnvelopingAlgebra(system, 4), AllTrees(system, 4))
 
 
 @st.composite
@@ -202,13 +227,38 @@ def build_or_failure(build, system, cap):
 @settings(max_examples=40, deadline=None)
 @given(triple_tensors())
 def test_representative_relators_give_the_same_verdict(system):
+    # the quotient-side build against the free-table build, from the same
+    # relators and from the nucleus family over every free tree
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "check_axioms", lambda t: SimpleNamespace(ok=True))
         alg = build_or_failure(EnvelopingAlgebra, system, 4)
-        full = build_or_failure(all_tree_build, system, 4)
-    assert (alg is None) == (full is None)
+        ref = build_or_failure(FreeTable, system, 4)
+        full = build_or_failure(AllTrees, system, 4)
+    assert (alg is None) == (ref is None) == (full is None)
     if alg is not None:
+        assert_same_algebra(alg, ref)
         assert_same_algebra(alg, full)
+
+
+E, F = 0, 1  # the generators of s2; normal-form indices 2 and 1
+
+
+@pytest.mark.parametrize("rels, message", [
+    # e f = -e: the relation pivots on the representative e f, while f e
+    # stays free, so the rank is right and only the collapse shows it
+    ([{(E, F): ONE, E: ONE}], "level 2 collapsed"),
+    # no commutator: f e is not eliminated
+    ([], "quotient dimension 7 at filtration level 2"),
+    # e = 0: a relator of degree 1 collapses T itself
+    ([{(E, F): ONE, (F, E): -ONE}, {E: ONE}], "level 2 collapsed"),
+], ids=["collapse-at-full-rank", "rank-deficient", "degree-one-relator"])
+def test_certificate_failures_match_the_free_table(monkeypatch, rels, message):
+    monkeypatch.setattr(envelope, "relators", lambda system, cap: rels)
+    system = load("s2")
+    with pytest.raises(PBWCertificateFailure):
+        FreeTable(system, 2)
+    with pytest.raises(PBWCertificateFailure, match=message):
+        EnvelopingAlgebra(system, 2)
 
 
 def test_cursor_moves_back_after_a_degree_fall(monkeypatch):
@@ -220,12 +270,11 @@ def test_cursor_moves_back_after_a_degree_fall(monkeypatch):
     rels = lambda system, cap: [{(e, (e, f)): ONE, e: ONE}, {(e, (e, f)): ONE}]
     monkeypatch.setattr(envelope, "relators", rels)
     monkeypatch.setattr(RoundBased, "relators", staticmethod(rels))
-    monkeypatch.setattr(EnvelopingAlgebra, "_certify", lambda self: None)
-    monkeypatch.setattr(EnvelopingAlgebra, "_verify_power_bracketings",
-                        lambda self: None)
+    monkeypatch.setattr(FreeTable, "_certify", lambda self: None)
+    monkeypatch.setattr(FreeTable, "_verify_power_bracketings", lambda self: None)
     system = load("s2")
     for cap in (3, 4):
-        alg, ref = EnvelopingAlgebra(system, cap), RoundBased(system, cap)
+        alg, ref = FreeTable(system, cap), RoundBased(system, cap)
         assert alg._ech.pivots() == ref._ech.pivots()
         assert alg._ech.rref_rows() == ref._ech.rref_rows()
         # the span holds e and its degree-2 products
@@ -235,7 +284,7 @@ def test_cursor_moves_back_after_a_degree_fall(monkeypatch):
 
 @pytest.mark.parametrize("name, cap", CASES, ids=[f"{n}-N{c}" for n, c in CASES])
 def test_index_order_and_pair_table_match_the_trees(name, cap):
-    alg = EnvelopingAlgebra(load(name), cap)
+    alg = FreeTable(load(name), cap)
     table, reps = alg.table, set(alg.rep_tree)
     # the elimination order over table indices is the order the build
     # used when it sorted the trees themselves
@@ -247,9 +296,9 @@ def test_index_order_and_pair_table_match_the_trees(name, cap):
     assert all(table.trees[i] == alg.rep_tree[k]
                for i, k in zip(alg._elim_index, alg._elim_nf) if k is not None)
     assert sorted(k for k in alg._elim_nf if k is not None) == list(range(alg.nf_size))
-    # pairs()[i, j] names the tree (trees[i], trees[j]), for every product
-    # of two non-unit monomials within the cap
-    pair = table.pairs()
+    # pairs(table)[i, j] names the tree (trees[i], trees[j]), for every
+    # product of two non-unit monomials within the cap
+    pair = pairs(table)
     for (i, j), k in pair.items():
         assert table.trees[k] == (table.trees[i], table.trees[j])
     assert len(pair) == table.size - 1 - alg.d

@@ -44,6 +44,7 @@ DERIVATION_TESTS = [f"{LTS_SPARSE}::test_check_axioms_random_matches_dense",
                     f"{LTS_SPARSE}::test_derivation_failure_named_by_the_scan",
                     f"{LTS_SPARSE}::test_derivation_verdict_matches_per_operator_scan"]
 INNER_DERIVATION_TESTS = [f"{LTS_SPARSE}::test_inner_derivations_fail_iff_derivation_fails"]
+QUOTIENT_TESTS = "tests/test_relation_span.py"
 
 MUTANTS = [
     ("same-row-always-true", "exactlin.py",
@@ -124,9 +125,7 @@ MUTANTS = [
     ("derivation-pass-checks-first-only", "lts.py",
      "        if ech.insert(_flatten(op, d)) is not None:",
      "        if ech.insert(_flatten(op, d)) is not None and ech.dim == 1:",
-     # the random tensors of the inner-derivations test (d <= 3) seldom pass
-     # a first D and fail a later one: it is not a reliable kill
-     DERIVATION_TESTS),
+     DERIVATION_TESTS + INNER_DERIVATION_TESTS),
     ("graded-parity-inverted", "lts.py",
      "        odd = (p >= m) != (q >= m)",
      "        odd = (p >= m) == (q >= m)",
@@ -157,19 +156,23 @@ MUTANTS = [
      ["tests/test_provenance.py", "tests/test_lts.py::test_lts_from_lie_sl2",
       f"{LTS_SPARSE}::test_lie_layer_random_matches_dense",
       f"{LTS_SPARSE}::test_lie_layer_bundled_matches_dense"]),
+    # the quotient-side build's certificate and its representative symbols
+    ("quotient-build-without-collapse-check", "envelope.py",
+     "            if pivots and pivots[-1] >= lo - hi:",
+     "            if False:",
+     [f"{QUOTIENT_TESTS}::test_certificate_failures_match_the_free_table"]),
+    ("quotient-build-without-rank-check", "envelope.py",
+     "            if len(pivots) != len(others):",
+     "            if False:",
+     [f"{QUOTIENT_TESTS}::test_certificate_failures_match_the_free_table"]),
+    ("representative-symbol-halves-swapped", "envelope.py",
+     "                sym[tuple(self._rep_index[h] for h in self.rep_tree[k])] = k - hi",
+     "                sym[tuple(self._rep_index[h] for h in reversed(self.rep_tree[k]))]"
+     " = k - hi",
+     [f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
 ]
 
-EQUIVALENT = [
-    ("relation-span-sides-swapped", "envelope.py",
-     "                vecs = (vec for m in range(*start[n:n + 2])\n"
-     "                        for vec in ({col[pair[i, m]]: a for i, a in source.items()},\n"
-     "                                    {col[pair[m, i]]: a for i, a in source.items()}))",
-     "                vecs = (vec for m in range(*start[n:n + 2])\n"
-     "                        for vec in ({col[pair[m, i]]: a for i, a in source.items()},\n"
-     "                                    {col[pair[i, m]]: a for i, a in source.items()}))",
-     "both sides of every product enter the echelon before the next source "
-     "is popped, so the span and every normal form are the same"),
-]
+EQUIVALENT = []
 
 RETIRED = [
     ("mul-basis-without-lcm-rescale",
@@ -178,6 +181,9 @@ RETIRED = [
     ("mul-rows-without-lcm-rescale",
      "mul_rows is a sum of mul_basis calls into one accumulator: its rescaling "
      "loop is add_row's too"),
+    ("relation-span-sides-swapped",
+     "the free-table closure left src: U_N(T) is built on the quotient side, and "
+     "the free-table build is the tests' reference (tests/free_table.py)"),
 ]
 
 
