@@ -7,10 +7,11 @@ enumeration), over symbols for the pairs of basis monomials, and
 certified level by level (``_build``); the free monomial table only
 guards the input's size and is the domain of ``reduce_tree``.
 
-Products of normal forms read one table of basis products, each an
-integer row ``(den, {k: int})``: ``mul_rows`` multiplies two rows,
-``mul_basis`` a row by one basis monomial, each adding its product into
-an ``exactlin.add_row`` accumulator.  The right-ideal closures and
+Each normal form is cached once, as an integer row ``(den, {k: int})``
+keyed by its tree: the build, ``reduce_tree`` and the table of basis
+products (``basis_product``) share these rows.  ``mul_rows`` multiplies
+two rows, ``mul_basis`` a row by one basis monomial, each reading the
+table and adding into an ``exactlin.add_row`` accumulator.  The right-ideal closures and
 the identity checks of the paper (``identities.IdentityChecks``, a base
 class of ``EnvelopingAlgebra``) run on these rows, with no ``Element``
 and no ``Fraction`` per product; ``Element`` is the boundary type.
@@ -24,8 +25,8 @@ from itertools import chain
 from itertools import product as iproduct
 from math import comb
 
-from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, add_row,
-                       echelonize, integer_row, rational_row)
+from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, add_row, echelonize,
+                       integer_row, nonzero_row, rational_row, same_row)
 from .freealg import (MAX_MONOMIALS, UNIT, DegreeBudgetExceeded, MonomialTable, _trees,
                       graft, is_leaf, power_tree, tree_degree)
 from .identities import IdentityChecks
@@ -150,9 +151,9 @@ class EnvelopingAlgebra(IdentityChecks):
         self.rep_tree = [representative_tree(v) for v in self.exponents]
         self._rep_index = {t: k for k, t in enumerate(self.rep_tree)}
 
-        self._reduce_cache = {}
-        # basis products: the build fills those it needs, the rest on first use
-        self._products = {}
+        # the one normal-form cache, tree -> integer row, and (i, j) -> that row
+        # of the product of basis monomials i and j (``basis_product``)
+        self._nf_rows, self._products = {}, {}
         self._build()
         self._verify_power_bracketings()
         # right ideal closures eliminate with higher degrees first, so rows
@@ -192,8 +193,8 @@ class EnvelopingAlgebra(IdentityChecks):
         for rel in filter(None, relators(self.system, N)):
             by_level[max(2, *(table.degrees[table.index[t]] for t in rel))].append(rel)
         # symbol (i, j) -> its column at level deg i + deg j; level n ->
-        # (its echelon, count_upto(n)); a relator's half -> its integer NF
-        self._symbol, self._levels, halves = sym, {}, {}
+        # (its echelon, count_upto(n))
+        self._symbol, self._levels = sym, {}
         for n in range(2, N + 1):
             lo, hi = self.count_upto(n - 1), self.count_upto(n)
             for k in range(lo, hi):
@@ -203,7 +204,7 @@ class EnvelopingAlgebra(IdentityChecks):
             sym.update(zip(others, range(lo - hi - len(others), lo - hi)))
             ech = Echelon()
             for rel in by_level[n]:
-                ech.insert(self._relation_row(rel, n, halves))
+                ech.insert(self._relation_row(rel, n))
             pivots = ech.pivots()
             if pivots and pivots[-1] >= lo - hi:
                 raise PBWCertificateFailure(
@@ -221,17 +222,13 @@ class EnvelopingAlgebra(IdentityChecks):
                                     for n, m in enumerate(self.degree_dims)]
         self.relspan_dim = table.size - self.nf_size
 
-    def _relation_row(self, rel, n, halves):
+    def _relation_row(self, rel, n):
         """The image of ``rel`` at level n, over that level's columns (see
-        ``_build``); ``halves`` caches its halves' integer normal forms."""
+        ``_build``), from its halves' cached rows (a generator g is g * 1)."""
         deg, sym, acc = self.nf_degree, self._symbol, [1, {}]
         for t, c in rel.items():
             num, den = c.numerator, c.denominator
-            pair = (t, UNIT) if is_leaf(t) else t  # a generator g is g * 1
-            for h in pair:
-                if h not in halves:
-                    halves[h] = integer_row(self.reduce_tree(h).coeffs)
-            (dx, xs), (dy, ys) = (halves[h] for h in pair)
+            (dx, xs), (dy, ys) = map(self._nf_row, (t, UNIT) if is_leaf(t) else t)
             for i, a in xs.items():
                 for j, b in ys.items():
                     dp, row = (self.basis_product(i, j) if deg[i] + deg[j] < n
@@ -244,23 +241,23 @@ class EnvelopingAlgebra(IdentityChecks):
         # the products, since a tree's normal form is its halves' product
         for g in range(self.d):
             for n in range(2, min(4, self.cap) + 1):
-                target = self.reduce_tree(power_tree(g, n))
+                target = self._nf_row(power_tree(g, n))
                 for shape in _trees(1, n):
-                    t = _relabel(shape, g)
-                    if self.reduce_tree(t) != target:
+                    if not same_row(self._nf_row(_relabel(shape, g)), target):
                         raise PBWCertificateFailure(
                             f"power of generator {g} depends on bracketing at n={n}")
 
     # -- normal forms -------------------------------------------------------
 
     def reduce_tree(self, t):
-        """Normal form of a single monomial tree, cached.
+        """Normal form of a single monomial tree, as a fresh ``Element``.
 
-        A pair of representatives is a symbol of its level, reduced by that
-        level's echelon; any other pair is the product of its halves'
-        normal forms."""
-        cached = self._reduce_cache.get(t)
-        if cached is None:
+        It is made from the tree's integer row ``(den, {k: int})``, cached
+        once per algebra and not in lowest terms (``_nf_row``).  A pair of
+        representatives is a symbol of its level, reduced by that level's
+        echelon; any other pair is the product of its halves' rows."""
+        row = self._nf_rows.get(t)
+        if row is None:
             if t not in self.table.index:
                 # the table holds every monomial within the cap
                 if tree_degree(t) > self.cap:
@@ -269,20 +266,25 @@ class EnvelopingAlgebra(IdentityChecks):
                 raise ValueError(f"{t!r} is not a monomial tree on d={self.d} "
                                  f"generators (cap {self.cap})")
             if t == UNIT or is_leaf(t):
-                cached = self.basis(0 if t == UNIT else self.d - t)
+                row = 1, {0 if t == UNIT else self.d - t: 1}
             else:
                 i, j = (self._rep_index.get(h) for h in t)
                 if i is not None and j is not None:
                     ech, hi = self._levels[self.nf_degree[i] + self.nf_degree[j]]
                     # an int unit vector: the echelon takes it without a rescale
                     residue = ech.reduce({self._symbol[i, j]: 1})
-                    cached = Element(self, {c + hi if c < 0 else c: a
-                                            for c, a in residue.items()})
+                    row = integer_row({c + hi if c < 0 else c: a
+                                       for c, a in residue.items()})
                 else:
-                    x, y = (integer_row(self.reduce_tree(h).coeffs) for h in t)
-                    cached = Element(self, rational_row(*self.mul_rows(x, y)))
-            self._reduce_cache[t] = cached
-        return cached
+                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t)))
+            self._nf_rows[t] = row
+        return Element(self, rational_row(*row))
+
+    def _nf_row(self, t):
+        """A tree's cached integer row (shared: do not mutate); ``reduce_tree`` fills it."""
+        if t not in self._nf_rows:
+            self.reduce_tree(t)
+        return self._nf_rows[t]
 
     def zero(self):
         return Element(self, {})
@@ -337,18 +339,16 @@ class EnvelopingAlgebra(IdentityChecks):
     def basis_product(self, i, j):
         """The product of the basis monomials of normal-form indices i and j
         as an integer row ``(den, {k: int})`` over normal-form indices, from
-        a table filled on first use (shared rows: do not mutate)."""
+        a table filled on first use: the cached row of the grafted
+        representatives (shared rows: do not mutate)."""
         row = self._products.get((i, j))
         if row is None:
             di, dj = self.nf_degree[i], self.nf_degree[j]
             if di + dj > self.cap:
                 raise DegreeBudgetExceeded(
                     f"product degree {di}+{dj} exceeds cap {self.cap}")
-            t = graft(self.rep_tree[i], self.rep_tree[j])
-            row = integer_row(self.reduce_tree(t).coeffs)
-            # the table keeps the one copy of this product
-            del self._reduce_cache[t]
-            self._products[i, j] = row
+            row = self._products[i, j] = self._nf_row(
+                graft(self.rep_tree[i], self.rep_tree[j]))
         return row
 
     def mul(self, x, y):

@@ -11,7 +11,7 @@ from math import comb
 
 from triplex import envelope
 from triplex.envelope import Element, EnvelopingAlgebra, PBWCertificateFailure
-from triplex.exactlin import Echelon
+from triplex.exactlin import Echelon, integer_row, rational_row
 
 
 def pairs(table):
@@ -114,11 +114,12 @@ class FreeTable(EnvelopingAlgebra):
         self.relspan_dim = self._ech.dim
 
     def reduce_tree(self, t):
-        """Normal form of a table monomial, read off the free echelon."""
-        cached = self._reduce_cache.get(t)
-        if cached is None:
+        """Normal form of a table monomial, read off the free echelon into
+        the same tree-keyed cache of integer rows."""
+        row = self._nf_rows.get(t)
+        if row is None:
             i = self.table.index[t]
             residue = self._ech.reduce({self._elim_col[i]: 1})
-            cached = Element(self, {self._elim_nf[c]: a for c, a in residue.items()})
-            self._reduce_cache[t] = cached
-        return cached
+            row = integer_row({self._elim_nf[c]: a for c, a in residue.items()})
+            self._nf_rows[t] = row
+        return Element(self, rational_row(*row))

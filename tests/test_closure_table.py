@@ -151,6 +151,19 @@ def test_basis_products_match_grafted_reductions(name, cap):
     assert (top, 1) not in alg._products
 
 
+def test_each_level_symbol_is_reduced_once(monkeypatch):
+    # the build, the product table and reduce_tree share one row per tree, so
+    # reading every table tree of s2 at N=6 reduces the symbol of each of its
+    # 155 representative pairs once
+    calls, reduce = [], Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce",
+                        lambda ech, vec: calls.append((id(ech), *vec)) or reduce(ech, vec))
+    alg = EnvelopingAlgebra(algebra("s2", 6).system, 6)
+    for t in alg.table.trees:
+        alg.reduce_tree(t)
+    assert len(calls) == len(set(calls)) == 155
+
+
 @pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())

@@ -123,6 +123,21 @@ def test_power_bracketing_independent(s2_n6):
     assert left == right == s2_n6.power(0, 3)
 
 
+def test_power_bracketing_certificate_names_the_generator_and_n():
+    class Corrupted(EnvelopingAlgebra):
+        def _build(self):
+            super()._build()
+            # f (f f), one bracketing of f^3, becomes 2 f^3: the row is shared
+            # by the product table and the tree's normal form
+            _, row = self.basis_product(self.exp_index[0, 1], self.exp_index[0, 2])
+            for k in row:
+                row[k] *= 2
+
+    with pytest.raises(PBWCertificateFailure,
+                       match="power of generator 1 depends on bracketing at n=3"):
+        Corrupted(catalog.s2(), 4)
+
+
 def test_triple_coherence(s2_n6, s2):
     # 2 (a,b,c) = -iota([a,b,c]) on generators
     for i in range(2):

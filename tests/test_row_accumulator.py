@@ -8,7 +8,8 @@ existed: ``sum_integer_rows``, ``EnvelopingAlgebra.mul_rows`` and
 denominators other than 1, and accumulators that already hold a sum
 over a denominator sharing some, but not all, of the incoming row's
 factors.  The aliasing guard checks that no accumulator ever was a
-shared table or comultiplication row.
+shared table, normal-form or comultiplication row, and that no
+``Element`` handed out by ``reduce_tree`` writes into its cached row.
 """
 
 from functools import lru_cache
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from triplex import cli, hopf, suites
 from triplex.envelope import EnvelopingAlgebra
 from triplex.exactlin import add_row, rational_row, same_row, sum_integer_rows
+from triplex.freealg import graft
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +237,22 @@ def test_no_suite_writes_into_a_shared_row(name):
     assert len(alg._hopf_comult) == alg.nf_size
     for (i, j), row in alg._products.items():
         assert row == fresh.basis_product(i, j), (i, j)
+        # the table and the tree-keyed normal forms share each row
+        assert row is alg._nf_row(graft(alg.rep_tree[i], alg.rep_tree[j])), (i, j)
+    for t, row in alg._nf_rows.items():
+        assert row == fresh._nf_row(t), t
     hopf.check_coideal(fresh)
     for k, row in alg._hopf_comult.items():
         assert row == hopf._comult_basis(fresh, k), k
+
+
+def test_reduce_tree_hands_out_a_fresh_element():
+    # writing into a returned Element leaves the cached row as it was
+    alg = EnvelopingAlgebra(algebra("s2", 4).system, 4)
+    for t in alg.table.trees:
+        x = alg.reduce_tree(t)
+        want = dict(x.coeffs)
+        for k in x.coeffs:
+            x.coeffs[k] += 1
+        x.coeffs[alg.nf_size] = 1
+        assert alg.reduce_tree(t).coeffs == want, t

@@ -170,6 +170,20 @@ MUTANTS = [
      "                sym[tuple(self._rep_index[h] for h in reversed(self.rep_tree[k]))]"
      " = k - hi",
      [f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
+    # the power-bracketing certificate and the one tree-keyed normal-form cache
+    ("power-bracketing-check-skipped", "envelope.py",
+     "        self._verify_power_bracketings()\n",
+     "",
+     ["tests/test_envelope.py::test_power_bracketing_certificate_names_the_generator_and_n"]),
+    ("basis-product-of-the-swapped-pair", "envelope.py",
+     "                graft(self.rep_tree[i], self.rep_tree[j]))",
+     "                graft(self.rep_tree[j], self.rep_tree[i]))",
+     [f"{CLOSURE_TESTS}::test_basis_products_match_grafted_reductions",
+      f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
+    ("tree-product-of-swapped-halves", "envelope.py",
+     "                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t)))",
+     "                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t[::-1])))",
+     [f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
 ]
 
 EQUIVALENT = []
