@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from itertools import product as iproduct
 from math import comb
 
@@ -30,7 +30,7 @@ from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, add_row, echelo
 from .freealg import (MAX_MONOMIALS, UNIT, DegreeBudgetExceeded, MonomialTable, _trees,
                       graft, is_leaf, power_tree, tree_degree)
 from .identities import IdentityChecks
-from .lts import check_axioms
+from .lts import check_axioms, generated_ideal, r_generators
 
 
 class PBWCertificateFailure(RuntimeError):
@@ -162,7 +162,7 @@ class EnvelopingAlgebra(IdentityChecks):
         self._closure_nf = sorted(range(self.nf_size),
                                   key=lambda k: (-self.nf_degree[k], k))
         self._closure_col = sorted(range(self.nf_size), key=self._closure_nf.__getitem__)
-        self._t_closure = None
+        self._t_closure = self._r_ops = None
 
     # -- construction -------------------------------------------------------
 
@@ -397,91 +397,91 @@ class EnvelopingAlgebra(IdentityChecks):
         return Echelon(range(1, self.nf_size)).subspace(self.nf_size)
 
     def right_ideal_closure(self, gens):
-        """Closure of span(gens) under right multiplication by monomials.
+        """Closure I of span(gens) under right multiplication by monomials.
 
         A row of top degree t is multiplied by every monomial m with
-        1 <= |m| <= cap - t, until the span is closed or is known to be
-        its final value.  The closure columns put the unit last, with the
-        degree-1 columns just before it; ``exit`` names the stop taken:
-        - "unit" (rule A): an accepted row has its pivot on the unit column,
-          so it is a multiple of 1.  A right ideal that holds 1 holds every
-          monomial m = 1 m, so the closure is everything.
-        - "t" (rule B, only when every generator has counit 0): d accepted
-          rows have pivots on degree-1 columns.  The counit is
-          multiplicative, so no row has a unit term, and these rows span
-          T.  The closure then contains the closure of T and lies in the
-          augmentation ideal, a two-sided ideal; the rule is used only if
-          the closure of T is that ideal (``closure_of_t``).  A generator
-          with a nonzero counit would void this: its degree-1 rows can
-          carry a unit term.
-        - "ceiling": every generator has counit 0 and the span has the
-          dimension of the augmentation ideal.
-        - "saturated": every product is in the span.
+        1 <= |m| <= cap - t, until the span is closed or its final value
+        is known.  A generator of nonzero counit enters the echelon only
+        once the rest is saturated; until then only its products do.  The
+        counit is multiplicative, so the echelon lies in the augmentation
+        ideal A, and its rows with a pivot on a degree-1 column (the unit
+        column is last) lie in T.  The rule: I holds the ideal of T that
+        these T-rows generate; once that is T, I holds the closure of T,
+        which the rule needs to be A (``closure_of_t``).  For t in I and T:
+        - for generators a and b, I holds (ta)b and t(ab), so (t,a,b);
+        - 2(t,a,b) = [a,t,b] = -[t,a,b] (``check_assoc_expansion`` at n = 1,
+          checked once per algebra; below cap 3 the rule takes the span
+          of the T-rows);
+        - so I meets T in an ideal of T: a subspace stable under the R_{b,c};
+        - a generator x of nonzero counit puts x - e(x) 1 in A, so 1 in I.
+        ``exit`` names the stop: "t" (the rule) or "ceiling" (the echelon
+        has the dimension of A), with the closure A, or "unit" for either
+        with a generator of nonzero counit; or "saturated".
         """
-        return self._close(gens, rule_b=True)
+        return self._close(gens, t_exit=True)
 
     def closure_of_t(self):
         """The right ideal closure of T (of the d generators), computed
-        once per algebra.  Rule B of ``right_ideal_closure`` rests on it, so
-        it is closed without rule B."""
+        once per algebra, without the "t" exit that rests on it."""
         if self._t_closure is None:
             self._t_closure = self._close(
-                [self.generator(g) for g in range(self.d)], rule_b=False)
+                [self.generator(g) for g in range(self.d)], t_exit=False)
         return self._t_closure
 
-    def _close(self, gens, rule_b):
+    def _close(self, gens, t_exit):
         if not gens:
             raise ValueError("right_ideal_closure needs at least one generator")
-        N, n, deg = self.cap, self.nf_size, self.nf_degree
+        N, n, d, deg = self.cap, self.nf_size, self.d, self.nf_degree
         nf, col = self._closure_nf, self._closure_col
         unit = n - 1
-        in_aug = all(not g.counit() for g in gens)
-        # rule B needs t_rows == d rows with a pivot in T (None: it is off);
-        # the closure of T lies in the augmentation ideal, so it is that
-        # ideal when it has its dimension
-        t_goal = (self.d if rule_b and in_aug
-                  and self.closure_of_t().subspace.dim == n - 1 else None)
-        t_rows = 0
-        ech = Echelon()
-        queue = []
-        stop = "saturated"
-        for vec in chain(({col[k]: a for k, a in g.coeffs.items()} for g in gens),
-                         self._right_products(queue)):
-            row = ech.insert(vec)
-            if row is None:
+        vecs = [({col[k]: a for k, a in integer_row(g.coeffs)[1].items()}, g.counit())
+                for g in gens]
+        kept = [v for v, counit in vecs if counit]
+        # the T-rows' ideal of T (None: the rule is off), and its operators
+        t_ech = Echelon() if t_exit and self.closure_of_t().subspace.dim == unit else None
+        if t_ech is not None and self._r_ops is None:
+            self._r_ops = r_generators(self.system) if N >= 3 and all(
+                self.check_assoc_expansion(i, j, k, 1)
+                for i, j, k in iproduct(range(d), repeat=3)) else []
+        ech, queue, stop = Echelon(), [], "saturated"
+        for vec in chain((v for v, counit in vecs if not counit),
+                         self._right_products(chain(kept, queue))):
+            if (row := ech.insert(vec)) is None:
                 continue
             queue.append(row)
-            p = min(row)
-            t_rows += p >= unit - self.d
-            if p == unit:
-                stop = "unit"
-            elif t_rows == t_goal:
+            if t_ech is not None and min(row) >= unit - d and generated_ideal(
+                    t_ech, [{d - nf[c]: a for c, a in row.items()}],
+                    self._r_ops, d).dim == d:
                 stop = "t"
-            elif in_aug and ech.dim == n - 1:
+            elif ech.dim == unit:
                 stop = "ceiling"
             else:
                 continue
             break
 
         if stop == "saturated":
-            subspace = echelonize(
-                ({nf[c]: a for c, a in row.items()} for row in queue), n)
-        elif stop == "unit":
-            ech, subspace = Echelon(range(n)), self.filtration(N)
+            # the kept generators last: only a row whose top degree fell below
+            # its generator's has products that the generator's did not cover
+            rows = [(ech.insert(vec), deg[nf[min(vec)]]) for vec in kept]
+            queue += [row for row, _ in rows if row is not None]
+            fell = [row for row, was in rows if row is not None and deg[nf[min(row)]] < was]
+            for vec in self._right_products(chain(fell, islice(queue, len(queue), None))):
+                if (row := ech.insert(vec)) is not None:
+                    queue.append(row)
+            subspace = echelonize(({nf[c]: a for c, a in row.items()} for row in queue), n)
+        elif kept:
+            stop, ech, subspace = "unit", Echelon(range(n)), self.filtration(N)
         else:
             ech, subspace = Echelon(range(unit)), self.augmentation_ideal()
         # the rows with pivot degree <= k span the closure's intersection
         # with filtration(k)
         pivots = ech.pivots()
         per_degree = [sum(1 for p in pivots if deg[nf[p]] <= k) for k in range(N + 1)]
-        if stop == "saturated":
-            # the intersection with filtration(1) lies in T unless one of its
-            # rows (the queue holds them all) has a unit term
-            meets_t = per_degree[1] - any(unit in row for row in queue
-                                          if min(row) >= unit - self.d)
-        else:
-            # everything and the augmentation ideal both contain T
-            meets_t = self.d
+        # everything and the augmentation ideal contain T; a saturated span
+        # meets filtration(1) in T unless one of its rows (the queue holds
+        # them all) has a unit term
+        meets_t = d if stop != "saturated" else per_degree[1] - any(
+            unit in row for row in queue if min(row) >= unit - d)
         safe = N - max(g.degree() for g in gens)
         # the first stratum n0 such that every monomial of degree n0..safe is
         # inside: one above the top degree of a monomial outside

@@ -235,13 +235,16 @@ class Echelon:
         """Fully back-substituted rows, sorted by pivot (canonical).
 
         The row with pivot p is the unit vector at p minus its residue: it
-        lies in the span, has entry 1 at p and 0 at every other pivot.
+        lies in the span, has entry 1 at p and 0 at every other pivot.  A
+        stored row without a tail is a multiple of that unit vector, whose
+        residue is 0 (every row of a coordinate subspace).
         """
         out = []
         for p in sorted(self._rows):
             row = {p: ONE}
-            for c, w, s in self._eliminate({p: 1})[0]:
-                row[c] = Fraction(-w, s)
+            if self._rows[p][1]:
+                for c, w, s in self._eliminate({p: 1})[0]:
+                    row[c] = Fraction(-w, s)
             out.append(row)
         return out
 

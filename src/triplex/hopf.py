@@ -46,16 +46,22 @@ from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degre
 def _tensor_rows(alg, s, t):
     """Legwise product of two integer tensor rows, as an accumulator (its
     zero entries kept): the outer product of the two table rows of each
-    pair of terms, added through ``add_row``."""
+    pair of terms, added in place once ``add_row`` (given no entries) has
+    brought the accumulator to a common denominator."""
     (ds, s), (dt, t) = s, t
     table, product = alg._products, alg.basis_product
     acc, d = [1, {}], ds * dt
+    w = acc[1]
     for (l1, r1), a in s.items():
         for (l2, r2), b in t.items():
             d1, left = table.get((l1, l2)) or product(l1, l2)
             d2, right = table.get((r1, r2)) or product(r1, r2)
-            outer = {(kl, kr): p * q for kl, p in left.items() for kr, q in right.items()}
-            add_row(acc, a * b, d1 * d2 * d, outer)
+            dd = d1 * d2 * d
+            c = a * b * (add_row(acc, 0, dd, {})[0] // dd)
+            for kl, p in left.items():
+                p *= c
+                for kr, q in right.items():
+                    w[kl, kr] = w.get((kl, kr), 0) + p * q
     return acc
 
 

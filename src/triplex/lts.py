@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate
 
@@ -558,38 +559,37 @@ def simplicity_certificate(t):
     certifies simplicity.  A proper envelope alone is inconclusive
     unless an explicit invariant-subspace witness is found.
     """
-    d = t.dim
+    d, gens = t.dim, r_generators(t)
     if not t.constants:
-        witness = generated_ideal(t, 0).subspace(d) if d else None
+        witness = generated_ideal(Echelon(), [{0: ONE}], gens, d).subspace(d) if d else None
         return SimplicityReport("not_simple", 0, False, witness)
-    gens = r_generators(t)
     env_space, _ = associative_envelope(gens, d)
     if env_space.dim == d * d:
         return SimplicityReport("simple", env_space.dim, True)
     # witness search: the ideal generated by a single basis vector
     for i in range(d):
-        ideal = generated_ideal(t, i)
+        ideal = generated_ideal(Echelon(), [{i: ONE}], gens, d)
         if 0 < ideal.dim < d:
             return SimplicityReport("not_simple", env_space.dim, True,
                                     ideal.subspace(d))
     return SimplicityReport("inconclusive", env_space.dim, True)
 
 
-def generated_ideal(t, i):
-    """The ideal of T generated by the basis vector i, as an ``Echelon``:
-    the smallest subspace that contains it and is stable under every
-    R_{b,c} (which is what makes a subspace an ideal)."""
-    gens = r_generators(t)
-    ech = Echelon([i])
-    work = [{i: ONE}]
-    while work:
-        new = []
-        for v in work:
-            for g in gens:
-                w = op_apply(g, v)
-                if ech.insert(w) is not None:
-                    new.append(w)
-        work = new
+def generated_ideal(ech, vectors, ops, d):
+    """Extend ``ech``, the echelon of a subspace of Q^d stable under every
+    operator of ``ops``, by the subspace that ``vectors`` generate: the
+    smallest one that contains them and is stable under ``ops``.  With the
+    R_{b,c} (``r_generators``) as ``ops`` it is the ideal of T they
+    generate, since a subspace is an ideal exactly when every R_{b,c} keeps
+    it.  The images of each new vector are formed one at a time, and the
+    search stops once ``ech`` has dimension d.  Returns ``ech``."""
+    work = [iter(vectors)]
+    while work and ech.dim < d:
+        v = next(work[-1], None)
+        if v is None:
+            work.pop()
+        elif ech.insert(v) is not None:
+            work.append(map(op_apply, ops, repeat(v)))
     return ech
 
 

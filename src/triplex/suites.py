@@ -319,9 +319,10 @@ def suite_mainthm(system, alg_cache, N, seed):
         return (0 not in ic.subspace.pivots and ic.meets_t_dim >= ideal_dim
                 and (ic.meets_t_dim > 0 or ic.stabilization_degree is not None))
 
+    ops = r_generators(system)
     for idx, g in enumerate([alg.generator(i) for i in range(alg.d)]):
         ic = alg.right_ideal_closure([g])
-        ideal_dim = 0 if simple else generated_ideal(system, idx).dim
+        ideal_dim = 0 if simple else generated_ideal(Echelon(), [{idx: 1}], ops, alg.d).dim
         rep.add("closure_of_generator", {"generator": idx,
                                          "per_degree": ic.per_degree_dims,
                                          "meets_t": ic.meets_t_dim,

@@ -7,6 +7,7 @@ the graft, and a right ideal closure that runs to its full fixpoint
 through that product, with no early exit.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -15,14 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from constructions import direct_sum
 from fraction_hopf import tensor_mul
+from test_lts_sparse import rebased_systems
 
 from triplex import cli, envelope, suites
 from triplex.envelope import (Element, EnvelopingAlgebra, IdealClosure,
                               representative_tree)
 from triplex.exactlin import ONE, Echelon, accumulate, echelonize, integer_row
 from triplex.freealg import DegreeBudgetExceeded, graft
-from triplex.lts import generated_ideal
+from triplex.lts import generated_ideal, r_generators
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
 CASES = [(name, cap) for name in SYSTEMS for cap in (2, 3, 4)] + [("s2", 6)]
@@ -272,11 +275,13 @@ def test_closure_of_random_sets_matches_reference(name, cap, kind, data):
 def test_closure_meeting_filtration_one_outside_t_without_one(cap):
     # the envelope of an abelian system is the polynomial ring, where 1 + e
     # has no inverse below the cap: the closure meets filtration(1) in the
-    # line of 1 + e (and of f when f is a generator) but does not contain 1
+    # line of 1 + e (and of f and g when they are generators) but does not
+    # contain 1, although e, f and g span T modulo the unit
     alg = algebra("abelian3", cap)
-    e, f = alg.generator(0), alg.generator(1)
+    e, f, g = (alg.generator(i) for i in range(3))
     for gens, per_degree_1, meets_t in (([alg.one() + e], 1, 0),
-                                        ([alg.one() + e, f], 2, 1)):
+                                        ([alg.one() + e, f], 2, 1),
+                                        ([alg.one() + e, f, g], 3, 2)):
         ic = alg.right_ideal_closure(gens)
         assert (ic.contains_one, ic.per_degree_dims[1], ic.meets_t_dim) == (
             False, per_degree_1, meets_t)
@@ -313,7 +318,9 @@ def test_mainthm_generator_closures_meet_the_ideal_they_generate():
     # s2_plus_s2 is not simple: each generator generates its s2 summand, a
     # 2-dim ideal of T, and its right ideal closure meets T in all of it
     alg = algebra("s2_plus_s2", 4)
-    assert [generated_ideal(alg.system, g).dim for g in range(alg.d)] == [2] * 4
+    ops = r_generators(alg.system)
+    assert [generated_ideal(Echelon(), [{g: ONE}], ops, alg.d).dim
+            for g in range(alg.d)] == [2] * 4
     rep = suites.suite_mainthm(alg.system, lambda cap: alg, 4, 0)
     records = [r for r in rep.records if r["id"] == "closure_of_generator"]
     assert {r["verdict"] for r in records} == {"pass"}
@@ -337,12 +344,14 @@ def test_mainthm_fails_a_generator_closure_short_of_its_ideal(monkeypatch):
 
 
 def counting_inserts(monkeypatch):
-    """The list of vectors that envelope's Echelons insert from now on."""
+    """The list of vectors that right ideal closures insert into their own
+    echelons from now on (``generated_ideal`` fills the T-ideal's)."""
     inserts = []
 
     class Counting(Echelon):
         def insert(self, vec):
-            inserts.append(vec)
+            if sys._getframe(1).f_code.co_name == "_close":
+                inserts.append(vec)
             return super().insert(vec)
 
     monkeypatch.setattr(envelope, "Echelon", Counting)
@@ -357,15 +366,16 @@ def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
     assert alg.closure_of_t().exit == "ceiling"
     inserts = counting_inserts(monkeypatch)
     ic = alg.right_ideal_closure(gens)
-    # the generators come in basis order, degree 1 first: once the d
-    # generators are accepted the span holds T (rule B), and no product or
-    # further generator is inserted
-    assert (len(inserts), ic.exit) == (alg.d, "t")
+    # the generators come in basis order, degree 1 first: f2 generates the
+    # second s2 summand as an ideal of T, e2 lies in it, and f1 completes T,
+    # so the closure stops after three inserts, before any product
+    assert (len(inserts), ic.exit) == (3, "t")
     assert ic.subspace == alg.augmentation_ideal()
-    # without rule B every monomial of positive degree is accepted, and
-    # then the span is the augmentation ideal: no product is formed
+    # without the T-ideal exit every monomial of positive degree is
+    # accepted, and then the span is the augmentation ideal: no product is
+    # formed
     inserts.clear()
-    ic = alg._close(gens, rule_b=False)
+    ic = alg._close(gens, t_exit=False)
     assert (len(inserts), ic.exit) == (alg.nf_size - 1, "ceiling")
     assert ic.subspace == alg.augmentation_ideal()
 
@@ -374,8 +384,8 @@ def test_closure_stops_at_the_augmentation_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
 def test_closure_of_t_is_the_augmentation_ideal(name, cap):
-    # rule B is in force on every bundled case: check its premise against
-    # the reference fixpoint
+    # the T-ideal exit is in force on every bundled case: check its premise
+    # against the reference fixpoint
     alg = algebra(name, cap)
     ic = alg.closure_of_t()
     slow = reference_closure(alg, [alg.generator(g) for g in range(alg.d)])
@@ -386,7 +396,8 @@ def test_closure_of_t_is_the_augmentation_ideal(name, cap):
 
 def test_counit_nonzero_generator_with_t_in_its_span_exits_by_rule_a():
     # 1 + e and f put d = 2 pivots on the degree-1 columns, but 1 + e has a
-    # unit term: rule B must not fire, and the closure holds 1
+    # unit term: it stays out of the T-rows, f alone generates T, and the
+    # closure holds 1
     alg = algebra("s2", 4)
     e, f = alg.generator(0), alg.generator(1)
     gens = [alg.one() + e, f]
@@ -402,18 +413,29 @@ def test_counit_nonzero_generator_exits_by_rule_a(monkeypatch):
     alg.closure_of_t()
     inserts = counting_inserts(monkeypatch)
     ic = alg.right_ideal_closure(gens)
-    # every insert is accepted, and the twelfth row is a multiple of 1: the
-    # closure stops with 12 of its 15 dimensions in the span
-    assert (len(inserts), ic.exit) == (12, "unit")
+    # 1 + e stays out of the echelon, and its products enter it: the tenth
+    # insert is a row in T, which generates T (s2 is simple), so the
+    # closure, which holds 1 + e, is everything
+    assert (len(inserts), ic.exit) == (10, "unit")
     assert ic.subspace == alg.filtration(4)
     assert_same_closure(alg, gens)
 
 
-def test_closure_of_all_positive_monomials_exits_by_rule_b():
+def test_closure_of_all_positive_monomials_exits_by_rule_b(monkeypatch):
+    # the generators come first, in basis order, and the closure stops at
+    # the first one that completes the ideal of T they generate (from cap 3;
+    # below it, their span), before any product is formed
+    inserts = counting_inserts(monkeypatch)
     for name, cap in CASES:
         alg = algebra(name, cap)
         gens = [alg.monomial(v) for v in alg.exponents[1:]]
+        ops, ideal = r_generators(alg.system) if cap >= 3 else [], Echelon()
+        first = next(k for k, g in enumerate(gens[:alg.d], 1) if generated_ideal(
+            ideal, [{alg.d - max(g.coeffs): ONE}], ops, alg.d).dim == alg.d)
+        alg.closure_of_t()
+        inserts.clear()
         assert alg.right_ideal_closure(gens).exit == "t"
+        assert len(inserts) == first
         assert_same_closure(alg, gens)
 
 
@@ -452,7 +474,73 @@ def test_a_short_closure_of_t_fails_mainthm_and_turns_rule_b_off(monkeypatch):
     small = IdealClosure(span, [0, 2, 5, 9, 13], False, 2, None, 3)
     monkeypatch.setattr(alg, "closure_of_t", lambda: small)
     assert stable_records() == [({"dim": aug.dim - 1, "expected": aug.dim}, "fail")]
-    # rule B rests on the closure of T: without it the closure of every
-    # monomial of positive degree runs to the ceiling
+    # the T-ideal exit rests on the closure of T: without it the closure of
+    # every monomial of positive degree runs to the ceiling
     ic = alg.right_ideal_closure([alg.monomial(v) for v in alg.exponents[1:]])
     assert (ic.exit, ic.subspace) == ("ceiling", aug)
+
+
+# -- the T-ideal exit: rebased systems, s2^3, the premise and the kept generators -----
+
+@pytest.mark.parametrize("kind", ["augmentation", "counit_nonzero", "mixed"])
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(system=rebased_systems(), data=st.data())
+def test_closure_of_random_sets_on_rebased_systems_matches_reference(kind, system, data):
+    alg = EnvelopingAlgebra(system, 4)
+    assert_same_closure(alg, data.draw(generator_sets(alg, kind)))
+
+
+@lru_cache(maxsize=None)
+def s2_cubed():
+    s2 = algebra("s2", 2).system
+    return EnvelopingAlgebra(direct_sum(direct_sum(s2, s2), s2), 4)
+
+
+def test_closure_of_generators_on_s2_cubed_matches_reference():
+    # s2^3 is not simple: each generator's closure saturates in its summand
+    alg = s2_cubed()
+    for g in range(alg.d):
+        assert alg.right_ideal_closure([alg.generator(g)]).exit == "saturated"
+        assert_same_closure(alg, [alg.generator(g)])
+
+
+@pytest.mark.parametrize("kind", ["augmentation", "counit_nonzero", "mixed"])
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_closure_of_random_sets_on_s2_cubed_matches_reference(kind, data):
+    alg = s2_cubed()
+    assert_same_closure(alg, data.draw(generator_sets(alg, kind)))
+
+
+def test_a_failed_premise_leaves_the_t_rows_unclosed():
+    # a fresh algebra whose product of two generators is doubled in place,
+    # in the row that the product table and reduce_tree share: the
+    # associator no longer gives 2(t,a,b) = -[t,a,b], so the T-rows' ideal
+    # is their span, and every closure still equals the reference fixpoint
+    alg = EnvelopingAlgebra(algebra("s2", 4).system, 4)
+    _, row = alg.basis_product(1, 1)
+    for k in row:
+        row[k] *= 2
+    assert alg.closure_of_t().subspace == alg.augmentation_ideal()
+    gens = [[alg.generator(g)] for g in range(alg.d)] + [[alg.one() + alg.generator(0)]]
+    for x in gens:
+        assert_same_closure(alg, x)
+    assert alg._r_ops == []
+    # on the sound algebra the T-rows' ideal is closed under the R_{b,c}
+    alg = algebra("s2", 4)
+    alg.right_ideal_closure([alg.generator(0)])
+    assert alg._r_ops == r_generators(alg.system) != []
+
+
+@pytest.mark.parametrize("name, cap, gens", [
+    ("s2", 2, lambda a: [a.one() + a.power(0, 2), a.power(0, 2)]),
+    ("abelian3", 3, lambda a: [a.one() + a.generator(0) + a.power(1, 2), a.power(1, 2)])])
+def test_a_kept_generator_whose_top_degree_falls_has_its_own_products(name, cap, gens):
+    # the generator of nonzero counit enters the saturated echelon as 1 (s2)
+    # or 1 + e (abelian3), of lower degree than itself: only the products
+    # of that row put the closure past span(gens) + span(products)
+    alg = algebra(name, cap)
+    ic = alg.right_ideal_closure(gens(alg))
+    assert ic.exit == "saturated"
+    assert ic.contains_one == (name == "s2")
+    assert_same_closure(alg, gens(alg))

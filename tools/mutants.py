@@ -64,10 +64,36 @@ MUTANTS = [
      "            for m in range(1, min(self.d + 1,"
      " self.count_upto(self.cap - deg[nf[min(row)]]))):",
      [f"{CLOSURE_TESTS}::test_mainthm_generator_closures_meet_the_ideal_they_generate"]),
-    ("rule-b-without-in-aug", "envelope.py",
-     "        t_goal = (self.d if rule_b and in_aug",
-     "        t_goal = (self.d if rule_b",
-     [f"{CLOSURE_TESTS}::test_counit_nonzero_generator_with_t_in_its_span_exits_by_rule_a"]),
+    # the T-ideal exit of the right ideal closure
+    ("t-ideal-without-r-closure", "envelope.py",
+     "            self._r_ops = r_generators(self.system) if N >= 3 and all(",
+     "            self._r_ops = [] if N >= 3 and all(",
+     [f"{CLOSURE_TESTS}::test_closure_stops_at_the_augmentation_ceiling",
+      f"{CLOSURE_TESTS}::test_counit_nonzero_generator_exits_by_rule_a"]),
+    ("counit-nonzero-generator-in-the-t-rows", "envelope.py",
+     "        for vec in chain((v for v, counit in vecs if not counit),\n"
+     "                         self._right_products(chain(kept, queue))):\n"
+     "            if (row := ech.insert(vec)) is None:\n"
+     "                continue\n"
+     "            queue.append(row)\n"
+     "            if t_ech is not None and min(row) >= unit - d and generated_ideal(\n"
+     "                    t_ech, [{d - nf[c]: a for c, a in row.items()}],",
+     "        for vec in chain((v for v, counit in vecs),\n"
+     "                         self._right_products(chain(kept, queue))):\n"
+     "            if (row := ech.insert(vec)) is None:\n"
+     "                continue\n"
+     "            queue.append(row)\n"
+     "            if t_ech is not None and min(row) >= unit - d and generated_ideal(\n"
+     "                    t_ech, [{d - nf[c]: a for c, a in row.items() if c != unit}],",
+     [f"{CLOSURE_TESTS}::test_closure_meeting_filtration_one_outside_t_without_one"]),
+    ("t-ideal-premise-skipped", "envelope.py",
+     "                self.check_assoc_expansion(i, j, k, 1)",
+     "                True",
+     [f"{CLOSURE_TESTS}::test_a_failed_premise_leaves_the_t_rows_unclosed"]),
+    ("kept-generator-rows-without-products", "envelope.py",
+     "            for vec in self._right_products(chain(fell, islice(queue, len(queue), None))):",
+     "            for vec in self._right_products(islice(queue, len(queue), None)):",
+     [f"{CLOSURE_TESTS}::test_a_kept_generator_whose_top_degree_falls_has_its_own_products"]),
     ("right-products-without-nf-remap", "envelope.py",
      "            ints = (1, {nf[c]: a for c, a in row.items()})",
      "            ints = (1, dict(row))",
@@ -195,6 +221,10 @@ RETIRED = [
     ("mul-rows-without-lcm-rescale",
      "mul_rows is a sum of mul_basis calls into one accumulator: its rescaling "
      "loop is add_row's too"),
+    ("rule-b-without-in-aug",
+     "the t_goal line is gone: one T-ideal exit replaces rules A and B, and no "
+     "generator of nonzero counit enters the echelon before saturation; "
+     "counit-nonzero-generator-in-the-t-rows is the mutant of that guard"),
     ("relation-span-sides-swapped",
      "the free-table closure left src: U_N(T) is built on the quotient side, and "
      "the free-table build is the tests' reference (tests/free_table.py)"),
