@@ -55,16 +55,19 @@ def representative_tree(exps):
 
 
 def relators(system, cap):
-    """The defining relators of U(T) whose monomials have degree <= ``cap``.
+    """The lists of ``relator_families``, joined in their order."""
+    return [rel for rels in relator_families(system, cap).values() for rel in rels]
 
-    Returns sparse dicts tree -> coefficient, family by family: the
-    commutators ab - ba of generators (cap >= 2); the generalized left
-    alternative nucleus (a,m1,m2) + (m1,a,m2) for a generator a and
-    representative monomials m1, m2 (``representative_tree``) with
-    |m1| + |m2| < cap; the triple coherence a(bc) - b(ac) - [a,b,c]
-    (cap >= 3).  With cap 3 these are the generator-level families, and
-    m1, m2 are generators.  Coefficients are ``int``s (a structure
-    constant that is not an integer stays a ``Fraction``).
+
+def relator_families(system, cap):
+    """The defining relators of U(T) within degree ``cap``, as sparse dicts
+    tree -> coefficient, by family: "commutator", ab - ba of generators
+    (cap >= 2); "nucleus", (a,m1,m2) + (m1,a,m2) for a generator a and
+    representative monomials m1, m2 (``representative_tree``) with |m1| +
+    |m2| < cap; "triple coherence", a(bc) - b(ac) - [a,b,c] (cap >= 3).
+    With cap 3 these are the generator-level families, and m1, m2 are
+    generators.  Coefficients are ``int``s (a structure constant that is
+    not an integer stays a ``Fraction``).
 
     The nucleus relator is linear in m1 and in m2, so the representatives
     stand for every free monomial.  Let J be the two-sided ideal these
@@ -94,35 +97,35 @@ def relators(system, cap):
     reps = {}
     for v in exponent_vectors(d, cap - 2):
         reps.setdefault(sum(v), []).append(representative_tree(v))
-    # a list, not a generator: building the relators between the build's
+    # lists, not generators: building the relators between the build's
     # insertions raised its peak memory (s2 at N=6: about 0.25 MiB)
-    rels = []
+    families = {"commutator": [], "nucleus": [], "triple coherence": []}
 
-    def add(*terms):
+    def add(family, *terms):
         out = {}
         for c, t in terms:
             out[t] = out.get(t, 0) + c
-        rels.append({t: c for t, c in out.items() if c})
+        families[family].append({t: c for t, c in out.items() if c})
 
     if cap >= 2:
         for i in range(d):
             for j in range(i + 1, d):
-                add((1, (i, j)), (-1, (j, i)))
+                add("commutator", (1, (i, j)), (-1, (j, i)))
     # (a,m1,m2) + (m1,a,m2) = (a m1)m2 - a(m1 m2) + (m1 a)m2 - m1(a m2)
     for a in range(d):
         for n1 in range(1, cap - 1):
             for n2 in range(1, cap - n1):
                 for m1 in reps[n1]:
                     for m2 in reps[n2]:
-                        add((1, ((a, m1), m2)), (-1, (a, (m1, m2))),
+                        add("nucleus", (1, ((a, m1), m2)), (-1, (a, (m1, m2))),
                             (1, ((m1, a), m2)), (-1, (m1, (a, m2))))
     if cap >= 3:
         for i, j, k in iproduct(range(d), repeat=3):
             bracket = system.constants.get((i, j, k), {})
-            add((1, (i, (j, k))), (-1, (j, (i, k))),
+            add("triple coherence", (1, (i, (j, k))), (-1, (j, (i, k))),
                 *((-(c.numerator if c.denominator == 1 else c), l)
                   for l, c in bracket.items()))
-    return rels
+    return families
 
 
 class EnvelopingAlgebra(IdentityChecks):
@@ -191,7 +194,7 @@ class EnvelopingAlgebra(IdentityChecks):
         N, deg, sym, table = self.cap, self.nf_degree, {}, self.table
         by_level = [[] for _ in range(N + 1)]
         for rel in filter(None, relators(self.system, N)):
-            by_level[max(2, *(table.degrees[table.index[t]] for t in rel))].append(rel)
+            by_level[max(2, *map(tree_degree, rel))].append(rel)
         # symbol (i, j) -> its column at level deg i + deg j; level n ->
         # (its echelon, count_upto(n))
         self._symbol, self._levels = sym, {}
@@ -361,24 +364,29 @@ class EnvelopingAlgebra(IdentityChecks):
     def mul_rows(self, x, y, into=None, c=1):
         """Add c * x y, for integer rows x and y over normal-form indices,
         into the accumulator ``into`` (``exactlin.add_row``), or into a
-        fresh one, and return it (its zero entries kept).  Zero entries of
-        x and y are skipped, so a cancelled term never asks
-        ``basis_product`` for its pair."""
+        fresh one, and return it (its zero entries kept): one ``mul_basis``
+        call per nonzero term of the shorter row, so a cancelled term never
+        asks ``basis_product`` for its pair."""
         (dx, xs), (dy, ys) = x, y
         acc = [1, {}] if into is None else into
-        y = dx * dy, ys  # x's denominator rides on y's
-        for i, a in xs.items():
+        right = len(ys) < len(xs)
+        outer, inner = (ys, (dx * dy, xs)) if right else (xs, (dx * dy, ys))
+        for i, a in outer.items():
             if a:
-                self.mul_basis(i, y, into=acc, c=c * a)
+                self.mul_basis(i, inner, right=right, into=acc, c=c * a)
         return acc
 
     def mul_basis(self, k, x, right=False, into=None, c=1):
         """Add c * basis(k) x, or c * x basis(k) when ``right``, for an
         integer row x, into the accumulator ``into``, or into a fresh one,
         and return it (its zero entries kept): each nonzero term of x reads
-        one table row.  ``into`` is never x itself or a shared row."""
+        one table row, except by the unit (k = 0), since graft(UNIT, t) is
+        t.  ``into`` is never x itself or a shared row."""
         dx, xs = x
         acc = [1, {}] if into is None else into
+        if k == 0:
+            xs = {i: a for i, a in xs.items() if a}
+            return add_row(acc, c, dx, xs) if xs else acc
         table, product = self._products, self.basis_product
         for i, a in xs.items():
             if a:

@@ -12,8 +12,8 @@ integer rows ``(den, {k: int})`` instead (``integer_row``,
 accumulator ``[den, w]`` in place, and is the only code that rescales
 to a common denominator; ``sum_integer_rows``, the products of
 ``EnvelopingAlgebra`` and the legwise tensor products of ``hopf`` all add
-through it.  ``same_row`` compares two integer rows by one
-cross-multiplication per entry, and ``nonzero_row`` drops the zero
+through it.  ``same_row`` compares two integer rows (cross-multiplied
+if their denominators differ), and ``nonzero_row`` drops the zero
 entries a sum leaves behind.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
@@ -111,8 +111,11 @@ def nonzero_row(den, w):
 
 
 def same_row(r, s):
-    """Whether two integer rows are the same rational vector."""
+    """Whether two integer rows are the same rational vector: over one
+    denominator, whether their nonzero entries are equal."""
     (dr, wr), (ds, ws) = r, s
+    if dr == ds:
+        return {k: a for k, a in wr.items() if a} == {k: a for k, a in ws.items() if a}
     return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())
 
 
@@ -124,17 +127,13 @@ def rational_row(den, w):
 
 
 class Echelon:
-    """Incremental row-echelon accumulator over plain dicts.
+    """Incremental row-echelon accumulator over plain dicts (see the module).
 
     Columns are integers; elimination always happens on the lowest
     nonzero column, so callers that want a custom elimination priority
     remap their columns before inserting.  Rows are stored as primitive
-    integer vectors (coprime entries, positive pivot entry) and
-    elimination is fraction-free, on Python ints.  Callers pass rational
-    or integer dicts; ``insert`` returns the primitive integer row it
-    stores, and only ``reduce`` and ``rref_rows`` return rational dicts.
-    Rows are forward-reduced only; call ``rref_rows`` for the fully
-    reduced canonical basis.
+    integer vectors (coprime entries, positive pivot entry), forward-reduced
+    only; call ``rref_rows`` for the fully reduced canonical basis.
     """
 
     def __init__(self, units=()):

@@ -2,34 +2,32 @@
 
 Inside this module a tensor in U(x)U is an integer row ``(den, {(left,
 right): int})`` over pairs of normal-form indices (``comult3``'s rows
-have a third leg), and ``_tensor_rows`` multiplies two of them legwise
-through the algebra's integer basis-product table, adding the outer
-product of each pair of table rows into one ``exactlin.add_row``
+have a third leg); ``_tensor_rows`` multiplies two legwise through the
+algebra's basis-product table, into one ``exactlin.add_row``
 accumulator.  ``Fraction``s appear only at the API boundary: ``comult``
-and ``comult3`` return plain dicts ``{(left, right): Fraction}`` without
-zero entries.
+and ``comult3`` return dicts ``{(left, right): Fraction}`` without zero
+entries.
 
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
 1(x)a on generators.  It is evaluated on a free tree as the legwise
-product of the images of its two halves, once per distinct subtree, and
-cached per basis monomial as an integer row.  That is only sound
-because Delta descends to the quotient: ``check_coideal`` certifies that
-the generator-level relator families are coideal elements, once per
-algebra before the first comultiplication.  ``check_coalgebra`` compares
-the cached rows exactly (``same_row``): coassociativity, cocommutativity,
-the counit laws, and multiplicativity, where Delta of the basis product
-row of (i, j) must equal the legwise product of the rows of i and j.
+product of its halves' images, once per distinct subtree, and cached per
+basis monomial as an integer row; Delta of a basis row is that shared
+cached row itself, which no caller mutates.  This is sound because Delta
+descends to the quotient: ``check_coideal`` certifies that the
+generator-level relator families are coideal elements, once per algebra
+before the first comultiplication.  ``check_coalgebra`` compares the
+cached rows exactly (``same_row``): coassociativity, cocommutativity, the
+counit laws, and multiplicativity (Delta of the product row of (i, j)
+against the legwise product of the rows of i and j).
 
 The division and weak-associativity checks add each side of an identity
-into one accumulator in place and compare the sides exactly at the end
-(``same_row``).  A product by a single basis monomial, on either side,
-goes through ``EnvelopingAlgebra.mul_basis``, which reads one table row
-per term; only products of two general rows go through ``mul_rows``.
-Each check takes its inner loop variable as a list and forms what does
-not depend on it once: ``check_divisions`` splits x, and the legs of its
-split, once for all its ys; ``check_weak_assoc`` forms Delta x and w =
-sum x1 (y x2) once per (x, y) for its one y, and y (x2 z) once per (x2,
-z), shared by the xs whose splits contain x2 and dropped after z.
+into one accumulator and compare the sides exactly.  A product by one
+basis monomial goes through ``EnvelopingAlgebra.mul_basis`` (one table
+row per term, none for the unit), of two rows through ``mul_rows``.
+Each check forms what does not depend on its inner loop once:
+``check_divisions`` splits x and its split's legs once for all its ys;
+``check_weak_assoc`` forms Delta x and w = sum x1 (y x2) once per x, and
+y (x2 z) once per (x2, z), shared by the xs whose splits hold x2.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .exactlin import (ONE, accumulate, add_row, echelonize, integer_row, kernel,
                        nonzero_row, rational_row, same_row, sum_integer_rows)
-from .envelope import Element, PBWCertificateFailure, relators
+from .envelope import Element, PBWCertificateFailure, relator_families
 from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
 
@@ -46,8 +44,8 @@ from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degre
 def _tensor_rows(alg, s, t):
     """Legwise product of two integer tensor rows, as an accumulator (its
     zero entries kept): the outer product of the two table rows of each
-    pair of terms, added in place once ``add_row`` (given no entries) has
-    brought the accumulator to a common denominator."""
+    pair of terms, added in place once ``add_row`` (given no entries, and
+    only for a new denominator) has brought it to a common denominator."""
     (ds, s), (dt, t) = s, t
     table, product = alg._products, alg.basis_product
     acc, d = [1, {}], ds * dt
@@ -57,7 +55,9 @@ def _tensor_rows(alg, s, t):
             d1, left = table.get((l1, l2)) or product(l1, l2)
             d2, right = table.get((r1, r2)) or product(r1, r2)
             dd = d1 * d2 * d
-            c = a * b * (add_row(acc, 0, dd, {})[0] // dd)
+            if dd != acc[0]:
+                add_row(acc, 0, dd, {})
+            c = a * b * (acc[0] // dd)
             for kl, p in left.items():
                 p *= c
                 for kr, q in right.items():
@@ -96,9 +96,11 @@ def _comult_basis(alg, k):
 
 def _comult_rows(alg, x):
     """Delta of the integer row x over normal-form indices, as an integer
-    tensor row without zero entries."""
+    tensor row without zero entries (of a basis row, the shared cached one)."""
     check_coideal(alg)
     dx, xs = x
+    if dx == 1 and len(xs) == 1 and 1 in xs.values():
+        return _comult_basis(alg, *xs)
     den, out = sum_integer_rows((a, _comult_basis(alg, k)) for k, a in xs.items())
     return nonzero_row(den * dx, out)
 
@@ -109,18 +111,9 @@ def _legs3(alg, x, left):
     dx, xs = x
     acc = [1, {}]
     for (l, r), a in xs.items():
-        if left:
-            d, w = _comult_basis(alg, l)
-            add_row(acc, a, d * dx, {(l1, l2, r): b for (l1, l2), b in w.items()})
-        else:
-            d, w = _comult_basis(alg, r)
-            add_row(acc, a, d * dx, {(l, r1, r2): b for (r1, r2), b in w.items()})
+        d, w = _comult_basis(alg, l if left else r)
+        add_row(acc, a, d * dx, {(*p, r) if left else (l, *p): b for p, b in w.items()})
     return acc
-
-
-def _comult3_rows(alg, x):
-    """(Delta (x) Id) Delta of the integer row x, without zero entries."""
-    return nonzero_row(*_legs3(alg, _comult_rows(alg, x), True))
 
 
 def comult(x):
@@ -131,17 +124,13 @@ def comult(x):
 def comult3(x):
     """Left-nested iterated comultiplication (Delta (x) Id) Delta, as a
     dict from monomial triples to coefficients."""
-    return rational_row(*_comult3_rows(x.algebra, integer_row(x.coeffs)))
+    alg = x.algebra
+    return rational_row(*_legs3(alg, _comult_rows(alg, integer_row(x.coeffs)), True))
 
 
 def s_map(x):
     """The order-2 automorphism induced by a -> -a: (-1)^degree on monomials."""
     return Element(x.algebra, {k: a * _sign(x.algebra, k) for k, a in x.coeffs.items()})
-
-
-def _basis(k):
-    """The basis monomial k as an integer row."""
-    return 1, {k: 1}
 
 
 def _sign(alg, k):
@@ -165,18 +154,19 @@ def _right_div(alg, y, split3, into=None, c=1):
 
 def check_coideal(alg):
     """Certify Delta descends to the quotient: the generator-level relator
-    families (``relators`` up to degree 3) have zero comultiplication in
-    U(x)U, exactly.  Passing creates the per-algebra cache of integer rows
-    that ``comult`` reads."""
+    families (``relator_families`` up to degree 3) have zero comultiplication
+    in U(x)U, exactly, or the failure names the family and the index there.
+    Passing creates the per-algebra cache of integer rows that ``comult`` reads."""
     if getattr(alg, "_hopf_comult", None) is not None:
         return
     memo = {}
-    for rel in relators(alg.system, min(alg.cap, 3)):
-        _, coeffs = integer_row(rel)
-        _, acc = sum_integer_rows((c, _comult_tree(alg, t, memo))
-                                  for t, c in coeffs.items())
-        if any(acc.values()):
-            raise PBWCertificateFailure("a defining relator is not a coideal element")
+    for family, rels in relator_families(alg.system, min(alg.cap, 3)).items():
+        for i, rel in enumerate(rels):
+            _, acc = sum_integer_rows((c, _comult_tree(alg, t, memo))
+                                      for t, c in integer_row(rel)[1].items())
+            if any(acc.values()):
+                raise PBWCertificateFailure(
+                    f"a defining relator is not a coideal element: {family} relator {i}")
     alg._hopf_comult = {}
 
 
@@ -201,7 +191,7 @@ def check_coalgebra(alg, degree):
             failures.append(("coassociativity", v))
         if not same_row((den, {(r, l): a for (l, r), a in w.items()}), dx):
             failures.append(("cocommutativity", v))
-        x = _basis(k)
+        x = 1, {k: 1}
         if not (same_row((den, {r: a for (l, r), a in w.items() if l == 0}), x)
                 and same_row((den, {l: a for (l, r), a in w.items() if r == 0}), x)):
             failures.append(("counit law", v))
@@ -224,7 +214,8 @@ def check_divisions(alg, x, ys):
     the identities that fail."""
     mul = alg.mul_basis
     ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
-    split3 = {k: _comult3_rows(alg, _basis(k)) for k in {k for pair in dx for k in pair}}
+    split3 = {k: nonzero_row(*_legs3(alg, _comult_basis(alg, k), True))
+              for k in {k for pair in dx for k in pair}}
     out = []
     for y in ys:
         yr = integer_row(y.coeffs)
@@ -293,7 +284,6 @@ def check_weak_assoc(alg, y, xs, zs):
 
 def primitives(alg, degree):
     """Solution space of Delta(x) = x(x)1 + 1(x)x inside filtration(degree)."""
-    check_coideal(alg)
     pair_index = {}  # tensor coordinates, numbered as they appear
     images = []
     # the monomials of degree <= degree are the first normal-form indices,

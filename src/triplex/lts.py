@@ -4,14 +4,14 @@ A triple system is given by structure constants for the trilinear
 product on a chosen basis; everything else (inner derivations, the
 standard embedding Lie algebra, the Killing form, Lie/associative
 closures of the right-slot operators) is derived by exact linear
-algebra.  One scan of the D_{b_a,b_b} gives both the derivation verdict
-and InnDer(T).  Everything here is sparse.  Structure constants are the
-nonzero coordinates of each nonzero basis product, and vectors are
-``{index: Fraction}`` dicts.  An operator is a dict of sparse columns
-``{x: {k: a}}``: column x holds the nonzero coordinates of the image of
-b_x, and no column is empty, so equal operators are equal dicts.  A
-symmetric bilinear form K is stored the same way, with K(b_k, b_x) at
-[x][k].  Every routine visits only stored keys.
+algebra.  One scan of the D_{b_a,b_b}, kept on the system, gives the
+derivation verdict and InnDer(T).  Everything here is sparse: structure
+constants are the nonzero coordinates of each nonzero basis product, and
+vectors are ``{index: Fraction}`` dicts.  An operator is a dict of sparse
+columns ``{x: {k: a}}``: column x holds the nonzero coordinates of the
+image of b_x, and no column is empty, so equal operators are equal
+dicts.  A symmetric bilinear form K is stored the same way, with K(b_k,
+b_x) at [x][k].  Every routine visits only stored keys.
 """
 
 from __future__ import annotations
@@ -253,14 +253,17 @@ def _derivation_pass(t):
     """``(ech, bad)``: the ``Echelon`` of the flattened D_{b_a,b_b}, and the
     first (a, b, x, y, z) where D_{a,b} is no derivation, or None (only then
     does ``ech`` hold every D).  The identity is linear in D, so only the
-    D's that enlarge the span of the earlier, passing ones need checking."""
-    d, ech = t.dim, Echelon()
-    for (a, b), op in basis_operators(t, right=False).items():
-        if ech.insert(_flatten(op, d)) is not None:
-            bad = _derivation_failure(t.constants, op)
-            if bad:
-                return ech, (a, b) + bad
-    return ech, None
+    D's that enlarge the span of the earlier, passing ones need checking.
+    Kept on the system, whose constants never change (insert nothing)."""
+    if getattr(t, "_derivations", None) is None:
+        d, ech, bad = t.dim, Echelon(), None
+        for (a, b), op in basis_operators(t, right=False).items():
+            if ech.insert(_flatten(op, d)) is not None and (
+                    bad := _derivation_failure(t.constants, op)):
+                bad = (a, b) + bad
+                break
+        t._derivations = ech, bad
+    return t._derivations
 
 
 def check_axioms(t):

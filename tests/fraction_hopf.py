@@ -20,4 +20,4 @@ def right_div(y, x):
     """y / x = sum S(x_(3)) ((x_(1) y) S(x_(2)))."""
     alg = y.algebra
     return Element(alg, rational_row(*hopf._right_div(
-        alg, integer_row(y.coeffs), hopf._comult3_rows(alg, integer_row(x.coeffs)))))
+        alg, integer_row(y.coeffs), integer_row(hopf.comult3(x)))))

@@ -242,10 +242,12 @@ def test_verify_at_the_minimum_cap_passes(capsys):
 def test_coideal_failure_exit_1(capsys, monkeypatch):
     from triplex import hopf
     # a lone generator leaf is not a coideal element: Delta(e) = e(x)1 + 1(x)e
-    monkeypatch.setattr(hopf, "relators", lambda system, cap: [{0: 1}])
+    families = {"commutator": [{(0, 1): 1, (1, 0): -1}], "nucleus": [{}, {0: 1}]}
+    monkeypatch.setattr(hopf, "relator_families", lambda system, cap: families)
     assert cli.main(["verify", data_path("s2.json"), "--suite", "hopf", "-N", "2"]) == 1
     err = capsys.readouterr().err
-    assert "certificate failure: a defining relator is not a coideal element" in err
+    assert ("certificate failure: a defining relator is not a coideal element: "
+            "nucleus relator 1") in err
     assert "Traceback" not in err
 
 

@@ -394,7 +394,7 @@ def test_closure_of_t_is_the_augmentation_ideal(name, cap):
     assert_same_closure(alg, [alg.generator(g) for g in range(alg.d)])
 
 
-def test_counit_nonzero_generator_with_t_in_its_span_exits_by_rule_a():
+def test_counit_nonzero_generator_with_t_in_its_span_exits_by_the_unit():
     # 1 + e and f put d = 2 pivots on the degree-1 columns, but 1 + e has a
     # unit term: it stays out of the T-rows, f alone generates T, and the
     # closure holds 1
@@ -407,7 +407,7 @@ def test_counit_nonzero_generator_with_t_in_its_span_exits_by_rule_a():
     assert_same_closure(alg, gens)
 
 
-def test_counit_nonzero_generator_exits_by_rule_a(monkeypatch):
+def test_counit_nonzero_generator_exits_once_its_products_generate_t(monkeypatch):
     alg = algebra("s2", 4)
     gens = [alg.one() + alg.generator(0)]
     alg.closure_of_t()
@@ -421,7 +421,7 @@ def test_counit_nonzero_generator_exits_by_rule_a(monkeypatch):
     assert_same_closure(alg, gens)
 
 
-def test_closure_of_all_positive_monomials_exits_by_rule_b(monkeypatch):
+def test_closure_of_all_positive_monomials_exits_by_the_t_ideal(monkeypatch):
     # the generators come first, in basis order, and the closure stops at
     # the first one that completes the ideal of T they generate (from cap 3;
     # below it, their span), before any product is formed
@@ -459,7 +459,7 @@ def test_the_exit_stays_out_of_the_ideal_text(capsys):
         "stabilization degree: 0 (safe window 3)\n")
 
 
-def test_a_short_closure_of_t_fails_mainthm_and_turns_rule_b_off(monkeypatch):
+def test_a_short_closure_of_t_fails_mainthm_and_turns_the_t_exit_off(monkeypatch):
     alg = algebra("s2", 4)
     aug = alg.augmentation_ideal()
 

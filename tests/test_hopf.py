@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from fraction_hopf import left_div, right_div, tensor_mul
 
 from triplex import cli, hopf, suites
-from triplex.envelope import (Element, EnvelopingAlgebra, relators,
+from triplex.envelope import (Element, EnvelopingAlgebra, relator_families, relators,
                               representative_tree)
-from triplex.exactlin import (ONE, accumulate, echelonize, integer_row,
-                              rational_row, sum_integer_rows)
+from triplex.exactlin import (ONE, accumulate, echelonize, integer_row, nonzero_row,
+                              rational_row, same_row, sum_integer_rows)
 from triplex.freealg import UNIT, graft, is_leaf
 from triplex.hopf import (check_coalgebra, check_divisions, check_weak_assoc,
                           comult, comult3, primitives, s_map)
@@ -473,6 +473,24 @@ def _coalgebra_failures(alg):
     return hopf.check_coalgebra(alg, degree).failures, reference_check_coalgebra(alg, degree)
 
 
+def test_comult_of_a_basis_row_is_its_cached_row():
+    # the shortcut for a basis row (1, {k: 1}) against the sum over its one
+    # term that every other row takes; a single term with another
+    # coefficient or denominator takes the sum
+    for name, cap in [("sl3_sym.json", 4), ("s2_plus_s2.json", 4), ("s2.json", 6)]:
+        alg = _algebra(name, cap)
+        hopf.check_coideal(alg)
+        for k in range(alg.nf_size):
+            cached = hopf._comult_basis(alg, k)
+            assert hopf._comult_rows(alg, (1, {k: 1})) is cached, (name, k)
+            assert cached == nonzero_row(*sum_integer_rows([(1, cached)])), (name, k)
+            den, w = cached
+            for x, want in [((1, {k: 3}), (den, {p: 3 * a for p, a in w.items()})),
+                            ((2, {k: 1}), (2 * den, w))]:
+                got = hopf._comult_rows(alg, x)
+                assert got is not cached and same_row(got, want), (name, k, x)
+
+
 def test_integer_rows_match_the_fraction_reference():
     for name, cap in _ALGEBRAS:
         alg = _algebra(name, cap)
@@ -488,14 +506,17 @@ def test_integer_rows_match_the_fraction_reference():
 @pytest.mark.parametrize("scale", [F(1, 2), -1])
 def test_check_coideal_matches_the_reference_on_a_broken_relator(monkeypatch, scale):
     alg = EnvelopingAlgebra(_algebra("sl3_sym.json", 3).system, 3)
-    rels = relators(alg.system, 3)
-    # one leg of the first commutator ab - ba rescaled: not a coideal element
-    (t, c), *rest = rels[0].items()
-    rels[0] = {t: scale * c, **dict(rest)}
-    assert not reference_coideal(alg, rels)
-    monkeypatch.setattr(hopf, "relators", lambda system, cap: rels)
-    with pytest.raises(hopf.PBWCertificateFailure, match="not a coideal element"):
-        hopf.check_coideal(alg)
+    # one leg of one relator rescaled: not a coideal element, and the failure
+    # names the relator's family and its index there
+    for family, i in [("commutator", 0), ("nucleus", 4), ("triple coherence", 7)]:
+        families = relator_families(alg.system, 3)
+        (t, c), *rest = families[family][i].items()
+        families[family][i] = {t: scale * c, **dict(rest)}
+        assert not reference_coideal(alg, [r for rels in families.values() for r in rels])
+        monkeypatch.setattr(hopf, "relator_families", lambda system, cap: families)
+        with pytest.raises(hopf.PBWCertificateFailure,
+                           match=f"not a coideal element: {family} relator {i}$"):
+            hopf.check_coideal(alg)
 
 
 def test_a_corrupted_comult_entry_fails_both_coalgebra_checks_alike():
@@ -529,3 +550,20 @@ def test_a_corrupted_product_fails_both_coalgebra_checks_alike():
     got, want = _coalgebra_failures(alg)
     assert got == want
     assert got and {f[0] for f in got} == {"multiplicativity"}
+
+
+def test_a_corrupted_counit_leg_fails_the_counit_law_in_both_checks():
+    # a fresh algebra, so that the corrupted entry reaches no other test
+    alg = EnvelopingAlgebra(_algebra("s2.json", 4).system, 4)
+    for k in range(alg.nf_size):
+        comult(alg.basis(k))
+    # Delta(e f)'s leg (e f)(x)1 doubled: (Id (x) eps) Delta is no longer the
+    # identity on e f
+    v = (1, 1)
+    ef = alg.exp_index[v]
+    den, row = alg._hopf_comult[ef]
+    alg._hopf_comult[ef] = den, {**row, (ef, 0): row[ef, 0] + den}
+    got, want = _coalgebra_failures(alg)
+    assert got == want
+    assert ("counit law", v) in got
+    assert [f for f in got if f[0] == "counit law"] == [("counit law", v)]

@@ -21,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from constructions import sl3_lie
 
-from triplex import catalog, cli
+from triplex import catalog, cli, lts, suites
 from triplex.exactlin import ONE, ZERO, Echelon, echelonize
 from triplex.lts import (AxiomReport, AxiomVerdict, InvalidStructure, LieAlgebra,
-                         TripleSystem, _derivation_failure, _graded, _span_closure,
+                         TripleSystem, _derivation_failure, _derivation_pass, _flatten,
+                         _graded, _span_closure,
                          associative_envelope, basis_operators, check_axioms, inner_derivations, is_k_skew, lambda_map,
                          lie_closure, lts_from_lie, op_apply,
                          op_bracket, op_compose, r_generators, simplicity_certificate,
@@ -666,6 +667,53 @@ def test_derivation_verdict_matches_per_operator_scan(case):
     d, consts = case
     t = TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
     assert check_axioms(t).derivation == scan_derivation(t)
+
+
+def reference_derivation_pass(t):
+    """The derivation pass without the memo: ``(ech, bad)`` from a scan of
+    the D_{a,b} that enlarge the span, made on every call."""
+    d, ech = t.dim, Echelon()
+    for (a, b), op in basis_operators(t, right=False).items():
+        if ech.insert(_flatten(op, d)) is not None:
+            bad = _derivation_failure(t.constants, op)
+            if bad:
+                return ech, (a, b) + bad
+    return ech, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(tensors(), perturbed_bundled()), min_size=2, max_size=4))
+def test_kept_derivation_pass_matches_a_fresh_pass(cases):
+    # several systems in turn, each asked through every caller of the pass:
+    # each keeps its own pass, equal to a fresh one on an equal but
+    # separate system
+    def system(d, consts):
+        return TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
+
+    systems = [system(*case) for case in cases]
+    for t in systems:
+        check_axioms(t)
+        raises_invalid(inner_derivations, t)
+    for t, case in zip(systems, cases):
+        ech, bad = _derivation_pass(t)
+        assert _derivation_pass(t)[0] is ech
+        fresh, fresh_bad = reference_derivation_pass(system(*case))
+        assert bad == fresh_bad
+        assert ech.rref_rows() == fresh.rref_rows()
+
+
+def test_one_verify_run_makes_one_derivation_pass(monkeypatch):
+    # check_axioms in the axioms suite and in the build, and
+    # inner_derivations in the embedding suite, share one pass
+    scanned = []
+    scan = lts._derivation_failure
+    monkeypatch.setattr(lts, "_derivation_failure",
+                        lambda consts, op: scanned.append(op) or scan(consts, op))
+    t = BUNDLED["sl2_lts"]
+    t = TripleSystem(t.dim, t.basis_names, t.constants)  # no pass kept yet
+    assert suites.run_suite("all", t, 4).ok
+    inner_derivations(t)
+    assert len(scanned) == reference_derivation_pass(t)[0].dim == 3
 
 
 def test_derivation_failure_named_by_the_scan():

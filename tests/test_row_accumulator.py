@@ -211,6 +211,29 @@ def test_products_into_a_non_empty_accumulator(name, cap, data):
 @pytest.mark.parametrize("name, cap", ALGEBRAS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
+def test_products_by_the_unit_match_the_table_path(name, cap, data):
+    # by the unit, mul_basis adds x itself and reads no table row: the same
+    # row, with the same kept entries, as the table rows (0, i) and (i, 0)
+    alg = algebra(name, cap)
+    keys = st.sampled_from(range(alg.nf_size))
+    x = data.draw(rows(keys))
+    right, c = data.draw(st.booleans()), data.draw(coefficients)
+    assert_same(alg.mul_basis(0, x, right=right), reference_mul_basis(alg, 0, x, right))
+    s, u, v = data.draw(SPLITS)
+    x = s * v, x[1]
+    start = s * u, {0: 1, alg.nf_size - 1: -2}
+    acc = [start[0], dict(start[1])]
+    assert alg.mul_basis(0, x, right=right, into=acc, c=c) is acc
+    assert_same(acc, reference_sum_integer_rows(
+        [(1, start), (c, reference_mul_basis(alg, 0, x, right))]))
+    if not any(x[1].values()):
+        # nothing to add: the accumulator keeps its denominator
+        assert acc == [start[0], start[1]]
+
+
+@pytest.mark.parametrize("name, cap", ALGEBRAS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
 def test_tensor_rows_match_the_reference(name, cap, data):
     alg = algebra(name, cap)
     keys = half_degree_keys(name, cap)
@@ -256,3 +279,29 @@ def test_reduce_tree_hands_out_a_fresh_element():
             x.coeffs[k] += 1
         x.coeffs[alg.nf_size] = 1
         assert alg.reduce_tree(t).coeffs == want, t
+
+
+# -- same_row ------------------------------------------------------------------------
+
+def reference_same_row(r, s):
+    """The cross-multiplied comparison, for any two denominators."""
+    (dr, wr), (ds, ws) = r, s
+    return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_same_row_over_one_denominator_matches_cross_multiplication(data):
+    # two rows over one denominator, the second made from the first: its
+    # zero entries dropped or new ones added, and perhaps one entry changed
+    d, w = data.draw(rows(st.sampled_from(range(6))))
+    other = {k: a for k, a in w.items() if a or data.draw(st.booleans())}
+    other.update(dict.fromkeys(data.draw(st.sets(st.sampled_from(range(6, 9)))), 0))
+    if data.draw(st.booleans()):
+        k = data.draw(st.sampled_from(range(9)))
+        other[k] = other.get(k, 0) + data.draw(st.sampled_from([-1, 1]))
+    for r, s in [((d, w), (d, other)), ((d, other), (d, w))]:
+        assert same_row(r, s) == reference_same_row(r, s)
+    # and against the same vector over another denominator
+    assert same_row((d, w), (3 * d, {k: 3 * a for k, a in other.items()})) \
+        == same_row((d, w), (d, other))

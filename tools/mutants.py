@@ -45,12 +45,31 @@ DERIVATION_TESTS = [f"{LTS_SPARSE}::test_check_axioms_random_matches_dense",
                     f"{LTS_SPARSE}::test_derivation_verdict_matches_per_operator_scan"]
 INNER_DERIVATION_TESTS = [f"{LTS_SPARSE}::test_inner_derivations_fail_iff_derivation_fails"]
 QUOTIENT_TESTS = "tests/test_relation_span.py"
+SAME_ROW_TESTS = (f"{ACCUMULATOR_TESTS}::"
+                  "test_same_row_over_one_denominator_matches_cross_multiplication")
+UNIT_PRODUCT_TESTS = f"{ACCUMULATOR_TESTS}::test_products_by_the_unit_match_the_table_path"
 
 MUTANTS = [
     ("same-row-always-true", "exactlin.py",
+     "    if dr == ds:\n"
+     "        return {k: a for k, a in wr.items() if a} == {k: a for k, a in ws.items() if a}\n"
      "    return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())",
      "    return True",
-     [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table"]),
+     [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table",
+      SAME_ROW_TESTS]),
+    ("same-row-equal-denominators-keeps-zeros", "exactlin.py",
+     "        return {k: a for k, a in wr.items() if a} == {k: a for k, a in ws.items() if a}",
+     "        return wr == ws",
+     [SAME_ROW_TESTS]),
+    # products by the unit add the row itself, with no table read
+    ("mul-basis-unit-keeps-zero-entries", "envelope.py",
+     "            xs = {i: a for i, a in xs.items() if a}",
+     "            xs = dict(xs)",
+     [UNIT_PRODUCT_TESTS]),
+    ("mul-basis-unit-ignores-scale", "envelope.py",
+     "            return add_row(acc, c, dx, xs) if xs else acc",
+     "            return add_row(acc, 1, dx, xs) if xs else acc",
+     [UNIT_PRODUCT_TESTS]),
     ("lemma-without-n-term", "identities.py",
      "        return self.mul_basis(self._power_index(c, n - 1), inner, into=lhs, c=-n)",
      "        return lhs",
@@ -69,7 +88,7 @@ MUTANTS = [
      "            self._r_ops = r_generators(self.system) if N >= 3 and all(",
      "            self._r_ops = [] if N >= 3 and all(",
      [f"{CLOSURE_TESTS}::test_closure_stops_at_the_augmentation_ceiling",
-      f"{CLOSURE_TESTS}::test_counit_nonzero_generator_exits_by_rule_a"]),
+      f"{CLOSURE_TESTS}::test_counit_nonzero_generator_exits_once_its_products_generate_t"]),
     ("counit-nonzero-generator-in-the-t-rows", "envelope.py",
      "        for vec in chain((v for v, counit in vecs if not counit),\n"
      "                         self._right_products(chain(kept, queue))):\n"
@@ -141,17 +160,26 @@ MUTANTS = [
      "",
      [f"{ECHELON_TESTS}::test_integer_input_matches_the_same_fraction_input"]),
     ("derivation-pass-checks-rejected", "lts.py",
-     "        if ech.insert(_flatten(op, d)) is not None:",
-     "        if ech.insert(_flatten(op, d)) is None:",
+     "            if ech.insert(_flatten(op, d)) is not None and (",
+     "            if ech.insert(_flatten(op, d)) is None and (",
      DERIVATION_TESTS + INNER_DERIVATION_TESTS),
     ("derivation-pass-checks-none", "lts.py",
-     "            bad = _derivation_failure(t.constants, op)",
-     "            bad = None",
+     "                    bad := _derivation_failure(t.constants, op)):",
+     "                    bad := None):",
      DERIVATION_TESTS + INNER_DERIVATION_TESTS),
     ("derivation-pass-checks-first-only", "lts.py",
-     "        if ech.insert(_flatten(op, d)) is not None:",
-     "        if ech.insert(_flatten(op, d)) is not None and ech.dim == 1:",
+     "            if ech.insert(_flatten(op, d)) is not None and (",
+     "            if ech.insert(_flatten(op, d)) is not None and ech.dim == 1 and (",
      DERIVATION_TESTS + INNER_DERIVATION_TESTS),
+    # the pass is kept on its system: made once, and never another system's
+    ("derivation-pass-not-kept", "lts.py",
+     "    if getattr(t, \"_derivations\", None) is None:",
+     "    if True:",
+     [f"{LTS_SPARSE}::test_one_verify_run_makes_one_derivation_pass"]),
+    ("derivation-pass-kept-on-the-class", "lts.py",
+     "        t._derivations = ech, bad",
+     "        type(t)._derivations = ech, bad",
+     [f"{LTS_SPARSE}::test_kept_derivation_pass_matches_a_fresh_pass"]),
     ("graded-parity-inverted", "lts.py",
      "        odd = (p >= m) != (q >= m)",
      "        odd = (p >= m) == (q >= m)",
@@ -197,6 +225,27 @@ MUTANTS = [
      " = k - hi",
      [f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
     # the power-bracketing certificate and the one tree-keyed normal-form cache
+    # the hopf layer: Delta of a basis row is its cached row, the legwise
+    # product rescales only for a new denominator, and the failures name
+    # what failed
+    ("comult-rows-shortcut-for-any-single-term", "hopf.py",
+     "    if dx == 1 and len(xs) == 1 and 1 in xs.values():",
+     "    if len(xs) == 1:",
+     ["tests/test_hopf.py::test_comult_of_a_basis_row_is_its_cached_row"]),
+    ("tensor-rows-without-rescale", "hopf.py",
+     "            if dd != acc[0]:\n"
+     "                add_row(acc, 0, dd, {})\n",
+     "",
+     [f"{ACCUMULATOR_TESTS}::test_tensor_rows_match_the_reference"]),
+    ("counit-law-check-skipped", "hopf.py",
+     "            failures.append((\"counit law\", v))",
+     "            pass",
+     ["tests/test_hopf.py::test_a_corrupted_counit_leg_fails_the_counit_law_in_both_checks"]),
+    ("coideal-failure-names-the-next-relator", "hopf.py",
+     "{family} relator {i}\")",
+     "{family} relator {i + 1}\")",
+     ["tests/test_hopf.py::test_check_coideal_matches_the_reference_on_a_broken_relator",
+      "tests/test_cli.py::test_coideal_failure_exit_1"]),
     ("power-bracketing-check-skipped", "envelope.py",
      "        self._verify_power_bracketings()\n",
      "",
