@@ -143,7 +143,6 @@ class MonomialTable:
         self.degree_start.append(self.size)
         self.trees = trees
         self.index = {t: i for i, t in enumerate(trees)}
-        self.degrees = [n for n in range(cap + 1) for _ in _trees(d, n)]  # index -> degree
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ entries.
 
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
 1(x)a on generators.  It is evaluated on a free tree as the legwise
-product of its halves' images, once per distinct subtree, and cached per
-basis monomial as an integer row; Delta of a basis row is that shared
-cached row itself, which no caller mutates.  This is sound because Delta
-descends to the quotient: ``check_coideal`` certifies that the
-generator-level relator families are coideal elements, once per algebra
-before the first comultiplication.  ``check_coalgebra`` compares the
-cached rows exactly (``same_row``): coassociativity, cocommutativity, the
-counit laws, and multiplicativity (Delta of the product row of (i, j)
-against the legwise product of the rows of i and j).
+product of its halves' images, and cached per tree, once per algebra, as
+an integer row: the halves of a representative tree are representative
+trees, so each distinct tree is split once.  Delta of a basis row is its
+tree's shared cached row itself, which no caller mutates.  This is sound
+because Delta descends to the quotient: ``check_coideal`` certifies that
+the generator-level relator families are coideal elements, once per
+algebra before the first comultiplication, and the representative trees
+of its memo start the cache.  ``check_coalgebra`` compares the cached rows exactly
+(``same_row``): coassociativity, cocommutativity, the counit laws, and
+multiplicativity (Delta of the product row of (i, j) against the legwise
+product of the rows of i and j).
 
 The division and weak-associativity checks add each side of an identity
 into one accumulator and compare the sides exactly.  A product by one
@@ -85,13 +87,9 @@ def _comult_tree(alg, t, memo):
 
 
 def _comult_basis(alg, k):
-    """Delta of the basis monomial k, from the per-algebra cache that
-    ``check_coideal`` creates (shared rows: do not mutate)."""
-    cache = alg._hopf_comult
-    row = cache.get(k)
-    if row is None:
-        cache[k] = row = _comult_tree(alg, alg.rep_tree[k], {})
-    return row
+    """Delta of the basis monomial k: its representative tree's row in the
+    per-algebra cache that ``check_coideal`` leaves (shared: do not mutate)."""
+    return _comult_tree(alg, alg.rep_tree[k], alg._hopf_comult)
 
 
 def _comult_rows(alg, x):
@@ -156,7 +154,9 @@ def check_coideal(alg):
     """Certify Delta descends to the quotient: the generator-level relator
     families (``relator_families`` up to degree 3) have zero comultiplication
     in U(x)U, exactly, or the failure names the family and the index there.
-    Passing creates the per-algebra cache of integer rows that ``comult`` reads."""
+    Passing keeps the representative trees of its memo as the per-algebra
+    cache of Delta by tree, which ``comult`` reads and fills (the other
+    subtrees of the relators are never read again)."""
     if getattr(alg, "_hopf_comult", None) is not None:
         return
     memo = {}
@@ -167,7 +167,7 @@ def check_coideal(alg):
             if any(acc.values()):
                 raise PBWCertificateFailure(
                     f"a defining relator is not a coideal element: {family} relator {i}")
-    alg._hopf_comult = {}
+    alg._hopf_comult = {t: memo[t] for t in alg.rep_tree if t in memo}
 
 
 @dataclass

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import hopf
-from .envelope import EnvelopingAlgebra
+from .envelope import Element, EnvelopingAlgebra
 from .exactlin import Echelon, echelonize
 from .freealg import MAX_MONOMIALS, DegreeBudgetExceeded, check_table_size
 from .lts import (InvalidStructure, basis_operators, check_axioms,
@@ -78,16 +78,14 @@ def _seeded_elements(alg, seed, count, augmentation):
     no constant term, the others get a nonzero one.
     """
     rng = random.Random(seed)
-    monomials = [v for v in alg.exponents if 1 <= sum(v) <= 2]
+    # the monomials of degree 1 and 2 are the indices after the unit
+    support = range(1, alg.count_upto(2))
     out = []
     while len(out) < count:
-        x = alg.zero()
-        for v in monomials:
-            c = rng.randint(-3, 3)
-            if c:
-                x = x + Fraction(c) * alg.monomial(v)
+        coeffs = {k: rng.randint(-3, 3) for k in support}
         if not augmentation:
-            x = x + Fraction(rng.choice([1, 2, 3])) * alg.one()
+            coeffs[0] = rng.choice([1, 2, 3])
+        x = Element(alg, coeffs)
         if not x.is_zero():
             out.append(x)
     return out
@@ -183,29 +181,29 @@ def suite_jordan(system, alg_cache, N, seed):
     return rep
 
 
-def suite_lemma(system, alg_cache, N, seed):
-    rep = SuiteReport("lemma")
+def _exhaustive_triples(suite, alg_cache, N, check, failure):
+    """Run the identity check named ``check`` on every basis triple (c, a, b)
+    and 0 <= n <= N - 2: a ``failure`` record for each case that fails, then
+    the verdict over all of them."""
+    rep = SuiteReport(suite)
     alg = alg_cache(N)
-    d = alg.d
-    for c, a, b in iproduct(range(d), repeat=3):
-        for n in range(0, N - 1):
-            ok = alg.check_lemma_derivation(c, a, b, n)
-            if not ok:
-                rep.add("lemma_residue", {"c": c, "a": a, "b": b, "n": n}, False)
-    rep.add("lemma_exhaustive", {"n_max": N - 2, "triples": d ** 3}, rep.ok)
+    check = getattr(alg, check)
+    for c, a, b in iproduct(range(alg.d), repeat=3):
+        for n in range(N - 1):
+            if not check(c, a, b, n):
+                rep.add(failure, {"c": c, "a": a, "b": b, "n": n}, False)
+    rep.add(f"{suite}_exhaustive", {"n_max": N - 2, "triples": alg.d ** 3}, rep.ok)
     return rep
+
+
+def suite_lemma(system, alg_cache, N, seed):
+    return _exhaustive_triples("lemma", alg_cache, N, "check_lemma_derivation",
+                               "lemma_residue")
 
 
 def suite_expansion(system, alg_cache, N, seed):
-    rep = SuiteReport("expansion")
-    alg = alg_cache(N)
-    d = alg.d
-    for c, a, b in iproduct(range(d), repeat=3):
-        for n in range(0, N - 1):
-            if not alg.check_assoc_expansion(c, a, b, n):
-                rep.add("associator_expansion", {"c": c, "a": a, "b": b, "n": n}, False)
-    rep.add("expansion_exhaustive", {"n_max": N - 2, "triples": d ** 3}, rep.ok)
-    return rep
+    return _exhaustive_triples("expansion", alg_cache, N, "check_assoc_expansion",
+                               "associator_expansion")
 
 
 def s2_identity_suite(alg, n_max):

@@ -14,6 +14,11 @@ from triplex.envelope import Element, EnvelopingAlgebra, PBWCertificateFailure
 from triplex.exactlin import Echelon, integer_row, rational_row
 
 
+def table_degrees(table):
+    """The degree of each table index, read off the table's strata."""
+    return [n for n in range(table.cap + 1) for _ in range(*table.degree_start[n:n + 2])]
+
+
 def pairs(table):
     """``{(i, j): k}``: k is the table index of the product of the
     non-unit monomials of indices i and j, for each product within the cap."""
@@ -35,7 +40,8 @@ class FreeTable(EnvelopingAlgebra):
         # within a degree the representatives last so pivots avoid them.
         # Column -> table index, its inverse, column -> normal-form index/None
         table = self.table
-        index, degrees = table.index, table.degrees
+        index = table.index
+        self._degrees = degrees = table_degrees(table)
         reps = {index[t]: k for k, t in enumerate(self.rep_tree)}
         self._elim_index = sorted(range(table.size),
                                   key=lambda i: (-degrees[i], i in reps, i))
@@ -57,7 +63,7 @@ class FreeTable(EnvelopingAlgebra):
         whatever the order.
         """
         N, table = self.cap, self.table
-        degrees, pair, start = table.degrees, pairs(table), table.degree_start
+        degrees, pair, start = self._degrees, pairs(table), table.degree_start
         col, index_of = self._elim_col, self._elim_index
         pending = [[] for _ in range(N + 1)]
         for rel in self.relators(self.system, N):
@@ -97,7 +103,7 @@ class FreeTable(EnvelopingAlgebra):
             if self._elim_nf[p] is not None:
                 raise PBWCertificateFailure(
                     f"pivot fell on normal-form representative {table.trees[i]!r}")
-            counts[table.degrees[i]] += 1
+            counts[self._degrees[i]] += 1
         self.relspan_degree_dims = []
         self.degree_dims = []
         rel_dim = 0

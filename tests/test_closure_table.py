@@ -7,6 +7,7 @@ the graft, and a right ideal closure that runs to its full fixpoint
 through that product, with no early exit.
 """
 
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -286,6 +287,38 @@ def test_closure_meeting_filtration_one_outside_t_without_one(cap):
         assert (ic.contains_one, ic.per_degree_dims[1], ic.meets_t_dim) == (
             False, per_degree_1, meets_t)
         assert_same_closure(alg, gens)
+
+
+def reference_seeded_elements(alg, seed, count, augmentation):
+    """mainthm's samples as sums of ``Element``s, one addition per nonzero
+    coefficient, drawing the coefficients in the same order."""
+    rng = random.Random(seed)
+    monomials = [v for v in alg.exponents if 1 <= sum(v) <= 2]
+    out = []
+    while len(out) < count:
+        x = alg.zero()
+        for v in monomials:
+            c = rng.randint(-3, 3)
+            if c:
+                x = x + Fraction(c) * alg.monomial(v)
+        if not augmentation:
+            x = x + Fraction(rng.choice([1, 2, 3])) * alg.one()
+        if not x.is_zero():
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("name, cap", [(name, 4) for name in SYSTEMS] + [("s2", 6)])
+def test_seeded_elements_match_the_element_sums(name, cap):
+    # mainthm's caps: 4, and s2's default 6
+    alg = algebra(name, cap)
+    for seed in range(6):
+        for augmentation in (True, False):
+            got = suites._seeded_elements(alg, seed, 20, augmentation)
+            want = reference_seeded_elements(alg, seed, 20, augmentation)
+            # the same samples, with their terms in the same order
+            assert ([list(x.coeffs.items()) for x in got]
+                    == [list(x.coeffs.items()) for x in want]), (seed, augmentation)
 
 
 def test_mainthm_fails_a_closure_outside_the_augmentation_ideal(monkeypatch):

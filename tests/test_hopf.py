@@ -247,6 +247,29 @@ def test_check_coideal_multiplies_once_per_distinct_subtree(monkeypatch):
     assert len(calls) == len(subtrees) == 275
 
 
+@pytest.mark.parametrize("name, cap", [("sl3_sym.json", 4), ("s2_plus_s2.json", 4),
+                                       ("s2.json", 6)])
+def test_comult_basis_multiplies_once_per_uncached_representative_tree(monkeypatch,
+                                                                      name, cap):
+    # one cache of Delta by tree, filled by the coideal check: the halves of
+    # a representative tree are representative trees, so reading every basis
+    # row splits each representative tree of degree >= 2 that the check left
+    # out exactly once, and a second read splits none
+    alg = EnvelopingAlgebra(_algebra(name, cap).system, cap)
+    hopf.check_coideal(alg)
+    missing = {t for k, t in enumerate(alg.rep_tree)
+               if alg.nf_degree[k] >= 2 and t not in alg._hopf_comult}
+    calls = []
+    mul = hopf._tensor_rows
+    monkeypatch.setattr(hopf, "_tensor_rows", lambda *args: calls.append(1) or mul(*args))
+    for k in range(alg.nf_size):
+        hopf._comult_basis(alg, k)
+    assert 0 < len(calls) == len(missing)
+    for k in range(alg.nf_size):
+        hopf._comult_basis(alg, k)
+    assert len(calls) == len(missing)
+
+
 # -- property tests: the division identities and weak associativity on random
 # non-monomial elements with a nonzero counit (the suite checks monomials) --
 
@@ -431,13 +454,15 @@ def reference_coideal(alg, rels):
 
 def reference_comult(alg, x):
     """Delta of an element from the algebra's comultiplication cache, as
-    ``comult`` read it: integer rows turned into ``Fraction`` dicts."""
+    ``comult`` read it: the integer rows of the terms' representative trees
+    turned into ``Fraction`` dicts."""
     hopf.check_coideal(alg)
     cache, out = alg._hopf_comult, {}
     for k, a in x.coeffs.items():
-        if k not in cache:
-            cache[k] = integer_row(reference_comult_tree(alg, alg.rep_tree[k], {}))
-        accumulate(out, rational_row(*cache[k]), a)
+        t = alg.rep_tree[k]
+        if t not in cache:
+            cache[t] = integer_row(reference_comult_tree(alg, t, {}))
+        accumulate(out, rational_row(*cache[t]), a)
     return out
 
 
@@ -528,10 +553,11 @@ def test_a_corrupted_comult_entry_fails_both_coalgebra_checks_alike():
     # primitive, but no longer cocommutative
     v = (1, 1, 0, 0)
     ef, e, f = alg.exp_index[v], alg.exp_index[1, 0, 0, 0], alg.exp_index[0, 1, 0, 0]
-    den, row = alg._hopf_comult[ef]
+    t = alg.rep_tree[ef]
+    den, row = alg._hopf_comult[t]
     row = {p: 3 * a for p, a in row.items()}
     row[e, f] += den
-    alg._hopf_comult[ef] = 3 * den, row
+    alg._hopf_comult[t] = 3 * den, row
     got, want = _coalgebra_failures(alg)
     assert got == want
     assert {f[0] for f in got} == {"coassociativity", "cocommutativity", "multiplicativity"}
@@ -561,8 +587,9 @@ def test_a_corrupted_counit_leg_fails_the_counit_law_in_both_checks():
     # identity on e f
     v = (1, 1)
     ef = alg.exp_index[v]
-    den, row = alg._hopf_comult[ef]
-    alg._hopf_comult[ef] = den, {**row, (ef, 0): row[ef, 0] + den}
+    t = alg.rep_tree[ef]
+    den, row = alg._hopf_comult[t]
+    alg._hopf_comult[t] = den, {**row, (ef, 0): row[ef, 0] + den}
     got, want = _coalgebra_failures(alg)
     assert got == want
     assert ("counit law", v) in got

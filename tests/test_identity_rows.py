@@ -154,6 +154,24 @@ def test_row_checks_match_element_checks_on_a_corrupted_table(name, cap, pair):
     assert not all(rows.values())
 
 
+@pytest.mark.parametrize("suite, failure", [("jordan", "jordan_operator_identity"),
+                                            ("lemma", "lemma_residue"),
+                                            ("expansion", "associator_expansion")])
+def test_identity_suites_name_their_failures_on_a_corrupted_table(suite, failure):
+    # a fresh s2 algebra whose product e f is divided by 3 before the first
+    # check: every failing case gets the suite's named record, and the
+    # verdict over all cases fails
+    alg = EnvelopingAlgebra(load("s2"), 4)
+    e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
+    den, row = alg.basis_product(e, f)
+    alg._products[e, f] = 3 * den, row
+    rep = getattr(suites, f"suite_{suite}")(alg.system, lambda cap: alg, 4, 0)
+    failed = [r["id"] for r in rep.records if r["verdict"] == "fail"]
+    # the named failing cases, then the failing summary
+    assert failed[:-1] and set(failed[:-1]) == {failure}
+    assert failed[-1] == rep.records[-1]["id"] == f"{suite}_exhaustive"
+
+
 scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
 
 

@@ -85,7 +85,7 @@ class RoundBased(FreeTable):
     def _insert_relation(self, coeffs, work):
         row = self._ech.insert({self._elim_col[i]: a for i, a in coeffs.items()})
         if row is not None:
-            top = self.table.degrees[self._elim_index[min(row)]]
+            top = self._degrees[self._elim_index[min(row)]]
             work.append((top, {self._elim_index[c]: a for c, a in row.items()}))
 
     def _build_relation_span(self):

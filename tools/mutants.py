@@ -48,6 +48,11 @@ QUOTIENT_TESTS = "tests/test_relation_span.py"
 SAME_ROW_TESTS = (f"{ACCUMULATOR_TESTS}::"
                   "test_same_row_over_one_denominator_matches_cross_multiplication")
 UNIT_PRODUCT_TESTS = f"{ACCUMULATOR_TESTS}::test_products_by_the_unit_match_the_table_path"
+SUITE_FAILURE_TESTS = (f"{IDENTITY_TESTS}::"
+                       "test_identity_suites_name_their_failures_on_a_corrupted_table")
+# the one failure record of the lemma and expansion suites (_exhaustive_triples)
+SUITE_FAILURE_RECORD = ("                rep.add(failure, {\"c\": c, \"a\": a, \"b\": b, \"n\": n},"
+                        " False)")
 
 MUTANTS = [
     ("same-row-always-true", "exactlin.py",
@@ -259,6 +264,25 @@ MUTANTS = [
      "                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t)))",
      "                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t[::-1])))",
      [f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
+    # Delta is cached once by tree: a basis row reads the coideal check's memo
+    ("comult-basis-with-a-fresh-memo", "hopf.py",
+     "    return _comult_tree(alg, alg.rep_tree[k], alg._hopf_comult)",
+     "    return _comult_tree(alg, alg.rep_tree[k], {})",
+     ["tests/test_hopf.py::"
+      "test_comult_basis_multiplies_once_per_uncached_representative_tree"]),
+    # each identity suite names its failing cases
+    ("jordan-drops-its-failure-record", "suites.py",
+     "                rep.add(\"jordan_operator_identity\", {\"a\": a, \"x\": list(v)}, False)",
+     "                pass",
+     [f"{SUITE_FAILURE_TESTS}[jordan-jordan_operator_identity]"]),
+    ("lemma-drops-its-failure-record", "suites.py",
+     SUITE_FAILURE_RECORD,
+     "                if suite != \"lemma\":\n    " + SUITE_FAILURE_RECORD,
+     [f"{SUITE_FAILURE_TESTS}[lemma-lemma_residue]"]),
+    ("expansion-drops-its-failure-record", "suites.py",
+     SUITE_FAILURE_RECORD,
+     "                if suite != \"expansion\":\n    " + SUITE_FAILURE_RECORD,
+     [f"{SUITE_FAILURE_TESTS}[expansion-associator_expansion]"]),
 ]
 
 EQUIVALENT = []
