@@ -381,18 +381,30 @@ class EnvelopingAlgebra(IdentityChecks):
         integer row x, into the accumulator ``into``, or into a fresh one,
         and return it (its zero entries kept): each nonzero term of x reads
         one table row, except by the unit (k = 0), since graft(UNIT, t) is
-        t.  ``into`` is never x itself or a shared row."""
+        t.  Each term is added in place; ``add_row`` (given no entries) is
+        called only when the term's denominator is not the accumulator's,
+        to rescale it.  ``into`` is never x itself or a shared row."""
         dx, xs = x
         acc = [1, {}] if into is None else into
+        w = acc[1]
         if k == 0:
-            xs = {i: a for i, a in xs.items() if a}
-            return add_row(acc, c, dx, xs) if xs else acc
+            for i, a in xs.items():
+                if a:
+                    if dx != acc[0]:
+                        add_row(acc, 0, dx, {})
+                    w[i] = w.get(i, 0) + c * a * (acc[0] // dx)
+            return acc
         table, product = self._products, self.basis_product
         for i, a in xs.items():
             if a:
                 key = (i, k) if right else (k, i)
                 d, row = table.get(key) or product(*key)
-                add_row(acc, c * a, d * dx, row)
+                d *= dx
+                if d != acc[0]:
+                    add_row(acc, 0, d, {})
+                a *= c * (acc[0] // d)
+                for j, b in row.items():
+                    w[j] = w.get(j, 0) + a * b
         return acc
 
     def associator(self, x, y, z):

@@ -19,15 +19,23 @@ entries a sum leaves behind.
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each rational input is scaled once to
 integers over a common denominator (an integer input is taken as it
-is), and ``insert`` returns the integer row it stores.  ``Fraction``s
-are formed only in ``reduce``, ``rref_rows`` and ``Subspace``.  A
-``Subspace`` is the span of an ``Echelon`` with its canonical reduced
-row-echelon basis (lowest-index elimination), so every subspace has one
-representation and all downstream normal forms are bit-reproducible;
-``echelonize``, ``kernel``, the enveloping-algebra builds and the ideal
-closures all eliminate through it.  Coordinate subspaces (spans of unit
-vectors) start an ``Echelon`` from their unit rows directly, without
-elimination.
+is), and ``insert`` returns the integer row it stores.  ``insert``
+reduces a row only up to its pivot, the first column that no stored row
+eliminates, and stores the columns after it as they stand: only the
+pivot decides accept or reject, and the span is the same as with the
+fully reduced row, which differs from it by a positive factor and a
+vector of the span before the insert.  ``reduce``, ``contains`` and
+``rref_rows`` reduce fully, through every stored row, so what they
+return depends on the span alone: a residue on the non-pivot columns is
+unique modulo the span, however the rows that span it were reduced.
+``Fraction``s are formed only in ``reduce``, ``rref_rows`` and
+``Subspace``.  A ``Subspace`` is the span of an ``Echelon`` with its
+canonical reduced row-echelon basis (lowest-index elimination), so every
+subspace has one representation and all downstream normal forms are
+bit-reproducible; ``echelonize``, ``kernel``, the enveloping-algebra
+builds and the ideal closures all eliminate through it.  Coordinate
+subspaces (spans of unit vectors) start an ``Echelon`` from their unit
+rows directly, without elimination.
 """
 
 from __future__ import annotations
@@ -132,8 +140,9 @@ class Echelon:
     Columns are integers; elimination always happens on the lowest
     nonzero column, so callers that want a custom elimination priority
     remap their columns before inserting.  Rows are stored as primitive
-    integer vectors (coprime entries, positive pivot entry), forward-reduced
-    only; call ``rref_rows`` for the fully reduced canonical basis.
+    integer vectors (coprime entries, positive pivot entry), reduced only
+    up to their pivot; call ``rref_rows`` for the fully reduced canonical
+    basis.
     """
 
     def __init__(self, units=()):
@@ -147,11 +156,14 @@ class Echelon:
     def dim(self):
         return len(self._rows)
 
-    def _eliminate(self, vec):
+    def _eliminate(self, vec, first=False):
         """Fraction-free residue of ``vec`` modulo the current span.
 
-        Returns ``(finals, scale)``: each final ``(column, w, s)`` is a
-        residue entry equal to ``w / s``, and ``scale / s`` is an integer.
+        Returns ``(finals, scale, rest)``: each final ``(column, w, s)`` is
+        a residue entry equal to ``w / s``, and ``scale / s`` is an integer.
+        With ``first``, it stops at the first residue column: ``finals``
+        holds that one entry (or none) and ``rest``, the work vector over
+        ``scale``, its other columns, all above it and not yet reduced.
         """
         # pairwise lcm/gcd and list rows (not star-args or tuple rows):
         # freed tuples of every length stay in CPython's tuple free lists
@@ -175,6 +187,8 @@ class Echelon:
             if row is None:
                 # every later row only touches columns above c
                 finals.append((c, a, scale))
+                if first:
+                    break
                 continue
             pv, tail = row
             if pv != 1:
@@ -193,7 +207,7 @@ class Echelon:
                     work[c2] = w
                 else:
                     del work[c2]
-        return finals, scale
+        return finals, scale, work
 
     def reduce(self, vec):
         """Unique residue of ``vec`` (a dict) modulo the current span.
@@ -205,19 +219,25 @@ class Echelon:
 
     def insert(self, vec):
         """Add ``vec`` to the span; returns the primitive integer row it
-        stores (``{column: int}``, positive pivot entry) or None."""
-        finals, scale = self._eliminate(vec)
+        stores (``{column: int}``, positive pivot entry) or None.
+
+        The row is ``vec`` reduced up to its pivot, the first column that
+        no stored row eliminates; the columns after it are left as they
+        stand.  So it is a positive multiple of the fully reduced row plus
+        a vector of the span before the insert."""
+        finals, _, rest = self._eliminate(vec, first=True)
         if not finals:
             return None
-        ints = [(c, w * (scale // s)) for c, w, s in finals]
-        g = 0
-        for _, w in ints:
+        ((p, a, _),) = finals
+        g = abs(a)
+        for w in rest.values():
             g = gcd(g, w)
-        g = -g if ints[0][1] < 0 else g
-        row = [(c, w // g) for c, w in ints]
-        (p, pv), tail = row[0], row[1:]
-        self._rows[p] = (pv, tail)
-        return dict(row)
+        g = -g if a < 0 else g
+        tail = [(c, w // g) for c, w in rest.items()]
+        self._rows[p] = (a // g, tail)
+        row = {p: a // g}
+        row.update(tail)
+        return row
 
     def contains(self, vec):
         return not self._eliminate(vec)[0]

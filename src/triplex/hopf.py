@@ -17,15 +17,18 @@ tree's shared cached row itself, which no caller mutates.  This is sound
 because Delta descends to the quotient: ``check_coideal`` certifies that
 the generator-level relator families are coideal elements, once per
 algebra before the first comultiplication, and the representative trees
-of its memo start the cache.  ``check_coalgebra`` compares the cached rows exactly
-(``same_row``): coassociativity, cocommutativity, the counit laws, and
-multiplicativity (Delta of the product row of (i, j) against the legwise
-product of the rows of i and j).
+of its memo start the cache.  ``check_coalgebra`` checks the cached rows
+exactly: coassociativity, cocommutativity, the counit laws (``same_row``),
+and multiplicativity (Delta of the product row of (i, j) against the
+legwise product of the rows of i and j).
 
-The division and weak-associativity checks add each side of an identity
-into one accumulator and compare the sides exactly.  A product by one
-basis monomial goes through ``EnvelopingAlgebra.mul_basis`` (one table
-row per term, none for the unit), of two rows through ``mul_rows``.
+Coassociativity, multiplicativity and the division and
+weak-associativity checks test each identity as one difference row: the
+products of its left side add into an accumulator, those of its right
+side into the same one with c = -1, and it holds when no entry is left
+nonzero.  A product by one basis monomial goes through
+``EnvelopingAlgebra.mul_basis`` (one table row per term, none for the
+unit), of two rows through ``mul_rows``.
 Each check forms what does not depend on its inner loop once:
 ``check_divisions`` splits x and its split's legs once for all its ys;
 ``check_weak_assoc`` forms Delta x and w = sum x1 (y x2) once per x, and
@@ -103,14 +106,15 @@ def _comult_rows(alg, x):
     return nonzero_row(den * dx, out)
 
 
-def _legs3(alg, x, left):
-    """(Delta (x) Id) x if ``left``, else (Id (x) Delta) x, for an integer
-    tensor row x, as an accumulator over triples (its zero entries kept)."""
+def _legs3(alg, x, left, into=None, c=1):
+    """Add c (Delta (x) Id) x if ``left``, else c (Id (x) Delta) x, for an
+    integer tensor row x, into the accumulator ``into`` over triples (or a
+    fresh one), and return it (its zero entries kept)."""
     dx, xs = x
-    acc = [1, {}]
+    acc = [1, {}] if into is None else into
     for (l, r), a in xs.items():
         d, w = _comult_basis(alg, l if left else r)
-        add_row(acc, a, d * dx, {(*p, r) if left else (l, *p): b for p, b in w.items()})
+        add_row(acc, c * a, d * dx, {(*p, r) if left else (l, *p): b for p, b in w.items()})
     return acc
 
 
@@ -186,8 +190,8 @@ def check_coalgebra(alg, degree):
     delta = [_comult_basis(alg, k) for k in range(len(monomials))]
     for k, (v, dx) in enumerate(zip(monomials, delta)):
         den, w = dx
-        # coassociativity: (Delta (x) Id) Delta == (Id (x) Delta) Delta
-        if not same_row(_legs3(alg, dx, True), _legs3(alg, dx, False)):
+        # coassociativity: (Delta (x) Id) Delta - (Id (x) Delta) Delta == 0
+        if any(_legs3(alg, dx, False, into=_legs3(alg, dx, True), c=-1)[1].values()):
             failures.append(("coassociativity", v))
         if not same_row((den, {(r, l): a for (l, r), a in w.items()}), dx):
             failures.append(("cocommutativity", v))
@@ -197,8 +201,9 @@ def check_coalgebra(alg, degree):
             failures.append(("counit law", v))
     for i, v in enumerate(monomials):
         for j, u in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
-            if not same_row(_comult_rows(alg, alg.basis_product(i, j)),
-                            _tensor_rows(alg, delta[i], delta[j])):
+            diff = add_row(_tensor_rows(alg, delta[i], delta[j]), -1,
+                           *_comult_rows(alg, alg.basis_product(i, j)))
+            if any(diff[1].values()):
                 failures.append(("multiplicativity", v, u))
     return CheckReport(not failures, failures)
 
@@ -212,7 +217,7 @@ def check_divisions(alg, x, ys):
     every y of ``ys``: sum x1 \\ (x2 y), sum x1 (x2 \\ y), sum (y x1) / x2
     and sum (y / x1) x2 all equal eps(x) y.  Returns one list per y, of
     the identities that fail."""
-    mul = alg.mul_basis
+    mul, e = alg.mul_basis, x.counit()
     ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
     split3 = {k: nonzero_row(*_legs3(alg, _comult_basis(alg, k), True))
               for k in {k for pair in dx for k in pair}}
@@ -234,9 +239,12 @@ def check_divisions(alg, x, ys):
             add_row(lhs[1], a * _sign(alg, k2), *p)
             _right_div(alg, yx1[k1], split3[k2], into=lhs[2], c=a)
             mul(k2, ydiv[k1], right=True, into=lhs[3], c=a)
-        target = integer_row((x.counit() * y).coeffs)
-        out.append([name for name, (den, w) in zip(_DIVISION_IDENTITIES, lhs)
-                    if not same_row((den * ddx, w), target)])
+        # each side less eps(x) y
+        for acc in lhs:
+            acc[0] *= ddx
+            add_row(acc, -e.numerator, e.denominator * yr[0], yr[1])
+        out.append([name for name, (_, w) in zip(_DIVISION_IDENTITIES, lhs)
+                    if any(w.values())])
     return out
 
 
@@ -277,7 +285,7 @@ def check_weak_assoc(alg, y, xs, zs):
                     yx2z[k2] = alg.mul_rows(yr, mul(k2, zr))
                 mul(k1, yx2z[k2], into=lhs, c=a)
             lhs[0] *= ddx
-            if not same_row(lhs, alg.mul_rows(w, zr)):
+            if any(alg.mul_rows(w, zr, into=lhs, c=-1)[1].values()):
                 failures.append((i, j))
     return cases, failures
 

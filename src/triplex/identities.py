@@ -7,16 +7,18 @@ check takes elements and returns a bool, as the paper states the
 identity (the Jordan operator identity, the derivation property of D,
 the lemma's derivation residue, the full associator expansion), but
 computes on integer rows read from the basis-product table: no
-``Element`` and no ``Fraction`` per product.  Each side of an identity
-is one ``exactlin.add_row`` accumulator that its products add into in
-place (``into``, scaled by ``c``); it keeps the zero entries its sums
-leave, which the products skip.  The two sides are compared exactly by
-``same_row``, and a degree is read from the nonzero entries only.
+``Element`` and no ``Fraction`` per product.  An identity is tested as
+one difference row: the products of its left side add into one
+``exactlin.add_row`` accumulator in place (``into``, scaled by ``c``),
+those of its right side into the same one with c = -1, and it holds when
+no entry is left nonzero.  The accumulator keeps the zero entries its
+sums leave, which the products skip, and a degree is read from the
+nonzero entries only.
 """
 
 from __future__ import annotations
 
-from .exactlin import integer_row, same_row
+from .exactlin import add_row, integer_row
 from .freealg import DegreeBudgetExceeded
 
 
@@ -54,10 +56,9 @@ class IdentityChecks:
         ar, xr = integer_row(a.coeffs), integer_row(x.coeffs)
         lhs_mult = mul(xr, ar, into=mul(ar, xr))
         for y in range(self.count_upto(k)):
-            lhs = mul_basis(y, lhs_mult, right=True)
-            rhs = mul(xr, mul_basis(y, ar, right=True),
-                      into=mul(ar, mul_basis(y, xr, right=True)))
-            if not same_row(lhs, rhs):
+            diff = mul_basis(y, lhs_mult, right=True)
+            mul(ar, mul_basis(y, xr, right=True), into=diff, c=-1)
+            if any(mul(xr, mul_basis(y, ar, right=True), into=diff, c=-1)[1].values()):
                 return False
         return True
 
@@ -67,14 +68,17 @@ class IdentityChecks:
             raise DegreeBudgetExceeded("derivation check exceeds the degree budget")
         a, b, mul = self.d - ai, self.d - bi, self.mul_rows
         xr, yr = integer_row(x.coeffs), integer_row(y.coeffs)
-        lhs = self._d_rows(a, b, mul(xr, yr))
-        rhs = mul(xr, self._d_rows(a, b, yr), into=mul(self._d_rows(a, b, xr), yr))
-        if not same_row(lhs, rhs):
+        diff = self._d_rows(a, b, mul(xr, yr))
+        mul(self._d_rows(a, b, xr), yr, into=diff, c=-1)
+        if any(mul(xr, self._d_rows(a, b, yr), into=diff, c=-1)[1].values()):
             return False
         consts = self.system.constants
-        return all(same_row(self._d_rows(a, b, (1, {self.d - g: 1})),
-                            self._inject_row(consts.get((ai, bi, g), {})))
-                   for g in range(self.d))
+        for g in range(self.d):
+            diff = add_row(self._d_rows(a, b, (1, {self.d - g: 1})), -1,
+                           *self._inject_row(consts.get((ai, bi, g), {})))
+            if any(diff[1].values()):
+                return False
+        return True
 
     def _lemma_residue(self, c, a, b, n):
         """(c^n,a,b) - n c^{n-1} (c,a,b) as an integer row, its zero
@@ -99,19 +103,18 @@ class IdentityChecks:
     def check_assoc_expansion(self, c, a, b, n):
         """Full associator expansion:
         (c^n,a,b) == n/2 c^{n-1} [a,c,b] - 1/2 sum_i (c^i, D_{a,c}(c^{n-1-i}), b),
-        compared as 2 (c^n,a,b) against the sum with its halves cleared.
+        tested as one difference row: 2 (c^n,a,b) less the sum with its
+        halves cleared.
         """
         if n + 2 > self.cap:
             raise DegreeBudgetExceeded("expansion check exceeds the degree budget")
         d, power = self.d, self._power_index
         ga, gb, gc = d - a, d - b, d - c
-        lhs = self._basis_associator(power(c, n), (1, {ga: 1}), gb)
-        rhs = [1, {}]
+        diff = self._basis_associator(power(c, n), (1, {ga: 1}), gb, c=2)
         if n >= 1:
             bracket = self._inject_row(self.system.constants.get((a, c, b), {}))
-            self.mul_basis(power(c, n - 1), bracket, into=rhs, c=n)
+            self.mul_basis(power(c, n - 1), bracket, into=diff, c=-n)
         for i in range(n - 1):
             mid = self._d_rows(ga, gc, (1, {power(c, n - 1 - i): 1}))
-            self._basis_associator(power(c, i), mid, gb, into=rhs, c=-1)
-        den, w = rhs
-        return same_row(lhs, (2 * den, w))
+            self._basis_associator(power(c, i), mid, gb, into=diff)
+        return not any(diff[1].values())

@@ -270,8 +270,15 @@ def check_axioms(t):
     """Verify the three defining identities on all basis combinations.
 
     Each verdict's counterexample is the first failing basis combination
-    in lexicographic order.
+    in lexicographic order.  The report is kept on the system, as the
+    derivation pass is (its constants never change): do not mutate it.
     """
+    if getattr(t, "_axioms", None) is None:
+        t._axioms = _axiom_report(t)
+    return t._axioms
+
+
+def _axiom_report(t):
     consts = t.constants
 
     alt = AxiomVerdict(True)
@@ -560,8 +567,15 @@ def simplicity_certificate(t):
     Ideals of T are exactly the subspaces invariant under all R_{b,c};
     a full associative envelope of those operators plus [T,T,T] != 0
     certifies simplicity.  A proper envelope alone is inconclusive
-    unless an explicit invariant-subspace witness is found.
+    unless an explicit invariant-subspace witness is found.  The report
+    is kept on the system, as ``check_axioms``' is: do not mutate it.
     """
+    if getattr(t, "_simplicity", None) is None:
+        t._simplicity = _simplicity_certificate(t)
+    return t._simplicity
+
+
+def _simplicity_certificate(t):
     d, gens = t.dim, r_generators(t)
     if not t.constants:
         witness = generated_ideal(Echelon(), [{0: ONE}], gens, d).subspace(d) if d else None

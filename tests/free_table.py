@@ -84,7 +84,9 @@ class FreeTable(EnvelopingAlgebra):
             else:
                 vecs = ({col[i]: a for i, a in source.items()},)
             for vec in vecs:
-                new = self._ech.insert(vec)
+                # the fully reduced residue: the rows this closure multiplies,
+                # and reduce_tree's eliminations, carry no unreduced tail
+                new = self._ech.insert(self._ech.reduce(vec))
                 if new is not None:
                     # the pivot is the row's lowest elimination column, and
                     # the elimination order puts higher degrees first

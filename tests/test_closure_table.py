@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,12 +22,13 @@ from constructions import direct_sum
 from fraction_hopf import tensor_mul
 from test_lts_sparse import rebased_systems
 
-from triplex import cli, envelope, suites
+from triplex import cli, envelope, lts, suites
 from triplex.envelope import (Element, EnvelopingAlgebra, IdealClosure,
                               representative_tree)
 from triplex.exactlin import ONE, Echelon, accumulate, echelonize, integer_row
 from triplex.freealg import DegreeBudgetExceeded, graft
-from triplex.lts import generated_ideal, r_generators
+from triplex.lts import (associative_envelope, generated_ideal, lie_closure,
+                         r_generators)
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
 CASES = [(name, cap) for name in SYSTEMS for cap in (2, 3, 4)] + [("s2", 6)]
@@ -577,3 +579,68 @@ def test_a_kept_generator_whose_top_degree_falls_has_its_own_products(name, cap,
     assert ic.exit == "saturated"
     assert ic.contains_one == (name == "s2")
     assert_same_closure(alg, gens(alg))
+
+
+# -- stored rows reduced only up to their pivot change no closure -----------------
+
+def fully_reducing_insert(self, vec):
+    """``Echelon.insert`` as it was before its rows were reduced only up to
+    their pivot: the stored row is the whole residue, made primitive."""
+    finals, scale, _ = self._eliminate(vec)
+    if not finals:
+        return None
+    ints = [(c, w * (scale // s)) for c, w, s in finals]
+    g = gcd(*(w for _, w in ints))
+    g = -g if ints[0][1] < 0 else g
+    row = [(c, w // g) for c, w in ints]
+    self._rows[row[0][0]] = (row[0][1], row[1:])
+    return dict(row)
+
+
+def counting_echelon(insert):
+    """An ``Echelon`` whose inserts run ``insert``, and the list [inserts,
+    accepted] that they count."""
+    counts = [0, 0]
+
+    class Counted(Echelon):
+        def insert(self, vec):
+            row = insert(self, vec)
+            counts[0] += 1
+            counts[1] += row is not None
+            return row
+
+    return Counted, counts
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ("s2^3",))
+def test_closures_match_the_fully_reducing_insert(name, monkeypatch):
+    # every closure of mainthm at seeds 0 and 1 (each IdealClosure field,
+    # exit included), and the lts span closures, give the same result and
+    # insert counts under both inserts
+    system = (s2_cubed() if name == "s2^3" else algebra(name, 4)).system
+    runs = []
+    for insert in (Echelon.insert, fully_reducing_insert):
+        kind, counts = counting_echelon(insert)
+        monkeypatch.setattr(envelope, "Echelon", kind)
+        monkeypatch.setattr(lts, "Echelon", kind)
+        alg = EnvelopingAlgebra(system, 4)
+        out = []
+
+        def close(gens=None):
+            counts[:] = [0, 0]
+            ic = alg.closure_of_t() if gens is None else alg.right_ideal_closure(gens)
+            out.append((ic, tuple(counts)))
+
+        close()
+        for g in range(alg.d):
+            close([alg.generator(g)])
+        for seed in (0, 1):
+            for x in suites._seeded_elements(alg, seed, 20, augmentation=True):
+                close([x])
+            for x in suites._seeded_elements(alg, seed + 1, 20, augmentation=False):
+                close([x])
+        assert all(inserts for _, (inserts, _) in out)
+        ops = r_generators(system)
+        out += [lie_closure(ops, alg.d), associative_envelope(ops, alg.d)]
+        runs.append(out)
+    assert runs[0] == runs[1]

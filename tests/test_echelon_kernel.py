@@ -1,9 +1,13 @@
 """Differential test: the integer ``Echelon`` against a ``Fraction`` reference.
 
 ``FractionEchelon`` is the accumulator ``exactlin.Echelon`` used to be,
-with ``Fraction`` rows normalized to pivot 1.  Both must agree on every
-value they return, after every step; the integer row ``Echelon.insert``
-returns is the reference's row times its positive pivot entry.
+with ``Fraction`` rows normalized to pivot 1, fully reduced on insert.
+Both must agree on every value they return, after every step.  The row
+``Echelon.insert`` stores is reduced only up to its pivot: it has the
+reference's pivot, is primitive with a positive pivot entry, and differs
+from the reference's row times that entry by a vector of the span before
+the insert; and it is the row of ``FractionEchelon(partial=True)``, which
+reduces on insert only up to the first column without a pivot row.
 """
 
 import heapq
@@ -21,14 +25,17 @@ ONE = Fraction(1)
 class FractionEchelon:
     """Reference row-echelon accumulator on ``Fraction`` rows (pivot entry 1)."""
 
-    def __init__(self):
+    def __init__(self, partial=False):
         self.rows = {}
+        self.partial = partial
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
+    def reduce(self, vec, partial=False):
+        """The residue of ``vec``; with ``partial``, ``vec`` reduced up to
+        its first residue column, the columns after it left as they stand."""
         work = {c: a for c, a in vec.items() if a}
         heap = list(work)
         heapq.heapify(heap)
@@ -45,6 +52,9 @@ class FractionEchelon:
             row = self.rows.get(c)
             if row is None:
                 out[c] = a
+                if partial:
+                    out.update(work)
+                    break
                 continue
             for c2, b in row.items():
                 if c2 == c:
@@ -59,7 +69,7 @@ class FractionEchelon:
         return out
 
     def insert(self, vec):
-        r = self.reduce(vec)
+        r = self.reduce(vec, self.partial)
         if not r:
             return None
         p = min(r)
@@ -119,18 +129,26 @@ def steps(draw):
 @given(steps(), st.lists(sparse_vectors, min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_integer_echelon_matches_fraction_reference(vectors, probes):
-    fast, ref = Echelon(), FractionEchelon()
+    fast, ref, part = Echelon(), FractionEchelon(), FractionEchelon(partial=True)
     for v in vectors:
-        row, ref_row = fast.insert(v), ref.insert(v)
+        before = FractionEchelon()
+        before.rows = dict(ref.rows)
+        row, ref_row, part_row = fast.insert(v), ref.insert(v), part.insert(v)
         if ref_row is None:
-            assert row is None
+            assert row is None and part_row is None
         else:
-            # the stored row: primitive integers, positive pivot entry, and
-            # the reference's pivot-1 row once divided by that entry
-            pv = row[min(row)]
+            # the stored row: the reference's pivot, primitive integers with
+            # a positive pivot entry, and the reference's pivot-1 row times
+            # that entry plus a vector of the span before the insert
+            p = min(ref_row)
+            pv = row[p]
+            assert min(row) == p
             assert all(type(a) is int for a in row.values())
             assert pv > 0 and gcd(*row.values()) == 1
-            assert {c: Fraction(a, pv) for c, a in row.items()} == ref_row
+            diff = {c: row.get(c, 0) - pv * ref_row.get(c, 0) for c in row.keys() | ref_row}
+            assert before.reduce(diff) == {}
+            # and the reference that reduces only up to the pivot, scaled
+            assert {c: Fraction(a, pv) for c, a in row.items()} == part_row
         assert fast.pivots() == ref.pivots()
         assert fast.dim == ref.dim
         assert fast.rref_rows() == ref.rref_rows()

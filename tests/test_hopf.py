@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -403,6 +404,43 @@ def test_a_corrupted_product_fails_both_hoisted_checks():
     divisions, weak = hoisted_cases(alg)
     assert any(divisions.values()) and not all(weak.values())
     assert (divisions, weak) == reference_cases(alg)
+
+
+def reference_s_map_cases(alg, seed):
+    """The pairs (x, y) that the hopf suite draws at ``seed`` (within the
+    cap), each with whether S(xy) == S(x) S(y): whether every term of xy
+    has the parity of |x| + |y|, since S is (-1)^degree on monomials."""
+    rng = random.Random(seed)
+    out = {}
+    for _ in range(20):
+        vx, vy = rng.choice(alg.exponents), rng.choice(alg.exponents)
+        if sum(vx) + sum(vy) <= alg.cap:
+            xy = alg.monomial(vx) * alg.monomial(vy)
+            out[vx, vy] = all((alg.nf_degree[k] - sum(vx) - sum(vy)) % 2 == 0
+                              for k in xy.coeffs)
+    return out
+
+
+def test_the_hopf_suite_names_its_failures_on_a_corrupted_table():
+    # a fresh s2 algebra, Delta cached first, whose product e f gains a term
+    # e of the wrong parity; seed 4 draws the pair (e, f) for the S check
+    alg = EnvelopingAlgebra(_algebra("s2.json", 4).system, 4)
+    for v in alg.exponents:
+        comult(alg.monomial(v))
+    e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
+    den, row = alg.basis_product(e, f)
+    alg._products[e, f] = den, {**row, e: row.get(e, 0) + den}
+    rep = suites.suite_hopf(alg.system, lambda cap: alg, 4, 4)
+    verdicts = {r["id"]: r["verdict"] for r in rep.records}
+    divisions, weak = reference_cases(alg)
+    s_cases = reference_s_map_cases(alg, 4)
+    # case for case: a record for each failing (x, y), naming its identities
+    records = {(tuple(r["params"]["x"]), tuple(r["params"]["y"])): r["witness"]
+               for r in rep.records if r["id"] == "division_identities"}
+    assert records and records == {key: v for key, v in divisions.items() if v}
+    assert verdicts["division_exhaustive"] == "fail"
+    assert not all(weak.values()) and verdicts["weak_associativity_exhaustive"] == "fail"
+    assert s_cases[(1, 0), (0, 1)] is False and verdicts["s_map_automorphism"] == "fail"
 
 
 # -- differential test: the integer-row Hopf layer against the Fraction path

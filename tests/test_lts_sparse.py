@@ -716,6 +716,42 @@ def test_one_verify_run_makes_one_derivation_pass(monkeypatch):
     assert len(scanned) == reference_derivation_pass(t)[0].dim == 3
 
 
+def test_one_verify_run_makes_each_lts_verdict_once(monkeypatch):
+    # check_axioms in the build and in the axioms suite share one report (one
+    # alternating and one cyclic scan of the system's constants), and the
+    # simple and mainthm suites one simplicity certificate (one associative
+    # envelope)
+    t = BUNDLED["sl2_lts"]
+    t = TripleSystem(t.dim, t.basis_names, t.constants)  # no verdict kept yet
+    scans, envelopes = [], []
+    scan, envelope = lts._first_nonzero_sum, lts.associative_envelope
+    monkeypatch.setattr(lts, "_first_nonzero_sum",
+                        lambda consts, orbit: scans.append(consts is t.constants)
+                        or scan(consts, orbit))
+    monkeypatch.setattr(lts, "associative_envelope",
+                        lambda gens, n: envelopes.append(n) or envelope(gens, n))
+    assert suites.run_suite("all", t, 4).ok
+    assert scans.count(True) == 2 and envelopes == [3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(tensors(), perturbed_bundled()), min_size=2, max_size=4))
+def test_kept_lts_verdicts_match_a_fresh_system(cases):
+    # several systems in turn: each keeps its own axiom report and simplicity
+    # certificate, equal to those of an equal but separate system
+    def system(d, consts):
+        return TripleSystem(d, tuple(f"b{i}" for i in range(d)), consts)
+
+    systems = [system(*case) for case in cases]
+    kept = [(check_axioms(t), simplicity_certificate(t)) for t in systems]
+    for t, case, (axioms, cert) in zip(systems, cases, kept):
+        assert check_axioms(t) is axioms and simplicity_certificate(t) is cert
+        # made anew, without the kept ones, on an equal but separate system
+        fresh = system(*case)
+        assert axioms == lts._axiom_report(fresh)
+        assert cert == lts._simplicity_certificate(fresh)
+
+
 def test_derivation_failure_named_by_the_scan():
     # D_{0,1} stays a derivation and D_{0,2} does not: the first failing
     # D_{a,b} in (a, b) order is named, not just some failing one

@@ -83,7 +83,10 @@ class RoundBased(FreeTable):
         return all_tree_relators(system, cap)
 
     def _insert_relation(self, coeffs, work):
-        row = self._ech.insert({self._elim_col[i]: a for i, a in coeffs.items()})
+        # insert the fully reduced residue, so that the rows the next round
+        # multiplies carry no unreduced tail
+        row = self._ech.insert(self._ech.reduce(
+            {self._elim_col[i]: a for i, a in coeffs.items()}))
         if row is not None:
             top = self._degrees[self._elim_index[min(row)]]
             work.append((top, {self._elim_index[c]: a for c, a in row.items()}))
@@ -109,12 +112,13 @@ class RoundBased(FreeTable):
 
 def canonical_rows(ech):
     """``ech.rref_rows()``, from the forward rows re-inserted into a fresh
-    echelon highest pivot (lowest degree) first: the same span, without
-    back-substitution through the round-based build's long rows."""
+    echelon highest pivot (lowest degree) first, each as its residue: the
+    same span, without back-substitution through the round-based build's
+    long rows."""
     fresh = Echelon()
     for p in sorted(ech._rows, reverse=True):
         pv, tail = ech._rows[p]
-        fresh.insert({p: pv, **dict(tail)})
+        fresh.insert(fresh.reduce({p: pv, **dict(tail)}))
     return fresh.rref_rows()
 
 

@@ -37,6 +37,7 @@ CLOSURE_TESTS = "tests/test_closure_table.py"
 ACCUMULATOR_TESTS = "tests/test_row_accumulator.py"
 NUCLEUS_TESTS = "tests/test_relation_span.py::test_representative_relators_match_all_tree_relators"
 ECHELON_TESTS = "tests/test_echelon_kernel.py"
+GOLDEN_TESTS = "tests/test_golden_reports.py"
 LTS_SPARSE = "tests/test_lts_sparse.py"
 # the derivation verdict against the dense reference and a per-operator scan
 # written in the tests, not against another caller of lts._derivation_pass
@@ -50,6 +51,8 @@ SAME_ROW_TESTS = (f"{ACCUMULATOR_TESTS}::"
 UNIT_PRODUCT_TESTS = f"{ACCUMULATOR_TESTS}::test_products_by_the_unit_match_the_table_path"
 SUITE_FAILURE_TESTS = (f"{IDENTITY_TESTS}::"
                        "test_identity_suites_name_their_failures_on_a_corrupted_table")
+HOPF_FAILURE_TESTS = ("tests/test_hopf.py::"
+                      "test_the_hopf_suite_names_its_failures_on_a_corrupted_table")
 # the one failure record of the lemma and expansion suites (_exhaustive_triples)
 SUITE_FAILURE_RECORD = ("                rep.add(failure, {\"c\": c, \"a\": a, \"b\": b, \"n\": n},"
                         " False)")
@@ -68,12 +71,21 @@ MUTANTS = [
      [SAME_ROW_TESTS]),
     # products by the unit add the row itself, with no table read
     ("mul-basis-unit-keeps-zero-entries", "envelope.py",
-     "            xs = {i: a for i, a in xs.items() if a}",
-     "            xs = dict(xs)",
+     "            for i, a in xs.items():\n"
+     "                if a:\n"
+     "                    if dx != acc[0]:",
+     "            for i, a in xs.items():\n"
+     "                if True:\n"
+     "                    if dx != acc[0]:",
      [UNIT_PRODUCT_TESTS]),
     ("mul-basis-unit-ignores-scale", "envelope.py",
-     "            return add_row(acc, c, dx, xs) if xs else acc",
-     "            return add_row(acc, 1, dx, xs) if xs else acc",
+     "                    w[i] = w.get(i, 0) + c * a * (acc[0] // dx)",
+     "                    w[i] = w.get(i, 0) + a * (acc[0] // dx)",
+     [UNIT_PRODUCT_TESTS]),
+    ("mul-basis-unit-without-rescale", "envelope.py",
+     "                    if dx != acc[0]:\n"
+     "                        add_row(acc, 0, dx, {})\n",
+     "",
      [UNIT_PRODUCT_TESTS]),
     ("lemma-without-n-term", "identities.py",
      "        return self.mul_basis(self._power_index(c, n - 1), inner, into=lhs, c=-n)",
@@ -135,18 +147,27 @@ MUTANTS = [
       f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
       f"{IDENTITY_TESTS}::test_row_checks_match_element_checks_on_a_corrupted_table",
       "tests/test_hopf.py"]),
+    # a table row is added in place; add_row only rescales the accumulator
     ("mul-basis-without-row-denominator", "envelope.py",
-     "                add_row(acc, c * a, d * dx, row)",
-     "                add_row(acc, c * a, d, row)",
+     "                d *= dx\n",
+     "",
      [ACCUMULATOR_TESTS,
       f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
       IDENTITY_TESTS, "tests/test_hopf.py"]),
     ("mul-basis-ignores-scale", "envelope.py",
-     "                add_row(acc, c * a, d * dx, row)",
-     "                add_row(acc, a, d * dx, row)",
+     "                a *= c * (acc[0] // d)",
+     "                a *= acc[0] // d",
      [ACCUMULATOR_TESTS,
       f"{CLOSURE_TESTS}::test_integer_products_match_reference_on_fractional_rows",
       IDENTITY_TESTS, "tests/test_hopf.py"]),
+    # the bundled sl3_sym has table rows over 2
+    ("mul-basis-in-place-without-denominator-check", "envelope.py",
+     "                if d != acc[0]:\n"
+     "                    add_row(acc, 0, d, {})\n"
+     "                a *= c * (acc[0] // d)",
+     "                a *= c",
+     [f"{GOLDEN_TESTS}::test_normal_form_terms_and_format",
+      f"{ACCUMULATOR_TESTS}::test_products_match_the_references"]),
     ("nucleus-m1-equals-m2", "envelope.py",
      "                    for m2 in reps[n2]:",
      "                    for m2 in [m1] if n1 == n2 else []:",
@@ -283,6 +304,55 @@ MUTANTS = [
      SUITE_FAILURE_RECORD,
      "                if suite != \"expansion\":\n    " + SUITE_FAILURE_RECORD,
      [f"{SUITE_FAILURE_TESTS}[expansion-associator_expansion]"]),
+    # the hopf suite's failures (a table row of the wrong parity)
+    ("division-drops-its-failure-record", "suites.py",
+     "                rep.add(\"division_identities\", {\"x\": list(vx), \"y\": list(vy)},\n"
+     "                        False, failures)",
+     "                pass",
+     [HOPF_FAILURE_TESTS]),
+    ("weak-associativity-drops-its-failure", "suites.py",
+     "        weak_ok = weak_ok and not failures",
+     "        weak_ok = weak_ok",
+     [HOPF_FAILURE_TESTS]),
+    ("s-map-automorphism-drops-its-failure", "suites.py",
+     "        if hopf.s_map(x * y) != hopf.s_map(x) * hopf.s_map(y):\n"
+     "            s_ok = False",
+     "        if hopf.s_map(x * y) != hopf.s_map(x) * hopf.s_map(y):\n"
+     "            pass",
+     [HOPF_FAILURE_TESTS]),
+    # insert reduces a row only up to its pivot, then stores it primitive
+    ("insert-stops-at-a-pivot-column", "exactlin.py",
+     "            row = rows.get(c)\n"
+     "            if row is None:",
+     "            row = None if first else rows.get(c)\n"
+     "            if row is None:",
+     [f"{ECHELON_TESTS}::test_integer_echelon_matches_fraction_reference"]),
+    ("insert-row-not-primitive", "exactlin.py",
+     "        g = abs(a)\n",
+     "        g = 1\n",
+     [f"{ECHELON_TESTS}::test_integer_echelon_matches_fraction_reference"]),
+    # each identity check tests one difference row: its sides subtracted
+    ("weak-associativity-difference-without-rhs", "hopf.py",
+     "            if any(alg.mul_rows(w, zr, into=lhs, c=-1)[1].values()):",
+     "            if any(lhs[1].values()):",
+     ["tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"]),
+    ("division-difference-without-target", "hopf.py",
+     "            add_row(acc, -e.numerator, e.denominator * yr[0], yr[1])\n",
+     "",
+     ["tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"]),
+    ("jordan-difference-without-rhs", "identities.py",
+     "            mul(ar, mul_basis(y, xr, right=True), into=diff, c=-1)\n",
+     "",
+     [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks"]),
+    # the lts verdicts are kept on the system, once each
+    ("axiom-report-not-kept", "lts.py",
+     "    if getattr(t, \"_axioms\", None) is None:",
+     "    if True:",
+     [f"{LTS_SPARSE}::test_one_verify_run_makes_each_lts_verdict_once"]),
+    ("simplicity-report-kept-on-the-class", "lts.py",
+     "        t._simplicity = _simplicity_certificate(t)",
+     "        type(t)._simplicity = _simplicity_certificate(t)",
+     [f"{LTS_SPARSE}::test_kept_lts_verdicts_match_a_fresh_system"]),
 ]
 
 EQUIVALENT = []
