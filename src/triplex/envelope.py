@@ -14,7 +14,8 @@ two rows, ``mul_basis`` a row by one basis monomial, each reading the
 table and adding into an ``exactlin.add_row`` accumulator.  The right-ideal closures and
 the identity checks of the paper (``identities.IdentityChecks``, a base
 class of ``EnvelopingAlgebra``) run on these rows, with no ``Element``
-and no ``Fraction`` per product; ``Element`` is the boundary type.
+and no ``Fraction`` per product; ``Element`` is the boundary type
+(``Element._trusted`` for the kernel's own).
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ class EnvelopingAlgebra(IdentityChecks):
         self.rep_tree = [representative_tree(v) for v in self.exponents]
         self._rep_index = {t: k for k, t in enumerate(self.rep_tree)}
 
-        # the one normal-form cache, tree -> integer row, and (i, j) -> that row
-        # of the product of basis monomials i and j (``basis_product``)
-        self._nf_rows, self._products = {}, {}
+        # the one normal-form cache, tree -> integer row; (i, j) -> the row of
+        # basis(i) basis(j) (``basis_product``); den -> {b: b/den} (``reduce_tree``)
+        self._nf_rows, self._products, self._nf_fractions = {}, {}, {}
         self._build()
         self._verify_power_bracketings()
         # right ideal closures eliminate with higher degrees first, so rows
@@ -258,7 +259,8 @@ class EnvelopingAlgebra(IdentityChecks):
         It is made from the tree's integer row ``(den, {k: int})``, cached
         once per algebra and not in lowest terms (``_nf_row``).  A pair of
         representatives is a symbol of its level, reduced by that level's
-        echelon; any other pair is the product of its halves' rows."""
+        echelon; any other pair is the product of its halves' rows.  Each
+        value is formed once per algebra, into a fresh ``_trusted`` dict."""
         row = self._nf_rows.get(t)
         if row is None:
             if t not in self.table.index:
@@ -271,7 +273,8 @@ class EnvelopingAlgebra(IdentityChecks):
             if t == UNIT or is_leaf(t):
                 row = 1, {0 if t == UNIT else self.d - t: 1}
             else:
-                i, j = (self._rep_index.get(h) for h in t)
+                left, right = t
+                i, j = self._rep_index.get(left), self._rep_index.get(right)
                 if i is not None and j is not None:
                     ech, hi = self._levels[self.nf_degree[i] + self.nf_degree[j]]
                     # an int unit vector: the echelon takes it without a rescale
@@ -279,22 +282,25 @@ class EnvelopingAlgebra(IdentityChecks):
                     row = integer_row({c + hi if c < 0 else c: a
                                        for c, a in residue.items()})
                 else:
-                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t)))
+                    row = nonzero_row(*self.mul_rows(self._nf_row(left),
+                                                     self._nf_row(right)))
             self._nf_rows[t] = row
-        return Element(self, rational_row(*row))
+        return Element._trusted(self, rational_row(*row, self._nf_fractions))
 
     def _nf_row(self, t):
         """A tree's cached integer row (shared: do not mutate); ``reduce_tree`` fills it."""
-        if t not in self._nf_rows:
+        row = self._nf_rows.get(t)
+        if row is None:
             self.reduce_tree(t)
-        return self._nf_rows[t]
+            row = self._nf_rows[t]
+        return row
 
     def zero(self):
-        return Element(self, {})
+        return Element._trusted(self, {})
 
     def basis(self, k):
         """The basis monomial of normal-form index k."""
-        return Element(self, {k: ONE})
+        return Element._trusted(self, {k: ONE})
 
     def one(self):
         return self.basis(0)
@@ -358,8 +364,8 @@ class EnvelopingAlgebra(IdentityChecks):
         if x.degree() + y.degree() > self.cap:
             raise DegreeBudgetExceeded(
                 f"product degree {x.degree()}+{y.degree()} exceeds cap {self.cap}")
-        return Element(self, rational_row(*self.mul_rows(integer_row(x.coeffs),
-                                                         integer_row(y.coeffs))))
+        return Element._trusted(self, rational_row(*self.mul_rows(integer_row(x.coeffs),
+                                                                  integer_row(y.coeffs))))
 
     def mul_rows(self, x, y, into=None, c=1):
         """Add c * x y, for integer rows x and y over normal-form indices,
@@ -563,22 +569,30 @@ class Element:
                        for k, a in coeffs.items() if a}
         self.algebra = algebra
 
+    @classmethod
+    def _trusted(cls, algebra, coeffs):
+        """Unchecked: ``coeffs`` unshared, with nonzero ``Fraction``s only."""
+        x = cls.__new__(cls)
+        x.coeffs, x.algebra = coeffs, algebra
+        return x
+
     def is_zero(self):
         return not self.coeffs
 
     def __add__(self, other):
-        return Element(self.algebra, accumulate(dict(self.coeffs), other.coeffs))
+        return Element._trusted(self.algebra, accumulate(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
-        return Element(self.algebra, accumulate(dict(self.coeffs), other.coeffs, -ONE))
+        return Element._trusted(self.algebra,
+                                accumulate(dict(self.coeffs), other.coeffs, -ONE))
 
     def __neg__(self):
-        return Element(self.algebra, {k: -a for k, a in self.coeffs.items()})
+        return Element._trusted(self.algebra, {k: -a for k, a in self.coeffs.items()})
 
     def __rmul__(self, a):
         a = a if type(a) is Fraction else Fraction(a)
-        return Element(self.algebra,
-                       {k: a * c for k, c in self.coeffs.items()} if a else {})
+        return Element._trusted(self.algebra,
+                                {k: a * c for k, c in self.coeffs.items()} if a else {})
 
     def __eq__(self, other):
         if type(other) is not Element:

@@ -7,7 +7,8 @@ the enveloping algebra is one over normal-form indices, and a tensor is
 one over pairs of them.  ``accumulate`` is the one sparse-dict
 arithmetic: it adds relators, tensors and elements.  Hot sums run on
 integer rows ``(den, {k: int})`` instead (``integer_row``,
-``rational_row``), with one ``Fraction`` formed per entry of the result.
+``rational_row``); ``rational_row`` forms one ``Fraction`` per distinct
+value of its memo, which a caller may keep across rows.
 ``add_row`` is the one integer-row sum: it adds ``c * row / d`` into an
 accumulator ``[den, w]`` in place, and is the only code that rescales
 to a common denominator; ``sum_integer_rows``, the products of
@@ -24,10 +25,11 @@ reduces a row only up to its pivot, the first column that no stored row
 eliminates, and stores the columns after it as they stand: only the
 pivot decides accept or reject, and the span is the same as with the
 fully reduced row, which differs from it by a positive factor and a
-vector of the span before the insert.  ``reduce``, ``contains`` and
-``rref_rows`` reduce fully, through every stored row, so what they
-return depends on the span alone: a residue on the non-pivot columns is
-unique modulo the span, however the rows that span it were reduced.
+vector of the span before the insert.  ``reduce`` and ``contains``
+reduce fully, through every stored row, and ``rref_rows`` back-substitutes
+each stored row once, so what they return depends on the span alone: a
+residue on the non-pivot columns is unique modulo the span, however the
+rows that span it were reduced.
 ``Fraction``s are formed only in ``reduce``, ``rref_rows`` and
 ``Subspace``.  A ``Subspace`` is the span of an ``Echelon`` with its
 canonical reduced row-echelon basis (lowest-index elimination), so every
@@ -127,11 +129,24 @@ def same_row(r, s):
     return all(wr.get(k, 0) * ds == ws.get(k, 0) * dr for k in wr.keys() | ws.keys())
 
 
-def rational_row(den, w):
-    """The ``{key: Fraction}`` dict ``w / den``, without its zero entries."""
-    if den == 1:
-        return {k: Fraction(b) for k, b in w.items() if b}
-    return {k: Fraction(b, den) for k, b in w.items() if b}
+def rational_row(den, w, memo=None):
+    """The ``{key: Fraction}`` dict ``w / den``, a fresh one without its
+    zero entries.  Each distinct value is formed once per ``memo`` (den ->
+    {b: Fraction(b, den)}, filled here; a fresh one if None) and shared
+    by the entries equal to it: a ``Fraction`` is immutable."""
+    if memo is None:
+        memo = {}
+    values = memo.get(den)
+    if values is None:
+        values = memo[den] = {}
+    out = {}
+    for k, b in w.items():
+        if b:
+            a = values.get(b)
+            if a is None:
+                a = values[b] = Fraction(b, den)
+            out[k] = a
+    return out
 
 
 class Echelon:
@@ -253,18 +268,37 @@ class Echelon:
     def rref_rows(self):
         """Fully back-substituted rows, sorted by pivot (canonical).
 
-        The row with pivot p is the unit vector at p minus its residue: it
-        lies in the span, has entry 1 at p and 0 at every other pivot.  A
-        stored row without a tail is a multiple of that unit vector, whose
-        residue is 0 (every row of a coordinate subspace).
+        The row with pivot p lies in the span and has entry 1 at p and 0
+        at every other pivot; its keys are p, then its other columns in
+        ascending order.  Rows are reduced once each, in descending pivot
+        order: the stored row over its pivot entry, less the reduced row of
+        each pivot column in its tail (all above p, so already reduced)
+        times that column's entry.  A stored row without a tail is the unit
+        vector at p (every row of a coordinate subspace).
         """
-        out = []
-        for p in sorted(self._rows):
+        # pivot of a row with a tail -> (d, r): its reduced row less the
+        # pivot entry is r / d
+        rows, reduced, out = self._rows, {}, []
+        for p in sorted(rows, reverse=True):
+            pv, tail = rows[p]
             row = {p: ONE}
-            if self._rows[p][1]:
-                for c, w, s in self._eliminate({p: 1})[0]:
-                    row[c] = Fraction(-w, s)
+            if tail:
+                # over pv, then over the lcm of pv and the subtracted rows'
+                # denominators
+                acc = [pv, {c: b for c, b in tail if c not in rows}]
+                for c, b in tail:
+                    if c in reduced:
+                        d, r = reduced[c]
+                        add_row(acc, -b, pv * d, r)
+                den, w = acc
+                g = den
+                for a in w.values():
+                    g = gcd(g, a)
+                d, r = reduced[p] = den // g, {c: a // g for c, a in w.items() if a}
+                for c in sorted(r):
+                    row[c] = Fraction(r[c], d)
             out.append(row)
+        out.reverse()
         return out
 
 

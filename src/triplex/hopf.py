@@ -132,7 +132,8 @@ def comult3(x):
 
 def s_map(x):
     """The order-2 automorphism induced by a -> -a: (-1)^degree on monomials."""
-    return Element(x.algebra, {k: a * _sign(x.algebra, k) for k, a in x.coeffs.items()})
+    return Element._trusted(x.algebra,
+                            {k: a * _sign(x.algebra, k) for k, a in x.coeffs.items()})
 
 
 def _sign(alg, k):

@@ -8,6 +8,9 @@ reference's pivot, is primitive with a positive pivot entry, and differs
 from the reference's row times that entry by a vector of the span before
 the insert; and it is the row of ``FractionEchelon(partial=True)``, which
 reduces on insert only up to the first column without a pivot row.
+``rref_rows`` back-substitutes once: rows inserted highest pivot first,
+whose tails hold every later pivot, cost one pivot-row application per
+(row, tail pivot column) and still equal the reference.
 """
 
 import heapq
@@ -16,6 +19,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from triplex import exactlin
 from triplex.exactlin import Echelon
 
 ZERO = Fraction(0)
@@ -189,3 +193,56 @@ def test_integer_input_matches_the_same_fraction_input(vectors, probe):
         assert v == given_v
         assert ints.pivots() == fracs.pivots()
     assert ints.rref_rows() == fracs.rref_rows()
+
+
+@st.composite
+def descending_pivot_rows(draw):
+    """Rows with distinct pivots (their lowest columns), highest pivot first,
+    each dense above its pivot: every later pivot is in its tail."""
+    pivots = sorted(draw(st.sets(st.integers(0, COLUMNS - 1), min_size=1)), reverse=True)
+    return [{p: draw(scalars.filter(bool)),
+             **{c: draw(scalars) for c in range(p + 1, COLUMNS) if draw(st.booleans())}}
+            for p in pivots]
+
+
+class CountedRows(dict):
+    """Stored rows that count the rows ``Echelon._eliminate`` applies."""
+
+    def __init__(self, rows, applied):
+        super().__init__(rows)
+        self.applied = applied
+
+    def get(self, c, default=None):
+        row = super().get(c, default)
+        if row is not None:
+            self.applied.append(c)
+        return row
+
+
+@given(descending_pivot_rows())
+@settings(max_examples=200, deadline=None)
+def test_rref_rows_back_substitutes_each_tail_pivot_once(vectors):
+    fast, ref = Echelon(), FractionEchelon()
+    for v in vectors:
+        fast.insert(v)
+        ref.insert(v)
+    tail_pivots = sum(c in fast._rows for _, tail in fast._rows.values() for c, _ in tail)
+    # a pivot row is applied by elimination (a stored row) or by add_row
+    # (a reduced row)
+    applied = []
+    fast._rows = CountedRows(fast._rows, applied)
+    add_row = exactlin.add_row
+
+    def counted(*args):
+        applied.append(args)
+        return add_row(*args)
+
+    exactlin.add_row = counted
+    try:
+        rows = fast.rref_rows()
+    finally:
+        exactlin.add_row = add_row
+    assert len(applied) <= tail_pivots
+    assert rows == ref.rref_rows()
+    # each row's keys: its pivot, then its other columns ascending
+    assert all(list(r) == sorted(r) for r in rows)

@@ -10,7 +10,9 @@ for the s2_plus_s2 ``mainthm`` suite at seed 1 (other closure samples);
 six bundled systems.  ``NORMAL_FORMS`` pins ``Element.terms()`` and
 ``format()`` of the normal form of every free monomial and of every
 product of two basis monomials, at s2 N=6 and sl3_sym N=4, as (lines,
-digest).  A deliberate change of output re-records the tables:
+digest).  ``REDUCE_TREE`` pins the tree and the exact ``(index,
+Fraction)`` coefficients of ``reduce_tree`` on every free monomial of
+sl3_sym N=4, where normal forms have denominator 2.  A deliberate change of output re-records the tables:
 ``PYTHONPATH=src python tests/test_golden_reports.py`` prints them.
 """
 
@@ -142,6 +144,10 @@ NORMAL_FORMS = {
     ("sl3_sym", 4): (4407, "7eb58d46e29650e7"),
 }
 
+REDUCE_TREE = {
+    ("sl3_sym", 4): (3406, "48b726ae8f2d80f1"),
+}
+
 
 def run(argv):
     """Exit code and stdout digest of one CLI invocation."""
@@ -206,6 +212,20 @@ def test_normal_form_terms_and_format(system, cap):
     assert normal_form_digest(system, cap) == NORMAL_FORMS[system, cap]
 
 
+def reduce_tree_digest(system, cap):
+    """One line per table monomial: its tree and the sorted coefficient
+    items of its normal form (``repr`` shows each value's type)."""
+    alg = EnvelopingAlgebra(cli._as_lts(cli.load_system(data_path(system))), cap)
+    lines = [f"{t!r} {sorted(alg.reduce_tree(t).coeffs.items())!r}" for t in alg.table.trees]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("system, cap", sorted(REDUCE_TREE),
+                         ids=[f"{s}-N{c}" for s, c in sorted(REDUCE_TREE)])
+def test_reduce_tree_coefficients(system, cap):
+    assert reduce_tree_digest(system, cap) == REDUCE_TREE[system, cap]
+
+
 def test_tables_cover_every_suite_and_command():
     names = [n for n in suites.SUITE_NAMES if n != "all"]
     assert set(VERIFY) == {(s, n) for s in SYSTEMS for n in names}
@@ -224,5 +244,10 @@ if __name__ == "__main__":
     print("NORMAL_FORMS = {")
     for key in sorted(NORMAL_FORMS):
         lines, digest = normal_form_digest(*key)
+        print(f'    ("{key[0]}", {key[1]}): ({lines}, "{digest}"),')
+    print("}")
+    print("REDUCE_TREE = {")
+    for key in sorted(REDUCE_TREE):
+        lines, digest = reduce_tree_digest(*key)
         print(f'    ("{key[0]}", {key[1]}): ({lines}, "{digest}"),')
     print("}")

@@ -46,6 +46,7 @@ DERIVATION_TESTS = [f"{LTS_SPARSE}::test_check_axioms_random_matches_dense",
                     f"{LTS_SPARSE}::test_derivation_verdict_matches_per_operator_scan"]
 INNER_DERIVATION_TESTS = [f"{LTS_SPARSE}::test_inner_derivations_fail_iff_derivation_fails"]
 QUOTIENT_TESTS = "tests/test_relation_span.py"
+NF_READ_TESTS = "tests/test_nf_reads.py"
 SAME_ROW_TESTS = (f"{ACCUMULATOR_TESTS}::"
                   "test_same_row_over_one_denominator_matches_cross_multiplication")
 UNIT_PRODUCT_TESTS = f"{ACCUMULATOR_TESTS}::test_products_by_the_unit_match_the_table_path"
@@ -282,8 +283,10 @@ MUTANTS = [
      [f"{CLOSURE_TESTS}::test_basis_products_match_grafted_reductions",
       f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
     ("tree-product-of-swapped-halves", "envelope.py",
-     "                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t)))",
-     "                    row = nonzero_row(*self.mul_rows(*map(self._nf_row, t[::-1])))",
+     "                    row = nonzero_row(*self.mul_rows(self._nf_row(left),\n"
+     "                                                     self._nf_row(right)))",
+     "                    row = nonzero_row(*self.mul_rows(self._nf_row(right),\n"
+     "                                                     self._nf_row(left)))",
      [f"{QUOTIENT_TESTS}::test_quotient_build_matches_free_table"]),
     # Delta is cached once by tree: a basis row reads the coideal check's memo
     ("comult-basis-with-a-fresh-memo", "hopf.py",
@@ -353,6 +356,34 @@ MUTANTS = [
      "        t._simplicity = _simplicity_certificate(t)",
      "        type(t)._simplicity = _simplicity_certificate(t)",
      [f"{LTS_SPARSE}::test_kept_lts_verdicts_match_a_fresh_system"]),
+    # normal-form reads: one Fraction per distinct value of a memo, in a
+    # fresh dict that Element._trusted wraps
+    ("rational-row-memo-keyed-by-numerator", "exactlin.py",
+     "    values = memo.get(den)\n"
+     "    if values is None:\n"
+     "        values = memo[den] = {}\n",
+     "    values = memo.setdefault(None, {})\n",
+     [f"{NF_READ_TESTS}::test_reduce_tree_matches_the_per_entry_element[sl3_sym-N4]"]),
+    ("rational-row-without-zero-filter", "exactlin.py",
+     "        if b:\n"
+     "            a = values.get(b)",
+     "        if True:\n"
+     "            a = values.get(b)",
+     [f"{NF_READ_TESTS}::"
+      "test_products_match_the_per_entry_element_and_leave_the_memo_alone"]),
+    ("reduce-tree-shares-its-coefficient-dict", "envelope.py",
+     "        return Element._trusted(self, rational_row(*row, self._nf_fractions))",
+     "        return Element._trusted(self, self.__dict__.setdefault(\n"
+     "            (\"nf\", t), rational_row(*row, self._nf_fractions)))",
+     [f"{NF_READ_TESTS}::test_reads_hand_out_fresh_coefficient_dicts"]),
+    ("mul-fills-the-read-memo", "envelope.py",
+     "        return Element._trusted(self, rational_row(*self.mul_rows(integer_row(x.coeffs),\n"
+     "                                                                  integer_row(y.coeffs))))",
+     "        return Element._trusted(self, rational_row(*self.mul_rows(integer_row(x.coeffs),\n"
+     "                                                                  integer_row(y.coeffs)),\n"
+     "                                                   self._nf_fractions))",
+     [f"{NF_READ_TESTS}::"
+      "test_products_match_the_per_entry_element_and_leave_the_memo_alone"]),
 ]
 
 EQUIVALENT = []
