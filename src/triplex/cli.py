@@ -2,7 +2,9 @@
 orchestration and reporting.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage or validation
-error, 3 degree-budget or size-guard abort.
+error, 3 degree-budget or size-guard abort.  ``main`` lifts Python's
+limit on the digits of an int converted to or from text for its call, so
+exact numbers of any size load and print.
 """
 
 from __future__ import annotations
@@ -27,6 +29,18 @@ EXIT_BUDGET = 3
 
 class LoadError(ValueError):
     pass
+
+
+def _excerpt(text, width=40):
+    """``text`` quoted, cut to its first ``width`` characters if longer."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
+def _digits(text):
+    """The digits of the longer integer part of a rational "p" or "p/q"."""
+    return max(len(part.strip().lstrip("+-")) for part in text.split("/", 1))
 
 
 def load_system(path):
@@ -94,10 +108,15 @@ def load_system(path):
                 fail(f"entry {pos}: bad coordinate index {key!r}")
             if not 0 <= idx < dim:
                 fail(f"entry {pos}: coordinate index {idx} out of range")
+            text = str(text)
             try:
-                coords[idx] = parse_rational(str(text))
+                coords[idx] = parse_rational(text)
             except (ValueError, ZeroDivisionError):
-                fail(f"entry {pos}: malformed rational {text!r}")
+                digits, limit = _digits(text), sys.get_int_max_str_digits()
+                if limit and digits > limit:
+                    fail(f"entry {pos}: rational of {digits} digits is too long "
+                         f"(this interpreter converts at most {limit})")
+                fail(f"entry {pos}: malformed rational {_excerpt(text)}")
         entries.append((tuple(args), coords))
     try:
         if kind == "lts":
@@ -277,6 +296,16 @@ def build_parser():
 
 
 def main(argv=None):
+    # exact results of any size load and print; the guards bound the work
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.max_monomials < 1:

@@ -9,12 +9,15 @@ guards the input's size and is the domain of ``reduce_tree``.
 
 Each normal form is cached once, as an integer row ``(den, {k: int})``
 keyed by its tree: the build, ``reduce_tree`` and the table of basis
-products (``basis_product``) share these rows.  ``mul_rows`` multiplies
-two rows, ``mul_basis`` a row by one basis monomial, each reading the
-table and adding into an ``exactlin.add_row`` accumulator.  The right-ideal closures and
-the identity checks of the paper (``identities.IdentityChecks``, a base
-class of ``EnvelopingAlgebra``) run on these rows, with no ``Element``
-and no ``Fraction`` per product; ``Element`` is the boundary type
+products share these rows.  The table is one dict per left factor:
+``_products[i][j]`` is the row of basis(i) basis(j) (``basis_product``).
+``mul_rows`` multiplies two rows, ``mul_basis`` a row by one basis
+monomial, each reading the table and adding into an ``exactlin.add_row``
+accumulator; a product of two basis monomials that is only read is the
+table's shared row itself.  The right-ideal closures and the identity
+checks of the paper (``identities.IdentityChecks``, a base class of
+``EnvelopingAlgebra``) run on these rows, with no ``Element`` and no
+``Fraction`` per product; ``Element`` is the boundary type
 (``Element._trusted`` for the kernel's own).
 """
 
@@ -155,9 +158,11 @@ class EnvelopingAlgebra(IdentityChecks):
         self.rep_tree = [representative_tree(v) for v in self.exponents]
         self._rep_index = {t: k for k, t in enumerate(self.rep_tree)}
 
-        # the one normal-form cache, tree -> integer row; (i, j) -> the row of
-        # basis(i) basis(j) (``basis_product``); den -> {b: b/den} (``reduce_tree``)
-        self._nf_rows, self._products, self._nf_fractions = {}, {}, {}
+        # the one normal-form cache, tree -> integer row; _products[i][j], the
+        # row of basis(i) basis(j) (``basis_product``); den -> {b: b/den}
+        # (``reduce_tree``)
+        self._nf_rows, self._nf_fractions = {}, {}
+        self._products = [{} for _ in range(self.nf_size)]
         self._build()
         self._verify_power_bracketings()
         # right ideal closures eliminate with higher degrees first, so rows
@@ -349,14 +354,15 @@ class EnvelopingAlgebra(IdentityChecks):
         """The product of the basis monomials of normal-form indices i and j
         as an integer row ``(den, {k: int})`` over normal-form indices, from
         a table filled on first use: the cached row of the grafted
-        representatives (shared rows: do not mutate)."""
-        row = self._products.get((i, j))
+        representatives (shared rows: do not mutate), kept as
+        ``_products[i][j]``."""
+        row = self._products[i].get(j)
         if row is None:
             di, dj = self.nf_degree[i], self.nf_degree[j]
             if di + dj > self.cap:
                 raise DegreeBudgetExceeded(
                     f"product degree {di}+{dj} exceeds cap {self.cap}")
-            row = self._products[i, j] = self._nf_row(
+            row = self._products[i][j] = self._nf_row(
                 graft(self.rep_tree[i], self.rep_tree[j]))
         return row
 
@@ -401,10 +407,11 @@ class EnvelopingAlgebra(IdentityChecks):
                     w[i] = w.get(i, 0) + c * a * (acc[0] // dx)
             return acc
         table, product = self._products, self.basis_product
+        left = table[k]
         for i, a in xs.items():
             if a:
-                key = (i, k) if right else (k, i)
-                d, row = table.get(key) or product(*key)
+                d, row = ((table[i].get(k) or product(i, k)) if right
+                          else (left.get(i) or product(k, i)))
                 d *= dx
                 if d != acc[0]:
                     add_row(acc, 0, d, {})

@@ -14,8 +14,8 @@ accumulator ``[den, w]`` in place, and is the only code that rescales
 to a common denominator; ``sum_integer_rows``, the products of
 ``EnvelopingAlgebra`` and the legwise tensor products of ``hopf`` all add
 through it.  ``same_row`` compares two integer rows (cross-multiplied
-if their denominators differ), and ``nonzero_row`` drops the zero
-entries a sum leaves behind.
+if their denominators differ), ``nonzero_row`` drops the zero entries a
+sum leaves behind, and ``unit_column`` tells a unit vector apart.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, each rational input is scaled once to
@@ -118,6 +118,17 @@ def sum_integer_rows(terms):
 def nonzero_row(den, w):
     """The integer row w / den without its zero entries."""
     return den, {k: a for k, a in w.items() if a}
+
+
+def unit_column(row):
+    """k if the integer row is the unit vector of column k, ``(1, {k: 1})``,
+    else None."""
+    den, w = row
+    if den == 1 and len(w) == 1:
+        for k, a in w.items():
+            if a == 1:
+                return k
+    return None
 
 
 def same_row(r, s):

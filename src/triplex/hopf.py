@@ -3,10 +3,10 @@
 Inside this module a tensor in U(x)U is an integer row ``(den, {(left,
 right): int})`` over pairs of normal-form indices (``comult3``'s rows
 have a third leg); ``_tensor_rows`` multiplies two legwise through the
-algebra's basis-product table, into one ``exactlin.add_row``
-accumulator.  ``Fraction``s appear only at the API boundary: ``comult``
-and ``comult3`` return dicts ``{(left, right): Fraction}`` without zero
-entries.
+algebra's basis-product table, reading the two table dicts of each outer
+term's legs once, into one ``exactlin.add_row`` accumulator.
+``Fraction``s appear only at the API boundary: ``comult`` and ``comult3``
+return dicts ``{(left, right): Fraction}`` without zero entries.
 
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
 1(x)a on generators.  It is evaluated on a free tree as the legwise
@@ -19,8 +19,9 @@ the generator-level relator families are coideal elements, once per
 algebra before the first comultiplication, and the representative trees
 of its memo start the cache.  ``check_coalgebra`` checks the cached rows
 exactly: coassociativity, cocommutativity, the counit laws (``same_row``),
-and multiplicativity (Delta of the product row of (i, j) against the
-legwise product of the rows of i and j).
+and multiplicativity (the legwise product of the rows of i and j less
+Delta of each term of the product row of (i, j), added into one
+difference row).
 
 Coassociativity, multiplicativity and the division and
 weak-associativity checks test each identity as one difference row: the
@@ -28,7 +29,9 @@ products of its left side add into an accumulator, those of its right
 side into the same one with c = -1, and it holds when no entry is left
 nonzero.  A product by one basis monomial goes through
 ``EnvelopingAlgebra.mul_basis`` (one table row per term, none for the
-unit), of two rows through ``mul_rows``.
+unit), of two rows through ``mul_rows``; a product that is only read and
+whose operands are both basis monomials (told apart once per element by
+``exactlin.unit_column``) is the shared table row (``basis_product``).
 Each check forms what does not depend on its inner loop once:
 ``check_divisions`` splits x and its split's legs once for all its ys;
 ``check_weak_assoc`` forms Delta x and w = sum x1 (y x2) once per x, and
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactlin import (ONE, accumulate, add_row, echelonize, integer_row, kernel,
-                       nonzero_row, rational_row, same_row, sum_integer_rows)
+                       nonzero_row, rational_row, same_row, sum_integer_rows, unit_column)
 from .envelope import Element, PBWCertificateFailure, relator_families
 from .freealg import UNIT, is_leaf
 from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
@@ -56,9 +59,10 @@ def _tensor_rows(alg, s, t):
     acc, d = [1, {}], ds * dt
     w = acc[1]
     for (l1, r1), a in s.items():
+        lefts, rights = table[l1], table[r1]
         for (l2, r2), b in t.items():
-            d1, left = table.get((l1, l2)) or product(l1, l2)
-            d2, right = table.get((r1, r2)) or product(r1, r2)
+            d1, left = lefts.get(l2) or product(l1, l2)
+            d2, right = rights.get(r2) or product(r1, r2)
             dd = d1 * d2 * d
             if dd != acc[0]:
                 add_row(acc, 0, dd, {})
@@ -99,9 +103,10 @@ def _comult_rows(alg, x):
     """Delta of the integer row x over normal-form indices, as an integer
     tensor row without zero entries (of a basis row, the shared cached one)."""
     check_coideal(alg)
+    k = unit_column(x)
+    if k is not None:
+        return _comult_basis(alg, k)
     dx, xs = x
-    if dx == 1 and len(xs) == 1 and 1 in xs.values():
-        return _comult_basis(alg, *xs)
     den, out = sum_integer_rows((a, _comult_basis(alg, k)) for k, a in xs.items())
     return nonzero_row(den * dx, out)
 
@@ -202,8 +207,12 @@ def check_coalgebra(alg, degree):
             failures.append(("counit law", v))
     for i, v in enumerate(monomials):
         for j, u in enumerate(alg.monomials_upto(min(degree, alg.cap - sum(v)))):
-            diff = add_row(_tensor_rows(alg, delta[i], delta[j]), -1,
-                           *_comult_rows(alg, alg.basis_product(i, j)))
+            # the legwise product less Delta of each term of the product row
+            diff = _tensor_rows(alg, delta[i], delta[j])
+            dp, product = alg.basis_product(i, j)
+            for k, a in product.items():
+                dk, row = _comult_basis(alg, k)
+                add_row(diff, -a, dp * dk, row)
             if any(diff[1].values()):
                 failures.append(("multiplicativity", v, u))
     return CheckReport(not failures, failures)
@@ -218,20 +227,21 @@ def check_divisions(alg, x, ys):
     every y of ``ys``: sum x1 \\ (x2 y), sum x1 (x2 \\ y), sum (y x1) / x2
     and sum (y / x1) x2 all equal eps(x) y.  Returns one list per y, of
     the identities that fail."""
-    mul, e = alg.mul_basis, x.counit()
+    mul, product, e = alg.mul_basis, alg.basis_product, x.counit()
     ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
     split3 = {k: nonzero_row(*_legs3(alg, _comult_basis(alg, k), True))
               for k in {k for pair in dx for k in pair}}
     out = []
     for y in ys:
         yr = integer_row(y.coeffs)
+        m = unit_column(yr)
         x2y, yx1, ydiv = {}, {}, {}  # keyed by the leg they multiply
         lhs = [[1, {}] for _ in _DIVISION_IDENTITIES]
         for (k1, k2), a in dx.items():
             if k2 not in x2y:
-                x2y[k2] = mul(k2, yr)
+                x2y[k2] = mul(k2, yr) if m is None else product(k2, m)
             if k1 not in yx1:
-                yx1[k1] = mul(k1, yr, right=True)
+                yx1[k1] = mul(k1, yr, right=True) if m is None else product(m, k1)
                 ydiv[k1] = _right_div(alg, yr, split3[k1])
             # S is (-1)^degree on monomials: x1 \ (x2 y) and x1 (x2 \ y)
             # are x1 (x2 y) up to sign
@@ -254,9 +264,10 @@ def check_weak_assoc(alg, y, xs, zs):
     every x of ``xs`` and z of ``zs`` whose degrees sum to at most the cap.
     Returns ``(cases, failures)``: the number of (x, z) pairs compared and
     the index pairs (i, j) into ``xs`` and ``zs`` of those that fail."""
-    mul = alg.mul_basis
+    mul, product = alg.mul_basis, alg.basis_product
     budget = alg.cap - y.degree()
     yr = integer_row(y.coeffs)
+    m = unit_column(yr)
     # for each x within the budget: the room left for z, Delta x and
     # w = sum x1 (y x2), formed once; y x2 by x2
     splits, yx2 = [], {}
@@ -268,13 +279,14 @@ def check_weak_assoc(alg, y, xs, zs):
         w = [1, {}]
         for (k1, k2), a in dx.items():
             if k2 not in yx2:
-                yx2[k2] = mul(k2, yr, right=True)
+                yx2[k2] = mul(k2, yr, right=True) if m is None else product(m, k2)
             mul(k1, yx2[k2], into=w, c=a)
         w[0] *= ddx
         splits.append((i, room, ddx, dx, w))
     cases, failures = 0, []
     for j, z in enumerate(zs):
         zr, degree = integer_row(z.coeffs), z.degree()
+        n = unit_column(zr)
         yx2z = {}  # y (x2 z) by x2, for this z only
         for i, room, ddx, dx, w in splits:
             if degree > room:
@@ -283,7 +295,7 @@ def check_weak_assoc(alg, y, xs, zs):
             lhs = [1, {}]
             for (k1, k2), a in dx.items():
                 if k2 not in yx2z:
-                    yx2z[k2] = alg.mul_rows(yr, mul(k2, zr))
+                    yx2z[k2] = alg.mul_rows(yr, mul(k2, zr) if n is None else product(k2, n))
                 mul(k1, yx2z[k2], into=lhs, c=a)
             lhs[0] *= ddx
             if any(alg.mul_rows(w, zr, into=lhs, c=-1)[1].values()):

@@ -13,12 +13,14 @@ one difference row: the products of its left side add into one
 those of its right side into the same one with c = -1, and it holds when
 no entry is left nonzero.  The accumulator keeps the zero entries its
 sums leave, which the products skip, and a degree is read from the
-nonzero entries only.
+nonzero entries only.  An inner product that is only read and whose
+operands are both basis monomials is the table's shared row
+(``basis_product``); every accumulator added into is a fresh one.
 """
 
 from __future__ import annotations
 
-from .exactlin import add_row, integer_row
+from .exactlin import add_row, integer_row, unit_column
 from .freealg import DegreeBudgetExceeded
 
 
@@ -37,28 +39,35 @@ class IdentityChecks:
     def _basis_associator(self, i, y, k, into=None, c=1):
         """Add c ((b_i y) b_k - b_i (y b_k)), for basis monomials i, k and an
         integer row y, into the accumulator ``into`` (or a fresh one)."""
-        mul = self.mul_basis
-        acc = mul(k, mul(i, y), right=True, into=into, c=c)
-        return mul(i, mul(k, y, right=True), into=acc, c=-c)
+        mul, m = self.mul_basis, unit_column(y)
+        iy, yk = ((mul(i, y), mul(k, y, right=True)) if m is None
+                  else (self.basis_product(i, m), self.basis_product(m, k)))
+        acc = mul(k, iy, right=True, into=into, c=c)
+        return mul(i, yk, into=acc, c=-c)
 
     def _d_rows(self, a, b, z):
         """D_{a,b} z = a (b z) - b (a z) for basis monomials a, b and an
         integer row z."""
-        mul = self.mul_basis
-        return mul(b, mul(a, z), into=mul(a, mul(b, z)), c=-1)
+        mul, m = self.mul_basis, unit_column(z)
+        az, bz = ((mul(a, z), mul(b, z)) if m is None
+                  else (self.basis_product(a, m), self.basis_product(b, m)))
+        return mul(b, az, into=mul(a, bz), c=-1)
 
     def check_jordan(self, a, x):
         """L_{ax+xa} == L_a L_x + L_x L_a on the safe filtration window."""
         k = self.cap - x.degree() - a.degree()
         if k < 0:
             raise DegreeBudgetExceeded("no domain left for the operator identity")
-        mul, mul_basis = self.mul_rows, self.mul_basis
+        mul, mul_basis, product = self.mul_rows, self.mul_basis, self.basis_product
         ar, xr = integer_row(a.coeffs), integer_row(x.coeffs)
+        ma, mx = unit_column(ar), unit_column(xr)
         lhs_mult = mul(xr, ar, into=mul(ar, xr))
         for y in range(self.count_upto(k)):
             diff = mul_basis(y, lhs_mult, right=True)
-            mul(ar, mul_basis(y, xr, right=True), into=diff, c=-1)
-            if any(mul(xr, mul_basis(y, ar, right=True), into=diff, c=-1)[1].values()):
+            xy = mul_basis(y, xr, right=True) if mx is None else product(mx, y)
+            ay = mul_basis(y, ar, right=True) if ma is None else product(ma, y)
+            mul(ar, xy, into=diff, c=-1)
+            if any(mul(xr, ay, into=diff, c=-1)[1].values()):
                 return False
         return True
 

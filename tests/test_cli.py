@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+import sys
 import time
 from importlib import resources
 
@@ -86,6 +88,46 @@ def test_malformed_entries_exit_2(tmp_path, capsys, entries):
         load_system(path)
     assert cli.main(["check", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def scaled_s2(tmp_path, digits):
+    """s2 in the basis e' = 10^(digits-1) e: every structure constant is
+    multiplied by 10^(digits-1), so it has ``digits`` digits."""
+    doc = json.loads(open(data_path("s2.json")).read())
+    for entry in doc["entries"]:
+        entry["value"] = {k: v + "0" * (digits - 1) for k, v in entry["value"].items()}
+    path = tmp_path / f"s2_{digits}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_numbers_over_the_interpreter_digit_limit_load_and_print(tmp_path, capsys):
+    # 4,001-digit constants: the product has numbers over the default limit
+    # of 4,300 digits, and main prints it exactly; the limit is restored
+    limit = sys.get_int_max_str_digits()
+    path = scaled_s2(tmp_path, 4001)
+    assert cli.main(["mul", path, "-N", "6", "--", "((e*(f*e))*(f*(e*f)))", "1"]) == 0
+    out = capsys.readouterr().out
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert sys.get_int_max_str_digits() == limit
+    # 5,001-digit constants are over the limit as the input is parsed
+    path = scaled_s2(tmp_path, 5001)
+    assert cli.main(["check", path]) == 0
+    capsys.readouterr()
+    if limit:
+        # the loader alone, under the limit: too long, named by its digits
+        with pytest.raises(LoadError, match="rational of 5001 digits is too long") as err:
+            load_system(path)
+        assert len(str(err.value)) < 200 + len(path)
+
+
+def test_a_malformed_long_rational_is_not_echoed_whole(tmp_path, capsys):
+    path = write(tmp_path, {"kind": "lts", "dim": 2, "basis": ["a", "b"],
+                            "entries": [{"args": [0, 1, 0], "value": {"0": "1/" + "x" * 9000}}]})
+    assert cli.main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert "malformed rational '1/xxx" in err and "(9002 characters)" in err
+    assert len(err) < 200 + len(path)
 
 
 @pytest.mark.parametrize("basis", [["a", "a"], [1, None]],

@@ -336,10 +336,18 @@ def reference_weak_assoc(alg, x, y, z):
     return lhs == rhs
 
 
-def hoisted_cases(alg):
+def hoisted_cases(alg, scale=1):
     """The hopf suite's division and weak-associativity cases through the
-    hoisted checks: ({(vx, vy): failures}, {(vx, vy, vz): ok})."""
-    N, upto, m = alg.cap, alg.monomials_upto, alg.monomial
+    hoisted checks: ({(vx, vy): failures}, {(vx, vy, vz): ok}).  Every
+    operand is ``scale`` times its monomial: at scale 1 a basis operand
+    reads its shared table row, at any other every product takes the
+    general path, with the same verdicts, since the checks are linear in
+    each operand."""
+    N, upto = alg.cap, alg.monomials_upto
+
+    def m(v):
+        return scale * alg.monomial(v)
+
     divisions, weak = {}, {}
     for vx in upto(N // 2):
         vys = upto(N - 2 * sum(vx))
@@ -392,7 +400,7 @@ def test_hopf_suite_case_counts(name):
     assert rep["status"] == "pass"
 
 
-def test_a_corrupted_product_fails_both_hoisted_checks():
+def _corrupted_s2():
     # a fresh algebra, so that the corrupted entry reaches no other test;
     # Delta is cached before the corruption, so the coideal check passes
     alg = EnvelopingAlgebra(_algebra("s2.json", 4).system, 4)
@@ -400,10 +408,27 @@ def test_a_corrupted_product_fails_both_hoisted_checks():
         comult(alg.monomial(v))
     e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
     den, row = alg.basis_product(e, f)
-    alg._products[e, f] = (den, {k: 2 * b for k, b in row.items()})
+    alg._products[e][f] = (den, {k: 2 * b for k, b in row.items()})
+    return alg
+
+
+def test_a_corrupted_product_fails_both_hoisted_checks():
+    alg = _corrupted_s2()
     divisions, weak = hoisted_cases(alg)
     assert any(divisions.values()) and not all(weak.values())
     assert (divisions, weak) == reference_cases(alg)
+
+
+@pytest.mark.parametrize("name", _SYSTEMS + ("s2-corrupted",))
+def test_basis_operand_branch_matches_the_general_path(name):
+    # the verdicts and case counts of the shared-row branch (basis
+    # operands) against the general path (the same operands, scaled)
+    alg = _corrupted_s2() if name == "s2-corrupted" else _algebra(name, 4)
+    divisions, weak = hoisted_cases(alg)
+    assert hoisted_cases(alg, F(1, 2)) == (divisions, weak)
+    assert hoisted_cases(alg, 2) == (divisions, weak)
+    if name == "s2-corrupted":
+        assert any(divisions.values()) and not all(weak.values())
 
 
 def reference_s_map_cases(alg, seed):
@@ -429,7 +454,7 @@ def test_the_hopf_suite_names_its_failures_on_a_corrupted_table():
         comult(alg.monomial(v))
     e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
     den, row = alg.basis_product(e, f)
-    alg._products[e, f] = den, {**row, e: row.get(e, 0) + den}
+    alg._products[e][f] = den, {**row, e: row.get(e, 0) + den}
     rep = suites.suite_hopf(alg.system, lambda cap: alg, 4, 4)
     verdicts = {r["id"]: r["verdict"] for r in rep.records}
     divisions, weak = reference_cases(alg)
@@ -441,6 +466,23 @@ def test_the_hopf_suite_names_its_failures_on_a_corrupted_table():
     assert verdicts["division_exhaustive"] == "fail"
     assert not all(weak.values()) and verdicts["weak_associativity_exhaustive"] == "fail"
     assert s_cases[(1, 0), (0, 1)] is False and verdicts["s_map_automorphism"] == "fail"
+
+
+def test_an_s_that_moves_the_counit_fails_the_s_map_check(monkeypatch):
+    # S with S(1) = -1 is still an involution but moves the counit of 1, so
+    # the first check of s_map_automorphism fails; at seed 2 sl2_lts draws
+    # no pair with a unit factor or a unit term in its product, so the
+    # multiplicativity check alone would pass
+    alg = _algebra("sl2_lts.json", 4)
+    pairs = reference_s_map_cases(alg, 2)
+    assert pairs and all(sum(vx) and sum(vy)
+                         and 0 not in (alg.monomial(vx) * alg.monomial(vy)).coeffs
+                         for vx, vy in pairs)
+    sign = hopf._sign
+    monkeypatch.setattr(hopf, "_sign", lambda alg, k: -1 if k == 0 else sign(alg, k))
+    rep = suites.suite_hopf(alg.system, lambda cap: alg, 4, 2)
+    verdicts = {r["id"]: r["verdict"] for r in rep.records}
+    assert verdicts["s_map_automorphism"] == "fail"
 
 
 # -- differential test: the integer-row Hopf layer against the Fraction path
@@ -610,7 +652,7 @@ def test_a_corrupted_product_fails_both_coalgebra_checks_alike():
     i, j = next((i, j) for i in range(1, alg.count_upto(2)) for j in range(1, alg.count_upto(2))
                 if alg.basis_product(i, j)[0] != 1)
     den, row = alg.basis_product(i, j)
-    alg._products[i, j] = 2 * den, {k: 3 * b for k, b in row.items()}
+    alg._products[i][j] = 2 * den, {k: 3 * b for k, b in row.items()}
     got, want = _coalgebra_failures(alg)
     assert got == want
     assert got and {f[0] for f in got} == {"multiplicativity"}

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from triplex import cli, suites
 from triplex.envelope import Element, EnvelopingAlgebra
+from triplex.exactlin import same_row
 from triplex.freealg import DegreeBudgetExceeded
 
 SYSTEMS = ("abelian3", "s2", "s2_plus_s2", "sl2", "sl2_lts", "sl3_sym")
@@ -104,9 +105,11 @@ def reference_expansion(alg, c, a, b, n):
 
 # -- the cases the suites run, plus the derivation check's ----------------------
 
-def verdicts(alg, row_checks):
+def verdicts(alg, row_checks, scale=1):
     """``{case: verdict}`` over the jordan, lemma, expansion and derivation
-    cases of ``alg``, through the row checks or the references."""
+    cases of ``alg``, through the row checks or the references, with the
+    jordan and derivation operands scaled by ``scale`` (the checks are
+    linear in each operand)."""
     d, N = alg.d, alg.cap
     jordan, derivation, lemma, expansion = (
         (alg.check_jordan, alg.check_d_derivation, alg.check_lemma_derivation,
@@ -118,13 +121,13 @@ def verdicts(alg, row_checks):
     out = {}
     for a in range(d):
         for v in alg.monomials_upto(N - 2):
-            out["jordan", a, v] = jordan(alg.generator(a), alg.monomial(v))
+            out["jordan", a, v] = jordan(scale * alg.generator(a), scale * alg.monomial(v))
     # x of degree <= 1 against every y the budget leaves, for each (a, b)
     for ai, bi in iproduct(range(d), repeat=2):
         for vx in alg.monomials_upto(1):
             for vy in alg.monomials_upto(N - 2 - sum(vx)):
                 out["derivation", ai, bi, vx, vy] = derivation(
-                    ai, bi, alg.monomial(vx), alg.monomial(vy))
+                    ai, bi, scale * alg.monomial(vx), scale * alg.monomial(vy))
     for c, a, b in iproduct(range(d), repeat=3):
         for n in range(N - 1):
             out["lemma", c, a, b, n] = lemma(c, a, b, n)
@@ -148,28 +151,67 @@ def test_row_checks_match_element_checks_on_a_corrupted_table(name, cap, pair):
     # first check: both versions multiply through the same wrong table
     alg = EnvelopingAlgebra(load(name), cap)
     den, row = alg.basis_product(*pair)
-    alg._products[pair] = (2 * den, row)
+    alg._products[pair[0]][pair[1]] = (2 * den, row)
     rows = verdicts(alg, True)
     assert rows == verdicts(alg, False)
     assert not all(rows.values())
+
+
+def corrupted_s2():
+    # a fresh s2 algebra whose product e f is divided by 3
+    alg = EnvelopingAlgebra(load("s2"), 4)
+    e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
+    den, row = alg.basis_product(e, f)
+    alg._products[e][f] = 3 * den, row
+    return alg
 
 
 @pytest.mark.parametrize("suite, failure", [("jordan", "jordan_operator_identity"),
                                             ("lemma", "lemma_residue"),
                                             ("expansion", "associator_expansion")])
 def test_identity_suites_name_their_failures_on_a_corrupted_table(suite, failure):
-    # a fresh s2 algebra whose product e f is divided by 3 before the first
-    # check: every failing case gets the suite's named record, and the
-    # verdict over all cases fails
-    alg = EnvelopingAlgebra(load("s2"), 4)
-    e, f = alg.exp_index[1, 0], alg.exp_index[0, 1]
-    den, row = alg.basis_product(e, f)
-    alg._products[e, f] = 3 * den, row
+    # e f divided by 3 before the first check: every failing case gets the
+    # suite's named record, and the verdict over all cases fails
+    alg = corrupted_s2()
     rep = getattr(suites, f"suite_{suite}")(alg.system, lambda cap: alg, 4, 0)
     failed = [r["id"] for r in rep.records if r["verdict"] == "fail"]
     # the named failing cases, then the failing summary
     assert failed[:-1] and set(failed[:-1]) == {failure}
     assert failed[-1] == rep.records[-1]["id"] == f"{suite}_exhaustive"
+
+
+# -- the basis-operand branch: a basis operand reads its shared table row ---------
+
+def operand_rows(alg, scale):
+    """``_basis_associator(i, y, k)`` and ``_d_rows(a, b, y)`` for every
+    basis monomial m within the cap, with y = ``(scale, {m: scale})``:
+    scale 1 is the basis row of m, which takes the branch; another scale
+    is the same element, which takes the general path."""
+    out = {}
+    for m in range(alg.nf_size):
+        y, room = (scale, {m: scale}), alg.cap - alg.nf_degree[m]
+        for i in range(alg.count_upto(room)):
+            for k in range(alg.count_upto(room - alg.nf_degree[i])):
+                out["associator", i, m, k] = alg._basis_associator(i, y, k)
+        if room >= 2:
+            for a, b in iproduct(range(1, alg.d + 1), repeat=2):
+                out["d", a, b, m] = alg._d_rows(a, b, y)
+    return out
+
+
+@pytest.mark.parametrize("name, cap", CASES + [("s2-corrupted", 4)],
+                         ids=CASE_IDS + ["s2-corrupted-N4"])
+def test_basis_operand_branch_matches_the_general_path(name, cap):
+    # scale 1 takes the branch wherever an operand is a basis monomial;
+    # scale 2 takes the general path everywhere
+    alg = corrupted_s2() if name == "s2-corrupted" else algebra(name, cap)
+    rows = verdicts(alg, True)
+    assert verdicts(alg, True, scale=2) == rows
+    assert all(rows.values()) != (name == "s2-corrupted")
+    basis, general = operand_rows(alg, 1), operand_rows(alg, 2)
+    assert basis.keys() == general.keys()
+    for key, row in basis.items():
+        assert same_row(row, general[key]), key
 
 
 scalars = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))

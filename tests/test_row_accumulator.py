@@ -12,6 +12,7 @@ shared table, normal-form or comultiplication row, and that no
 ``Element`` handed out by ``reduce_tree`` writes into its cached row.
 """
 
+import copy
 from functools import lru_cache
 from importlib import resources
 from math import lcm
@@ -256,17 +257,49 @@ def test_no_suite_writes_into_a_shared_row(name):
             suites._SUITES[n](system, lambda cap: alg, 4, 0)
     fresh = EnvelopingAlgebra(system, 4)
     # the suites fill the whole table and every Delta row
-    assert len(alg._products) == sum(alg.count_upto(4 - k) for k in alg.nf_degree)
+    assert sum(map(len, alg._products)) == sum(alg.count_upto(4 - k) for k in alg.nf_degree)
     assert alg._hopf_comult.keys() == set(alg.rep_tree)
-    for (i, j), row in alg._products.items():
-        assert row == fresh.basis_product(i, j), (i, j)
-        # the table and the tree-keyed normal forms share each row
-        assert row is alg._nf_row(graft(alg.rep_tree[i], alg.rep_tree[j])), (i, j)
+    for i, rows in enumerate(alg._products):
+        for j, row in rows.items():
+            assert row == fresh.basis_product(i, j), (i, j)
+            # the table and the tree-keyed normal forms share each row
+            assert row is alg._nf_row(graft(alg.rep_tree[i], alg.rep_tree[j])), (i, j)
     for t, row in alg._nf_rows.items():
         assert row == fresh._nf_row(t), t
     hopf.check_coideal(fresh)
     for k, t in enumerate(alg.rep_tree):
         assert alg._hopf_comult[t] == hopf._comult_basis(fresh, k), k
+
+
+@pytest.mark.parametrize("name", ["s2_plus_s2", "sl3_sym"])
+def test_run_suite_all_writes_into_no_shared_row(monkeypatch, name):
+    # every shared row is made before the run (the whole product table,
+    # every table tree's normal form and every Delta row) and deep-copied;
+    # run_suite("all") then runs on that algebra, and must leave each row
+    # as it was
+    system = algebra(name, 4).system
+    alg = EnvelopingAlgebra(system, 4)
+    for i in range(alg.nf_size):
+        for j in range(alg.count_upto(4 - alg.nf_degree[i])):
+            alg.basis_product(i, j)
+    for t in alg.table.trees:
+        alg._nf_row(t)
+    hopf.check_coideal(alg)
+    for k in range(alg.nf_size):
+        hopf._comult_basis(alg, k)
+    before = copy.deepcopy((alg._products, alg._nf_rows, alg._hopf_comult))
+    built = []
+
+    def prebuilt(system, cap, max_monomials):
+        built.append(cap)
+        return alg
+
+    monkeypatch.setattr(suites, "EnvelopingAlgebra", prebuilt)
+    got = suites.run_suite("all", system, 4, 0).to_dict(machine=True)
+    assert built == [4]
+    assert (alg._products, alg._nf_rows, alg._hopf_comult) == before
+    monkeypatch.undo()
+    assert got == suites.run_suite("all", system, 4, 0).to_dict(machine=True)
 
 
 def test_reduce_tree_hands_out_a_fresh_element():

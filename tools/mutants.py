@@ -52,6 +52,9 @@ SAME_ROW_TESTS = (f"{ACCUMULATOR_TESTS}::"
 UNIT_PRODUCT_TESTS = f"{ACCUMULATOR_TESTS}::test_products_by_the_unit_match_the_table_path"
 SUITE_FAILURE_TESTS = (f"{IDENTITY_TESTS}::"
                        "test_identity_suites_name_their_failures_on_a_corrupted_table")
+BRANCH_TESTS = "tests/test_hopf.py::test_basis_operand_branch_matches_the_general_path"
+DIGIT_TESTS = ("tests/test_cli.py::"
+               "test_numbers_over_the_interpreter_digit_limit_load_and_print")
 HOPF_FAILURE_TESTS = ("tests/test_hopf.py::"
                       "test_the_hopf_suite_names_its_failures_on_a_corrupted_table")
 # the one failure record of the lemma and expansion suites (_exhaustive_triples)
@@ -255,10 +258,17 @@ MUTANTS = [
     # the hopf layer: Delta of a basis row is its cached row, the legwise
     # product rescales only for a new denominator, and the failures name
     # what failed
-    ("comult-rows-shortcut-for-any-single-term", "hopf.py",
-     "    if dx == 1 and len(xs) == 1 and 1 in xs.values():",
-     "    if len(xs) == 1:",
+    # a basis row is told apart by exactlin.unit_column, for Delta and for
+    # the products that read a basis operand's shared table row
+    ("unit-column-of-any-coefficient", "exactlin.py",
+     "            if a == 1:\n"
+     "                return k",
+     "            return k",
      ["tests/test_hopf.py::test_comult_of_a_basis_row_is_its_cached_row"]),
+    ("unit-column-ignores-the-denominator", "exactlin.py",
+     "    if den == 1 and len(w) == 1:",
+     "    if len(w) == 1:",
+     [BRANCH_TESTS]),
     ("tensor-rows-without-rescale", "hopf.py",
      "            if dd != acc[0]:\n"
      "                add_row(acc, 0, dd, {})\n",
@@ -344,9 +354,50 @@ MUTANTS = [
      "",
      ["tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"]),
     ("jordan-difference-without-rhs", "identities.py",
-     "            mul(ar, mul_basis(y, xr, right=True), into=diff, c=-1)\n",
+     "            mul(ar, xy, into=diff, c=-1)\n",
      "",
      [f"{IDENTITY_TESTS}::test_row_checks_match_element_checks"]),
+    # the product table is one dict per left factor, and a product of two
+    # basis operands that is only read is the table's shared row
+    ("mul-basis-right-product-from-the-left-dict", "envelope.py",
+     "                d, row = ((table[i].get(k) or product(i, k)) if right",
+     "                d, row = ((left.get(i) or product(i, k)) if right",
+     [f"{ACCUMULATOR_TESTS}::test_products_match_the_references"]),
+    ("tensor-rows-right-leg-from-the-left-dict", "hopf.py",
+     "            d2, right = rights.get(r2) or product(r1, r2)",
+     "            d2, right = lefts.get(r2) or product(r1, r2)",
+     [f"{ACCUMULATOR_TESTS}::test_tensor_rows_match_the_reference"]),
+    ("weak-associativity-branch-of-the-swapped-pair", "hopf.py",
+     "                yx2[k2] = mul(k2, yr, right=True) if m is None else product(m, k2)",
+     "                yx2[k2] = mul(k2, yr, right=True) if m is None else product(k2, m)",
+     ["tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"]),
+    # the branch taken for a product that is added into: x a lands in the
+    # shared row of a x, and the check's own verdict stays right
+    ("jordan-adds-into-a-shared-row", "identities.py",
+     "        lhs_mult = mul(xr, ar, into=mul(ar, xr))",
+     "        lhs_mult = mul(xr, ar, into=mul(ar, xr) if ma is None or mx is None"
+     " else product(ma, mx))",
+     [f"{ACCUMULATOR_TESTS}::test_run_suite_all_writes_into_no_shared_row"]),
+    ("multiplicativity-without-the-product-denominator", "hopf.py",
+     "                add_row(diff, -a, dp * dk, row)",
+     "                add_row(diff, -a, dk, row)",
+     ["tests/test_hopf.py::test_a_corrupted_product_fails_both_coalgebra_checks_alike"]),
+    # the s_map check's involution and counit failure
+    ("s-map-involution-drops-its-failure", "suites.py",
+     "        if hopf.s_map(hopf.s_map(x)) != x or hopf.s_map(x).counit() != x.counit():\n"
+     "            s_ok = False",
+     "        if hopf.s_map(hopf.s_map(x)) != x or hopf.s_map(x).counit() != x.counit():\n"
+     "            pass",
+     ["tests/test_hopf.py::test_an_s_that_moves_the_counit_fails_the_s_map_check"]),
+    # the CLI loads and prints exact numbers of any size
+    ("cli-keeps-the-int-digit-limit", "cli.py",
+     "    sys.set_int_max_str_digits(0)\n",
+     "",
+     [DIGIT_TESTS]),
+    ("loader-calls-a-long-rational-malformed", "cli.py",
+     "                if limit and digits > limit:",
+     "                if False:",
+     [DIGIT_TESTS]),
     # the lts verdicts are kept on the system, once each
     ("axiom-report-not-kept", "lts.py",
      "    if getattr(t, \"_axioms\", None) is None:",
@@ -399,6 +450,9 @@ RETIRED = [
      "the t_goal line is gone: one T-ideal exit replaces rules A and B, and no "
      "generator of nonzero counit enters the echelon before saturation; "
      "counit-nonzero-generator-in-the-t-rows is the mutant of that guard"),
+    ("comult-rows-shortcut-for-any-single-term",
+     "the basis-row test left _comult_rows for exactlin.unit_column; "
+     "unit-column-of-any-coefficient is its mutant there"),
     ("relation-span-sides-swapped",
      "the free-table closure left src: U_N(T) is built on the quotient side, and "
      "the free-table build is the tests' reference (tests/free_table.py)"),
