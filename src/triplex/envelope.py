@@ -34,7 +34,7 @@ from .exactlin import (ONE, ZERO, Echelon, Subspace, accumulate, add_row, echelo
 from .freealg import (MAX_MONOMIALS, UNIT, DegreeBudgetExceeded, MonomialTable, _trees,
                       graft, is_leaf, power_tree, tree_degree)
 from .identities import IdentityChecks
-from .lts import check_axioms, generated_ideal, r_generators
+from .lts import check_axioms, generated_ideal, integer_operators
 
 
 class PBWCertificateFailure(RuntimeError):
@@ -473,7 +473,7 @@ class EnvelopingAlgebra(IdentityChecks):
         # the T-rows' ideal of T (None: the rule is off), and its operators
         t_ech = Echelon() if t_exit and self.closure_of_t().subspace.dim == unit else None
         if t_ech is not None and self._r_ops is None:
-            self._r_ops = r_generators(self.system) if N >= 3 and all(
+            self._r_ops = list(integer_operators(self.system).values()) if N >= 3 and all(
                 self.check_assoc_expansion(i, j, k, 1)
                 for i, j, k in iproduct(range(d), repeat=3)) else []
         ech, queue, stop = Echelon(), [], "saturated"

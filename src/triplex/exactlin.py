@@ -4,11 +4,11 @@ Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator, no rounding ever) at every API boundary.  Vectors are
 plain ``{column: Fraction}`` dicts over integer columns; an element of
 the enveloping algebra is one over normal-form indices, and a tensor is
-one over pairs of them.  ``accumulate`` is the one sparse-dict
-arithmetic: it adds relators, tensors and elements.  Hot sums run on
-integer rows ``(den, {k: int})`` instead (``integer_row``,
-``rational_row``); ``rational_row`` forms one ``Fraction`` per distinct
-value of its memo, which a caller may keep across rows.
+one over pairs of them.  ``accumulate`` is the one sparse-dict sum, on
+ints or Fractions alike: it adds elements, tensors and the integer
+operators of ``lts``.  Hot sums run on integer rows ``(den, {k: int})``
+(``integer_row``, ``rational_row``); ``rational_row`` forms one
+``Fraction`` per distinct value of its memo, kept across rows at will.
 ``add_row`` is the one integer-row sum: it adds ``c * row / d`` into an
 accumulator ``[den, w]`` in place, and is the only code that rescales
 to a common denominator; ``sum_integer_rows``, the products of
@@ -64,14 +64,14 @@ def accumulate(out, coeffs, a=None):
     """
     if a is None:
         for k, c in coeffs.items():
-            s = out.get(k, ZERO) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
     elif a:
         for k, c in coeffs.items():
-            s = out.get(k, ZERO) + a * c
+            s = out.get(k, 0) + a * c
             if s:
                 out[k] = s
             else:

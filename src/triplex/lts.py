@@ -1,17 +1,19 @@
 """Lie triple systems, their operators, standard embedding and Killing form.
 
-A triple system is given by structure constants for the trilinear
-product on a chosen basis; everything else (inner derivations, the
-standard embedding Lie algebra, the Killing form, Lie/associative
-closures of the right-slot operators) is derived by exact linear
-algebra.  One scan of the D_{b_a,b_b}, kept on the system, gives the
-derivation verdict and InnDer(T).  Everything here is sparse: structure
-constants are the nonzero coordinates of each nonzero basis product, and
-vectors are ``{index: Fraction}`` dicts.  An operator is a dict of sparse
-columns ``{x: {k: a}}``: column x holds the nonzero coordinates of the
-image of b_x, and no column is empty, so equal operators are equal
-dicts.  A symmetric bilinear form K is stored the same way, with K(b_k,
-b_x) at [x][k].  Every routine visits only stored keys.
+A triple system is given by sparse structure constants on a chosen basis:
+the nonzero coordinates of each nonzero basis product.  Vectors are
+``{index: value}`` dicts and an operator is a dict of nonempty sparse
+columns ``{x: {k: a}}`` (column x is the image of b_x), so equal operators
+are equal dicts; a bilinear form K is stored the same way, K(b_k, b_x) at
+[x][k].
+
+The kernels compute on integers.  A system keeps its constants over one
+denominator (``integer_constants``), a Lie algebra its brackets and an
+embedding its form on T, and the ``op_*`` algebra takes ints or Fractions.
+Each identity checked here is homogeneous in each of its inputs, and
+spans and ranks do not change under scaling, so integer multiples of the
+inputs give the same verdicts, counterexamples and spans.  Only returned
+values are divided back into Fractions.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 
-from .exactlin import ONE, ZERO, Echelon, Subspace, accumulate
+from .exactlin import ZERO, Echelon, Subspace, accumulate, integer_row, rational_row
 
 
 class InvalidStructure(ValueError):
@@ -29,8 +32,7 @@ class InvalidStructure(ValueError):
 
 def _validated(dim, basis_names, table, arity):
     """``basis_names`` as a tuple, and ``table`` (``arity`` basis indices ->
-    ``{index: value}``) without zero coordinates or empty entries, its
-    values as Fractions.  Every index is checked against ``dim``."""
+    ``{index: value}``) checked against ``dim``, with nonzero Fractions."""
     names = tuple(basis_names)
     if len(names) != dim:
         raise InvalidStructure("one basis name per dimension required")
@@ -52,9 +54,15 @@ def _validated(dim, basis_names, table, arity):
     return names, out
 
 
+def _integer_op(op):
+    """``(den, w)``: the operator or table ``op`` is ``w / den``, w integer."""
+    den = lcm(*(a.denominator for col in op.values() for a in col.values()))
+    return den, {x: {k: a.numerator * (den // a.denominator) for k, a in col.items()}
+                 for x, col in op.items()}
+
+
 def _unique(entries, kind):
-    """The ``(key, coords)`` pairs of ``entries`` as a dict; a repeated key
-    is an error."""
+    """The ``(key, coords)`` pairs as a dict; a repeated key is an error."""
     table = {}
     for key, coords in entries:
         if key in table:
@@ -63,9 +71,6 @@ def _unique(entries, kind):
         table[key] = coords
     return table
 
-
-# ---------------------------------------------------------------------------
-# operators as sparse columns
 
 def op_apply(op, v):
     """The image of the sparse vector ``v``."""
@@ -98,7 +103,7 @@ def op_add(a, b, s=None):
 
 def op_bracket(a, b):
     """The commutator ``a b - b a``."""
-    return op_add(op_compose(a, b), op_compose(b, a), -ONE)
+    return op_add(op_compose(a, b), op_compose(b, a), -1)
 
 
 def op_transpose(op):
@@ -127,16 +132,14 @@ class TripleSystem:
 
     def __init__(self, dim, basis_names, constants):
         self.dim = dim
-        # (i,j,k) -> {l: a}: the nonzero coordinates of each nonzero [b_i,b_j,b_k]
+        # (i,j,k) -> {l: a}: the nonzero coordinates of [b_i,b_j,b_k]
         self.basis_names, self.constants = _validated(dim, basis_names, constants, 3)
+        self.integer_constants = _integer_op(self.constants)
 
     @classmethod
     def from_entries(cls, dim, basis_names, entries):
-        """Build from a list of ((i,j,k), {index: Fraction}) pairs.
-
-        Unlisted triples are zero.  Duplicate triples are an error; no
-        symmetry completion is performed.
-        """
+        """From ((i,j,k), {index: value}) pairs: unlisted triples are zero, a
+        repeated one is an error."""
         return cls(dim, basis_names, _unique(entries, "triple"))
 
     def triple_product(self, x, y, z):
@@ -173,12 +176,17 @@ class TripleSystem:
 
 def basis_operators(t, right=True):
     """The nonzero R_{b_i,b_j}: x -> [x, b_i, b_j] (or, if not ``right``,
-    D_{b_i,b_j}: x -> [b_i, b_j, x]), by (i, j) in lexicographic order.
+    D_{b_i,b_j}: x -> [b_i, b_j, x]), by (i, j)."""
+    den = t.integer_constants[0]
+    return {key: {x: rational_row(den, col) for x, col in op.items()}
+            for key, op in integer_operators(t, right).items()}
 
-    Their columns are the dicts of ``t.constants``: do not mutate them.
-    """
+
+def integer_operators(t, right=True):
+    """``basis_operators`` times ``t.integer_constants``' denominator: the
+    columns are its dicts (do not mutate them)."""
     ops = {}
-    for (p, q, r), coords in t.constants.items():
+    for (p, q, r), coords in t.integer_constants[1].items():
         if right:
             ops.setdefault((q, r), {})[p] = coords
         else:
@@ -204,12 +212,9 @@ class AxiomReport:
 
 
 def _first_nonzero_sum(consts, orbit):
-    """Lexicographically first basis tuple t with sum of C[s], s in orbit(t), != 0.
-
-    ``orbit(*t)`` lists tuples (repeats count) and must be closed
-    under the symmetry it describes, so only the orbits of stored keys
-    can have a nonzero sum.
-    """
+    """The first basis tuple t with sum of C[s], s in orbit(t), != 0.
+    ``orbit(*t)`` lists tuples (repeats count), closed under its symmetry:
+    only the orbits of stored keys can have a nonzero sum."""
     for t in sorted({s for key in consts for s in orbit(*key)}):
         total = {}
         for s in orbit(*t):
@@ -224,12 +229,8 @@ def _cyclic(i, j, k):
 
 
 def _derivation_failure(consts, op):
-    """First basis triple (x,y,z), lexicographically, where ``op`` is no derivation.
-
-    The identity checked is
-    op[x,y,z] = [op x,y,z] + [x,op y,z] + [x,y,op z];
-    returns None if it holds on every basis triple.
-    """
+    """The first basis triple (x,y,z) where ``op`` is no derivation:
+    op[x,y,z] != [op x,y,z] + [x,op y,z] + [x,y,op z]; or None."""
     op_t = op_transpose(op)  # p -> {x: coefficient of b_p in op(b_x)}
     residue = {}
     for (p, q, r), coords in consts.items():
@@ -251,15 +252,14 @@ def _derivation_failure(consts, op):
 
 def _derivation_pass(t):
     """``(ech, bad)``: the ``Echelon`` of the flattened D_{b_a,b_b}, and the
-    first (a, b, x, y, z) where D_{a,b} is no derivation, or None (only then
-    does ``ech`` hold every D).  The identity is linear in D, so only the
-    D's that enlarge the span of the earlier, passing ones need checking.
-    Kept on the system, whose constants never change (insert nothing)."""
+    first (a, b, x, y, z) where D_{a,b} is no derivation, or None (then ech
+    holds every D).  The identity is linear in D, so only D's that enlarge
+    the span are checked.  Kept on the system (insert nothing)."""
     if getattr(t, "_derivations", None) is None:
         d, ech, bad = t.dim, Echelon(), None
-        for (a, b), op in basis_operators(t, right=False).items():
+        for (a, b), op in integer_operators(t, right=False).items():
             if ech.insert(_flatten(op, d)) is not None and (
-                    bad := _derivation_failure(t.constants, op)):
+                    bad := _derivation_failure(t.integer_constants[1], op)):
                 bad = (a, b) + bad
                 break
         t._derivations = ech, bad
@@ -267,20 +267,15 @@ def _derivation_pass(t):
 
 
 def check_axioms(t):
-    """Verify the three defining identities on all basis combinations.
-
-    Each verdict's counterexample is the first failing basis combination
-    in lexicographic order.  The report is kept on the system, as the
-    derivation pass is (its constants never change): do not mutate it.
-    """
+    """The three defining identities on all basis combinations, each with the
+    first failing one as counterexample.  Kept on the system: do not mutate."""
     if getattr(t, "_axioms", None) is None:
         t._axioms = _axiom_report(t)
     return t._axioms
 
 
 def _axiom_report(t):
-    consts = t.constants
-
+    consts = t.integer_constants[1]
     alt = AxiomVerdict(True)
     squares = [(i, k) for i, j, k in consts if i == j]
     if squares:
@@ -291,17 +286,14 @@ def _axiom_report(t):
         bad = _first_nonzero_sum(consts, lambda i, j, k: ((i, j, k), (j, i, k)))
         if bad:
             alt = AxiomVerdict(False, ("[x,y,z]+[y,x,z] != 0",) + bad)
-
     cyc = AxiomVerdict(True)
     bad = _first_nonzero_sum(consts, _cyclic)
     if bad:
         cyc = AxiomVerdict(False, ("cyclic sum != 0",) + bad)
-
     der = AxiomVerdict(True)
     bad = _derivation_pass(t)[1]
     if bad:
         der = AxiomVerdict(False, ("derivation identity fails",) + bad)
-
     return AxiomReport(alt, cyc, der)
 
 
@@ -310,8 +302,9 @@ class LieAlgebra:
 
     def __init__(self, dim, basis_names, brackets):
         self.dim = dim
-        # (i,j) -> {l: a}: the nonzero coordinates of each nonzero [b_i,b_j]
+        # (i,j) -> {l: a}: the nonzero coordinates of [b_i,b_j]
         self.basis_names, self.brackets = _validated(dim, basis_names, brackets, 2)
+        self.integer_brackets = _integer_op(self.brackets)
 
     @classmethod
     def from_entries(cls, dim, basis_names, entries):
@@ -328,24 +321,23 @@ class LieAlgebra:
         return out
 
     def _nested(self):
-        """[b_i, [b_j, b_k]] by (i, j, k), on the triples where it can be nonzero."""
+        """[b_i, [b_j, b_k]] by (i, j, k) where it can be nonzero, over the
+        square of the brackets' denominator."""
+        brackets = self.integer_brackets[1]
         by_second = {}
-        for (i, l), coords in self.brackets.items():
+        for (i, l), coords in brackets.items():
             by_second.setdefault(l, []).append((i, coords))
         out = {}
-        for (j, k), inner in self.brackets.items():
+        for (j, k), inner in brackets.items():
             for l, a in inner.items():
                 for i, coords in by_second.get(l, ()):
                     accumulate(out.setdefault((i, j, k), {}), coords, a)
         return out
 
     def validate(self):
-        """Raise InvalidStructure unless antisymmetry and Jacobi hold.
-
-        The failure named is the first basis pair, then the first basis
-        triple, in lexicographic order.
-        """
-        bad = _first_nonzero_sum(self.brackets, lambda i, j: ((i, j), (j, i)))
+        """Raise InvalidStructure unless antisymmetry and Jacobi hold, naming
+        the first failing basis pair, then the first basis triple."""
+        bad = _first_nonzero_sum(self.integer_brackets[1], lambda i, j: ((i, j), (j, i)))
         if bad:
             i, j = bad
             if (i, i) in self.brackets:
@@ -361,26 +353,24 @@ class LieAlgebra:
         for (i, j, k), coords in self._nested().items():
             if k in coords:
                 accumulate(out.setdefault(i, {}), {j: coords[k]})
-        return {i: row for i, row in out.items() if row}
+        den = self.integer_brackets[0] ** 2
+        return {i: rational_row(den, row) for i, row in out.items() if row}
 
 
 def lts_from_lie(l):
-    """The triple system [x,y,z] = [[x,y],z] of a Lie algebra: once
-    ``validate`` has checked antisymmetry, [[b_i,b_j],b_k] is
+    """The triple system [x,y,z] = [[x,y],z] of a valid Lie algebra: that is
     -[b_k,[b_i,b_j]], which ``_nested`` holds at (k, i, j)."""
     l.validate()
-    constants = {(i, j, k): {m: -a for m, a in coords.items()}
+    den = l.integer_brackets[0] ** 2
+    constants = {(i, j, k): {m: Fraction(-a, den) for m, a in coords.items()}
                  for (k, i, j), coords in l._nested().items()}
     return TripleSystem(l.dim, l.basis_names, dict(sorted(constants.items())))
 
 
 def inner_derivations(t):
-    """Echelonized span of all D_{b_i,b_j}, verified to be derivations.
-
-    Returns (Subspace over flattened d*d operators, list of basis operators).
-    The span is then bracket-closed, since [D, D_{a,b}] = D_{Da,b} + D_{a,Db}
-    for every derivation D, so no bracket is formed here.
-    """
+    """(Subspace of flattened operators, its basis operators): the span of
+    the D_{b_i,b_j}, all derivations, so bracket-closed: [D, D_{a,b}] =
+    D_{Da,b} + D_{a,Db}."""
     ech, bad = _derivation_pass(t)
     if bad:
         raise InvalidStructure("an inner derivation fails the derivation identity")
@@ -390,17 +380,17 @@ def inner_derivations(t):
 
 @dataclass
 class StandardEmbedding:
-    """L(T) = InnDer(T) (+) T with its Killing form.
-
-    The involution of L(T) fixes the first ``inn_dim`` basis vectors (the
-    InnDer(T) block) and negates the rest (the T block).
-    """
+    """L(T) = InnDer(T) (+) T with its Killing form.  Its involution fixes the
+    first ``inn_dim`` basis vectors (InnDer(T)) and negates the rest (T)."""
     lie: LieAlgebra
     inn_dim: int
     t_dim: int
-    inn_basis: list            # operators on T spanning InnDer(T), echelon basis
-    killing: dict              # trace form of the adjoint representation
-    killing_t: dict            # restriction of the Killing form to the T block
+    inn_basis: list  # operators on T spanning InnDer(T), echelon basis
+    killing: dict    # trace form of the adjoint representation
+    killing_t: dict  # restriction of the Killing form to the T block
+
+    def __post_init__(self):
+        self.integer_killing_t = _integer_op(self.killing_t)
 
     @property
     def dim(self):
@@ -408,9 +398,8 @@ class StandardEmbedding:
 
 
 def _graded(brackets, m):
-    """True iff [D,D] and [T,T] lie in D and [D,T], [T,D] in T, where D is
-    spanned by the first ``m`` basis vectors and T by the rest: exactly
-    when the involution fixing D and negating T preserves the bracket."""
+    """True iff [D,D], [T,T] lie in D and [D,T], [T,D] in T, for D spanned by
+    the first ``m`` basis vectors: iff the involution keeps the bracket."""
     for (p, q), coords in brackets.items():
         odd = (p >= m) != (q >= m)
         if any((l >= m) != odd for l in coords):
@@ -419,28 +408,31 @@ def _graded(brackets, m):
 
 
 def standard_embedding(t):
-    """Build L(T), validate Jacobi and the grading, and compute the Killing form."""
+    """L(T) with Jacobi, the grading and its Killing form checked; InnDer(T)
+    coordinates come from integer operators, over each block's denominator."""
     d = t.dim
     inn_space, inn_basis = inner_derivations(t)
     m = len(inn_basis)
     n = m + d
 
-    def inn_coords(op):
-        coords = inn_space.coordinates(_flatten(op, d))
-        if coords is None:
+    def inn_coords(op, den):
+        # coordinates in an RREF basis: the entries at its pivots
+        v = _flatten(op, d)
+        if inn_space.reduce(v):
             raise InvalidStructure("bracket leaves the inner derivation span")
-        return dict(enumerate(coords))
+        return {q: Fraction(v[p], den) for q, p in enumerate(inn_space.pivots) if p in v}
 
+    scaled = [_integer_op(D) for D in inn_basis]
     brackets = {}
-    for p, a in enumerate(inn_basis):
-        for q, b in enumerate(inn_basis):
-            brackets[(p, q)] = inn_coords(op_bracket(a, b))
+    for p, (da, a) in enumerate(scaled):
+        for q, (db, b) in enumerate(scaled):
+            brackets[(p, q)] = inn_coords(op_bracket(a, b), da * db)
     for p, D in enumerate(inn_basis):
         for i, col in sorted(D.items()):
             brackets[(p, m + i)] = {m + k: a for k, a in col.items()}
             brackets[(m + i, p)] = {m + k: -a for k, a in col.items()}
-    for (i, j), D in basis_operators(t, right=False).items():
-        brackets[(m + i, m + j)] = inn_coords(D)
+    for (i, j), D in integer_operators(t, right=False).items():
+        brackets[(m + i, m + j)] = inn_coords(D, t.integer_constants[0])
 
     names = tuple(f"D{p}" for p in range(m)) + t.basis_names
     lie = LieAlgebra(n, names, brackets)
@@ -466,11 +458,8 @@ class TraceIdentityReport:
 
 
 def trace_identity_check(t, emb=None):
-    """2 tr(R_{b_i,b_j}) equals the Killing form K(b_i,b_j), all pairs.
-
-    tr R_{b_i,b_j} is the sum over x of C[(x,i,j)][x], so only the pairs
-    with a nonzero trace or a nonzero K(b_i,b_j) can fail.
-    """
+    """2 tr(R_{b_i,b_j}) = K(b_i,b_j) on all pairs; tr R_{b_i,b_j} is the sum
+    over x of C[(x,i,j)][x], so only pairs with either side nonzero can fail."""
     emb = emb or standard_embedding(t)
     traces = {}
     for (x, i, j), coords in t.constants.items():
@@ -487,15 +476,9 @@ def trace_identity_check(t, emb=None):
 
 
 def _span_closure(gens, product, n):
-    """Smallest space of operators on Q^n containing ``gens`` and closed
-    under ``product``.
-
-    Returns (canonical RREF Subspace over the flattened operators, list
-    of its basis operators).  Every ordered pair of basis elements is
-    multiplied once, in order of discovery, and the search stops as soon
-    as the span is all of End(Q^n): the closure is then known, and its
-    canonical basis with it.
-    """
+    """(RREF Subspace of flattened operators, its basis operators): the least
+    space on Q^n containing ``gens`` and closed under ``product``.  Each
+    ordered pair of basis elements is multiplied once, until End(Q^n)."""
     for g in gens:
         for x, col in g.items():
             if not 0 <= x < n or any(not 0 <= k < n for k in col):
@@ -526,11 +509,7 @@ def _span_closure(gens, product, n):
 
 
 def lie_closure(gens, n):
-    """Smallest bracket-closed space of operators on Q^n containing ``gens``.
-
-    Returns (Subspace over flattened operators, list of echelon basis
-    operators).  Stops early once the span is all of End(Q^n).
-    """
+    """``_span_closure`` of ``gens`` under the bracket."""
     return _span_closure(gens, op_bracket, n)
 
 
@@ -541,15 +520,12 @@ def r_generators(t):
 
 def endo_theorem_check(t):
     """True iff the Lie closure of all R_{b_i,b_j} is the full End(T)."""
-    space, _ = lie_closure(r_generators(t), t.dim)
+    space, _ = lie_closure(integer_operators(t).values(), t.dim)
     return space.dim == t.dim * t.dim
 
 
 def associative_envelope(gens, n):
-    """Span-closure of ``gens`` under composition (no unit adjoined).
-
-    Stops early once the span is all of End(Q^n).
-    """
+    """``_span_closure`` of ``gens`` under composition (no unit adjoined)."""
     return _span_closure(gens, op_compose, n)
 
 
@@ -562,30 +538,26 @@ class SimplicityReport:
 
 
 def simplicity_certificate(t):
-    """Burnside-style simplicity certificate over Q.
-
-    Ideals of T are exactly the subspaces invariant under all R_{b,c};
-    a full associative envelope of those operators plus [T,T,T] != 0
-    certifies simplicity.  A proper envelope alone is inconclusive
-    unless an explicit invariant-subspace witness is found.  The report
-    is kept on the system, as ``check_axioms``' is: do not mutate it.
-    """
+    """Burnside-style certificate: ideals of T are the R_{b,c}-invariant
+    subspaces, so a full associative envelope of the R's and [T,T,T] != 0
+    make T simple; a proper one needs an invariant subspace as witness.
+    Kept on the system: do not mutate it."""
     if getattr(t, "_simplicity", None) is None:
         t._simplicity = _simplicity_certificate(t)
     return t._simplicity
 
 
 def _simplicity_certificate(t):
-    d, gens = t.dim, r_generators(t)
+    d, gens = t.dim, integer_operators(t).values()
     if not t.constants:
-        witness = generated_ideal(Echelon(), [{0: ONE}], gens, d).subspace(d) if d else None
+        witness = generated_ideal(Echelon(), [{0: 1}], gens, d).subspace(d) if d else None
         return SimplicityReport("not_simple", 0, False, witness)
     env_space, _ = associative_envelope(gens, d)
     if env_space.dim == d * d:
         return SimplicityReport("simple", env_space.dim, True)
-    # witness search: the ideal generated by a single basis vector
+    # witness search: the ideal of a single basis vector
     for i in range(d):
-        ideal = generated_ideal(Echelon(), [{i: ONE}], gens, d)
+        ideal = generated_ideal(Echelon(), [{i: 1}], gens, d)
         if 0 < ideal.dim < d:
             return SimplicityReport("not_simple", env_space.dim, True,
                                     ideal.subspace(d))
@@ -593,13 +565,10 @@ def _simplicity_certificate(t):
 
 
 def generated_ideal(ech, vectors, ops, d):
-    """Extend ``ech``, the echelon of a subspace of Q^d stable under every
-    operator of ``ops``, by the subspace that ``vectors`` generate: the
-    smallest one that contains them and is stable under ``ops``.  With the
-    R_{b,c} (``r_generators``) as ``ops`` it is the ideal of T they
-    generate, since a subspace is an ideal exactly when every R_{b,c} keeps
-    it.  The images of each new vector are formed one at a time, and the
-    search stops once ``ech`` has dimension d.  Returns ``ech``."""
+    """Extend ``ech``, echelon of an ``ops``-stable subspace of Q^d, to the
+    least ``ops``-stable one containing ``vectors`` (with the R_{b,c} as
+    ``ops``, the ideal they generate), forming images one at a time.
+    Returns ``ech``."""
     work = [iter(vectors)]
     while work and ech.dim < d:
         v = next(work[-1], None)
@@ -610,28 +579,48 @@ def generated_ideal(ech, vectors, ops, d):
     return ech
 
 
-def tau_map(emb, x, y):
-    """The rank <= 1 operator z -> K(y,z) x on T."""
+def _tau(kt, x, y):
+    """z -> K(y,z) x, for the form K stored as ``kt``."""
     if not x:
         return {}
-    return {z: {i: a * c for i, a in x.items()}
-            for z, c in op_apply(emb.killing_t, y).items()}
+    return {z: {i: a * c for i, a in x.items()} for z, c in op_apply(kt, y).items()}
+
+
+def _lambda(kt, x, y):
+    return op_add(_tau(kt, x, y), _tau(kt, y, x), -1)
+
+
+def _skew(kt, m):
+    return not op_add(op_compose(op_transpose(m), kt), op_compose(kt, m))
+
+
+def _tau_rule(kt, dmat, x, y):
+    if not _skew(kt, dmat):
+        raise InvalidStructure("operator is not skew with respect to the Killing form")
+    return op_bracket(dmat, _tau(kt, x, y)) == op_add(
+        _tau(kt, op_apply(dmat, x), y), _tau(kt, x, op_apply(dmat, y)))
+
+
+def _rational(kernel, emb, x, y):
+    (dk, kt), (dx, x), (dy, y) = emb.integer_killing_t, integer_row(x), integer_row(y)
+    return {z: rational_row(dk * dx * dy, col) for z, col in kernel(kt, x, y).items()}
+
+
+def tau_map(emb, x, y):
+    """The rank <= 1 operator z -> K(y,z) x on T."""
+    return _rational(_tau, emb, x, y)
 
 
 def lambda_map(emb, x, y):
-    return op_add(tau_map(emb, x, y), tau_map(emb, y, x), -ONE)
+    return _rational(_lambda, emb, x, y)
 
 
 def is_k_skew(emb, m):
     """True iff K(m u, v) + K(u, m v) = 0 for all u, v."""
-    kt = emb.killing_t
-    return not op_add(op_compose(op_transpose(m), kt), op_compose(kt, m))
+    return _skew(emb.integer_killing_t[1], _integer_op(m)[1])
 
 
 def tau_commutator_check(emb, dmat, x, y):
     """[d, tau_{x,y}] == tau_{d(x),y} + tau_{x,d(y)} for K-skew d."""
-    if not is_k_skew(emb, dmat):
-        raise InvalidStructure("operator is not skew with respect to the Killing form")
-    lhs = op_bracket(dmat, tau_map(emb, x, y))
-    rhs = op_add(tau_map(emb, op_apply(dmat, x), y), tau_map(emb, x, op_apply(dmat, y)))
-    return lhs == rhs
+    return _tau_rule(emb.integer_killing_t[1], _integer_op(dmat)[1],
+                     integer_row(x)[1], integer_row(y)[1])

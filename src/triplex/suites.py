@@ -14,10 +14,9 @@ from . import hopf
 from .envelope import Element, EnvelopingAlgebra
 from .exactlin import Echelon, echelonize
 from .freealg import MAX_MONOMIALS, DegreeBudgetExceeded, check_table_size
-from .lts import (InvalidStructure, basis_operators, check_axioms,
-                  generated_ideal, lambda_map, lie_closure, op_compose,
-                  op_transpose, r_generators, simplicity_certificate,
-                  standard_embedding, tau_commutator_check, tau_map,
+from .lts import (InvalidStructure, _lambda, _tau, _tau_rule, check_axioms,
+                  generated_ideal, integer_operators, lie_closure, op_compose,
+                  op_transpose, simplicity_certificate, standard_embedding,
                   trace_identity_check)
 
 # the least cap at which a suite checks anything: below it the jordan
@@ -112,8 +111,10 @@ def suite_embedding(system, alg_cache, N, seed):
     tr = trace_identity_check(system, emb)
     rep.add("trace_identity", {}, tr.ok, tr.failures or None)
     # adjointness of R_{a,b} and R_{b,a} under the restricted Killing form,
-    # on the pairs where one of them is nonzero
-    r, kt = basis_operators(system), emb.killing_t
+    # on the pairs where one of them is nonzero.  This and the tau rules run
+    # on integer multiples of the constants, K and the samples: each is
+    # homogeneous in all of them
+    r, kt = integer_operators(system), emb.integer_killing_t[1]
     adj_ok = all(op_compose(op_transpose(r.get((i, j), {})), kt)
                  == op_compose(kt, r.get((j, i), {}))
                  for i, j in set(r) | {(j, i) for i, j in r})
@@ -122,15 +123,15 @@ def suite_embedding(system, alg_cache, N, seed):
     rng = random.Random(seed)
 
     def sample():
-        return {i: Fraction(c) for i in range(d) if (c := rng.randint(-3, 3))}
+        return {i: c for i in range(d) if (c := rng.randint(-3, 3))}
 
     tau_ok = comm_ok = True
     for _ in range(10):
         x, y = sample(), sample()
-        if echelonize(tau_map(emb, x, y).values(), d).dim > 1:
+        if echelonize(_tau(kt, x, y).values(), d).dim > 1:
             tau_ok = False
-        dmat = lambda_map(emb, sample(), sample())
-        if not tau_commutator_check(emb, dmat, x, y):
+        dmat = _lambda(kt, sample(), sample())
+        if not _tau_rule(kt, dmat, x, y):
             comm_ok = False
     rep.add("tau_rank_le_one", {"samples": 10, "seed": seed}, tau_ok)
     rep.add("tau_commutator_rule", {"samples": 10, "seed": seed}, comm_ok)
@@ -139,7 +140,7 @@ def suite_embedding(system, alg_cache, N, seed):
 
 def suite_endo(system, alg_cache, N, seed):
     rep = SuiteReport("endo")
-    space, _ = lie_closure(r_generators(system), system.dim)
+    space, _ = lie_closure(integer_operators(system).values(), system.dim)
     rep.add("lie_closure_full",
             {"closure_dim": space.dim, "expected": system.dim ** 2},
             space.dim == system.dim ** 2)
@@ -317,7 +318,7 @@ def suite_mainthm(system, alg_cache, N, seed):
         return (0 not in ic.subspace.pivots and ic.meets_t_dim >= ideal_dim
                 and (ic.meets_t_dim > 0 or ic.stabilization_degree is not None))
 
-    ops = r_generators(system)
+    ops = integer_operators(system).values()
     for idx, g in enumerate([alg.generator(i) for i in range(alg.d)]):
         ic = alg.right_ideal_closure([g])
         ideal_dim = 0 if simple else generated_ideal(Echelon(), [{idx: 1}], ops, alg.d).dim

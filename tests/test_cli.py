@@ -3,7 +3,9 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -531,3 +533,42 @@ def test_load_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, text, command)
     path.write_text(text)
     assert cli.main([command, str(path)]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- large rescalings: valid systems with big numbers keep the contract --------
+
+@st.composite
+def _rescaled_systems(draw):
+    """A bundled system in the basis b'_i = c_i b_i, each c_i a rational whose
+    numerator and denominator have up to 1, 40 or 400 digits (40 for
+    sl3_sym, whose mainthm takes about a minute at 400): a structure
+    constant becomes the old one times the c's of its arguments over c_l."""
+    name = draw(st.sampled_from(["s2.json", "sl2.json", "sl2_lts.json",
+                                 "s2_plus_s2.json", "sl3_sym.json"]))
+    doc = json.loads(open(data_path(name)).read())
+    digits = [1, 40] if name == "sl3_sym.json" else [1, 40, 400]
+    big = st.integers(1, 10 ** draw(st.sampled_from(digits)))
+    scale = [Fraction(draw(big) * draw(st.sampled_from([1, -1])), draw(big))
+             for _ in range(doc["dim"])]
+    for entry in doc["entries"]:
+        factor = prod(scale[i] for i in entry["args"])
+        entry["value"] = {l: str(Fraction(v) * factor / scale[int(l)])
+                          for l, v in entry["value"].items()}
+    return doc
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_rescaled_systems(), cap=st.integers(2, 4), data=st.data())
+def test_large_rescalings_keep_the_exit_code_contract(tmp_path, capsys, doc, cap, data):
+    # exact numbers of any size: pass, fail or a guard, never a usage error
+    # or a traceback
+    path = tmp_path / "rescaled.json"
+    path.write_text(json.dumps(doc))
+    a, b = (data.draw(st.sampled_from(doc["basis"])) for _ in range(2))
+    n = ["-N", str(cap)]
+    for argv in (["check"], ["pbw", *n], ["mul", *n, "--", f"{a}*{b}", a],
+                 ["ideal", *n, "--right", a], ["verify", "--suite", "all", "--json", *n]):
+        command, *rest = argv
+        assert cli.main([command, str(path), *rest]) in (0, 1, 3), argv
+        assert "Traceback" not in capsys.readouterr().err

@@ -718,7 +718,7 @@ def test_one_verify_run_makes_one_derivation_pass(monkeypatch):
 
 def test_one_verify_run_makes_each_lts_verdict_once(monkeypatch):
     # check_axioms in the build and in the axioms suite share one report (one
-    # alternating and one cyclic scan of the system's constants), and the
+    # alternating and one cyclic scan of the system's integer constants), and the
     # simple and mainthm suites one simplicity certificate (one associative
     # envelope)
     t = BUNDLED["sl2_lts"]
@@ -726,7 +726,7 @@ def test_one_verify_run_makes_each_lts_verdict_once(monkeypatch):
     scans, envelopes = [], []
     scan, envelope = lts._first_nonzero_sum, lts.associative_envelope
     monkeypatch.setattr(lts, "_first_nonzero_sum",
-                        lambda consts, orbit: scans.append(consts is t.constants)
+                        lambda consts, orbit: scans.append(consts is t.integer_constants[1])
                         or scan(consts, orbit))
     monkeypatch.setattr(lts, "associative_envelope",
                         lambda gens, n: envelopes.append(n) or envelope(gens, n))
@@ -872,6 +872,7 @@ def assert_lts_layer_matches(t):
     cert = simplicity_certificate(t)
     assert ((cert.verdict, cert.envelope_dim, cert.triple_nonzero, cert.witness)
             == dense_simplicity_certificate(ref_t))
+    return ref and (emb, ref)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -888,22 +889,55 @@ def test_lts_layer_random_matches_dense(case):
         assert_lts_layer_matches(t)
 
 
+def in_basis(t, p, pinv):
+    """``t`` in the basis b'_i = P b_i, for P given with its inverse
+    ``pinv``: [b'_i, b'_j, b'_k] in the new basis."""
+    d = t.dim
+    constants = {(i, j, k): op_apply(pinv, t.triple_product(p[i], p[j], p[k]))
+                 for i, j, k in iproduct(range(d), repeat=3)}
+    return TripleSystem(d, t.basis_names, constants)
+
+
+def scaled(t, scale):
+    """``t`` in the basis b'_i = c_i b_i."""
+    return in_basis(t, {x: {x: c} for x, c in enumerate(scale)},
+                    {x: {x: 1 / c} for x, c in enumerate(scale)})
+
+
+def rebased(draw, t, p, pinv, shears):
+    """``in_basis`` of P S, for S a product of up to ``shears`` elementary
+    matrices I + c E_{ab}."""
+    d = t.dim
+    idx = st.integers(0, d - 1)
+    for a, b, c in draw(st.lists(st.tuples(idx, idx, st.integers(-2, 2)),
+                                 max_size=shears)):
+        if a != b and c:
+            p = op_compose(p, {x: {x: ONE} for x in range(d)} | {b: {a: F(c), b: ONE}})
+            pinv = op_compose({x: {x: ONE} for x in range(d)} | {b: {a: F(-c), b: ONE}},
+                              pinv)
+    return in_basis(t, p, pinv)
+
+
 @st.composite
 def rebased_systems(draw):
     """A bundled system in a random basis b'_i = P b_i, P a product of
     elementary matrices I + c E_{ab}: [b'_i, b'_j, b'_k] in the new basis."""
     t = BUNDLED[draw(st.sampled_from(["s2", "sl2_lts", "s2_plus_s2"]))]
-    d = t.dim
-    p = pinv = {x: {x: ONE} for x in range(d)}
-    idx = st.integers(0, d - 1)
-    for a, b, c in draw(st.lists(st.tuples(idx, idx, st.integers(-2, 2)), max_size=4)):
-        if a != b and c:
-            p = op_compose(p, {x: {x: ONE} for x in range(d)} | {b: {a: F(c), b: ONE}})
-            pinv = op_compose({x: {x: ONE} for x in range(d)} | {b: {a: F(-c), b: ONE}},
-                              pinv)
-    constants = {(i, j, k): op_apply(pinv, t.triple_product(p[i], p[j], p[k]))
-                 for i, j, k in iproduct(range(d), repeat=3)}
-    return TripleSystem(d, t.basis_names, constants)
+    identity = {x: {x: ONE} for x in range(t.dim)}
+    return rebased(draw, t, identity, identity, 4)
+
+
+@st.composite
+def rational_rebases(draw, names=("s2", "sl2_lts", "s2_plus_s2")):
+    """A bundled system in the basis b'_i = c_i S b_i: a diagonal scaling
+    with denominators 2..7, times up to two shears.  Its constants, inner
+    derivations and Killing form carry denominators, so every integer
+    kernel of ``lts`` scales them away and divides them back."""
+    t = BUNDLED[draw(st.sampled_from(names))]
+    scale = [F(draw(st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 7])), draw(st.integers(2, 7)))
+             for _ in range(t.dim)]
+    return rebased(draw, t, {x: {x: c} for x, c in enumerate(scale)},
+                   {x: {x: 1 / c} for x, c in enumerate(scale)}, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -928,22 +962,88 @@ def embeddings(name):
     return standard_embedding(t), dense_standard_embedding(dense_system(t))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["s2", "sl2_lts", "sl3_sym", "s2_plus_s2"]), st.data())
-def test_tau_helpers_match_dense(name, data):
-    emb, ref = embeddings(name)
+def assert_tau_helpers_match(emb, ref, data, entry):
+    """The tau helpers on vectors with entries drawn from ``entry`` equal the
+    dense reference's, Fraction for Fraction, and so do the verdicts on an
+    operator that is K-skew and on a random one."""
     d = emb.t_dim
     kt = ref.killing_t
-    vec = st.tuples(*[st.integers(-3, 3).map(F)] * d)
+    vec = st.tuples(*[entry] * d)
     x, y, u, v = (data.draw(vec) for _ in range(4))
-    assert tau_map(emb, sparse(x), sparse(y)) == columns(dense_tau_map(kt, x, y))
+    tau = tau_map(emb, sparse(x), sparse(y))
+    assert tau == columns(dense_tau_map(kt, x, y))
     lam = lambda_map(emb, sparse(u), sparse(v))
     assert lam == columns(dense_lambda_map(kt, u, v))
+    assert all(type(a) is F for op in (tau, lam) for col in op.values() for a in col.values())
     assert is_k_skew(emb, lam) and dense_is_k_skew(kt, matrix(d, lam))
     assert (tau_commutator_check(emb, lam, sparse(x), sparse(y))
             == dense_tau_commutator_check(kt, matrix(d, lam), x, y))
     other = data.draw(st.tuples(*[vec] * d))
     assert is_k_skew(emb, columns(other)) == dense_is_k_skew(kt, other)
+    assert (raises_invalid(tau_commutator_check, emb, columns(other), sparse(x), sparse(y))
+            == raises_invalid(dense_tau_commutator_check, kt, other, x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["s2", "sl2_lts", "sl3_sym", "s2_plus_s2"]), st.data())
+def test_tau_helpers_match_dense(name, data):
+    assert_tau_helpers_match(*embeddings(name), data, st.integers(-3, 3).map(F))
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+def assert_rebase_matches_dense(t, data):
+    """check_axioms, the whole lts layer, the tau helpers on rational vectors
+    and the embedding suite of a rebased system against the dense reference."""
+    assert check_axioms(t) == dense_check_axioms(dense_system(t))
+    assert_tau_helpers_match(*assert_lts_layer_matches(t), data, RATIONALS)
+    assert suites.suite_embedding(t, None, 2, data.draw(st.integers(0, 3))).ok
+
+
+def rational_scale(d):
+    """The basis b'_k = (k+2)/(2k+3) b_k, as CI rebases sl3_sym."""
+    return [F(k + 2, 2 * k + 3) for k in range(d)]
+
+
+@pytest.mark.parametrize("name", ["s2", "sl2_lts", "s2_plus_s2"])
+def test_lts_layer_with_denominators_matches_dense(name):
+    # one fixed rational basis and one pair of rational vectors, without
+    # Hypothesis: the quick witness of the integer kernels' denominators (the
+    # random rebases and vectors below are the broad one)
+    t = scaled(BUNDLED[name], rational_scale(BUNDLED[name].dim))
+    assert check_axioms(t) == dense_check_axioms(dense_system(t))
+    emb, ref = assert_lts_layer_matches(t)
+    x = tuple(F(1 - k, k + 2) for k in range(t.dim))
+    y = tuple(F(2 * k + 1, 3) for k in range(t.dim))
+    assert tau_map(emb, sparse(x), sparse(y)) == columns(dense_tau_map(ref.killing_t, x, y))
+    assert lambda_map(emb, sparse(x), sparse(y)) == columns(
+        dense_lambda_map(ref.killing_t, x, y))
+
+
+@cache
+def rational_embeddings(name):
+    t = scaled(BUNDLED[name], rational_scale(BUNDLED[name].dim))
+    return standard_embedding(t), dense_standard_embedding(dense_system(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["s2", "sl2_lts", "sl3_sym", "s2_plus_s2"]), st.data())
+def test_tau_helpers_with_denominators_match_dense(name, data):
+    assert_tau_helpers_match(*rational_embeddings(name), data, RATIONALS)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rational_rebases(), st.data())
+def test_lts_layer_rational_rebase_matches_dense(t, data):
+    assert_rebase_matches_dense(t, data)
+
+
+@settings(max_examples=2, deadline=None)
+@given(rational_rebases(("sl3_sym",)), st.data())
+def test_sl3_sym_rational_rebase_matches_dense(t, data):
+    # two examples: the dense axiom check alone takes about 3 s on sl3_sym
+    assert_rebase_matches_dense(t, data)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,15 @@ DIGIT_TESTS = ("tests/test_cli.py::"
                "test_numbers_over_the_interpreter_digit_limit_load_and_print")
 HOPF_FAILURE_TESTS = ("tests/test_hopf.py::"
                       "test_the_hopf_suite_names_its_failures_on_a_corrupted_table")
+# the lts layer on systems whose constants, inner derivations and Killing
+# form carry denominators, against the dense reference
+# (the fixed rational basis first: it fails without a slow Hypothesis shrink)
+RATIONAL_REBASE_TESTS = [f"{LTS_SPARSE}::test_lts_layer_with_denominators_matches_dense",
+                         f"{LTS_SPARSE}::test_lts_layer_rational_rebase_matches_dense",
+                         f"{LTS_SPARSE}::test_sl3_sym_rational_rebase_matches_dense"]
+RATIONAL_TAU_TESTS = [f"{LTS_SPARSE}::test_lts_layer_with_denominators_matches_dense",
+                      f"{LTS_SPARSE}::test_tau_helpers_with_denominators_match_dense"]
+LTS_FAILURES = "tests/test_lts_failures.py"
 # the one failure record of the lemma and expansion suites (_exhaustive_triples)
 SUITE_FAILURE_RECORD = ("                rep.add(failure, {\"c\": c, \"a\": a, \"b\": b, \"n\": n},"
                         " False)")
@@ -106,7 +115,7 @@ MUTANTS = [
      [f"{CLOSURE_TESTS}::test_mainthm_generator_closures_meet_the_ideal_they_generate"]),
     # the T-ideal exit of the right ideal closure
     ("t-ideal-without-r-closure", "envelope.py",
-     "            self._r_ops = r_generators(self.system) if N >= 3 and all(",
+     "            self._r_ops = list(integer_operators(self.system).values()) if N >= 3 and all(",
      "            self._r_ops = [] if N >= 3 and all(",
      [f"{CLOSURE_TESTS}::test_closure_stops_at_the_augmentation_ceiling",
       f"{CLOSURE_TESTS}::test_counit_nonzero_generator_exits_once_its_products_generate_t"]),
@@ -194,7 +203,7 @@ MUTANTS = [
      "            if ech.insert(_flatten(op, d)) is None and (",
      DERIVATION_TESTS + INNER_DERIVATION_TESTS),
     ("derivation-pass-checks-none", "lts.py",
-     "                    bad := _derivation_failure(t.constants, op)):",
+     "                    bad := _derivation_failure(t.integer_constants[1], op)):",
      "                    bad := None):",
      DERIVATION_TESTS + INNER_DERIVATION_TESTS),
     ("derivation-pass-checks-first-only", "lts.py",
@@ -235,8 +244,8 @@ MUTANTS = [
       f"{LTS_SPARSE}::test_lts_layer_bundled_matches_dense",
       "tests/test_lts.py::test_flatten_roundtrip"]),
     ("lts-from-lie-without-sign", "lts.py",
-     "    constants = {(i, j, k): {m: -a for m, a in coords.items()}",
-     "    constants = {(i, j, k): {m: a for m, a in coords.items()}",
+     "    constants = {(i, j, k): {m: Fraction(-a, den) for m, a in coords.items()}",
+     "    constants = {(i, j, k): {m: Fraction(a, den) for m, a in coords.items()}",
      ["tests/test_provenance.py", "tests/test_lts.py::test_lts_from_lie_sl2",
       f"{LTS_SPARSE}::test_lie_layer_random_matches_dense",
       f"{LTS_SPARSE}::test_lie_layer_bundled_matches_dense"]),
@@ -435,9 +444,78 @@ MUTANTS = [
      "                                                   self._nf_fractions))",
      [f"{NF_READ_TESTS}::"
       "test_products_match_the_per_entry_element_and_leave_the_memo_alone"]),
+    # the integer kernels of lts: a denominator dropped where a value returns
+    # or where a coordinate is read
+    ("integer-copy-ignores-denominators", "lts.py",
+     "    return den, {x: {k: a.numerator * (den // a.denominator) for k, a in col.items()}",
+     "    return den, {x: {k: a.numerator for k, a in col.items()}",
+     RATIONAL_REBASE_TESTS),
+    ("tau-helpers-drop-the-denominator-of-x", "lts.py",
+     "    return {z: rational_row(dk * dx * dy, col) for z, col in kernel(kt, x, y).items()}",
+     "    return {z: rational_row(dk * dy, col) for z, col in kernel(kt, x, y).items()}",
+     RATIONAL_TAU_TESTS),
+    ("embedding-tt-block-ignores-its-denominator", "lts.py",
+     "        brackets[(m + i, m + j)] = inn_coords(D, t.integer_constants[0])",
+     "        brackets[(m + i, m + j)] = inn_coords(D, 1)",
+     RATIONAL_REBASE_TESTS),
+    ("embedding-dd-block-ignores-its-denominator", "lts.py",
+     "            brackets[(p, q)] = inn_coords(op_bracket(a, b), da * db)",
+     "            brackets[(p, q)] = inn_coords(op_bracket(a, b), 1)",
+     RATIONAL_REBASE_TESTS),
+    ("killing-over-the-denominator-not-its-square", "lts.py",
+     "        den = self.integer_brackets[0] ** 2",
+     "        den = self.integer_brackets[0]",
+     RATIONAL_REBASE_TESTS),
+    # the failure branches of the embedding suite and of the lts checks
+    ("embedding-suite-drops-the-adjointness-failure", "suites.py",
+     "    rep.add(\"killing_adjointness\", {}, adj_ok)",
+     "    rep.add(\"killing_adjointness\", {}, True)",
+     [f"{LTS_FAILURES}::test_killing_adjointness_fails_on_a_wrong_operator"]),
+    ("embedding-suite-drops-the-tau-rank-failure", "suites.py",
+     "            tau_ok = False",
+     "            pass",
+     [f"{LTS_FAILURES}::test_tau_rank_fails_on_a_rank_two_map"]),
+    ("embedding-suite-drops-the-commutator-failure", "suites.py",
+     "            comm_ok = False",
+     "            pass",
+     [f"{LTS_FAILURES}::test_tau_commutator_rule_fails_without_a_term"]),
+    ("trace-identity-drops-its-failures", "lts.py",
+     "            failures.append((i, j, lhs, rhs))",
+     "            pass",
+     [f"{LTS_FAILURES}::test_trace_identity_names_each_failing_pair",
+      f"{LTS_FAILURES}::test_trace_identity_fails_in_the_suite"]),
+    ("validate-drops-the-jacobi-failure", "lts.py",
+     "            raise InvalidStructure(\"Jacobi fails on basis triple ({},{},{})\".format(*bad))",
+     "            pass",
+     [f"{LTS_FAILURES}::test_validate_names_the_jacobi_failure"]),
+    ("embedding-drops-the-span-check", "lts.py",
+     "            raise InvalidStructure(\"bracket leaves the inner derivation span\")",
+     "            pass",
+     [f"{LTS_FAILURES}::test_embedding_fails_when_a_bracket_leaves_the_span"]),
+    ("embedding-drops-the-lie-algebra-check", "lts.py",
+     "        raise InvalidStructure(f\"standard embedding is not a Lie algebra: {exc}\")",
+     "        pass",
+     [f"{LTS_FAILURES}::test_embedding_fails_when_it_is_no_lie_algebra"]),
+    ("embedding-drops-the-grading-check", "lts.py",
+     "        raise InvalidStructure(\"the bracket does not respect the grading InnDer(T) + T\")",
+     "        pass",
+     [f"{LTS_FAILURES}::test_embedding_fails_on_a_wrong_grading"]),
+    ("embedding-drops-the-orthogonality-check", "lts.py",
+     "        raise InvalidStructure(\"InnDer(T) and T are not K-orthogonal\")",
+     "        pass",
+     [f"{LTS_FAILURES}::test_embedding_fails_when_innder_and_t_are_not_orthogonal"]),
 ]
 
-EQUIVALENT = []
+EQUIVALENT = [
+    # each input of the commutator rule is scaled to integers on its own; the
+    # rule is linear in y on both sides, so an unscaled y gives the same verdict
+    ("tau-commutator-check-with-an-unscaled-input", "lts.py",
+     "                     integer_row(x)[1], integer_row(y)[1])",
+     "                     integer_row(x)[1], y)",
+     "[d, tau_{x,y}] and tau_{d(x),y} + tau_{x,d(y)} are both linear in y, so the "
+     "verdict on y equals the verdict on any nonzero multiple of it: the "
+     "homogeneity that lets the lts kernels run on integers"),
+]
 
 RETIRED = [
     ("mul-basis-without-lcm-rescale",
