@@ -11,14 +11,11 @@ Each normal form is cached once, as an integer row ``(den, {k: int})``
 keyed by its tree: the build, ``reduce_tree`` and the table of basis
 products share these rows.  The table is one dict per left factor:
 ``_products[i][j]`` is the row of basis(i) basis(j) (``basis_product``).
-``mul_rows`` multiplies two rows, ``mul_basis`` a row by one basis
-monomial, each reading the table and adding into an ``exactlin.add_row``
-accumulator; a product of two basis monomials that is only read is the
-table's shared row itself.  The right-ideal closures and the identity
-checks of the paper (``identities.IdentityChecks``, a base class of
-``EnvelopingAlgebra``) run on these rows, with no ``Element`` and no
-``Fraction`` per product; ``Element`` is the boundary type
-(``Element._trusted`` for the kernel's own).
+``mul_rows`` multiplies two rows and ``mul_basis`` a row by one basis
+monomial, for the identity checks of the paper (``identities``); the
+right-ideal closures read the table themselves (``_right_products``).
+Each adds into an ``exactlin.add_row`` accumulator, with no ``Element``
+and no ``Fraction`` per product; ``Element`` is the boundary type.
 """
 
 from __future__ import annotations
@@ -171,7 +168,7 @@ class EnvelopingAlgebra(IdentityChecks):
         self._closure_nf = sorted(range(self.nf_size),
                                   key=lambda k: (-self.nf_degree[k], k))
         self._closure_col = sorted(range(self.nf_size), key=self._closure_nf.__getitem__)
-        self._t_closure = self._r_ops = None
+        self._t_closure = self._r_ops = self._spans = None
 
     # -- construction -------------------------------------------------------
 
@@ -390,12 +387,10 @@ class EnvelopingAlgebra(IdentityChecks):
 
     def mul_basis(self, k, x, right=False, into=None, c=1):
         """Add c * basis(k) x, or c * x basis(k) when ``right``, for an
-        integer row x, into the accumulator ``into``, or into a fresh one,
-        and return it (its zero entries kept): each nonzero term of x reads
-        one table row, except by the unit (k = 0), since graft(UNIT, t) is
-        t.  Each term is added in place; ``add_row`` (given no entries) is
-        called only when the term's denominator is not the accumulator's,
-        to rescale it.  ``into`` is never x itself or a shared row."""
+        integer row x, into the accumulator ``into`` (never x itself or a
+        shared row), or into a fresh one, and return it, its zero entries
+        kept.  Each nonzero term of x reads one table row, except by the
+        unit (k = 0: graft(UNIT, t) is t), and is added in place."""
         dx, xs = x
         acc = [1, {}] if into is None else into
         w = acc[1]
@@ -433,14 +428,15 @@ class EnvelopingAlgebra(IdentityChecks):
         """Closure I of span(gens) under right multiplication by monomials.
 
         A row of top degree t is multiplied by every monomial m with
-        1 <= |m| <= cap - t, until the span is closed or its final value
-        is known.  A generator of nonzero counit enters the echelon only
-        once the rest is saturated; until then only its products do.  The
-        counit is multiplicative, so the echelon lies in the augmentation
-        ideal A, and its rows with a pivot on a degree-1 column (the unit
-        column is last) lie in T.  The rule: I holds the ideal of T that
-        these T-rows generate; once that is T, I holds the closure of T,
-        which the rule needs to be A (``closure_of_t``).  For t in I and T:
+        1 <= |m| <= cap - t (``_right_products``, on the closure's columns:
+        higher degrees first, so T just before the unit, last), until the
+        span is closed or its final value is known.  A generator of nonzero
+        counit enters the echelon only once the rest is saturated; until
+        then only its products do.  The counit is multiplicative, so the
+        echelon lies in the augmentation ideal A, and its rows with a pivot
+        in T lie in T.  The rule: I holds the ideal of T that these T-rows
+        generate; once that is T, I holds the closure of T, which the rule
+        needs to be A (``closure_of_t``).  For t in I and T:
         - for generators a and b, I holds (ta)b and t(ab), so (t,a,b);
         - 2(t,a,b) = [a,t,b] = -[t,a,b] (``check_assoc_expansion`` at n = 1,
           checked once per algebra; below cap 3 the rule takes the span
@@ -449,7 +445,8 @@ class EnvelopingAlgebra(IdentityChecks):
         - a generator x of nonzero counit puts x - e(x) 1 in A, so 1 in I.
         ``exit`` names the stop: "t" (the rule) or "ceiling" (the echelon
         has the dimension of A), with the closure A, or "unit" for either
-        with a generator of nonzero counit; or "saturated".
+        with a generator of nonzero counit, with the closure U: each reads
+        its fields off A or U, with no elimination; or "saturated".
         """
         return self._close(gens, t_exit=True)
 
@@ -477,9 +474,10 @@ class EnvelopingAlgebra(IdentityChecks):
                 self.check_assoc_expansion(i, j, k, 1)
                 for i, j, k in iproduct(range(d), repeat=3)) else []
         ech, queue, stop = Echelon(), [], "saturated"
+        # every vector inserted here is a fresh dict of nonzero ints
         for vec in chain((v for v, counit in vecs if not counit),
                          self._right_products(chain(kept, queue))):
-            if (row := ech.insert(vec)) is None:
+            if (row := ech._insert(vec)) is None:
                 continue
             queue.append(row)
             if t_ech is not None and min(row) >= unit - d and generated_ideal(
@@ -491,52 +489,62 @@ class EnvelopingAlgebra(IdentityChecks):
             else:
                 continue
             break
-
-        if stop == "saturated":
-            # the kept generators last: only a row whose top degree fell below
-            # its generator's has products that the generator's did not cover
-            rows = [(ech.insert(vec), deg[nf[min(vec)]]) for vec in kept]
-            queue += [row for row, _ in rows if row is not None]
-            fell = [row for row, was in rows if row is not None and deg[nf[min(row)]] < was]
-            for vec in self._right_products(chain(fell, islice(queue, len(queue), None))):
-                if (row := ech.insert(vec)) is not None:
-                    queue.append(row)
-            subspace = echelonize(({nf[c]: a for c, a in row.items()} for row in queue), n)
-        elif kept:
-            stop, ech, subspace = "unit", Echelon(range(n)), self.filtration(N)
-        else:
-            ech, subspace = Echelon(range(unit)), self.augmentation_ideal()
-        # the rows with pivot degree <= k span the closure's intersection
-        # with filtration(k)
+        safe = N - max(g.degree() for g in gens)
+        if stop != "saturated":
+            # U with a kept generator, else A, which misses only the unit:
+            # every field is known, with no elimination
+            if self._spans is None:
+                self._spans = self.augmentation_ideal(), self.filtration(N)
+            one = bool(kept)
+            dims = [self.count_upto(k) - (not one) for k in range(N + 1)]
+            stable = 0 if one else 1 if safe else None
+            return IdealClosure(self._spans[one], dims, one, d, stable, safe,
+                                "unit" if one else stop)
+        # the kept generators last: only a row whose top degree fell below
+        # its generator's has products that the generator's did not cover
+        rows = [(deg[nf[min(vec)]], ech._insert(vec)) for vec in kept]
+        queue += [row for _, row in rows if row is not None]
+        fell = [row for was, row in rows if row is not None and deg[nf[min(row)]] < was]
+        for vec in self._right_products(chain(fell, islice(queue, len(queue), None))):
+            if (row := ech._insert(vec)) is not None:
+                queue.append(row)
         pivots = ech.pivots()
         per_degree = [sum(1 for p in pivots if deg[nf[p]] <= k) for k in range(N + 1)]
-        # everything and the augmentation ideal contain T; a saturated span
-        # meets filtration(1) in T unless one of its rows (the queue holds
-        # them all) has a unit term
-        meets_t = d if stop != "saturated" else per_degree[1] - any(
-            unit in row for row in queue if min(row) >= unit - d)
-        safe = N - max(g.degree() for g in gens)
+        # the span meets filtration(1) in T unless one of its rows (the queue
+        # holds them all) has a unit term
+        meets_t = per_degree[1] - any(unit in row for row in queue if min(row) >= unit - d)
         # the first stratum n0 such that every monomial of degree n0..safe is
         # inside: one above the top degree of a monomial outside
         top = next((deg[k] for k in reversed(range(self.count_upto(safe)))
                     if not ech.contains({col[k]: 1})), -1)
-        stabilization = top + 1 if top < safe else None
+        subspace = echelonize(({nf[c]: a for c, a in row.items()} for row in queue), n)
         return IdealClosure(subspace, per_degree, unit in pivots, meets_t,
-                            stabilization, safe, stop)
+                            top + 1 if top < safe else None, safe, stop)
 
     def _right_products(self, queue):
         """Yield r * m for each integer row r of ``queue`` (rows appended
         while this runs included) and each monomial m within the budget of
-        r's top degree, as an integer vector in closure coordinates: a
-        positive multiple of r * m, so it spans the same line."""
+        r's top degree, as a fresh dict of nonzero ints over closure
+        columns, a positive multiple of r * m: each term's table row is
+        added into one accumulator, which ``add_row`` rescales."""
         deg, col, nf = self.nf_degree, self._closure_col, self._closure_nf
+        table, product = self._products, self.basis_product
         for row in queue:
-            ints = (1, {nf[c]: a for c, a in row.items()})
+            terms = [(table[nf[c]], nf[c], a) for c, a in row.items()]
             # the pivot is the row's lowest column, and so its top degree;
             # the monomials of degree 1..k have normal-form indices 1..
             for m in range(1, self.count_upto(self.cap - deg[nf[min(row)]])):
-                _, out = self.mul_basis(m, ints, right=True)
-                yield {col[k]: b for k, b in out.items()}
+                acc = [1, {}]
+                w = acc[1]
+                for left, i, a in terms:
+                    d, prod = left.get(m) or product(i, m)
+                    if d != acc[0]:
+                        add_row(acc, 0, d, {})
+                        a *= acc[0] // d
+                    for k, b in prod.items():
+                        k = col[k]
+                        w[k] = w.get(k, 0) + a * b
+                yield {k: b for k, b in w.items() if b}
 
 
 def _relabel(shape, g):

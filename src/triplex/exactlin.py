@@ -18,26 +18,17 @@ if their denominators differ), ``nonzero_row`` drops the zero entries a
 sum leaves behind, and ``unit_column`` tells a unit vector apart.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
-are primitive integer vectors, each rational input is scaled once to
-integers over a common denominator (an integer input is taken as it
-is), and ``insert`` returns the integer row it stores.  ``insert``
-reduces a row only up to its pivot, the first column that no stored row
-eliminates, and stores the columns after it as they stand: only the
-pivot decides accept or reject, and the span is the same as with the
-fully reduced row, which differs from it by a positive factor and a
-vector of the span before the insert.  ``reduce`` and ``contains``
-reduce fully, through every stored row, and ``rref_rows`` back-substitutes
-each stored row once, so what they return depends on the span alone: a
-residue on the non-pivot columns is unique modulo the span, however the
-rows that span it were reduced.
+are primitive integer vectors, reduced only up to their pivot (the first
+column that no stored row eliminates; see ``insert``), and every input
+runs through one elimination, ``_eliminate``.  ``reduce`` and
+``contains`` reduce fully and ``rref_rows`` back-substitutes each stored
+row once, so what they return depends on the span alone.
 ``Fraction``s are formed only in ``reduce``, ``rref_rows`` and
 ``Subspace``.  A ``Subspace`` is the span of an ``Echelon`` with its
 canonical reduced row-echelon basis (lowest-index elimination), so every
 subspace has one representation and all downstream normal forms are
-bit-reproducible; ``echelonize``, ``kernel``, the enveloping-algebra
-builds and the ideal closures all eliminate through it.  Coordinate
-subspaces (spans of unit vectors) start an ``Echelon`` from their unit
-rows directly, without elimination.
+bit-reproducible.  Coordinate subspaces (spans of unit vectors) start an
+``Echelon`` from their unit rows directly, without elimination.
 """
 
 from __future__ import annotations
@@ -160,15 +151,17 @@ def rational_row(den, w, memo=None):
     return out
 
 
+def _fresh_row(vec):
+    """``(scale, work)``, a fresh dict of nonzero ints with ``vec == work / scale``."""
+    work = {c: a for c, a in vec.items() if a}
+    return integer_row(work) if any(type(a) is not int for a in work.values()) else (1, work)
+
+
 class Echelon:
     """Incremental row-echelon accumulator over plain dicts (see the module).
 
-    Columns are integers; elimination always happens on the lowest
-    nonzero column, so callers that want a custom elimination priority
-    remap their columns before inserting.  Rows are stored as primitive
-    integer vectors (coprime entries, positive pivot entry), reduced only
-    up to their pivot; call ``rref_rows`` for the fully reduced canonical
-    basis.
+    Columns are integers, eliminated lowest first, so callers that want
+    another elimination priority remap their columns before inserting.
     """
 
     def __init__(self, units=()):
@@ -182,8 +175,9 @@ class Echelon:
     def dim(self):
         return len(self._rows)
 
-    def _eliminate(self, vec, first=False):
-        """Fraction-free residue of ``vec`` modulo the current span.
+    def _eliminate(self, scale, work, first=False):
+        """Fraction-free residue of ``work / scale`` modulo the current span,
+        for a fresh dict ``work`` of nonzero ints (``_fresh_row``), consumed.
 
         Returns ``(finals, scale, rest)``: each final ``(column, w, s)`` is
         a residue entry equal to ``w / s``, and ``scale / s`` is an integer.
@@ -193,13 +187,7 @@ class Echelon:
         """
         # pairwise lcm/gcd and list rows (not star-args or tuple rows):
         # freed tuples of every length stay in CPython's tuple free lists
-        # and raised peak memory by about 1 MiB on the ideal closures.
-        # ``work`` is a fresh dict, as the loop below mutates it; integer
-        # input (the products of the build and of the closures) needs no
-        # rescale
-        scale, work = 1, {c: a for c, a in vec.items() if a}
-        if any(type(a) is not int for a in work.values()):
-            scale, work = integer_row(work)
+        # and raised peak memory by about 1 MiB on the ideal closures
         heap = list(work)
         heapq.heapify(heap)
         rows = self._rows
@@ -236,22 +224,24 @@ class Echelon:
         return finals, scale, work
 
     def reduce(self, vec):
-        """Unique residue of ``vec`` (a dict) modulo the current span.
-
-        The residue is supported on non-pivot columns only and does not
-        depend on the insertion history, only on the span.
-        """
-        return {c: Fraction(w, s) for c, w, s in self._eliminate(vec)[0]}
+        """Unique residue of ``vec`` (a dict) modulo the current span: it is
+        supported on non-pivot columns and depends on the span alone."""
+        return {c: Fraction(w, s) for c, w, s in self._eliminate(*_fresh_row(vec))[0]}
 
     def insert(self, vec):
-        """Add ``vec`` to the span; returns the primitive integer row it
-        stores (``{column: int}``, positive pivot entry) or None.
+        """Add ``vec`` (a dict of ints or ``Fraction``s, zero entries
+        allowed, left as it is) to the span; returns the primitive integer
+        row it stores (``{column: int}``, positive pivot entry) or None.
 
         The row is ``vec`` reduced up to its pivot, the first column that
         no stored row eliminates; the columns after it are left as they
         stand.  So it is a positive multiple of the fully reduced row plus
         a vector of the span before the insert."""
-        finals, _, rest = self._eliminate(vec, first=True)
+        return self._insert(_fresh_row(vec)[1])
+
+    def _insert(self, work):
+        """``insert`` of a fresh dict of nonzero ints, consumed: no copy, no scan."""
+        finals, _, rest = self._eliminate(1, work, first=True)
         if not finals:
             return None
         ((p, a, _),) = finals
@@ -266,7 +256,7 @@ class Echelon:
         return row
 
     def contains(self, vec):
-        return not self._eliminate(vec)[0]
+        return not self._eliminate(*_fresh_row(vec))[0]
 
     def pivots(self):
         return sorted(self._rows)

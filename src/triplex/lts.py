@@ -580,7 +580,8 @@ def generated_ideal(ech, vectors, ops, d):
 
 
 def _tau(kt, x, y):
-    """z -> K(y,z) x, for the form K stored as ``kt``."""
+    """z -> K(y,z) x for the form ``kt``, with no zero entry of x (no empty column)."""
+    x = {i: a for i, a in x.items() if a}
     if not x:
         return {}
     return {z: {i: a * c for i, a in x.items()} for z, c in op_apply(kt, y).items()}

@@ -384,10 +384,10 @@ def counting_inserts(monkeypatch):
     inserts = []
 
     class Counting(Echelon):
-        def insert(self, vec):
+        def _insert(self, work):
             if sys._getframe(1).f_code.co_name == "_close":
-                inserts.append(vec)
-            return super().insert(vec)
+                inserts.append(dict(work))
+            return super()._insert(work)
 
     monkeypatch.setattr(envelope, "Echelon", Counting)
     return inserts
@@ -583,10 +583,10 @@ def test_a_kept_generator_whose_top_degree_falls_has_its_own_products(name, cap,
 
 # -- stored rows reduced only up to their pivot change no closure -----------------
 
-def fully_reducing_insert(self, vec):
-    """``Echelon.insert`` as it was before its rows were reduced only up to
+def fully_reducing_insert(self, work):
+    """``Echelon._insert`` as it was before its rows were reduced only up to
     their pivot: the stored row is the whole residue, made primitive."""
-    finals, scale, _ = self._eliminate(vec)
+    finals, scale, _ = self._eliminate(1, work)
     if not finals:
         return None
     ints = [(c, w * (scale // s)) for c, w, s in finals]
@@ -598,13 +598,13 @@ def fully_reducing_insert(self, vec):
 
 
 def counting_echelon(insert):
-    """An ``Echelon`` whose inserts run ``insert``, and the list [inserts,
-    accepted] that they count."""
+    """An ``Echelon`` whose inserts (public or the closures' own) run
+    ``insert``, and the list [inserts, accepted] that they count."""
     counts = [0, 0]
 
     class Counted(Echelon):
-        def insert(self, vec):
-            row = insert(self, vec)
+        def _insert(self, work):
+            row = insert(self, work)
             counts[0] += 1
             counts[1] += row is not None
             return row
@@ -619,7 +619,7 @@ def test_closures_match_the_fully_reducing_insert(name, monkeypatch):
     # insert counts under both inserts
     system = (s2_cubed() if name == "s2^3" else algebra(name, 4)).system
     runs = []
-    for insert in (Echelon.insert, fully_reducing_insert):
+    for insert in (Echelon._insert, fully_reducing_insert):
         kind, counts = counting_echelon(insert)
         monkeypatch.setattr(envelope, "Echelon", kind)
         monkeypatch.setattr(lts, "Echelon", kind)
@@ -644,3 +644,123 @@ def test_closures_match_the_fully_reducing_insert(name, monkeypatch):
         out += [lie_closure(ops, alg.d), associative_envelope(ops, alg.d)]
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# -- the closure's own fast paths against the routes they replace ---------------------
+
+@lru_cache(maxsize=None)
+def rational_sl3_sym():
+    # table rows with denominators other than 1 and 2
+    from test_lts_sparse import BUNDLED, rational_scale, scaled
+    return EnvelopingAlgebra(scaled(BUNDLED["sl3_sym"], rational_scale(8)), 4)
+
+
+PRODUCT_CASES = SYSTEMS + ("s2^3", "sl3_sym-rational")
+
+
+def product_algebra(name):
+    return {"s2^3": s2_cubed, "sl3_sym-rational": rational_sl3_sym}.get(
+        name, lambda: algebra(name, 4))()
+
+
+def same_line(u, v):
+    """Whether the int dicts u and v are positive multiples of each other."""
+    if u.keys() != v.keys() or not u:
+        return u == v
+    k = next(iter(u))
+    ratio = Fraction(u[k], v[k])
+    return ratio > 0 and all(u[c] == ratio * v[c] for c in u)
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_right_products_match_the_mul_basis_route(name):
+    # the old route: each row mapped to normal-form indices, multiplied by
+    # mul_basis, and mapped back to closure columns
+    alg = product_algebra(name)
+    nf, col, deg = alg._closure_nf, alg._closure_col, alg.nf_degree
+    rng = random.Random(name)
+    for _ in range(12):
+        top = rng.randrange(1, alg.count_upto(2))
+        support = [top] + rng.sample(range(top), min(top, rng.randrange(4)))
+        row = {col[k]: rng.choice([-3, -2, -1, 1, 2, 5]) for k in support}
+        got = list(alg._right_products([dict(row)]))
+        want = []
+        for m in range(1, alg.count_upto(alg.cap - deg[top])):
+            _, out = alg.mul_basis(m, (1, {nf[c]: a for c, a in row.items()}), right=True)
+            want.append({col[k]: b for k, b in out.items() if b})
+        assert len(got) == len(want)
+        assert all(all(v.values()) for v in got)
+        assert all(same_line(u, v) for u, v in zip(got, want))
+
+
+vectors = st.dictionaries(st.integers(0, 9), st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(vectors, max_size=12))
+def test_the_closures_insert_matches_the_public_insert(vecs):
+    public, own = Echelon(), Echelon()
+    for vec in vecs:
+        before = dict(vec)
+        _, work = integer_row({c: Fraction(a) for c, a in vec.items() if a})
+        row = public.insert(vec)
+        assert vec == before and list(vec.items()) == list(before.items())
+        assert own._insert(work) == row
+        assert own._rows == public._rows and own.pivots() == public.pivots()
+    # Fractions and zero entries, left as they are
+    vec = {0: Fraction(1, 2), 1: 0, 3: Fraction(-2, 3)}
+    assert Echelon().insert(vec) == {0: 3, 3: -4}
+    assert vec == {0: Fraction(1, 2), 1: 0, 3: Fraction(-2, 3)}
+
+
+def coordinate_fields(alg, units, safe):
+    """per_degree_dims, contains_one and stabilization_degree of the span of
+    the closure columns ``units``, through an explicit coordinate ``Echelon``."""
+    ech, deg = Echelon(units), alg.nf_degree
+    nf, col = alg._closure_nf, alg._closure_col
+    per_degree = [sum(1 for p in ech.pivots() if deg[nf[p]] <= k) for k in range(alg.cap + 1)]
+    top = next((deg[k] for k in reversed(range(alg.count_upto(safe)))
+                if not ech.contains({col[k]: 1})), -1)
+    return per_degree, ech.contains({col[0]: 1}), top + 1 if top < safe else None
+
+
+@pytest.mark.parametrize("name, cap", CASES, ids=CASE_IDS)
+def test_exits_read_the_fields_of_an_explicit_echelon(name, cap):
+    alg = algebra(name, cap)
+    gens = {"t": [alg.monomial(v) for v in alg.exponents[1:]],
+            "unit": [alg.one() + alg.generator(0)]}
+    if cap > 1:
+        gens["t-deg-2"] = [alg.generator(0) * alg.generator(0)] + gens["t"][:alg.d]
+    seen = {alg.closure_of_t().exit}
+    closures = [alg.closure_of_t()] + [alg.right_ideal_closure(g) for g in gens.values()]
+    for ic in closures:
+        seen.add(ic.exit)
+        if ic.exit == "saturated":
+            continue
+        units = range(alg.nf_size - (ic.exit != "unit"))
+        assert (ic.per_degree_dims, ic.contains_one, ic.stabilization_degree) == (
+            coordinate_fields(alg, units, ic.safe_window))
+        assert ic.meets_t_dim == alg.d
+    # abelian3 is not simple: its generators' closures saturate, as 1 + e's
+    # do at cap 2
+    assert "ceiling" in seen and (name == "abelian3" or "t" in seen and (
+        "unit" in seen or cap == 2))
+
+
+@pytest.mark.parametrize("right, text", [
+    ("1+e1", "right ideal closure: dim 70 / 70\nper-degree dims: [1, 5, 15, 35, 70]\n"
+             "contains 1: True\nintersection with T: dim 4\n"
+             "stabilization degree: 0 (safe window 3)\n"),
+    ("e1", "right ideal closure: dim 55 / 70\nper-degree dims: [0, 2, 9, 25, 55]\n"
+           "contains 1: False\nintersection with T: dim 2\n"
+           "stabilization degree: None (safe window 3)\n"),
+    ("e1+e2", "right ideal closure: dim 69 / 70\nper-degree dims: [0, 4, 14, 34, 69]\n"
+              "contains 1: False\nintersection with T: dim 4\n"
+              "stabilization degree: 1 (safe window 3)\n")],
+    ids=["unit", "saturated", "t"])
+def test_each_exit_through_the_ideal_text(right, text, capsys):
+    path = str(resources.files("triplex") / "data" / "s2_plus_s2.json")
+    assert cli.main(["ideal", path, "-N", "4", "--right", right]) == 0
+    assert capsys.readouterr().out == text

@@ -1100,3 +1100,16 @@ def test_span_closure_uses_both_orders():
     assert space.dim == 4
     ref_space, ref_basis = dense_associative_envelope([e12, e21])
     assert space == ref_space and basis == [columns(b) for b in ref_basis]
+
+
+@pytest.mark.parametrize("x, y", [({1: F(0)}, {0: F(1)}), ({0: F(1), 1: F(0)}, {1: F(1)}),
+                                  ({0: F(1)}, {0: F(0), 1: F(2)}), ({0: F(0)}, {1: F(0)})])
+def test_tau_helpers_drop_explicit_zero_entries(x, y):
+    # an explicit zero in either argument gives the operator of the vectors
+    # without it: no empty column, and no zero entry
+    emb = standard_embedding(BUNDLED["s2"])
+    drop = lambda v: {i: a for i, a in v.items() if a}
+    for helper in (tau_map, lambda_map):
+        op = helper(emb, x, y)
+        assert op == helper(emb, drop(x), drop(y))
+        assert all(col and all(col.values()) for col in op.values())

@@ -122,14 +122,14 @@ MUTANTS = [
     ("counit-nonzero-generator-in-the-t-rows", "envelope.py",
      "        for vec in chain((v for v, counit in vecs if not counit),\n"
      "                         self._right_products(chain(kept, queue))):\n"
-     "            if (row := ech.insert(vec)) is None:\n"
+     "            if (row := ech._insert(vec)) is None:\n"
      "                continue\n"
      "            queue.append(row)\n"
      "            if t_ech is not None and min(row) >= unit - d and generated_ideal(\n"
      "                    t_ech, [{d - nf[c]: a for c, a in row.items()}],",
      "        for vec in chain((v for v, counit in vecs),\n"
      "                         self._right_products(chain(kept, queue))):\n"
-     "            if (row := ech.insert(vec)) is None:\n"
+     "            if (row := ech._insert(vec)) is None:\n"
      "                continue\n"
      "            queue.append(row)\n"
      "            if t_ech is not None and min(row) >= unit - d and generated_ideal(\n"
@@ -140,13 +140,37 @@ MUTANTS = [
      "                True",
      [f"{CLOSURE_TESTS}::test_a_failed_premise_leaves_the_t_rows_unclosed"]),
     ("kept-generator-rows-without-products", "envelope.py",
-     "            for vec in self._right_products(chain(fell, islice(queue, len(queue), None))):",
-     "            for vec in self._right_products(islice(queue, len(queue), None)):",
+     "        for vec in self._right_products(chain(fell, islice(queue, len(queue), None))):",
+     "        for vec in self._right_products(islice(queue, len(queue), None)):",
      [f"{CLOSURE_TESTS}::test_a_kept_generator_whose_top_degree_falls_has_its_own_products"]),
+    # the closures' products read the table straight from closure rows
     ("right-products-without-nf-remap", "envelope.py",
-     "            ints = (1, {nf[c]: a for c, a in row.items()})",
-     "            ints = (1, dict(row))",
-     ["tests/test_acceptance.py::test_criterion_11_right_ideal_property"]),
+     "            terms = [(table[nf[c]], nf[c], a) for c, a in row.items()]",
+     "            terms = [(table[c], c, a) for c, a in row.items()]",
+     [f"{CLOSURE_TESTS}::test_right_products_match_the_mul_basis_route"]),
+    ("right-products-without-closure-column-remap", "envelope.py",
+     "                        k = col[k]\n",
+     "",
+     [f"{CLOSURE_TESTS}::test_right_products_match_the_mul_basis_route"]),
+    ("right-products-keep-zero-entries", "envelope.py",
+     "                yield {k: b for k, b in w.items() if b}",
+     "                yield dict(w)",
+     [f"{CLOSURE_TESTS}::test_right_products_match_the_mul_basis_route"]),
+    ("right-products-ignore-a-table-denominator", "envelope.py",
+     "                    if d != acc[0]:\n"
+     "                        add_row(acc, 0, d, {})\n"
+     "                        a *= acc[0] // d\n",
+     "",
+     [f"{CLOSURE_TESTS}::test_right_products_match_the_mul_basis_route"]),
+    # the "t" and "ceiling" exits read their fields off A
+    ("a-exit-stabilization-off-by-one", "envelope.py",
+     "            stable = 0 if one else 1 if safe else None",
+     "            stable = 0 if one else 2 if safe else None",
+     [f"{CLOSURE_TESTS}::test_exits_read_the_fields_of_an_explicit_echelon"]),
+    ("tau-keeps-zero-entries-of-x", "lts.py",
+     "    x = {i: a for i, a in x.items() if a}\n",
+     "",
+     [f"{LTS_SPARSE}::test_tau_helpers_drop_explicit_zero_entries"]),
     ("add-row-without-lcm-rescale", "exactlin.py",
      "    if d != den:\n"
      "        new = lcm(den, d)\n"
@@ -194,9 +218,8 @@ MUTANTS = [
      "        for n1 in range(1, cap - 2):",
      [NUCLEUS_TESTS]),
     ("eliminate-skips-rescale", "exactlin.py",
-     "        if any(type(a) is not int for a in work.values()):\n"
-     "            scale, work = integer_row(work)\n",
-     "",
+     "    return integer_row(work) if any(type(a) is not int for a in work.values()) else (1, work)",
+     "    return 1, work",
      [f"{ECHELON_TESTS}::test_integer_input_matches_the_same_fraction_input"]),
     ("derivation-pass-checks-rejected", "lts.py",
      "            if ech.insert(_flatten(op, d)) is not None and (",
