@@ -2,40 +2,22 @@
 
 Inside this module a tensor in U(x)U is an integer row ``(den, {(left,
 right): int})`` over pairs of normal-form indices (``comult3``'s rows
-have a third leg); ``_tensor_rows`` multiplies two legwise through the
-algebra's basis-product table, reading the two table dicts of each outer
-term's legs once, into one ``exactlin.add_row`` accumulator.
-``Fraction``s appear only at the API boundary: ``comult`` and ``comult3``
-return dicts ``{(left, right): Fraction}`` without zero entries.
+have a third leg).  ``Fraction``s appear only at the API boundary:
+``comult`` and ``comult3`` return dicts ``{(left, right): Fraction}``
+without zero entries.
 
 The comultiplication is the algebra morphism with Delta(a) = a(x)1 +
-1(x)a on generators.  It is evaluated on a free tree as the legwise
-product of its halves' images, and cached per tree, once per algebra, as
-an integer row: the halves of a representative tree are representative
-trees, so each distinct tree is split once.  Delta of a basis row is its
-tree's shared cached row itself, which no caller mutates.  This is sound
-because Delta descends to the quotient: ``check_coideal`` certifies that
-the generator-level relator families are coideal elements, once per
-algebra before the first comultiplication, and the representative trees
-of its memo start the cache.  ``check_coalgebra`` checks the cached rows
-exactly: coassociativity, cocommutativity, the counit laws (``same_row``),
-and multiplicativity (the legwise product of the rows of i and j less
-Delta of each term of the product row of (i, j), added into one
-difference row).
+1(x)a on generators, cached per free tree, once per algebra, as an
+integer row: the halves of a representative tree are representative
+trees, so each distinct tree is split once.  This is sound because Delta
+descends to the quotient, which ``check_coideal`` certifies once per
+algebra, before the first comultiplication.
 
-Coassociativity, multiplicativity and the division and
-weak-associativity checks test each identity as one difference row: the
-products of its left side add into an accumulator, those of its right
-side into the same one with c = -1, and it holds when no entry is left
-nonzero.  A product by one basis monomial goes through
-``EnvelopingAlgebra.mul_basis`` (one table row per term, none for the
-unit), of two rows through ``mul_rows``; a product that is only read and
-whose operands are both basis monomials (told apart once per element by
-``exactlin.unit_column``) is the shared table row (``basis_product``).
-Each check forms what does not depend on its inner loop once:
-``check_divisions`` splits x and its split's legs once for all its ys;
-``check_weak_assoc`` forms Delta x and w = sum x1 (y x2) once per x, and
-y (x2 z) once per (x2, z), shared by the xs whose splits hold x2.
+Each identity check adds both sides into one accumulator, the right one
+with c = -1: the identity holds when no entry is left nonzero.
+``check_divisions`` splits x and its legs once for all its ys;
+``check_weak_assoc`` checks every (y, x, z) in one pass, reading its
+per-case products' table rows in place.
 """
 
 from __future__ import annotations
@@ -45,8 +27,7 @@ from dataclasses import dataclass, field
 from .exactlin import (ONE, accumulate, add_row, echelonize, integer_row, kernel,
                        nonzero_row, rational_row, same_row, sum_integer_rows, unit_column)
 from .envelope import Element, PBWCertificateFailure, relator_families
-from .freealg import UNIT, is_leaf
-from .freealg import tree_degree  # noqa: F401 (perfbench traces hopf.tree_degree)
+from .freealg import UNIT, is_leaf, tree_degree  # noqa: F401 (perfbench traces tree_degree)
 
 
 def _tensor_rows(alg, s, t):
@@ -259,47 +240,65 @@ def check_divisions(alg, x, ys):
     return out
 
 
-def check_weak_assoc(alg, y, xs, zs):
-    """sum x1 (y (x2 z)) == (sum x1 (y x2)) z, exactly, for one y against
-    every x of ``xs`` and z of ``zs`` whose degrees sum to at most the cap.
-    Returns ``(cases, failures)``: the number of (x, z) pairs compared and
-    the index pairs (i, j) into ``xs`` and ``zs`` of those that fail."""
-    mul, product = alg.mul_basis, alg.basis_product
-    budget = alg.cap - y.degree()
-    yr = integer_row(y.coeffs)
-    m = unit_column(yr)
-    # for each x within the budget: the room left for z, Delta x and
-    # w = sum x1 (y x2), formed once; y x2 by x2
-    splits, yx2 = [], {}
-    for i, x in enumerate(xs):
-        room = budget - x.degree()
-        if room < 0:
-            continue
-        ddx, dx = _comult_rows(alg, integer_row(x.coeffs))
-        w = [1, {}]
-        for (k1, k2), a in dx.items():
-            if k2 not in yx2:
-                yx2[k2] = mul(k2, yr, right=True) if m is None else product(m, k2)
-            mul(k1, yx2[k2], into=w, c=a)
-        w[0] *= ddx
-        splits.append((i, room, ddx, dx, w))
+def check_weak_assoc(alg, ys, xs, zs):
+    """sum x1 (y (x2 z)) == (sum x1 (y x2)) z, exactly, for each (y, x, z)
+    of ``ys``, ``xs`` and ``zs`` with degrees summing to at most the cap.
+    Returns ``(cases, failures)``: the number of triples compared and the
+    index triples that fail."""
+    table, product, mul, cap = alg._products, alg.basis_product, alg.mul_basis, alg.cap
+    # both sides are linear in y and z, over one denominator: a case adds
+    # up its terms' numerators
+    xs = [(_comult_rows(alg, integer_row(x.coeffs))[1], x.degree()) for x in xs]
+    zs = [(iz, tuple(integer_row(z.coeffs)[1].items()), z.degree()) for iz, z in enumerate(zs)]
+    zs = [[z for z in zs if z[2] <= r] for r in range(cap + 1)]  # by degree
     cases, failures = 0, []
-    for j, z in enumerate(zs):
-        zr, degree = integer_row(z.coeffs), z.degree()
-        n = unit_column(zr)
-        yx2z = {}  # y (x2 z) by x2, for this z only
-        for i, room, ddx, dx, w in splits:
-            if degree > room:
-                continue
-            cases += 1
-            lhs = [1, {}]
-            for (k1, k2), a in dx.items():
-                if k2 not in yx2z:
-                    yx2z[k2] = alg.mul_rows(yr, mul(k2, zr) if n is None else product(k2, n))
-                mul(k1, yx2z[k2], into=lhs, c=a)
-            lhs[0] *= ddx
-            if any(alg.mul_rows(w, zr, into=lhs, c=-1)[1].values()):
-                failures.append((i, j))
+    for iy, y in enumerate(ys):
+        yw, dy = integer_row(y.coeffs)[1], y.degree()
+        fits = [[] for _ in range(cap - dy + 1)]  # fits[r]: each x of degree <= r
+        for ix, (dx, dg) in enumerate(xs):
+            if dy + dg <= cap:
+                x = ix, dx, [1, {}]  # with sum x1 (y x2)
+                for (k1, k2), a in dx.items():
+                    for i, c in yw.items():
+                        mul(k1, table[i].get(k2) or product(i, k2), False, x[2], a * c)
+                for r in range(dg, cap - dy + 1):
+                    fits[r].append(x)
+        for iz, zw, dz in zs[cap - dy]:
+            # i (x2 k) by x2, per term i of y and k of z
+            terms = [(i, k, c * e, {}) for i, c in yw.items() for k, e in zw]
+            for ix, dx, (dv, v) in fits[cap - dy - dz]:
+                cases += 1
+                acc = [1, {}]
+                w = acc[1]
+                for i, k, ce, memo in terms:
+                    # sum x1 (i (x2 k)): a table row per term, none by x1 = 1
+                    for (k1, k2), a in dx.items():
+                        dr, r = memo.get(k2) or memo.setdefault(
+                            k2, mul(i, table[k2].get(k) or product(k2, k)))
+                        if k1 == 0:
+                            add_row(acc, a * ce, dr, r)
+                            continue
+                        row, a = table[k1], a * ce
+                        for j, b in r.items():
+                            d, p = row.get(j) or product(k1, j)
+                            d *= dr
+                            if d != acc[0]:
+                                add_row(acc, 0, d, {})
+                            b *= a * (acc[0] // d)
+                            for m, f in p.items():
+                                w[m] = w.get(m, 0) + b * f
+                # less (sum x1 (y x2)) z
+                for k, e in zw:
+                    for j, b in v.items():
+                        d, p = table[j].get(k) or product(j, k)
+                        d *= dv
+                        if d != acc[0]:
+                            add_row(acc, 0, d, {})
+                        b *= -e * (acc[0] // d)
+                        for m, f in p.items():
+                            w[m] = w.get(m, 0) + b * f
+                if any(w.values()):
+                    failures.append((iy, ix, iz))
     return cases, failures
 
 

@@ -1,11 +1,13 @@
 import copy
 import json
 import re
+import shlex
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -572,3 +574,23 @@ def test_large_rescalings_keep_the_exit_code_contract(tmp_path, capsys, doc, cap
         command, *rest = argv
         assert cli.main([command, str(path), *rest]) in (0, 1, 3), argv
         assert "Traceback" not in capsys.readouterr().err
+
+
+# -- the README's CLI examples --
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    """The command lines of the code block under the README's ``## CLI``."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line, comments=True)
+            for line in block.split("```", 1)[0].splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda argv: argv[1])
+def test_readme_cli_examples_exit_0(argv, monkeypatch, capsys):
+    # the examples name the data files by their path from the repository root
+    monkeypatch.chdir(README.parent)
+    assert argv[0] == "triplex"
+    assert cli.main(argv[1:]) == 0

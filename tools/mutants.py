@@ -53,6 +53,7 @@ UNIT_PRODUCT_TESTS = f"{ACCUMULATOR_TESTS}::test_products_by_the_unit_match_the_
 SUITE_FAILURE_TESTS = (f"{IDENTITY_TESTS}::"
                        "test_identity_suites_name_their_failures_on_a_corrupted_table")
 BRANCH_TESTS = "tests/test_hopf.py::test_basis_operand_branch_matches_the_general_path"
+WEAK_TESTS = "tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"
 DIGIT_TESTS = ("tests/test_cli.py::"
                "test_numbers_over_the_interpreter_digit_limit_load_and_print")
 HOPF_FAILURE_TESTS = ("tests/test_hopf.py::"
@@ -356,8 +357,8 @@ MUTANTS = [
      "                pass",
      [HOPF_FAILURE_TESTS]),
     ("weak-associativity-drops-its-failure", "suites.py",
-     "        weak_ok = weak_ok and not failures",
-     "        weak_ok = weak_ok",
+     "    rep.add(\"weak_associativity_exhaustive\", {\"cases\": cases}, not failures)",
+     "    rep.add(\"weak_associativity_exhaustive\", {\"cases\": cases}, True)",
      [HOPF_FAILURE_TESTS]),
     ("s-map-automorphism-drops-its-failure", "suites.py",
      "        if hopf.s_map(x * y) != hopf.s_map(x) * hopf.s_map(y):\n"
@@ -378,9 +379,10 @@ MUTANTS = [
      [f"{ECHELON_TESTS}::test_integer_echelon_matches_fraction_reference"]),
     # each identity check tests one difference row: its sides subtracted
     ("weak-associativity-difference-without-rhs", "hopf.py",
-     "            if any(alg.mul_rows(w, zr, into=lhs, c=-1)[1].values()):",
-     "            if any(lhs[1].values()):",
-     ["tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"]),
+     "                # less (sum x1 (y x2)) z\n"
+     "                for k, e in zw:\n",
+     "                for k, e in ():\n",
+     [WEAK_TESTS]),
     ("division-difference-without-target", "hopf.py",
      "            add_row(acc, -e.numerator, e.denominator * yr[0], yr[1])\n",
      "",
@@ -399,10 +401,34 @@ MUTANTS = [
      "            d2, right = rights.get(r2) or product(r1, r2)",
      "            d2, right = lefts.get(r2) or product(r1, r2)",
      [f"{ACCUMULATOR_TESTS}::test_tensor_rows_match_the_reference"]),
+    # y x2 read as x2 y (the basis-operand branch this once named is gone)
     ("weak-associativity-branch-of-the-swapped-pair", "hopf.py",
-     "                yx2[k2] = mul(k2, yr, right=True) if m is None else product(m, k2)",
-     "                yx2[k2] = mul(k2, yr, right=True) if m is None else product(k2, m)",
-     ["tests/test_hopf.py::test_hoisted_checks_match_the_per_case_reference"]),
+     "                        mul(k1, table[i].get(k2) or product(i, k2), False, x[2], a * c)",
+     "                        mul(k1, table[k2].get(i) or product(k2, i), False, x[2], a * c)",
+     [WEAK_TESTS]),
+    # the weak-associativity kernel's inline products (bundled sl3_sym and
+    # its rational rebase have table rows over denominators other than 1)
+    ("weak-associativity-inline-product-skips-rescale", "hopf.py",
+     "                            if d != acc[0]:\n"
+     "                                add_row(acc, 0, d, {})\n",
+     "",
+     [WEAK_TESTS]),
+    ("weak-associativity-right-product-from-the-z-row", "hopf.py",
+     "                        d, p = table[j].get(k) or product(j, k)",
+     "                        d, p = table[k].get(j) or product(k, j)",
+     [WEAK_TESTS]),
+    ("weak-associativity-unit-branch-adds-nothing", "hopf.py",
+     "                            add_row(acc, a * ce, dr, r)\n",
+     "                            pass\n",
+     [WEAK_TESTS]),
+    ("weak-associativity-failure-indices-swapped", "hopf.py",
+     "                    failures.append((iy, ix, iz))",
+     "                    failures.append((ix, iy, iz))",
+     ["tests/test_hopf.py::test_a_corrupted_product_fails_both_hoisted_checks"]),
+    ("weak-associativity-drops-the-top-degree-xs", "hopf.py",
+     "                for r in range(dg, cap - dy + 1):",
+     "                for r in range(dg, cap - dy):",
+     ["tests/test_hopf.py::test_hopf_suite_case_counts"]),
     # the branch taken for a product that is added into: x a lands in the
     # shared row of a x, and the check's own verdict stays right
     ("jordan-adds-into-a-shared-row", "identities.py",
@@ -530,6 +556,15 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
+    # the table's unit row holds basis(j) at j, so without the branch the
+    # unit x1 = 1 adds the same terms through the table
+    ("weak-associativity-without-the-unit-branch", "hopf.py",
+     "                        if k1 == 0:\n"
+     "                            add_row(acc, a * ce, dr, r)\n"
+     "                            continue\n",
+     "",
+     "basis_product(0, j) is the row of graft(UNIT, t) = t, basis(j) itself, so the "
+     "unit x1 = 1 adds r through the table too: the branch only skips its reads"),
     # each input of the commutator rule is scaled to integers on its own; the
     # rule is linear in y on both sides, so an unscaled y gives the same verdict
     ("tau-commutator-check-with-an-unscaled-input", "lts.py",
@@ -561,11 +596,13 @@ RETIRED = [
 
 
 def copy_tree(dest):
-    """Copy ``src``, ``tests`` and ``pyproject.toml`` into ``dest``."""
+    """Copy ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` (whose
+    CLI examples ``tests/test_cli.py`` runs) into ``dest``."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def run_tests(root, tests):
