@@ -19,7 +19,7 @@ from .exactlin import echelonize, parse_rational
 from .freealg import DegreeBudgetExceeded, ExprSyntaxError, SizeGuardExceeded
 from .lts import (InvalidStructure, LieAlgebra, TripleSystem, check_axioms,
                   lts_from_lie, standard_embedding, simplicity_certificate,
-                  lie_closure, r_generators)
+                  lie_closure, integer_operators)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -168,7 +168,7 @@ def cmd_embed(args):
 
 def cmd_endo(args):
     t = _as_lts(load_system(args.file))
-    space, _ = lie_closure(r_generators(t), t.dim)
+    space, _ = lie_closure(integer_operators(t).values(), t.dim)
     ok = space.dim == t.dim ** 2
     print(f"lie closure of right-slot operators: dim {space.dim}, "
           f"expected {t.dim ** 2}")

@@ -2,10 +2,11 @@
 
 U_N(T) is the quotient of the free unital nonassociative algebra, within
 degree N, by the two-sided ideal of the defining relators (``relators``).
-It is built on the quotient side, one degree at a time (vector
-enumeration), over symbols for the pairs of basis monomials, and
-certified level by level (``_build``); the free monomial table only
-guards the input's size and is the domain of ``reduce_tree``.
+It is built on the quotient side, one degree at a time (S. A. Linton's
+vector enumeration, degree by degree as in Faugere's F4), over symbols
+for the pairs of basis monomials, and certified level by level
+(``_build``); the free monomial table only guards the input's size and
+is the domain of ``reduce_tree``.
 
 Each normal form is cached once, as an integer row ``(den, {k: int})``
 keyed by its tree: the build, ``reduce_tree`` and the table of basis
@@ -146,8 +147,6 @@ class EnvelopingAlgebra(IdentityChecks):
         # the guarded domain of ``reduce_tree``: every tree within the cap
         self.table = MonomialTable(self.d, cap, max_monomials)
 
-        # normal-form index k names the basis monomial exponents[k]: sorted by
-        # degree, so generator g is index d - g, the same at every cap
         self.exponents = exponent_vectors(self.d, cap)
         self.exp_index = {v: i for i, v in enumerate(self.exponents)}
         self.nf_size = len(self.exponents)
@@ -192,7 +191,8 @@ class EnvelopingAlgebra(IdentityChecks):
         whose terms of degree m cancel maps to a relation that pivots off
         the symbols at level m.  So level n fails if a relation pivots off
         the non-representative symbols (a lower level collapses) or if the
-        rank is not their number (the dimension is not C(d+n, n)).
+        rank is not their number (the dimension is not C(d+n, n)).  The
+        relation span's dims count the free monomials less the basis.
         """
         N, deg, sym, table = self.cap, self.nf_degree, {}, self.table
         by_level = [[] for _ in range(N + 1)]
@@ -223,7 +223,6 @@ class EnvelopingAlgebra(IdentityChecks):
                     f"(rank {len(pivots)}, {len(others)} non-representative symbols)")
             self._levels[n] = ech, hi
         self.degree_dims = [self.count_upto(n) for n in range(N + 1)]
-        # the relation span within degree n: the free monomials less the basis
         self.relspan_degree_dims = [table.degree_start[n + 1] - m
                                     for n, m in enumerate(self.degree_dims)]
         self.relspan_dim = table.size - self.nf_size
@@ -439,14 +438,15 @@ class EnvelopingAlgebra(IdentityChecks):
         needs to be A (``closure_of_t``).  For t in I and T:
         - for generators a and b, I holds (ta)b and t(ab), so (t,a,b);
         - 2(t,a,b) = [a,t,b] = -[t,a,b] (``check_assoc_expansion`` at n = 1,
-          checked once per algebra; below cap 3 the rule takes the span
-          of the T-rows);
+          checked once per algebra; below cap 3, or if it fails, the rule
+          takes the span of the T-rows);
         - so I meets T in an ideal of T: a subspace stable under the R_{b,c};
         - a generator x of nonzero counit puts x - e(x) 1 in A, so 1 in I.
         ``exit`` names the stop: "t" (the rule) or "ceiling" (the echelon
         has the dimension of A), with the closure A, or "unit" for either
         with a generator of nonzero counit, with the closure U: each reads
-        its fields off A or U, with no elimination; or "saturated".
+        its fields off A or U, with no elimination; or "saturated".  No
+        report prints it.
         """
         return self._close(gens, t_exit=True)
 
@@ -562,8 +562,6 @@ class IdealClosure:
     meets_t_dim: int
     stabilization_degree: int | None
     safe_window: int
-    # which stop ended the closure (see ``right_ideal_closure``); it stays
-    # out of every report
     exit: str = "saturated"
 
 
@@ -571,8 +569,10 @@ class Element:
     """An element of a truncated enveloping algebra in normal-form coordinates:
     ``coeffs`` maps normal-form indices k to nonzero ``Fraction``s.  Index k
     names the representative monomial b1^k1 (b2^k2 (...)) of the exponent
-    vector ``algebra.exponents[k]``; the indices are sorted by degree, and
-    ``terms`` and ``format`` name them by their exponent vectors.
+    vector ``algebra.exponents[k]``, sorted by degree, then lexicographically:
+    the unit is 0, generator g is d - g, and the monomials of degree <= k
+    are the first C(d+k, k) at every cap.  ``terms`` and ``format`` name
+    them by their exponent vectors.
 
     Elements are equal only when they belong to the same algebra object.
     """

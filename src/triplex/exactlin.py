@@ -7,15 +7,12 @@ the enveloping algebra is one over normal-form indices, and a tensor is
 one over pairs of them.  ``accumulate`` is the one sparse-dict sum, on
 ints or Fractions alike: it adds elements, tensors and the integer
 operators of ``lts``.  Hot sums run on integer rows ``(den, {k: int})``
-(``integer_row``, ``rational_row``); ``rational_row`` forms one
-``Fraction`` per distinct value of its memo, kept across rows at will.
-``add_row`` is the one integer-row sum: it adds ``c * row / d`` into an
-accumulator ``[den, w]`` in place, and is the only code that rescales
-to a common denominator; ``sum_integer_rows``, the products of
-``EnvelopingAlgebra`` and the legwise tensor products of ``hopf`` all add
-through it.  ``same_row`` compares two integer rows (cross-multiplied
-if their denominators differ), ``nonzero_row`` drops the zero entries a
-sum leaves behind, and ``unit_column`` tells a unit vector apart.
+(``integer_row``, ``rational_row``).  ``add_row`` is the one integer-row
+sum and the only code that rescales to a common denominator:
+``sum_integer_rows``, the products of ``EnvelopingAlgebra`` and the
+legwise tensor products of ``hopf`` all add through it.  ``same_row``
+compares two integer rows, ``nonzero_row`` drops the zero entries a sum
+leaves behind, and ``unit_column`` tells a unit vector apart.
 
 There is one elimination kernel, the incremental ``Echelon``: its rows
 are primitive integer vectors, reduced only up to their pivot (the first
@@ -236,7 +233,8 @@ class Echelon:
         The row is ``vec`` reduced up to its pivot, the first column that
         no stored row eliminates; the columns after it are left as they
         stand.  So it is a positive multiple of the fully reduced row plus
-        a vector of the span before the insert."""
+        a vector of the span before the insert, whose products a closure
+        forms anyway: closures multiply the rows as returned."""
         return self._insert(_fresh_row(vec)[1])
 
     def _insert(self, work):

@@ -1,21 +1,20 @@
 """The paper's identity checks on a truncated enveloping algebra.
 
 ``IdentityChecks`` is a base class of ``EnvelopingAlgebra``: its methods
-read the algebra's products (``mul_rows``, ``mul_basis``), its indices
-(``exp_index``, ``nf_degree``, ``count_upto``) and its system.  Each
-check takes elements and returns a bool, as the paper states the
-identity (the Jordan operator identity, the derivation property of D,
-the lemma's derivation residue, the full associator expansion), but
-computes on integer rows read from the basis-product table: no
-``Element`` and no ``Fraction`` per product.  An identity is tested as
-one difference row: the products of its left side add into one
-``exactlin.add_row`` accumulator in place (``into``, scaled by ``c``),
-those of its right side into the same one with c = -1, and it holds when
-no entry is left nonzero.  The accumulator keeps the zero entries its
-sums leave, which the products skip, and a degree is read from the
-nonzero entries only.  An inner product that is only read and whose
-operands are both basis monomials is the table's shared row
-(``basis_product``); every accumulator added into is a fresh one.
+read the algebra's products, indices and system.  Each check takes
+elements and returns a bool, as the paper states the identity (the
+Jordan operator identity, the derivation property of D, the lemma's
+derivation residue, the full associator expansion), but computes on
+integer rows read from the basis-product table: no ``Element`` and no
+``Fraction`` per product.  An identity is tested as one difference row:
+the products of its left side add into one ``exactlin.add_row``
+accumulator in place (``into``, scaled by ``c``), those of its right
+side into the same one with c = -1, and it holds when no entry is left
+nonzero.  The accumulator keeps the zero entries its sums leave, which
+the products skip, and a degree is read from the nonzero entries only.
+An inner product that is only read and whose operands are both basis
+monomials is the table's shared row (``basis_product``); every
+accumulator added into is a fresh one.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ the nonzero coordinates of each nonzero basis product.  Vectors are
 ``{index: value}`` dicts and an operator is a dict of nonempty sparse
 columns ``{x: {k: a}}`` (column x is the image of b_x), so equal operators
 are equal dicts; a bilinear form K is stored the same way, K(b_k, b_x) at
-[x][k].
+[x][k].  Every routine visits only stored keys, so its cost follows the
+nonzero products, not the dimension.
 
 The kernels compute on integers.  A system keeps its constants over one
 denominator (``integer_constants``), a Lie algebra its brackets and an

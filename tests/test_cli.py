@@ -1,5 +1,8 @@
 import copy
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 import sys
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import triplex
 from triplex import cli, freealg
 from triplex.cli import LoadError, load_system
 from triplex.envelope import EnvelopingAlgebra
@@ -594,3 +598,60 @@ def test_readme_cli_examples_exit_0(argv, monkeypatch, capsys):
     monkeypatch.chdir(README.parent)
     assert argv[0] == "triplex"
     assert cli.main(argv[1:]) == 0
+
+
+# -- the README's code names --
+
+# a dotted name, with the call that may follow it (`Element.terms()`)
+CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\((.*)\))?")
+FILE_SUFFIXES = {"json", "md", "py", "toml", "yml"}
+
+
+def readme_code_names():
+    """The dotted names in the README's inline code spans, outside its code
+    blocks and less file names, each with its call's arguments or None."""
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    spans = (CODE_NAME.fullmatch(span) for span in re.findall(r"`([^`\n]+)`", text))
+    return list(dict.fromkeys((m[1], m[2]) for m in spans
+                              if m and m[1].rsplit(".", 1)[1] not in FILE_SUFFIXES))
+
+
+def resolve(name, args=None):
+    """Whether the dotted ``name`` exists: ``triplex.<module>...``,
+    ``<module>.<name>...`` or ``<Class>.<name>...`` of ``src/triplex``, or
+    an attribute chain of another importable module; and, given the text of
+    its call's arguments, whether they are its parameters."""
+    modules = {m.name: importlib.import_module(f"triplex.{m.name}")
+               for m in pkgutil.iter_modules(triplex.__path__)}
+    classes = {k: v for mod in modules.values() for k, v in vars(mod).items()
+               if isinstance(v, type) and v.__module__ == mod.__name__}
+    head, *rest = name.split(".")
+    obj = triplex if head == "triplex" else modules.get(head) or classes.get(head)
+    if obj is None:
+        try:
+            obj = importlib.import_module(head)
+        except ImportError:
+            return False
+    for part in rest:
+        if obj is triplex and part in modules:
+            obj = modules[part]
+        elif hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            # an attribute that a class of src/triplex sets on its instances
+            return isinstance(obj, type) and part == rest[-1] and any(
+                re.search(rf"\bself\.{part}\b", inspect.getsource(cls))
+                for cls in obj.__mro__ if cls.__module__.startswith("triplex"))
+    if args is None:
+        return True
+    params = [p for p in inspect.signature(obj).parameters if p != "self"]
+    return [a.strip() for a in args.split(",") if a.strip()] == params
+
+
+def test_readme_code_names_exist_and_are_public():
+    names = readme_code_names()
+    assert ("freealg.MAX_MONOMIALS", None) in names
+    missing = [n for n in names if not resolve(*n)]
+    private = [n for n, _ in names
+               if any(p.startswith("_") and not p.endswith("__") for p in n.split("."))]
+    assert not missing and not private, (missing, private)

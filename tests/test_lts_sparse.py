@@ -947,6 +947,20 @@ def test_lts_layer_rebased_matches_dense(t):
     assert_lts_layer_matches(t)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the simplicity witness "
+                   "is searched among the ideals of single basis vectors only")
+def test_simplicity_verdict_does_not_depend_on_the_basis():
+    # the new basis vectors are the columns of M; each mixes the two summands
+    p = columns([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]])
+    pinv = columns([[F(a, 2) for a in row] for row in
+                    [[2, 0, 0, -2], [1, 1, -1, 0], [-1, 1, 1, 0], [-1, -1, 1, 2]]])
+    assert op_compose(p, pinv) == {x: {x: ONE} for x in range(4)}
+    t = in_basis(BUNDLED["s2_plus_s2"], p, pinv)
+    assert simplicity_certificate(BUNDLED["s2_plus_s2"]).verdict == "not_simple"
+    assert simplicity_certificate(t).verdict == "not_simple"
+    assert suites.run_suite("simple", t).ok
+
+
 @pytest.mark.parametrize("m, graded", [(1, True), (2, False)])
 def test_grading_check_on_sl2(m, graded):
     # basis (h, e, f): D = {h} is the Cartan split; with D = {h, e},

@@ -553,6 +553,11 @@ MUTANTS = [
      "        raise InvalidStructure(\"InnDer(T) and T are not K-orthogonal\")",
      "        pass",
      [f"{LTS_FAILURES}::test_embedding_fails_when_innder_and_t_are_not_orthogonal"]),
+    # `triplex endo` closes the R operators, as the endo suite does
+    ("endo-command-closes-the-d-operators", "cli.py",
+     "    space, _ = lie_closure(integer_operators(t).values(), t.dim)",
+     "    space, _ = lie_closure(integer_operators(t, right=False).values(), t.dim)",
+     ["tests/test_cli.py::test_endo_pass_and_fail"]),
 ]
 
 EQUIVALENT = [
